@@ -23,7 +23,7 @@ from .data import (DataFormatError, MissingDataError, load_cifar10_gray28, load_
                    make_mixed_sequence, make_permuted_tasks, make_split_tasks,
                    make_synthetic_blobs)
 from .heuristics import HeuristicConfig
-from .numerics import NumericError, make_rng
+from .numerics import ConfigError, NumericError, make_rng, require_positive
 
 EXPERIMENTS = ("split_custom", "permuted", "mixed", "synthetic")
 
@@ -36,10 +36,6 @@ CUSTOM_SPLIT_PAIRS = [(0, 1), (8, 7), (9, 4), (6, 2), (3, 5)]
 # dissimilar one. Runs dataset-free in well under a minute.
 SYNTHETIC_TASKS = [(6.0, 0.0), (6.0, 0.35), (1.5, 1.2)]
 SYNTHETIC_N_TRAIN = 2048
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration (unknown key, bad value)."""
 
 
 @dataclass
@@ -78,23 +74,16 @@ class ExperimentConfig:
 
     def train_config(self) -> TrainConfig:
         mode, beta = parse_model(self.model)
-        try:
-            return TrainConfig(epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
-                               train_mc_samples=self.train_mc_samples,
-                               eval_mc_samples=self.eval_mc_samples,
-                               beta_mode=mode, beta=beta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
+                           train_mc_samples=self.train_mc_samples,
+                           eval_mc_samples=self.eval_mc_samples, beta_mode=mode, beta=beta)
 
     def heuristic_config(self) -> HeuristicConfig:
-        try:
-            return HeuristicConfig(lam=self.lam, probe_size=self.probe_size,
-                                   probe_batch=self.probe_batch, probe_epochs=self.probe_epochs,
-                                   probe_repeats=self.probe_repeats, probe_lr=self.probe_lr,
-                                   difficulty_convention=self.difficulty_convention,
-                                   norm_shape=self.norm_shape)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return HeuristicConfig(lam=self.lam, probe_size=self.probe_size,
+                               probe_batch=self.probe_batch, probe_epochs=self.probe_epochs,
+                               probe_repeats=self.probe_repeats, probe_lr=self.probe_lr,
+                               difficulty_convention=self.difficulty_convention,
+                               norm_shape=self.norm_shape)
 
     def model_label(self) -> str:
         mode, beta = parse_model(self.model)
@@ -110,8 +99,7 @@ def parse_model(model: str) -> tuple[str, float]:
             beta = float(model.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad beta in model {model!r}") from None
-        if beta <= 0:
-            raise ConfigError(f"fixed beta must be > 0, got {beta}")
+        require_positive("fixed beta", beta)
         return "fixed", beta
     raise ConfigError(f"unknown model {model!r}, expected 'auto' or 'gvcl:<beta>'")
 
@@ -237,6 +225,14 @@ def read_results_csv(path) -> list[ResultRow]:
     return rows
 
 
+def _check_probe_size(tasks, probe_size: int) -> None:
+    """The difficulty probe draws two disjoint probe_size subsets per task."""
+    for task in tasks:
+        if 2 * probe_size > len(task.train):
+            raise ConfigError(f"probe_size {probe_size} needs {2 * probe_size} training "
+                              f"examples, task {task.name!r} has {len(task.train)}")
+
+
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Run all trials of one (experiment, model) pair and write the CSV."""
     train_cfg = cfg.train_config()
@@ -247,6 +243,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     for trial in range(cfg.trials):
         seed = cfg.master_seed + trial
         tasks, hidden_dims = build_tasks(cfg.experiment, corpus, seed)
+        if train_cfg.beta_mode == "auto":
+            _check_probe_size(tasks, heuristic_cfg.probe_size)
 
         def report(t, trace, accuracies, trial=trial):
             print(f"[{cfg.experiment}/{label}] trial {trial} stage {t}/{len(tasks)} "

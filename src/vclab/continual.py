@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .heuristics import HeuristicConfig, HeuristicTrace, assess_task
-from .numerics import NumericError, make_rng
+from .numerics import ConfigError, NumericError, make_rng, require_positive
 from .vbnn import (VariationalNet, advance_prior, fit, init_network, posterior_predict,
                    save_snapshot, standard_prior)
 
@@ -38,12 +38,14 @@ class TrainConfig:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        if min(self.epochs, self.batch_size, self.train_mc_samples, self.eval_mc_samples) < 1:
+            raise ConfigError("epochs, batch_size, train_mc_samples and eval_mc_samples "
+                              "must be >= 1")
+        require_positive("lr", self.lr)
         if self.beta_mode not in _BETA_MODES:
-            raise ValueError(f"beta_mode must be one of {_BETA_MODES}")
-        if self.beta_mode == "fixed" and self.beta <= 0:
-            raise ValueError(f"fixed beta must be > 0, got {self.beta}")
+            raise ConfigError(f"beta_mode must be one of {_BETA_MODES}")
+        if self.beta_mode == "fixed":
+            require_positive("fixed beta", self.beta)
 
 
 class AccuracyMatrix:

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import make_rng, seed_from
+from .numerics import ConfigError, make_rng, require_positive, seed_from
 from .vbnn import VariationalNet, fit, init_network, posterior_predict, standard_prior
 
 BETA_MIN = 1e-3
@@ -61,16 +61,16 @@ class HeuristicConfig:
     norm_shape: str = "linear_clamp"
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+        require_positive("lam", self.lam)
+        require_positive("probe_lr", self.probe_lr)
         if self.probe_size < self.probe_batch:
-            raise ValueError(f"probe_size {self.probe_size} < probe_batch {self.probe_batch}")
-        if self.probe_repeats < 1:
-            raise ValueError("probe_repeats must be >= 1")
+            raise ConfigError(f"probe_size {self.probe_size} < probe_batch {self.probe_batch}")
+        if min(self.probe_batch, self.probe_epochs, self.probe_repeats) < 1:
+            raise ConfigError("probe_batch, probe_epochs and probe_repeats must be >= 1")
         if self.difficulty_convention not in _CONVENTIONS:
-            raise ValueError(f"difficulty_convention must be one of {_CONVENTIONS}")
+            raise ConfigError(f"difficulty_convention must be one of {_CONVENTIONS}")
         if self.norm_shape not in _NORM_SHAPES:
-            raise ValueError(f"norm_shape must be one of {_NORM_SHAPES}")
+            raise ConfigError(f"norm_shape must be one of {_NORM_SHAPES}")
 
 
 @dataclass

@@ -6,11 +6,15 @@ Generators produced by :func:`make_rng`, so a whole run is reproducible from
 its master seed alone; independent sub-streams are derived by hashing a tag
 tuple rather than by splitting one stream, which keeps unrelated consumers
 (probes, training, evaluation) from perturbing each other.
+
+The error types the command line maps to exit codes (config 1, numeric 3)
+live here too, because every other module imports this one.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +22,16 @@ import numpy as np
 
 class NumericError(ArithmeticError):
     """A computation produced NaN or Inf where finite values are required."""
+
+
+class ConfigError(ValueError):
+    """Invalid experiment configuration (unknown key, bad value)."""
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise ConfigError unless ``value`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
 def seed_from(*parts: int | str) -> int:

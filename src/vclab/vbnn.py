@@ -22,6 +22,14 @@ weights into (mu, logvar); the KL part is differentiated analytically.
 ``backward_gradients`` is verified against central finite differences with
 frozen noise in the test suite -- there is no autodiff anywhere.
 
+Memory follows the Monte Carlo samples. A training step holds the (S, I, O)
+noise and sampled weights of every layer; the backward pass sums the
+per-sample weight gradients in sample order instead of stacking them.
+``posterior_predict`` draws all noise in one call, then streams one sample
+at a time through ``forward_with_noise``, so peak evaluation memory is one
+(S, I, O) noise tensor per layer plus a single sample's weights and
+activations. Both give the same bits as the stacked computation.
+
 Architecture is fixed: a shared trunk of affine+ReLU layers plus one affine
 output head per task. Heads are created lazily; a head that is not active
 contributes nothing to the KL and receives no updates.
@@ -244,9 +252,11 @@ def forward_with_noise(net: VariationalNet, head_index: int, x: np.ndarray,
     act: np.ndarray = x
     for li, layer in enumerate(layers):
         eps_w, eps_b = noise[li]
-        w = layer.mu_w + np.exp(0.5 * layer.logvar_w) * eps_w   # (S, I, O)
-        b = layer.mu_b + np.exp(0.5 * layer.logvar_b) * eps_b   # (S, O)
-        z = act @ w + b[:, None, :]                             # (S, B, O)
+        w = np.exp(0.5 * layer.logvar_w) * eps_w    # (S, I, O)
+        w += layer.mu_w
+        b = np.exp(0.5 * layer.logvar_b) * eps_b    # (S, O)
+        b += layer.mu_b
+        z = act @ w + b[:, None, :]                 # (S, B, O)
         weights.append((w, b))
         inputs.append(act)
         pre.append(z)
@@ -370,17 +380,25 @@ def backward_gradients(net: VariationalNet, prior: PosteriorSnapshot, cache: For
         layer = layers[li]
         eps_w, eps_b = cache.noise[li]
         a_in = cache.inputs[li]
-        if a_in.ndim == 2:
-            d_w = a_in.T @ d_z                      # (I,B)@(S,B,O) -> (S,I,O)
-        else:
-            d_w = a_in.transpose(0, 2, 1) @ d_z     # (S,I,B)@(S,B,O) -> (S,I,O)
+        # Per-sample weight gradients, summed in sample order from +0.0 as
+        # numpy's axis-0 reduction does: the same bits as summing a stacked
+        # (S, I, O) gradient, without building it.
+        g_mu_w = np.zeros_like(layer.mu_w)
+        g_logvar_w = np.zeros_like(layer.mu_w)
+        for s in range(cache.n_samples):
+            a_s = a_in if a_in.ndim == 2 else a_in[s]
+            d_w = a_s.T @ d_z[s]                    # (I,B)@(B,O) -> (I,O)
+            g_mu_w += d_w
+            d_w *= eps_w[s]
+            g_logvar_w += d_w
         d_b = d_z.sum(axis=1)                       # (S, O)
 
         sigma_w = np.exp(0.5 * layer.logvar_w)
         sigma_b = np.exp(0.5 * layer.logvar_b)
+        g_logvar_w *= 0.5 * sigma_w
         g = LayerGrads(
-            mu_w=d_w.sum(axis=0),
-            logvar_w=(d_w * eps_w).sum(axis=0) * (0.5 * sigma_w),
+            mu_w=g_mu_w,
+            logvar_w=g_logvar_w,
             mu_b=d_b.sum(axis=0),
             logvar_b=(d_b * eps_b).sum(axis=0) * (0.5 * sigma_b),
         )
@@ -454,9 +472,24 @@ def fit(net: VariationalNet, prior: PosteriorSnapshot, head_index: int,
 
 def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
                       rng: np.random.Generator, n_eval_samples: int) -> np.ndarray:
-    """Posterior-predictive class probabilities: softmax averaged over draws."""
-    cache = reparameterized_forward(net, head_index, x, rng, n_eval_samples)
-    return softmax(cache.logits).mean(axis=0)
+    """Posterior-predictive class probabilities: softmax averaged over draws.
+
+    The noise for all draws comes from one :func:`sample_noise` call, so the
+    stream is consumed exactly as by a batched forward pass. The draws then
+    go through :func:`forward_with_noise` one at a time and their softmax is
+    summed in sample order, which gives the same bits as
+    ``softmax(batched logits).mean(axis=0)``. Peak memory is the noise plus
+    one sample's weights and activations, never S sampled weight tensors.
+    """
+    if n_eval_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    x = np.asarray(x, dtype=np.float64)
+    noise = sample_noise(net, head_index, n_eval_samples, rng)
+    total = np.zeros((x.shape[0], net.head(head_index).fan_out))
+    for s in range(n_eval_samples):
+        draw = [(eps_w[s:s + 1], eps_b[s:s + 1]) for eps_w, eps_b in noise]
+        total += softmax(forward_with_noise(net, head_index, x, draw).logits[0])
+    return total / n_eval_samples
 
 
 def predict_mean(net: VariationalNet, head_index: int, x: np.ndarray) -> np.ndarray:
@@ -522,22 +555,32 @@ def save_snapshot(snapshot: PosteriorSnapshot, path) -> None:
 
 
 def load_snapshot(path) -> PosteriorSnapshot:
-    """Read a snapshot written by :func:`save_snapshot`."""
+    """Read a snapshot written by :func:`save_snapshot`.
+
+    Raises ValueError on a truncated or corrupt file: every length is checked
+    against the header counts before anything is unpacked.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != SNAPSHOT_MAGIC:
         raise ValueError(f"bad snapshot magic {blob[:8]!r}")
-    pos = 8
-    n_trunk, n_heads = struct.unpack_from("<II", blob, pos)
-    pos += 8
-    trunk_shapes = []
-    for _ in range(n_trunk):
-        trunk_shapes.append(struct.unpack_from("<II", blob, pos))
-        pos += 8
-    head_shapes = []
-    for _ in range(n_heads):
-        head_shapes.append(struct.unpack_from("<III", blob, pos))
-        pos += 12
+    if len(blob) < 16:
+        raise ValueError(f"snapshot header truncated at {len(blob)} bytes")
+    n_trunk, n_heads = struct.unpack_from("<II", blob, 8)
+    pos = 16 + 8 * n_trunk + 12 * n_heads
+    if pos > len(blob):
+        raise ValueError(f"snapshot header lists {n_trunk} trunk layers and {n_heads} heads, "
+                         f"which needs {pos} bytes; the file has {len(blob)}")
+    trunk_shapes = [struct.unpack_from("<II", blob, 16 + 8 * i) for i in range(n_trunk)]
+    head_shapes = [struct.unpack_from("<III", blob, 16 + 8 * n_trunk + 12 * i)
+                   for i in range(n_heads)]
+    if len({index for index, _, _ in head_shapes}) != n_heads:
+        raise ValueError("snapshot header repeats a head index")
+    shapes = [*trunk_shapes, *((fi, fo) for _, fi, fo in head_shapes)]
+    expected = pos + sum(8 * (2 * fi * fo + 2 * fo) for fi, fo in shapes)
+    if expected != len(blob):
+        raise ValueError(f"snapshot should be {expected} bytes for the shapes in its header, "
+                         f"file has {len(blob)}")
 
     def read_layer(fan_in: int, fan_out: int) -> VariationalLayer:
         nonlocal pos
@@ -552,6 +595,4 @@ def load_snapshot(path) -> PosteriorSnapshot:
 
     trunk = tuple(read_layer(fi, fo) for fi, fo in trunk_shapes)
     heads = {index: read_layer(fi, fo) for index, fi, fo in head_shapes}
-    if pos != len(blob):
-        raise ValueError(f"snapshot has {len(blob) - pos} trailing bytes")
     return PosteriorSnapshot(trunk=trunk, heads=heads)

@@ -1,6 +1,10 @@
+import os
 import re
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ import pytest
 from vclab.cli import (AggregateRow, ConfigError, ExperimentConfig, ResultRow, aggregate_trials,
                        build_config, emit_chart_svg, format_aggregates, main, parse_model,
                        read_config_file, read_results_csv, write_results_csv)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FAST_ARGS = ["--epochs", "2", "--probe-size", "256", "--probe-batch", "64",
              "--probe-repeats", "2", "--eval-mc-samples", "5", "--train-mc-samples", "2"]
@@ -177,6 +183,22 @@ class TestMainEntry:
     def test_bad_model_exits_1(self, tmp_path):
         assert main(["run", "--experiment", "synthetic", "--model", "vcl",
                      "--out-dir", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--lr", "-1"], ["--lr", "nan"], ["--probe-lr", "inf"], ["--probe-lr", "0"],
+        ["--lam", "nan"], ["--lam", "-inf"], ["--model", "gvcl:inf"], ["--model", "gvcl:nan"],
+        ["--train-mc-samples", "0"], ["--eval-mc-samples", "0"], ["--probe-size", "5000"],
+    ], ids=" ".join)
+    def test_invalid_value_exits_1_without_traceback(self, tmp_path, flags):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "vclab.cli", "run", "--experiment", "synthetic",
+             "--trials", "1", "--out-dir", str(tmp_path), *flags],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert re.search(r"^config error: ", proc.stderr, re.MULTILINE), proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_data_exits_2(self, tmp_path, capsys):
         code = main(["run", "--experiment", "split_custom", "--model", "gvcl:1",

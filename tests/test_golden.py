@@ -1,0 +1,46 @@
+"""Golden anchor: the exact bytes of one small ``synthetic``/``auto`` run.
+
+Criterion 8 compares two runs of the same code; this compares against a
+digest recorded once, so any change that moves a single bit of the results
+CSV shows up across commits. A change that alters the output on purpose (a
+new estimator, say) records a new digest here and says why in CHANGES.md.
+
+Float results depend on the numpy build and the BLAS kernels, so the digest
+is only checked on the stack it was recorded with and skipped elsewhere.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from vclab.cli import main
+
+GOLDEN_ARGS = ["run", "--experiment", "synthetic", "--model", "auto", "--trials", "1",
+               "--epochs", "1", "--probe-repeats", "2", "--probe-size", "256",
+               "--seed", "8817"]
+GOLDEN_SHA256 = "e79957e65627d748c2e1e9fb59cd52df09cb1b09359f58847703d7e82d6f8e23"
+RECORDED_NUMPY = "2.4.6"
+RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
+
+
+def recorded_stack_or_skip() -> None:
+    """Skip unless numpy and BLAS are the ones the digest was recorded with.
+
+    numpy is compared first: ``show_config(mode="dicts")`` only exists in
+    recent versions.
+    """
+    recorded = f"numpy {RECORDED_NUMPY}, BLAS {RECORDED_BLAS}"
+    if np.__version__ != RECORDED_NUMPY:
+        pytest.skip(f"golden digest recorded with {recorded}; this is numpy {np.__version__}")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = f"{blas.get('name')} {blas.get('version')}"
+    if blas != RECORDED_BLAS:
+        pytest.skip(f"golden digest recorded with {recorded}; this BLAS is {blas}")
+
+
+def test_synthetic_auto_csv_matches_golden_digest(tmp_path):
+    recorded_stack_or_skip()
+    assert main([*GOLDEN_ARGS, "--out-dir", str(tmp_path)]) == 0
+    csv_bytes = (tmp_path / "synthetic_autovcl.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest() == GOLDEN_SHA256, csv_bytes.decode()

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -106,6 +107,8 @@ class TestForward:
     def test_bad_sample_count(self):
         with pytest.raises(ValueError):
             reparameterized_forward(random_net(1), 0, np.zeros((1, 4)), make_rng(0), 0)
+        with pytest.raises(ValueError):
+            posterior_predict(random_net(1), 0, np.zeros((1, 4)), make_rng(0), 0)
 
 
 class TestKl:
@@ -272,6 +275,29 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward_gradients(net, prior, cache, np.array([0, 1]), beta=1.0, n_task=10)
 
+    def test_streamed_weight_gradients_equal_batched_reference(self):
+        # The (S, I, O) per-sample weight gradients summed over axis 0, as a
+        # stacked matmul would build them; at the prior the KL part is +0.0.
+        net = random_net(37, jitter=0.3)
+        for layer in net.active_layers(0):
+            layer.logvar_w[...] = -1.0
+        prior = advance_prior(net)
+        x = make_rng("g6").random((5, 4))
+        y = np.array([0, 1, 1, 0, 1])
+        noise = sample_noise(net, 0, 6, make_rng(79))
+        _, cache = beta_elbo_loss(net, prior, 0, x, y, beta=1.0, n_task=10, noise=noise)
+        grads = backward_gradients(net, prior, cache, y, beta=1.0, n_task=10)
+        d_z1 = vbnn.softmax(cache.logits)
+        d_z1[:, np.arange(5), y] -= 1.0
+        d_z1 *= 1.0 / (6 * 5)
+        d_z0 = (d_z1 @ cache.weights[1][0].transpose(0, 2, 1)) * (cache.pre[0] > 0)
+        d_w = [x.T @ d_z0, cache.inputs[1].transpose(0, 2, 1) @ d_z1]
+        for li, layer in enumerate(net.active_layers(0)):
+            sigma = np.exp(0.5 * layer.logvar_w)
+            assert np.array_equal(grads[li].mu_w, d_w[li].sum(axis=0) + 0.0)
+            assert np.array_equal(grads[li].logvar_w,
+                                  (d_w[li] * noise[li][0]).sum(axis=0) * (0.5 * sigma) + 0.0)
+
 
 class TestAdvancePrior:
     def test_kl_zero_immediately(self):
@@ -316,8 +342,43 @@ class TestAdvancePrior:
         with pytest.raises(ValueError):
             load_snapshot(path)
 
+    def test_load_rejects_every_truncation(self, tmp_path):
+        whole = tmp_path / "whole.snap"
+        save_snapshot(advance_prior(random_net(44, jitter=0.1)), whole)  # 4-3-2
+        blob = whole.read_bytes()
+        assert len(blob) == 404
+        cut = tmp_path / "cut.snap"
+        for n in [*range(len(blob)), len(blob) + 1]:
+            cut.write_bytes((blob + b"\x00")[:n])
+            with pytest.raises(ValueError):
+                load_snapshot(cut)
+
+    @pytest.mark.parametrize("offset, value", [(8, 10**9), (12, 10**9), (16, 2**32 - 1), (28, 0)],
+                             ids=["trunk-count", "head-count", "trunk-fan-in", "head-fan-in"])
+    def test_load_rejects_forged_header(self, tmp_path, offset, value):
+        path = tmp_path / "forged.snap"
+        save_snapshot(advance_prior(random_net(45)), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, offset, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError):
+            load_snapshot(path)
+
 
 class TestPosteriorPredict:
+    @pytest.mark.parametrize("n_samples", [1, 7])
+    def test_streamed_equals_batched_reference(self, n_samples):
+        net = random_net(52, input_dim=6, hidden=(5, 4), out=3, jitter=0.3)
+        rng = make_rng("logvar-jitter")
+        for layer in net.active_layers(0):
+            layer.logvar_w[...] = -2.0 + rng.standard_normal(layer.logvar_w.shape)
+            layer.logvar_b[...] = -2.0 + rng.standard_normal(layer.logvar_b.shape)
+        x = make_rng("pb").random((9, 6))
+        streamed = posterior_predict(net, 0, x, make_rng(8), n_samples)
+        noise = sample_noise(net, 0, n_samples, make_rng(8))
+        batched = vbnn.softmax(forward_with_noise(net, 0, x, noise).logits).mean(axis=0)
+        assert np.array_equal(streamed, batched)
+
     def test_rows_sum_to_one(self):
         net = random_net(50, input_dim=6, hidden=(5,), out=4, jitter=0.4)
         probs = posterior_predict(net, 0, make_rng("pp").random((8, 6)), make_rng(3), 7)
