@@ -13,7 +13,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .data import (DataFormatError, MissingDataError, load_cifar10_gray28, load_
                    make_mixed_sequence, make_permuted_tasks, make_split_tasks,
                    make_synthetic_blobs)
 from .heuristics import HeuristicConfig
-from .numerics import ConfigError, NumericError, make_rng, require_positive
+from .numerics import ConfigError, NumericError, atomic_write, make_rng, require_positive
 
 EXPERIMENTS = ("split_custom", "permuted", "mixed", "synthetic")
 
@@ -43,7 +43,7 @@ class ExperimentConfig:
     """Everything one experiment run depends on."""
 
     experiment: str = "synthetic"
-    model: str = "auto"           # "auto" or "gvcl:<beta>"
+    model: str = field(default="auto", metadata={"help": "'auto' or 'gvcl:<beta>'"})
     trials: int = 5
     master_seed: int = 1234
     data_dir: str = "data"
@@ -72,18 +72,17 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         parse_model(self.model)
 
+    def _shared_fields(self, cls) -> dict:
+        """The values of this config's fields that ``cls`` also has."""
+        names = {f.name for f in fields(cls)}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name in names}
+
     def train_config(self) -> TrainConfig:
         mode, beta = parse_model(self.model)
-        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
-                           train_mc_samples=self.train_mc_samples,
-                           eval_mc_samples=self.eval_mc_samples, beta_mode=mode, beta=beta)
+        return TrainConfig(**self._shared_fields(TrainConfig), beta_mode=mode, beta=beta)
 
     def heuristic_config(self) -> HeuristicConfig:
-        return HeuristicConfig(lam=self.lam, probe_size=self.probe_size,
-                               probe_batch=self.probe_batch, probe_epochs=self.probe_epochs,
-                               probe_repeats=self.probe_repeats, probe_lr=self.probe_lr,
-                               difficulty_convention=self.difficulty_convention,
-                               norm_shape=self.norm_shape)
+        return HeuristicConfig(**self._shared_fields(HeuristicConfig))
 
     def model_label(self) -> str:
         mode, beta = parse_model(self.model)
@@ -120,19 +119,13 @@ def read_config_file(path) -> dict[str, str]:
 
 def build_config(file_values: dict[str, str], overrides: dict[str, str]) -> ExperimentConfig:
     """Merge defaults < file < CLI overrides, coercing to field types."""
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
-    merged: dict[str, object] = {}
-    for source in (file_values, overrides):
-        for key, value in source.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = value
-    defaults = ExperimentConfig.__dataclass_fields__
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     coerced = {}
-    for key, value in merged.items():
-        target = type(defaults[key].default)
+    for key, value in {**file_values, **overrides}.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {key!r}")
         try:
-            coerced[key] = target(value)
+            coerced[key] = type(defaults[key])(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
     return ExperimentConfig(**coerced)
@@ -192,10 +185,11 @@ def _fmt(value: float | None) -> str:
 
 
 def write_results_csv(rows: list[ResultRow], path) -> Path:
-    """UTF-8, LF-terminated CSV with the fixed schema; floats at 6 decimals."""
+    """UTF-8, LF-terminated CSV with the fixed schema; floats at 6 decimals;
+    written atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in rows:
@@ -213,15 +207,18 @@ def read_results_csv(path) -> list[ResultRow]:
         if reader.fieldnames != CSV_HEADER:
             raise DataFormatError(f"{path}: unexpected header {reader.fieldnames}")
         for rec in reader:
-            rows.append(ResultRow(
-                experiment=rec["experiment"], model=rec["model"], trial=int(rec["trial"]),
-                seed=int(rec["seed"]), stage=int(rec["stage"]),
-                task_index=int(rec["task_index"]), task_name=rec["task_name"],
-                accuracy=float(rec["accuracy"]),
-                beta=float(rec["beta"]) if rec["beta"] else None,
-                d=float(rec["d"]) if rec["d"] else None,
-                s=float(rec["s"]) if rec["s"] else None,
-                delta_d=float(rec["delta_d"]) if rec["delta_d"] else None))
+            try:
+                rows.append(ResultRow(
+                    experiment=rec["experiment"], model=rec["model"], trial=int(rec["trial"]),
+                    seed=int(rec["seed"]), stage=int(rec["stage"]),
+                    task_index=int(rec["task_index"]), task_name=rec["task_name"],
+                    accuracy=float(rec["accuracy"]),
+                    beta=float(rec["beta"]) if rec["beta"] else None,
+                    d=float(rec["d"]) if rec["d"] else None,
+                    s=float(rec["s"]) if rec["s"] else None,
+                    delta_d=float(rec["delta_d"]) if rec["delta_d"] else None))
+            except (TypeError, ValueError) as exc:
+                raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
     return rows
 
 
@@ -289,7 +286,7 @@ def aggregate_trials(rows: list[ResultRow]) -> list[AggregateRow]:
     """Mean over trials of per-stage average accuracy, with SEM
     (sample std / sqrt(trials); 0 by convention for a single trial)."""
     if not rows:
-        raise ValueError("no rows to aggregate")
+        raise DataFormatError("no rows to aggregate")
     per_trial: dict[tuple[str, int, int], list[float]] = {}
     betas: dict[tuple[str, int, int], float | None] = {}
     for r in rows:
@@ -346,8 +343,8 @@ def emit_chart_svg(aggregates: list[AggregateRow], which: str, path) -> Path:
     if which not in _CHART_KINDS:
         raise ValueError(f"which must be one of {_CHART_KINDS}")
     series = _series(aggregates, which)
-    if not series or not any(series.values()):
-        raise ValueError("no data to chart")
+    if not series:
+        raise DataFormatError(f"no {which} data to chart")
     xs = [p[0] for pts in series.values() for p in pts]
     ys = [p[1] for pts in series.values() for p in pts]
     x_lo, x_hi = min(xs), max(xs)
@@ -415,17 +412,9 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="run one experiment/model and write a results CSV")
     run.add_argument("--config", default=None, help="flat key=value config file")
-    run.add_argument("--experiment", dest="experiment")
-    run.add_argument("--model", dest="model", help="'auto' or 'gvcl:<beta>'")
-    run.add_argument("--trials", dest="trials")
-    run.add_argument("--seed", dest="master_seed")
-    run.add_argument("--data-dir", dest="data_dir")
-    run.add_argument("--out-dir", dest="out_dir")
-    run.add_argument("--snapshot-dir", dest="snapshot_dir")
-    for key in ("epochs", "batch_size", "lr", "train_mc_samples", "eval_mc_samples",
-                "lam", "probe_size", "probe_batch", "probe_epochs", "probe_repeats",
-                "probe_lr", "difficulty_convention", "norm_shape"):
-        run.add_argument(f"--{key.replace('_', '-')}", dest=key)
+    for f in fields(ExperimentConfig):
+        flag = "--seed" if f.name == "master_seed" else f"--{f.name.replace('_', '-')}"
+        run.add_argument(flag, dest=f.name, help=f.metadata.get("help"))
 
     agg = sub.add_parser("aggregate", help="per-stage mean and SEM of a results CSV")
     agg.add_argument("csv")

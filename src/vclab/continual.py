@@ -99,9 +99,8 @@ def evaluate(net: VariationalNet, task, cfg: TrainConfig, rng: np.random.Generat
 
 def _check_finite(net: VariationalNet, stage: int) -> None:
     for layer in [*net.trunk, *net.heads.values()]:
-        for a in layer.param_arrays():
-            if not np.all(np.isfinite(a)):
-                raise NumericError(f"non-finite parameters after stage {stage}")
+        if not np.all(np.isfinite(layer.flat)):
+            raise NumericError(f"non-finite parameters after stage {stage}")
 
 
 def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
@@ -151,9 +150,3 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
         if progress is not None:
             progress(t, trace, accuracies)
     return matrix, traces
-
-
-def trunk_mean_vector(net: VariationalNet) -> np.ndarray:
-    """Flat copy of all trunk means (drift diagnostics in tests)."""
-    return np.concatenate([np.concatenate([layer.mu_w.ravel(), layer.mu_b.ravel()])
-                           for layer in net.trunk]) if net.trunk else np.empty(0)

@@ -1,4 +1,4 @@
-"""Dense numerical kernel: affine maps, seeded Gaussian streams, Adam, and a
+"""Dense numerical kernel: seeded random streams, Adam, and a
 finite-difference gradient oracle used by the test suite.
 
 Everything is float64 and row-major. All randomness flows through numpy
@@ -8,14 +8,18 @@ tuple rather than by splitting one stream, which keeps unrelated consumers
 (probes, training, evaluation) from perturbing each other.
 
 The error types the command line maps to exit codes (config 1, numeric 3)
-live here too, because every other module imports this one.
+and the atomic file write that snapshots and results CSVs share live here
+too, because every other module imports this one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +38,27 @@ def require_positive(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
+@contextmanager
+def atomic_write(path, mode: str, **open_kwargs):
+    """Open a temporary file next to ``path`` for writing.
+
+    When the block completes, the file is flushed to disk and renamed onto
+    ``path`` in one step; when it raises, the temporary file is removed and
+    ``path`` keeps its old contents.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def seed_from(*parts: int | str) -> int:
     """Derive a stable 64-bit seed from a tuple of ints and strings.
 
@@ -50,24 +75,6 @@ def seed_from(*parts: int | str) -> int:
 def make_rng(*parts: int | str) -> np.random.Generator:
     """Seeded PCG64 generator for the stream identified by ``parts``."""
     return np.random.Generator(np.random.PCG64(seed_from(*parts)))
-
-
-def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched affine map ``x @ w + b``.
-
-    x: (B, I), w: (I, O), b: (O,) -> (B, O). Raises ValueError on any shape
-    mismatch instead of letting numpy broadcast silently.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if x.ndim != 2 or w.ndim != 2:
-        raise ValueError(f"affine expects 2-D x and w, got {x.shape} and {w.shape}")
-    if x.shape[1] != w.shape[0]:
-        raise ValueError(f"inner dimensions differ: x {x.shape} vs w {w.shape}")
-    if b.shape != (w.shape[1],):
-        raise ValueError(f"bias shape {b.shape} does not match output width {w.shape[1]}")
-    return x @ w + b
 
 
 @dataclass
@@ -103,11 +110,6 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
     v_hat = state.v / (1.0 - state.beta2 ** t)
     param -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return param
-
-
-def gaussian_sample(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """(rows, cols) array of i.i.d. N(0, 1) draws from ``rng``'s stream."""
-    return rng.standard_normal((rows, cols))
 
 
 def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

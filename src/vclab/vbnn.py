@@ -30,6 +30,11 @@ at a time through ``forward_with_noise``, so peak evaluation memory is one
 (S, I, O) noise tensor per layer plus a single sample's weights and
 activations. Both give the same bits as the stacked computation.
 
+Each layer keeps means and log-variances as the two rows of one (2, n)
+buffer (see :class:`VariationalLayer`), and so do gradients, Adam moments
+and priors: Adam, the KL, its gradient and the finite check are one
+operation per layer. A head the prior lacks gets an all-zero, N(0, 1) prior.
+
 Architecture is fixed: a shared trunk of affine+ReLU layers plus one affine
 output head per task. Heads are created lazily; a head that is not active
 contributes nothing to the KL and receives no updates.
@@ -43,49 +48,52 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import AdamState, NumericError, adam_step, gaussian_sample
+from .numerics import AdamState, NumericError, adam_step, atomic_write
 
 INIT_LOGVAR = -6.0
 
 
-@dataclass
 class VariationalLayer:
-    """One affine layer's variational parameters: (mu, logvar) for W and b."""
+    """One affine layer's variational parameters in a single (2, n) buffer.
 
-    mu_w: np.ndarray       # (fan_in, fan_out)
-    logvar_w: np.ndarray   # (fan_in, fan_out)
-    mu_b: np.ndarray       # (fan_out,)
-    logvar_b: np.ndarray   # (fan_out,)
+    ``flat`` is C-contiguous float64 of shape (2, (fan_in + 1) * fan_out):
+    row 0 holds the means and row 1 the log-variances, each as the flattened
+    (fan_in, fan_out) weights followed by the fan_out biases. ``mu_w``,
+    ``logvar_w``, ``mu_b`` and ``logvar_b`` are views into it, so writes
+    through either side are seen by the other. Views of a read-only buffer
+    are read-only.
+    """
 
-    @property
-    def fan_in(self) -> int:
-        return self.mu_w.shape[0]
-
-    @property
-    def fan_out(self) -> int:
-        return self.mu_w.shape[1]
+    def __init__(self, flat: np.ndarray, fan_in: int, fan_out: int):
+        if (flat.shape != (2, (fan_in + 1) * fan_out) or flat.dtype != np.float64
+                or not flat.flags.c_contiguous):
+            raise ValueError(f"need a C-contiguous float64 (2, {(fan_in + 1) * fan_out}) buffer "
+                             f"for a {fan_in}x{fan_out} layer, got {flat.dtype} {flat.shape}")
+        self.flat, self.fan_in, self.fan_out = flat, fan_in, fan_out
+        n_w = fan_in * fan_out
+        self.mu_w, self.logvar_w = (row[:n_w].reshape(fan_in, fan_out) for row in flat)
+        self.mu_b, self.logvar_b = flat[:, n_w:]
 
     def param_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.mu_w, self.logvar_w, self.mu_b, self.logvar_b
 
+    def zeros_like(self) -> "VariationalLayer":
+        return VariationalLayer(np.zeros_like(self.flat), self.fan_in, self.fan_out)
+
     def copy(self, frozen: bool = False) -> "VariationalLayer":
-        arrays = [a.copy() for a in self.param_arrays()]
-        if frozen:
-            for a in arrays:
-                a.flags.writeable = False
-        return VariationalLayer(*arrays)
+        flat = self.flat.copy()
+        flat.flags.writeable = not frozen
+        return VariationalLayer(flat, self.fan_in, self.fan_out)
 
 
 def _init_layer(fan_in: int, fan_out: int, rng: np.random.Generator) -> VariationalLayer:
     # Mean init N(0, 0.1^2); logvar -6 starts training near-deterministic.
     # The 0.1 scale must stay large enough for one-epoch difficulty probes
     # to learn through the trunk.
-    return VariationalLayer(
-        mu_w=0.1 * gaussian_sample(rng, fan_in, fan_out),
-        logvar_w=np.full((fan_in, fan_out), INIT_LOGVAR),
-        mu_b=np.zeros(fan_out),
-        logvar_b=np.full(fan_out, INIT_LOGVAR),
-    )
+    layer = VariationalLayer(np.full((2, (fan_in + 1) * fan_out), INIT_LOGVAR), fan_in, fan_out)
+    layer.mu_w[...] = 0.1 * rng.standard_normal((fan_in, fan_out))
+    layer.mu_b[...] = 0.0
+    return layer
 
 
 class VariationalNet:
@@ -151,13 +159,8 @@ class PosteriorSnapshot:
 
 def standard_prior(net: VariationalNet) -> PosteriorSnapshot:
     """N(0, 1) prior on every trunk parameter (used before the first task)."""
-    trunk = []
-    for layer in net.trunk:
-        zero_like = [np.zeros_like(a) for a in layer.param_arrays()]
-        for a in zero_like:
-            a.flags.writeable = False
-        trunk.append(VariationalLayer(*zero_like))
-    return PosteriorSnapshot(trunk=tuple(trunk))
+    return PosteriorSnapshot(trunk=tuple(layer.zeros_like().copy(frozen=True)
+                                         for layer in net.trunk))
 
 
 def advance_prior(net: VariationalNet) -> PosteriorSnapshot:
@@ -166,6 +169,22 @@ def advance_prior(net: VariationalNet) -> PosteriorSnapshot:
         trunk=tuple(layer.copy(frozen=True) for layer in net.trunk),
         heads={i: h.copy(frozen=True) for i, h in net.heads.items()},
     )
+
+
+def _prior_layers(net: VariationalNet, prior: PosteriorSnapshot,
+                 head_index: int) -> list[VariationalLayer]:
+    """The prior of each of ``net.active_layers(head_index)``.
+
+    A head the prior does not have gets an all-zero layer: mean 0 and
+    log-variance 0, the N(0, 1) prior of a new head.
+    """
+    head = net.head(head_index)
+    priors = [*prior.trunk, prior.heads.get(head_index) or head.zeros_like()]
+    for layer, p in zip([*net.trunk, head], priors, strict=True):
+        if (p.fan_in, p.fan_out) != (layer.fan_in, layer.fan_out):
+            raise ValueError(f"prior shape {(p.fan_in, p.fan_out)} does not match layer "
+                             f"{(layer.fan_in, layer.fan_out)}")
+    return priors
 
 
 def diag_gaussian_kl(mu: np.ndarray, logvar: np.ndarray,
@@ -179,25 +198,10 @@ def diag_gaussian_kl(mu: np.ndarray, logvar: np.ndarray,
     return 0.5 * float(np.sum(terms))
 
 
-def _layer_kl(layer: VariationalLayer, prior: VariationalLayer | None) -> float:
-    if prior is None:
-        # New head: N(0, 1) prior on every parameter.
-        return (diag_gaussian_kl(layer.mu_w, layer.logvar_w, 0.0, 0.0)
-                + diag_gaussian_kl(layer.mu_b, layer.logvar_b, 0.0, 0.0))
-    if layer.mu_w.shape != prior.mu_w.shape or layer.mu_b.shape != prior.mu_b.shape:
-        raise ValueError(
-            f"prior shape {prior.mu_w.shape} does not match layer {layer.mu_w.shape}")
-    return (diag_gaussian_kl(layer.mu_w, layer.logvar_w, prior.mu_w, prior.logvar_w)
-            + diag_gaussian_kl(layer.mu_b, layer.logvar_b, prior.mu_b, prior.logvar_b))
-
-
 def kl_to_prior(net: VariationalNet, prior: PosteriorSnapshot, active_head: int) -> float:
     """Total KL in nats over trunk + active head; inactive heads contribute 0."""
-    if len(prior.trunk) != len(net.trunk):
-        raise ValueError(f"prior has {len(prior.trunk)} trunk layers, net has {len(net.trunk)}")
-    total = sum(_layer_kl(layer, p) for layer, p in zip(net.trunk, prior.trunk))
-    total += _layer_kl(net.head(active_head), prior.heads.get(active_head))
-    return float(total)
+    return float(sum(diag_gaussian_kl(*layer.flat, *p.flat) for layer, p in
+                     zip(net.active_layers(active_head), _prior_layers(net, prior, active_head))))
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +270,6 @@ def forward_with_noise(net: VariationalNet, head_index: int, x: np.ndarray,
                         inputs=inputs, pre=pre)
 
 
-def reparameterized_forward(net: VariationalNet, head_index: int, x: np.ndarray,
-                            rng: np.random.Generator, n_samples: int) -> ForwardCache:
-    """Monte Carlo forward pass: fresh weight draws per sample, cached for backward."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    return forward_with_noise(net, head_index, x, sample_noise(net, head_index, n_samples, rng))
-
-
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -338,25 +334,14 @@ def beta_elbo_loss(net: VariationalNet, prior: PosteriorSnapshot, head_index: in
     return ElboBreakdown(nll=nll, kl=kl, beta=beta, n_task=n_task, loss=loss), cache
 
 
-@dataclass
-class LayerGrads:
-    """Gradient of the batch loss w.r.t. one layer's four parameter arrays."""
-
-    mu_w: np.ndarray
-    logvar_w: np.ndarray
-    mu_b: np.ndarray
-    logvar_b: np.ndarray
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.mu_w, self.logvar_w, self.mu_b, self.logvar_b
-
-
 def backward_gradients(net: VariationalNet, prior: PosteriorSnapshot, cache: ForwardCache,
-                       y: np.ndarray, *, beta: float, n_task: int) -> list[LayerGrads]:
+                       y: np.ndarray, *, beta: float, n_task: int) -> list[VariationalLayer]:
     """Exact gradients of the batch loss for every (mu, logvar) of trunk + head.
 
-    Combines the pathwise likelihood gradient (through w = mu + sigma * eps,
-    using the cached noise) with the analytic KL gradient:
+    Each gradient is a :class:`VariationalLayer` holding d loss / d param in
+    the place of the param. Combines the pathwise likelihood gradient
+    (through w = mu + sigma * eps, using the cached noise) with the analytic
+    KL gradient:
 
         dKL/dmu     = (mu - mu0) / var0
         dKL/dlogvar = (exp(logvar)/var0 - 1) / 2
@@ -374,46 +359,29 @@ def backward_gradients(net: VariationalNet, prior: PosteriorSnapshot, cache: For
     d_z *= scale
 
     kl_scale = beta / n_task
-    prior_layers: list[VariationalLayer | None] = [*prior.trunk, prior.heads.get(cache.head_index)]
-    grads: list[LayerGrads] = [None] * len(layers)  # type: ignore[list-item]
+    priors = _prior_layers(net, prior, cache.head_index)
+    grads = [layer.zeros_like() for layer in layers]
     for li in range(len(layers) - 1, -1, -1):
-        layer = layers[li]
+        layer, g, pl = layers[li], grads[li], priors[li]
         eps_w, eps_b = cache.noise[li]
         a_in = cache.inputs[li]
         # Per-sample weight gradients, summed in sample order from +0.0 as
         # numpy's axis-0 reduction does: the same bits as summing a stacked
         # (S, I, O) gradient, without building it.
-        g_mu_w = np.zeros_like(layer.mu_w)
-        g_logvar_w = np.zeros_like(layer.mu_w)
         for s in range(cache.n_samples):
             a_s = a_in if a_in.ndim == 2 else a_in[s]
             d_w = a_s.T @ d_z[s]                    # (I,B)@(B,O) -> (I,O)
-            g_mu_w += d_w
+            g.mu_w += d_w
             d_w *= eps_w[s]
-            g_logvar_w += d_w
+            g.logvar_w += d_w
+        g.logvar_w *= 0.5 * np.exp(0.5 * layer.logvar_w)
         d_b = d_z.sum(axis=1)                       # (S, O)
-
-        sigma_w = np.exp(0.5 * layer.logvar_w)
-        sigma_b = np.exp(0.5 * layer.logvar_b)
-        g_logvar_w *= 0.5 * sigma_w
-        g = LayerGrads(
-            mu_w=g_mu_w,
-            logvar_w=g_logvar_w,
-            mu_b=d_b.sum(axis=0),
-            logvar_b=(d_b * eps_b).sum(axis=0) * (0.5 * sigma_b),
-        )
-        pl = prior_layers[li]
-        if pl is None:
-            g.mu_w += kl_scale * layer.mu_w
-            g.logvar_w += kl_scale * 0.5 * (np.exp(layer.logvar_w) - 1.0)
-            g.mu_b += kl_scale * layer.mu_b
-            g.logvar_b += kl_scale * 0.5 * (np.exp(layer.logvar_b) - 1.0)
-        else:
-            g.mu_w += kl_scale * (layer.mu_w - pl.mu_w) * np.exp(-pl.logvar_w)
-            g.logvar_w += kl_scale * 0.5 * (np.exp(layer.logvar_w - pl.logvar_w) - 1.0)
-            g.mu_b += kl_scale * (layer.mu_b - pl.mu_b) * np.exp(-pl.logvar_b)
-            g.logvar_b += kl_scale * 0.5 * (np.exp(layer.logvar_b - pl.logvar_b) - 1.0)
-        grads[li] = g
+        g.mu_b[...] = d_b.sum(axis=0)
+        g.logvar_b[...] = (d_b * eps_b).sum(axis=0) * (0.5 * np.exp(0.5 * layer.logvar_b))
+        # The KL part on both rows at once; against a new head's all-zero
+        # prior, mu - 0.0, exp(-0.0) and logvar - 0.0 change no bit.
+        g.flat[0] += kl_scale * (layer.flat[0] - pl.flat[0]) * np.exp(-pl.flat[1])
+        g.flat[1] += kl_scale * 0.5 * (np.exp(layer.flat[1] - pl.flat[1]) - 1.0)
 
         if li > 0:
             w, _ = cache.weights[li]
@@ -423,17 +391,15 @@ def backward_gradients(net: VariationalNet, prior: PosteriorSnapshot, cache: For
 
 
 class NetAdam:
-    """Adam over every parameter array of the trunk plus one head."""
+    """Adam over the parameter buffer of every layer of the trunk plus one head."""
 
     def __init__(self, net: VariationalNet, head_index: int, lr: float):
         self._layers = net.active_layers(head_index)
-        self._states = [tuple(AdamState.zeros_like(p, lr=lr) for p in layer.param_arrays())
-                        for layer in self._layers]
+        self._states = [AdamState.zeros_like(layer.flat, lr=lr) for layer in self._layers]
 
-    def step(self, grads: list[LayerGrads]) -> None:
-        for layer, layer_grads, states in zip(self._layers, grads, self._states):
-            for param, grad, state in zip(layer.param_arrays(), layer_grads.arrays(), states):
-                adam_step(param, grad, state)
+    def step(self, grads: list[VariationalLayer]) -> None:
+        for layer, grad, state in zip(self._layers, grads, self._states):
+            adam_step(layer.flat, grad.flat, state)
 
 
 def fit(net: VariationalNet, prior: PosteriorSnapshot, head_index: int,
@@ -492,35 +458,28 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
     return total / n_eval_samples
 
 
-def predict_mean(net: VariationalNet, head_index: int, x: np.ndarray) -> np.ndarray:
-    """Deterministic softmax of the mean network (zero-variance limit)."""
-    cache = forward_with_noise(net, head_index, x, zero_noise(net, head_index))
-    return softmax(cache.logits)[0]
-
-
 # ---------------------------------------------------------------------------
 # Parameter vector helpers (gradient checking, diagnostics)
 
 
 def get_param_vector(net: VariationalNet, head_index: int) -> np.ndarray:
-    """All trainable parameters as one flat vector, in layer/array order."""
-    return np.concatenate([a.ravel() for layer in net.active_layers(head_index)
-                           for a in layer.param_arrays()])
+    """All trainable parameters as one flat vector, layer by layer, each
+    layer's ``flat`` buffer in row-major order."""
+    return np.concatenate([layer.flat.ravel() for layer in net.active_layers(head_index)])
 
 
 def set_param_vector(net: VariationalNet, head_index: int, vec: np.ndarray) -> None:
     """Inverse of :func:`get_param_vector`."""
     pos = 0
     for layer in net.active_layers(head_index):
-        for a in layer.param_arrays():
-            a[...] = vec[pos:pos + a.size].reshape(a.shape)
-            pos += a.size
+        layer.flat[...] = vec[pos:pos + layer.flat.size].reshape(layer.flat.shape)
+        pos += layer.flat.size
     if pos != vec.size:
         raise ValueError(f"vector has {vec.size} entries, net expects {pos}")
 
 
-def flatten_grads(grads: list[LayerGrads]) -> np.ndarray:
-    return np.concatenate([a.ravel() for g in grads for a in g.arrays()])
+def flatten_grads(grads: list[VariationalLayer]) -> np.ndarray:
+    return np.concatenate([g.flat.ravel() for g in grads])
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +499,9 @@ SNAPSHOT_MAGIC = b"VCLSNAP1"
 
 
 def save_snapshot(snapshot: PosteriorSnapshot, path) -> None:
-    """Write a snapshot in the flat binary format described above."""
+    """Write a snapshot in the flat binary format described above, atomically."""
     head_items = sorted(snapshot.heads.items())
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<II", len(snapshot.trunk), len(head_items)))
         for layer in snapshot.trunk:
@@ -584,14 +543,11 @@ def load_snapshot(path) -> PosteriorSnapshot:
 
     def read_layer(fan_in: int, fan_out: int) -> VariationalLayer:
         nonlocal pos
-        arrays = []
-        for shape in [(fan_in, fan_out), (fan_in, fan_out), (fan_out,), (fan_out,)]:
-            count = int(np.prod(shape))
-            a = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
-            a.flags.writeable = False
-            arrays.append(a)
-            pos += count * 8
-        return VariationalLayer(*arrays)
+        layer = VariationalLayer(np.empty((2, (fan_in + 1) * fan_out)), fan_in, fan_out)
+        for a in layer.param_arrays():
+            a[...] = np.frombuffer(blob, dtype="<f8", count=a.size, offset=pos).reshape(a.shape)
+            pos += a.nbytes
+        return layer.copy(frozen=True)
 
     trunk = tuple(read_layer(fi, fo) for fi, fo in trunk_shapes)
     heads = {index: read_layer(fi, fo) for index, fi, fo in head_shapes}

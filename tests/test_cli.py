@@ -4,19 +4,42 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vclab.cli import (AggregateRow, ConfigError, ExperimentConfig, ResultRow, aggregate_trials,
-                       build_config, emit_chart_svg, format_aggregates, main, parse_model,
-                       read_config_file, read_results_csv, write_results_csv)
+from vclab.cli import (CSV_HEADER, AggregateRow, ConfigError, ExperimentConfig, ResultRow,
+                       _build_parser, aggregate_trials, build_config, emit_chart_svg,
+                       format_aggregates, main, parse_model, read_config_file,
+                       read_results_csv, write_results_csv)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 FAST_ARGS = ["--epochs", "2", "--probe-size", "256", "--probe-batch", "64",
              "--probe-repeats", "2", "--eval-mc-samples", "5", "--train-mc-samples", "2"]
+
+
+# Every flag of `vclab run` except --config, with the ExperimentConfig field it sets.
+RUN_FLAGS = [
+    ("--experiment", "experiment"), ("--model", "model"), ("--trials", "trials"),
+    ("--seed", "master_seed"), ("--data-dir", "data_dir"), ("--out-dir", "out_dir"),
+    ("--snapshot-dir", "snapshot_dir"), ("--epochs", "epochs"), ("--batch-size", "batch_size"),
+    ("--lr", "lr"), ("--train-mc-samples", "train_mc_samples"),
+    ("--eval-mc-samples", "eval_mc_samples"), ("--lam", "lam"), ("--probe-size", "probe_size"),
+    ("--probe-batch", "probe_batch"), ("--probe-epochs", "probe_epochs"),
+    ("--probe-repeats", "probe_repeats"), ("--probe-lr", "probe_lr"),
+    ("--difficulty-convention", "difficulty_convention"), ("--norm-shape", "norm_shape"),
+]
+
+
+def run_module(*args):
+    """``python -m vclab.cli ARGS`` in a fresh interpreter, output captured."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "vclab.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def row(model="autovcl", trial=0, stage=1, task_index=0, accuracy=0.9, beta=1.0, **kw):
@@ -41,6 +64,12 @@ class TestModelParsing:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("flag, key", RUN_FLAGS)
+    def test_run_flag_sets_its_config_field(self, flag, key):
+        assert sorted(k for _, k in RUN_FLAGS) == sorted(f.name for f in fields(ExperimentConfig))
+        args = vars(_build_parser().parse_args(["run", flag, "7"]))
+        assert {k: v for k, v in args.items() if v is not None} == {"command": "run", key: "7"}
+
     def test_precedence_cli_over_file_over_defaults(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("experiment = synthetic\ntrials = 3\nlam = 2.5  # comment\n")
@@ -84,6 +113,14 @@ class TestResultsCsv:
                 row(model="gvcl:1", stage=1, task_index=0, accuracy=0.75, beta=1.0)]
         path = write_results_csv(rows, tmp_path / "rt.csv")
         assert read_results_csv(path) == rows
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = write_results_csv([row(accuracy=0.5)], tmp_path / "r.csv")
+        before = path.read_bytes()
+        with pytest.raises(ValueError):  # the second row cannot be formatted
+            write_results_csv([row(accuracy=0.75), row(accuracy="high")], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
 
     def test_lf_line_endings(self, tmp_path):
         path = write_results_csv([row()], tmp_path / "lf.csv")
@@ -190,14 +227,23 @@ class TestMainEntry:
         ["--train-mc-samples", "0"], ["--eval-mc-samples", "0"], ["--probe-size", "5000"],
     ], ids=" ".join)
     def test_invalid_value_exits_1_without_traceback(self, tmp_path, flags):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "vclab.cli", "run", "--experiment", "synthetic",
-             "--trials", "1", "--out-dir", str(tmp_path), *flags],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_module("run", "--experiment", "synthetic", "--trials", "1",
+                          "--out-dir", str(tmp_path), *flags)
         assert proc.returncode == 1, proc.stderr
         assert re.search(r"^config error: ", proc.stderr, re.MULTILINE), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command, body", [
+        (["aggregate"], ""),
+        (["aggregate"], "synthetic,autovcl,0,1,1,0,t,abc,1.000000,,,\n"),
+        (["chart", "--which", "beta_trace"], "synthetic,gvcl:1,0,1,1,0,t,0.900000,,,,\n"),
+    ], ids=["aggregate-header-only", "aggregate-bad-accuracy", "chart-no-beta"])
+    def test_bad_results_csv_exits_2_without_traceback(self, tmp_path, command, body):
+        path = tmp_path / "results.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + body, encoding="utf-8")
+        proc = run_module(*command, str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert re.search(r"^data error: ", proc.stderr, re.MULTILINE), proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_missing_data_exits_2(self, tmp_path, capsys):

