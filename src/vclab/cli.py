@@ -230,8 +230,20 @@ def _check_probe_size(tasks, probe_size: int) -> None:
                               f"examples, task {task.name!r} has {len(task.train)}")
 
 
+def _check_output_dir(flag: str, value: str) -> None:
+    """Fail before any training if ``value`` cannot become a directory: it,
+    or the nearest of its parents that exists, must be a directory."""
+    path = Path(value)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{flag} {value!r}: {existing} exists and is not a directory")
+
+
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Run all trials of one (experiment, model) pair and write the CSV."""
+    _check_output_dir("--out-dir", cfg.out_dir)
+    if cfg.snapshot_dir:
+        _check_output_dir("--snapshot-dir", cfg.snapshot_dir)
     train_cfg = cfg.train_config()
     heuristic_cfg = cfg.heuristic_config()
     corpus = load_corpus(cfg.experiment, cfg.data_dir)

@@ -58,10 +58,16 @@ class TaskView:
         return self.rows.shape[0]
 
     def take(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pixels and labels for positions ``idx`` within this view."""
-        x = self.images[self.rows[idx]]
-        if self.permutation is not None:
-            x = x[:, self.permutation]
+        """Pixels and labels for positions ``idx`` within this view.
+
+        Rows and permuted columns are gathered in one indexing step, so no
+        unpermuted copy of the rows is made.
+        """
+        rows = self.rows[idx]
+        if self.permutation is None:
+            x = self.images[rows]
+        else:
+            x = self.images[rows[:, None], self.permutation]
         return np.ascontiguousarray(x, dtype=np.float64), self.labels[idx]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:

@@ -154,13 +154,16 @@ def probe_difficulty(task, hidden_dims: Sequence[int], cfg: HeuristicConfig,
         rng = make_rng(seed, "probe", repeat)
         train_idx, eval_idx = _subset_indices(len(task.train), cfg.probe_size, rng, count=2)
         x_train, y_train = task.train.take(train_idx)
-        x_eval, y_eval = task.train.take(eval_idx)
         net = init_network(x_train.shape[1], hidden_dims, task.n_classes, rng)
         net.ensure_head(0, rng)
         fit(net, standard_prior(net), 0, x_train, y_train,
             beta=1.0, n_task=x_train.shape[0], epochs=cfg.probe_epochs,
             batch_size=cfg.probe_batch, lr=cfg.probe_lr,
             mc_samples=PROBE_TRAIN_MC_SAMPLES, rng=rng)
+        # take() draws no randomness, so gathering the eval subset only now
+        # keeps one subset in memory at a time and every stream unchanged.
+        del x_train, y_train
+        x_eval, y_eval = task.train.take(eval_idx)
         probs = posterior_predict(net, 0, x_eval, rng, PROBE_EVAL_MC_SAMPLES)
         accuracies.append(float((probs.argmax(axis=1) == y_eval).mean()))
     d = difficulty_from_accuracy(float(np.mean(accuracies)), task.chance_accuracy,

@@ -95,20 +95,51 @@ class AdamState:
                    v=np.zeros_like(param, dtype=np.float64), lr=lr)
 
 
+# Elements per chunk of an Adam update: the six chunks one update touches
+# (parameters, gradient, both moments, two scratch rows) take 1.5 MB, which
+# stays in a 2 MB L2 cache.
+ADAM_CHUNK = 1 << 15
+
+
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarray:
-    """One bias-corrected Adam update, in place on ``param`` and ``state``."""
+    """One bias-corrected Adam update, in place on ``param`` and ``state``.
+
+    Runs through the buffers in chunks of at most ``ADAM_CHUNK`` elements with
+    one (2, chunk) scratch array allocated per call, and evaluates in the
+    order ``m += (1 - b1) * g``, ``v += ((1 - b2) * g) * g`` and
+    ``param -= (lr * m_hat) / (sqrt(v_hat) + eps)``, so the bits equal those
+    of the whole-array expressions.
+    """
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ValueError(
             f"shape mismatch: param {param.shape}, grad {grad.shape}, state {state.m.shape}")
+    if not (param.flags.c_contiguous and state.m.flags.c_contiguous
+            and state.v.flags.c_contiguous):
+        raise ValueError("param and the Adam moments must be C-contiguous")
     state.step_count += 1
     t = state.step_count
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** t)
-    v_hat = state.v / (1.0 - state.beta2 ** t)
-    param -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    b1, b2 = state.beta1, state.beta2
+    m_scale, v_scale = 1.0 - b1 ** t, 1.0 - b2 ** t
+    p, g, m, v = (a.reshape(-1) for a in (param, grad, state.m, state.v))
+    scratch = np.empty((2, min(ADAM_CHUNK, p.size)))
+    for start in range(0, p.size, ADAM_CHUNK):
+        part = slice(start, start + ADAM_CHUNK)
+        g_c, m_c, v_c = g[part], m[part], v[part]
+        num, den = scratch[:, :g_c.size]
+        np.multiply(g_c, 1.0 - b1, out=num)
+        m_c *= b1
+        m_c += num
+        np.multiply(g_c, 1.0 - b2, out=num)
+        num *= g_c
+        v_c *= b2
+        v_c += num
+        np.divide(v_c, v_scale, out=den)
+        np.sqrt(den, out=den)
+        den += state.eps
+        np.divide(m_c, m_scale, out=num)
+        num *= state.lr
+        num /= den
+        p[part] -= num
     return param
 
 

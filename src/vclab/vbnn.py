@@ -22,13 +22,19 @@ weights into (mu, logvar); the KL part is differentiated analytically.
 ``backward_gradients`` is verified against central finite differences with
 frozen noise in the test suite -- there is no autodiff anywhere.
 
-Memory follows the Monte Carlo samples. A training step holds the (S, I, O)
-noise and sampled weights of every layer; the backward pass sums the
+Memory follows the Monte Carlo samples, and only one training step is alive
+at a time: ``fit`` releases a step's cache and gradients before the next
+step draws its noise. A step holds the (S, I, O) noise of every layer. The
+first layer's input is the shared batch, so ``forward_with_noise`` builds
+its weights one sample at a time straight into that sample's
+pre-activations and keeps none; later layers keep their (S, I, O) sampled
+weights, which their backward pass multiplies by. The backward pass sums the
 per-sample weight gradients in sample order instead of stacking them.
-``posterior_predict`` draws all noise in one call, then streams one sample
-at a time through ``forward_with_noise``, so peak evaluation memory is one
-(S, I, O) noise tensor per layer plus a single sample's weights and
-activations. Both give the same bits as the stacked computation.
+``posterior_predict`` draws all noise in one call, computes every layer's
+sigma once, then streams one sample at a time through
+``forward_with_noise``, so peak evaluation memory is one (S, I, O) noise
+tensor per layer plus a single sample's weights and activations. All of
+this gives the same bits as the stacked computation.
 
 Each layer keeps means and log-variances as the two rows of one (2, n)
 buffer (see :class:`VariationalLayer`), and so do gradients, Adam moments
@@ -216,7 +222,7 @@ class ForwardCache:
     n_samples: int
     batch_size: int
     noise: list[tuple[np.ndarray, np.ndarray]]    # per layer: eps_w (S,I,O), eps_b (S,O)
-    weights: list[tuple[np.ndarray, np.ndarray]]  # per layer: sampled w (S,I,O), b (S,O)
+    weights: list[tuple[np.ndarray, np.ndarray]]  # per layer after the first: w (S,I,O), b (S,O)
     inputs: list[np.ndarray]                      # input activation per layer
     pre: list[np.ndarray]                         # pre-activations per layer (S,B,out)
 
@@ -236,36 +242,55 @@ def sample_noise(net: VariationalNet, head_index: int, n_samples: int,
     return noise
 
 
-def zero_noise(net: VariationalNet, head_index: int,
-               n_samples: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All-zero noise: the forward pass collapses to the mean network."""
-    return [(np.zeros((n_samples, layer.fan_in, layer.fan_out)), np.zeros((n_samples, layer.fan_out)))
-            for layer in net.active_layers(head_index)]
+def layer_sigmas(layers: Sequence[VariationalLayer]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """exp(logvar / 2) of the weights and biases of each layer."""
+    return [(np.exp(0.5 * layer.logvar_w), np.exp(0.5 * layer.logvar_b)) for layer in layers]
 
 
 def forward_with_noise(net: VariationalNet, head_index: int, x: np.ndarray,
-                       noise: list[tuple[np.ndarray, np.ndarray]]) -> ForwardCache:
-    """Forward pass with the given noise; ReLU between trunk layers, linear head."""
+                       noise: list[tuple[np.ndarray, np.ndarray]],
+                       sigmas: list[tuple[np.ndarray, np.ndarray]] | None = None) -> ForwardCache:
+    """Forward pass with the given noise; ReLU between trunk layers, linear head.
+
+    The first layer multiplies the shared (B, I) batch, so its weights are
+    built one sample at a time into that sample's pre-activations and not
+    kept. Later layers keep their sampled weights for the backward pass.
+    ``sigmas`` is :func:`layer_sigmas` of the active layers, for a caller
+    that already has it.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"input shape {x.shape} does not match input_dim {net.input_dim}")
     layers = net.active_layers(head_index)
     if len(noise) != len(layers):
         raise ValueError(f"noise for {len(noise)} layers, net has {len(layers)}")
+    if sigmas is None:
+        sigmas = layer_sigmas(layers)
+    n_samples = noise[0][0].shape[0]
     weights, inputs, pre = [], [], []
     act: np.ndarray = x
-    for li, layer in enumerate(layers):
-        eps_w, eps_b = noise[li]
-        w = np.exp(0.5 * layer.logvar_w) * eps_w    # (S, I, O)
-        w += layer.mu_w
-        b = np.exp(0.5 * layer.logvar_b) * eps_b    # (S, O)
+    for li, (layer, (eps_w, eps_b), (sigma_w, sigma_b)) in enumerate(zip(layers, noise, sigmas)):
+        b = sigma_b * eps_b                         # (S, O)
         b += layer.mu_b
-        z = act @ w + b[:, None, :]                 # (S, B, O)
-        weights.append((w, b))
+        if li == 0:
+            # One (I, O) weight sample at a time: (B, I) @ (I, O) is the
+            # same BLAS call a stacked (B, I) @ (S, I, O) makes per sample.
+            z = np.empty((n_samples, x.shape[0], layer.fan_out))
+            for s in range(n_samples):
+                w = sigma_w * eps_w[s]
+                w += layer.mu_w
+                np.matmul(act, w, out=z[s])
+                z[s] += b[s]
+        else:
+            w = sigma_w * eps_w                     # (S, I, O)
+            w += layer.mu_w
+            z = act @ w                             # (S, B, O)
+            z += b[:, None, :]
+            weights.append((w, b))
         inputs.append(act)
         pre.append(z)
         act = np.maximum(z, 0.0) if li < len(layers) - 1 else z
-    return ForwardCache(head_index=head_index, n_samples=noise[0][0].shape[0],
+    return ForwardCache(head_index=head_index, n_samples=n_samples,
                         batch_size=x.shape[0], noise=noise, weights=weights,
                         inputs=inputs, pre=pre)
 
@@ -350,8 +375,8 @@ def backward_gradients(net: VariationalNet, prior: PosteriorSnapshot, cache: For
     y = _check_labels(y, cache.logits.shape[-1])
     if y.size != cache.batch_size:
         raise ValueError(f"stale cache: batch size {cache.batch_size}, labels {y.size}")
-    for layer, (w, _) in zip(layers, cache.weights):
-        if w.shape[1:] != layer.mu_w.shape:
+    for layer, (eps_w, _) in zip(layers, cache.noise):
+        if eps_w.shape[1:] != layer.mu_w.shape:
             raise ValueError("stale cache: layer shapes changed since forward pass")
     scale = 1.0 / (cache.n_samples * cache.batch_size)
     d_z = softmax(cache.logits)
@@ -384,7 +409,7 @@ def backward_gradients(net: VariationalNet, prior: PosteriorSnapshot, cache: For
         g.flat[1] += kl_scale * 0.5 * (np.exp(layer.flat[1] - pl.flat[1]) - 1.0)
 
         if li > 0:
-            w, _ = cache.weights[li]
+            w, _ = cache.weights[li - 1]
             d_a = d_z @ w.transpose(0, 2, 1)        # (S, B, I)
             d_z = d_a * (cache.pre[li - 1] > 0)
     return grads
@@ -410,7 +435,9 @@ def fit(net: VariationalNet, prior: PosteriorSnapshot, head_index: int,
 
     Data is reshuffled every epoch from ``rng``; the last partial batch is
     kept. Returns one averaged breakdown per epoch. This single code path
-    serves both fixed-beta and scheduled-beta training.
+    serves both fixed-beta and scheduled-beta training. Each step's cache
+    and gradients are released before the next step draws its noise, so
+    one step's buffers are alive at a time.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -429,6 +456,7 @@ def fit(net: VariationalNet, prior: PosteriorSnapshot, head_index: int,
                 beta=beta, n_task=n_task, rng=rng, n_samples=mc_samples)
             grads = backward_gradients(net, prior, cache, y[idx], beta=beta, n_task=n_task)
             optimizer.step(grads)
+            del cache, grads
             sums += (breakdown.nll, breakdown.kl, breakdown.loss)
             n_batches += 1
         nll, kl, loss = sums / n_batches
@@ -442,19 +470,21 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
 
     The noise for all draws comes from one :func:`sample_noise` call, so the
     stream is consumed exactly as by a batched forward pass. The draws then
-    go through :func:`forward_with_noise` one at a time and their softmax is
-    summed in sample order, which gives the same bits as
-    ``softmax(batched logits).mean(axis=0)``. Peak memory is the noise plus
-    one sample's weights and activations, never S sampled weight tensors.
+    go through :func:`forward_with_noise` one at a time, sharing one
+    :func:`layer_sigmas`, and their softmax is summed in sample order, which
+    gives the same bits as ``softmax(batched logits).mean(axis=0)``. Peak
+    memory is the noise plus one sample's weights and activations, never S
+    sampled weight tensors.
     """
     if n_eval_samples < 1:
         raise ValueError("n_samples must be >= 1")
     x = np.asarray(x, dtype=np.float64)
     noise = sample_noise(net, head_index, n_eval_samples, rng)
+    sigmas = layer_sigmas(net.active_layers(head_index))
     total = np.zeros((x.shape[0], net.head(head_index).fan_out))
     for s in range(n_eval_samples):
         draw = [(eps_w[s:s + 1], eps_b[s:s + 1]) for eps_w, eps_b in noise]
-        total += softmax(forward_with_noise(net, head_index, x, draw).logits[0])
+        total += softmax(forward_with_noise(net, head_index, x, draw, sigmas).logits[0])
     return total / n_eval_samples
 
 

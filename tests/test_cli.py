@@ -233,6 +233,21 @@ class TestMainEntry:
         assert re.search(r"^config error: ", proc.stderr, re.MULTILINE), proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("flag, target", [
+        ("--out-dir", "afile"), ("--out-dir", "afile/sub"),
+        ("--snapshot-dir", "afile"), ("--snapshot-dir", "afile/sub"),
+    ], ids=["out-dir-file", "out-dir-under-file", "snapshot-dir-file", "snapshot-dir-under-file"])
+    def test_output_dir_that_is_a_file_exits_1_before_training(self, tmp_path, flag, target):
+        (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+        out_dir = ["--out-dir", str(tmp_path)] if flag == "--snapshot-dir" else []
+        proc = run_module("run", "--experiment", "synthetic", "--model", "gvcl:1",
+                          "--trials", "1", "--epochs", "1", *out_dir, flag, str(tmp_path / target))
+        assert proc.returncode == 1, proc.stderr
+        assert re.search(r"^config error: ", proc.stderr, re.MULTILINE), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "stage" not in proc.stdout  # no stage was trained
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == "not a directory\n"
+
     @pytest.mark.parametrize("command, body", [
         (["aggregate"], ""),
         (["aggregate"], "synthetic,autovcl,0,1,1,0,t,abc,1.000000,,,\n"),

@@ -177,8 +177,11 @@ class TestPermutedTasks:
     def test_view_applies_permutation(self):
         train, test = toy_dataset(50, "train"), toy_dataset(20, "test")
         (task,) = make_permuted_tasks(train, test, 1, make_rng("perm", 4))
-        x, _ = task.train.take(np.array([5]))
-        np.testing.assert_array_equal(x[0], train.images[5][task.input_permutation])
+        idx = np.array([5, 0, 5, 49, 3])
+        x, y = task.train.take(idx)
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        np.testing.assert_array_equal(x, train.images[idx][:, task.input_permutation])
+        np.testing.assert_array_equal(y, train.labels[idx])
 
     def test_shared_label_distribution(self):
         train, test = toy_dataset(50, "train"), toy_dataset(20, "test")

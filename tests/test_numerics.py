@@ -42,6 +42,29 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(p, np.zeros(4), AdamState.zeros_like(p))
 
+    def test_non_contiguous_param_rejected(self):
+        # A flat view of it would be a copy, and the update would be lost.
+        p = np.zeros((4, 3)).T
+        with pytest.raises(ValueError):
+            adam_step(p, np.ones(p.shape), AdamState.zeros_like(np.zeros((3, 4))))
+
+    def test_chunked_update_equals_whole_array_expressions(self):
+        # 80000 elements span three chunks; the update must keep every bit of
+        # the textbook whole-array form.
+        rng = make_rng("adam-chunks")
+        p = rng.standard_normal((2, 40_000))
+        state = AdamState.zeros_like(p, lr=0.01)
+        ref_p, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+        b1, b2, eps = state.beta1, state.beta2, state.eps
+        for t in range(1, 4):
+            g = rng.standard_normal(p.shape)
+            adam_step(p, g, state)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + ((1.0 - b2) * g) * g
+            ref_p -= (0.01 * (m / (1.0 - b1 ** t))) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            assert np.array_equal(p, ref_p)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
 
 class TestGaussianSample:
     def test_same_seed_same_stream(self):

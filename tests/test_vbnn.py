@@ -2,6 +2,7 @@ import errno
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from vclab.vbnn import (INIT_LOGVAR, ElboBreakdown, advance_prior, backward_grad
                         beta_elbo_loss, diag_gaussian_kl, fit, flatten_grads,
                         forward_with_noise, get_param_vector, init_network, kl_to_prior,
                         load_snapshot, posterior_predict, sample_noise, save_snapshot,
-                        set_param_vector, zero_noise)
+                        set_param_vector)
 
 
 def random_net(seed, input_dim=4, hidden=(3,), out=2, heads=(0,), jitter=0.0):
@@ -27,6 +28,26 @@ def random_net(seed, input_dim=4, hidden=(3,), out=2, heads=(0,), jitter=0.0):
             for a in layer.param_arrays():
                 a += jitter * rng.standard_normal(a.shape)
     return net
+
+
+def zero_noise(net, head_index):
+    """One all-zero noise sample: the forward pass collapses to the mean network."""
+    return [(np.zeros((1, layer.fan_in, layer.fan_out)), np.zeros((1, layer.fan_out)))
+            for layer in net.active_layers(head_index)]
+
+
+def stacked_pre_activations(net, head_index, x, noise):
+    """Every layer's (S, B, O) pre-activations from stacked (S, I, O) weights."""
+    pre, act = [], x
+    layers = net.active_layers(head_index)
+    for li, (layer, (eps_w, eps_b)) in enumerate(zip(layers, noise)):
+        w = np.exp(0.5 * layer.logvar_w) * eps_w
+        w += layer.mu_w
+        b = np.exp(0.5 * layer.logvar_b) * eps_b
+        b += layer.mu_b
+        pre.append(act @ w + b[:, None, :])
+        act = np.maximum(pre[-1], 0.0) if li < len(layers) - 1 else pre[-1]
+    return pre
 
 
 class TestInit:
@@ -107,15 +128,38 @@ class TestForward:
         assert np.array_equal(a, b)
 
     def test_sample_mean_of_weight_approaches_mu(self):
-        net = init_network(1, [], 1, make_rng(0))
+        # 1-1-1: the first layer's weights are built per sample and not kept,
+        # so with input 1 and a zero-variance zero bias its pre-activations
+        # are its weight draws; the head keeps its draws in the cache.
+        net = init_network(1, [1], 1, make_rng(0))
         net.ensure_head(0, make_rng(0))
-        net.heads[0].mu_w[...] = 0.3
-        net.heads[0].logvar_w[...] = -2.0  # sigma = e^-1
+        for layer in net.active_layers(0):
+            layer.mu_w[...] = 0.3
+            layer.logvar_w[...] = -2.0  # sigma = e^-1
+            layer.mu_b[...] = 0.0
+            layer.logvar_b[...] = -np.inf
         noise = sample_noise(net, 0, 10_000, make_rng("mean"))
         cache = forward_with_noise(net, 0, np.ones((1, 1)), noise)
-        draws = cache.weights[0][0][:, 0, 0]
+        assert len(cache.weights) == 1
         se = math.exp(-1.0) / math.sqrt(10_000)
-        assert abs(draws.mean() - 0.3) < 4 * se
+        for draws in (cache.pre[0][:, 0, 0], cache.weights[0][0][:, 0, 0]):
+            assert abs(draws.mean() - 0.3) < 4 * se
+
+    @pytest.mark.parametrize("n_samples", [1, 5])
+    def test_streamed_first_layer_equals_stacked_reference(self, n_samples):
+        net = random_net(10, input_dim=40, hidden=(24, 16), out=3, jitter=0.3)
+        rng = make_rng("fs-logvar")
+        for layer in net.active_layers(0):
+            layer.logvar_w[...] = -2.0 + rng.standard_normal(layer.logvar_w.shape)
+            layer.logvar_b[...] = -2.0 + rng.standard_normal(layer.logvar_b.shape)
+        x = make_rng("fs").random((17, 40))
+        noise = sample_noise(net, 0, n_samples, make_rng(12))
+        cache = forward_with_noise(net, 0, x, noise)
+        reference = stacked_pre_activations(net, 0, x, noise)
+        assert len(cache.pre) == len(reference) == 3
+        for got, want in zip(cache.pre, reference):
+            assert np.array_equal(got, want)
+        assert [w.shape for w, _ in cache.weights] == [(n_samples, 24, 16), (n_samples, 16, 3)]
 
     def test_missing_head(self):
         net = random_net(1)
@@ -306,13 +350,35 @@ class TestBackward:
         d_z1 = vbnn.softmax(cache.logits)
         d_z1[:, np.arange(5), y] -= 1.0
         d_z1 *= 1.0 / (6 * 5)
-        d_z0 = (d_z1 @ cache.weights[1][0].transpose(0, 2, 1)) * (cache.pre[0] > 0)
+        d_z0 = (d_z1 @ cache.weights[0][0].transpose(0, 2, 1)) * (cache.pre[0] > 0)  # head
         d_w = [x.T @ d_z0, cache.inputs[1].transpose(0, 2, 1) @ d_z1]
         for li, layer in enumerate(net.active_layers(0)):
             sigma = np.exp(0.5 * layer.logvar_w)
             assert np.array_equal(grads[li].mu_w, d_w[li].sum(axis=0) + 0.0)
             assert np.array_equal(grads[li].logvar_w,
                                   (d_w[li] * noise[li][0]).sum(axis=0) * (0.5 * sigma) + 0.0)
+
+
+class TestFitMemory:
+    @staticmethod
+    def fit_peak_bytes(n_batches):
+        net = random_net(60, input_dim=200, hidden=(50,), out=2)
+        x = make_rng("fm").random((16 * n_batches, 200))
+        y = np.arange(16 * n_batches) % 2
+        tracemalloc.start()
+        try:
+            fit(net, advance_prior(net), 0, x, y, beta=1.0, n_task=x.shape[0], epochs=1,
+                batch_size=16, lr=0.01, mc_samples=5, rng=make_rng("fm-fit"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_one_step_alive_at_a_time(self):
+        # A step's cache or gradients still alive while the next step draws
+        # its noise would raise the peak by at least one step's noise.
+        net = random_net(60, input_dim=200, hidden=(50,), out=2)
+        step_noise = sum(w.nbytes + b.nbytes for w, b in sample_noise(net, 0, 5, make_rng(0)))
+        assert self.fit_peak_bytes(4) - self.fit_peak_bytes(1) < step_noise
 
 
 class TestAdvancePrior:
