@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -39,8 +40,10 @@ SYNTHETIC_N_TRAIN = 2048
 
 
 @dataclass
-class ExperimentConfig:
-    """Everything one experiment run depends on."""
+class ExperimentConfig(TrainConfig, HeuristicConfig):
+    """Everything one experiment run depends on: the run settings below plus
+    the inherited training and heuristic settings. ``beta_mode`` and ``beta``
+    are not set directly; they follow from ``model``."""
 
     experiment: str = "synthetic"
     model: str = field(default="auto", metadata={"help": "'auto' or 'gvcl:<beta>'"})
@@ -49,44 +52,20 @@ class ExperimentConfig:
     data_dir: str = "data"
     out_dir: str = "results"
     snapshot_dir: str = ""
-    # training
-    epochs: int = 10
-    batch_size: int = 256
-    lr: float = 0.001
-    train_mc_samples: int = 5
-    eval_mc_samples: int = 20
-    # heuristics
-    lam: float = 5.0
-    probe_size: int = 1000
-    probe_batch: int = 256
-    probe_epochs: int = 1
-    probe_repeats: int = 10
-    probe_lr: float = 0.001
-    difficulty_convention: str = "theory_consistent"
-    norm_shape: str = "linear_clamp"
+    beta_mode: str = field(init=False)
+    beta: float = field(init=False)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}, choose from {EXPERIMENTS}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        parse_model(self.model)
-
-    def _shared_fields(self, cls) -> dict:
-        """The values of this config's fields that ``cls`` also has."""
-        names = {f.name for f in fields(cls)}
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name in names}
-
-    def train_config(self) -> TrainConfig:
-        mode, beta = parse_model(self.model)
-        return TrainConfig(**self._shared_fields(TrainConfig), beta_mode=mode, beta=beta)
-
-    def heuristic_config(self) -> HeuristicConfig:
-        return HeuristicConfig(**self._shared_fields(HeuristicConfig))
+        self.beta_mode, self.beta = parse_model(self.model)
+        TrainConfig.__post_init__(self)
+        HeuristicConfig.__post_init__(self)
 
     def model_label(self) -> str:
-        mode, beta = parse_model(self.model)
-        return "autovcl" if mode == "auto" else f"gvcl:{beta:g}"
+        return "autovcl" if self.beta_mode == "auto" else f"gvcl:{self.beta:g}"
 
 
 def parse_model(model: str) -> tuple[str, float]:
@@ -103,10 +82,20 @@ def parse_model(model: str) -> tuple[str, float]:
     raise ConfigError(f"unknown model {model!r}, expected 'auto' or 'gvcl:<beta>'")
 
 
+def _read_text(path, error: type[Exception]) -> str:
+    """The whole UTF-8 file, newlines untranslated; any failure to read or
+    decode it is raised as ``error``."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+
+
 def read_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` file; '#' starts a comment."""
+    """Flat UTF-8 ``key = value`` file; '#' starts a comment."""
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path, ConfigError).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -119,7 +108,7 @@ def read_config_file(path) -> dict[str, str]:
 
 def build_config(file_values: dict[str, str], overrides: dict[str, str]) -> ExperimentConfig:
     """Merge defaults < file < CLI overrides, coercing to field types."""
-    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.init}
     coerced = {}
     for key, value in {**file_values, **overrides}.items():
         if key not in defaults:
@@ -202,23 +191,22 @@ def write_results_csv(rows: list[ResultRow], path) -> Path:
 def read_results_csv(path) -> list[ResultRow]:
     """Parse a results CSV back into rows (inverse of write_results_csv)."""
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER:
-            raise DataFormatError(f"{path}: unexpected header {reader.fieldnames}")
-        for rec in reader:
-            try:
-                rows.append(ResultRow(
-                    experiment=rec["experiment"], model=rec["model"], trial=int(rec["trial"]),
-                    seed=int(rec["seed"]), stage=int(rec["stage"]),
-                    task_index=int(rec["task_index"]), task_name=rec["task_name"],
-                    accuracy=float(rec["accuracy"]),
-                    beta=float(rec["beta"]) if rec["beta"] else None,
-                    d=float(rec["d"]) if rec["d"] else None,
-                    s=float(rec["s"]) if rec["s"] else None,
-                    delta_d=float(rec["delta_d"]) if rec["delta_d"] else None))
-            except (TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(_read_text(path, DataFormatError), newline=""))
+    if reader.fieldnames != CSV_HEADER:
+        raise DataFormatError(f"{path}: unexpected header {reader.fieldnames}")
+    for rec in reader:
+        try:
+            rows.append(ResultRow(
+                experiment=rec["experiment"], model=rec["model"], trial=int(rec["trial"]),
+                seed=int(rec["seed"]), stage=int(rec["stage"]),
+                task_index=int(rec["task_index"]), task_name=rec["task_name"],
+                accuracy=float(rec["accuracy"]),
+                beta=float(rec["beta"]) if rec["beta"] else None,
+                d=float(rec["d"]) if rec["d"] else None,
+                s=float(rec["s"]) if rec["s"] else None,
+                delta_d=float(rec["delta_d"]) if rec["delta_d"] else None))
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
     return rows
 
 
@@ -239,28 +227,43 @@ def _check_output_dir(flag: str, value: str) -> None:
         raise ConfigError(f"{flag} {value!r}: {existing} exists and is not a directory")
 
 
+def _check_output_file(flag: str, value: str) -> None:
+    """Fail before anything is read if ``value`` cannot become a file: it must
+    not be a directory, and its parent must be able to become one."""
+    if Path(value).is_dir():
+        raise ConfigError(f"{flag} {value!r} is a directory")
+    _check_output_dir(flag, str(Path(value).parent))
+
+
+def _write_text(path, text: str) -> Path:
+    """Write ``text`` as UTF-8 atomically, creating missing parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Run all trials of one (experiment, model) pair and write the CSV."""
     _check_output_dir("--out-dir", cfg.out_dir)
     if cfg.snapshot_dir:
         _check_output_dir("--snapshot-dir", cfg.snapshot_dir)
-    train_cfg = cfg.train_config()
-    heuristic_cfg = cfg.heuristic_config()
     corpus = load_corpus(cfg.experiment, cfg.data_dir)
     label = cfg.model_label()
     rows: list[ResultRow] = []
     for trial in range(cfg.trials):
         seed = cfg.master_seed + trial
         tasks, hidden_dims = build_tasks(cfg.experiment, corpus, seed)
-        if train_cfg.beta_mode == "auto":
-            _check_probe_size(tasks, heuristic_cfg.probe_size)
+        if cfg.beta_mode == "auto":
+            _check_probe_size(tasks, cfg.probe_size)
 
         def report(t, trace, accuracies, trial=trial):
             print(f"[{cfg.experiment}/{label}] trial {trial} stage {t}/{len(tasks)} "
                   f"beta={trace.beta:.4g} avg_acc={np.mean(accuracies):.4f}", flush=True)
 
         snapshot_dir = (Path(cfg.snapshot_dir) / f"trial{trial}") if cfg.snapshot_dir else None
-        matrix, traces = run_sequence(tasks, hidden_dims, train_cfg, heuristic_cfg, seed,
+        matrix, traces = run_sequence(tasks, hidden_dims, cfg, cfg, seed,
                                       snapshot_dir=snapshot_dir, progress=report)
         for t in range(1, matrix.n_stages + 1):
             trace = traces[t - 1]
@@ -403,10 +406,7 @@ def emit_chart_svg(aggregates: list[AggregateRow], which: str, path) -> Path:
         parts.append(f'<text x="{_WIDTH - _MARGIN_R + 10}" y="{_MARGIN_T + 16 + 18 * k}" '
                      f'font-size="12" fill="{color}">{model}</text>')
     parts.append("</svg>")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
-    return path
+    return _write_text(path, "\n".join(parts) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +425,9 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="run one experiment/model and write a results CSV")
     run.add_argument("--config", default=None, help="flat key=value config file")
     for f in fields(ExperimentConfig):
-        flag = "--seed" if f.name == "master_seed" else f"--{f.name.replace('_', '-')}"
-        run.add_argument(flag, dest=f.name, help=f.metadata.get("help"))
+        if f.init:
+            flag = "--seed" if f.name == "master_seed" else f"--{f.name.replace('_', '-')}"
+            run.add_argument(flag, dest=f.name, help=f.metadata.get("help"))
 
     agg = sub.add_parser("aggregate", help="per-stage mean and SEM of a results CSV")
     agg.add_argument("csv")
@@ -450,21 +451,24 @@ def main(argv=None) -> int:
             path = run_experiment(cfg)
             print(f"results written to {path}")
         elif args.command == "aggregate":
+            if args.out:
+                _check_output_file("--out", args.out)
             table = format_aggregates(aggregate_trials(read_results_csv(args.csv)))
             if args.out:
-                Path(args.out).write_text(table, encoding="utf-8")
+                _write_text(args.out, table)
             else:
                 print(table, end="")
         elif args.command == "chart":
-            aggregates = aggregate_trials(read_results_csv(args.csv))
             out = args.out or str(Path(args.csv).with_suffix(f".{args.which}.svg"))
+            _check_output_file("--out", out)
+            aggregates = aggregate_trials(read_results_csv(args.csv))
             path = emit_chart_svg(aggregates, args.which, out)
             print(f"chart written to {path}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (MissingDataError, DataFormatError, FileNotFoundError) as exc:
+    except (MissingDataError, DataFormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

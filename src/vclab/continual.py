@@ -69,9 +69,6 @@ class AccuracyMatrix:
         """Accuracy of task ``task_index`` (0-based) after stage ``stage`` (1-based)."""
         return self._rows[stage - 1][task_index]
 
-    def stage_average(self, stage: int) -> float:
-        return float(np.mean(self._rows[stage - 1]))
-
     def rows(self) -> list[list[float]]:
         return [list(r) for r in self._rows]
 

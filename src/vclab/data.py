@@ -76,20 +76,21 @@ class TaskView:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One task: data views, label mapping, head assignment, chance accuracy."""
+    """One task: data views, head assignment, number of classes."""
 
     name: str
     train: TaskView
     test: TaskView
-    label_map: dict[int, int]
     head_index: int
     n_classes: int
-    chance_accuracy: float
-    input_permutation: np.ndarray | None = None
 
     @property
     def input_dim(self) -> int:
         return self.train.images.shape[1]
+
+    @property
+    def chance_accuracy(self) -> float:
+        return 1.0 / self.n_classes
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +247,8 @@ def make_split_tasks(train: Dataset, test: Dataset, pairs: list[tuple[int, int]]
             name=f"{name_prefix}-{a}/{b}",
             train=_binary_view(train, a, b),
             test=_binary_view(test, a, b),
-            label_map={a: 0, b: 1},
             head_index=head_start + k,
             n_classes=2,
-            chance_accuracy=0.5,
         ))
     return tasks
 
@@ -261,7 +260,6 @@ def make_permuted_tasks(train: Dataset, test: Dataset, n_tasks: int,
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
     dim = train.images.shape[1]
-    identity_map = {c: c for c in range(10)}
     tasks = []
     for k in range(n_tasks):
         perm = rng.permutation(dim)
@@ -269,11 +267,8 @@ def make_permuted_tasks(train: Dataset, test: Dataset, n_tasks: int,
             name=f"permuted-{k}",
             train=TaskView(train.images, np.arange(len(train)), train.labels, permutation=perm),
             test=TaskView(test.images, np.arange(len(test)), test.labels, permutation=perm),
-            label_map=identity_map,
             head_index=0,
             n_classes=10,
-            chance_accuracy=0.1,
-            input_permutation=perm,
         ))
     return tasks
 
@@ -347,8 +342,6 @@ def make_synthetic_blobs(separation: float, rotation: float, n: int,
         name=name or f"blobs-sep{separation:g}-rot{rotation:g}",
         train=draw(n),
         test=draw(n_test),
-        label_map={0: 0, 1: 1},
         head_index=head_index,
         n_classes=2,
-        chance_accuracy=0.5,
     )

@@ -489,30 +489,6 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Parameter vector helpers (gradient checking, diagnostics)
-
-
-def get_param_vector(net: VariationalNet, head_index: int) -> np.ndarray:
-    """All trainable parameters as one flat vector, layer by layer, each
-    layer's ``flat`` buffer in row-major order."""
-    return np.concatenate([layer.flat.ravel() for layer in net.active_layers(head_index)])
-
-
-def set_param_vector(net: VariationalNet, head_index: int, vec: np.ndarray) -> None:
-    """Inverse of :func:`get_param_vector`."""
-    pos = 0
-    for layer in net.active_layers(head_index):
-        layer.flat[...] = vec[pos:pos + layer.flat.size].reshape(layer.flat.shape)
-        pos += layer.flat.size
-    if pos != vec.size:
-        raise ValueError(f"vector has {vec.size} entries, net expects {pos}")
-
-
-def flatten_grads(grads: list[VariationalLayer]) -> np.ndarray:
-    return np.concatenate([g.flat.ravel() for g in grads])
-
-
-# ---------------------------------------------------------------------------
 # Snapshot serialization
 #
 # Binary layout (little-endian), documented here and in the README:

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, requires_cifar, requires_mnist
+from test_vbnn import flatten_grads, get_param_vector, set_param_vector
 from vclab.cli import ExperimentConfig, read_results_csv, run_experiment
 from vclab.data import make_synthetic_blobs
 from vclab.heuristics import (HeuristicConfig, compute_beta, measure_similarity,
                               probe_difficulty)
 from vclab.numerics import finite_diff_grad, make_rng, seed_from
 from vclab.vbnn import (advance_prior, backward_gradients, beta_elbo_loss, diag_gaussian_kl,
-                        fit, flatten_grads, get_param_vector, init_network, kl_to_prior,
-                        sample_noise, set_param_vector, standard_prior)
+                        fit, init_network, kl_to_prior, sample_noise, standard_prior)
 
 MASTER_SEED = 2024
 TRIALS = 5

@@ -33,6 +33,8 @@ RUN_FLAGS = [
     ("--difficulty-convention", "difficulty_convention"), ("--norm-shape", "norm_shape"),
 ]
 
+GOOD_ROW = "synthetic,gvcl:1,0,1,1,0,t,0.900000,1.000000,,,\n"
+
 
 def run_module(*args):
     """``python -m vclab.cli ARGS`` in a fresh interpreter, output captured."""
@@ -66,7 +68,8 @@ class TestModelParsing:
 class TestConfig:
     @pytest.mark.parametrize("flag, key", RUN_FLAGS)
     def test_run_flag_sets_its_config_field(self, flag, key):
-        assert sorted(k for _, k in RUN_FLAGS) == sorted(f.name for f in fields(ExperimentConfig))
+        assert (sorted(k for _, k in RUN_FLAGS)
+                == sorted(f.name for f in fields(ExperimentConfig) if f.init))
         args = vars(_build_parser().parse_args(["run", flag, "7"]))
         assert {k: v for k, v in args.items() if v is not None} == {"command": "run", key: "7"}
 
@@ -86,6 +89,18 @@ class TestConfig:
     def test_bad_value(self):
         with pytest.raises(ConfigError):
             build_config({"trials": "many"}, {})
+
+    @pytest.mark.parametrize("key, value", [("lr", "-1"), ("probe_batch", "0")])
+    def test_training_and_heuristic_values_checked_when_built(self, key, value):
+        with pytest.raises(ConfigError):
+            build_config({}, {key: value})
+
+    def test_beta_follows_model(self):
+        cfg = build_config({}, {"model": "gvcl:0.5"})
+        assert (cfg.beta_mode, cfg.beta) == ("fixed", 0.5)
+        assert build_config({}, {}).beta_mode == "auto"
+        with pytest.raises(ConfigError):
+            build_config({}, {"beta": "2"})
 
     def test_bad_experiment(self):
         with pytest.raises(ConfigError):
@@ -260,6 +275,42 @@ class TestMainEntry:
         assert proc.returncode == 2, proc.stderr
         assert re.search(r"^data error: ", proc.stderr, re.MULTILINE), proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args, code", [
+        (["aggregate", "{tmp}/good.csv", "--out", "{tmp}/dir"], 1),
+        (["chart", "{tmp}/good.csv", "--out", "{tmp}/dir"], 1),
+        (["chart", "{tmp}/good.csv", "--out", "{tmp}/afile/x.svg"], 1),
+        (["aggregate", "{tmp}/dir"], 2),
+        (["aggregate", "{tmp}/latin1"], 2),
+        (["run", "--config", "{tmp}/dir"], 1),
+        (["run", "--config", "{tmp}/latin1"], 1),
+        (["run", "--config", "{tmp}/ghost.cfg"], 1),
+    ], ids=["aggregate-out-dir", "chart-out-dir", "chart-out-under-file", "aggregate-dir",
+            "aggregate-not-utf8", "config-dir", "config-not-utf8", "config-missing"])
+    def test_unusable_path_exits_with_its_code_without_traceback(self, tmp_path, args, code):
+        (tmp_path / "good.csv").write_text(",".join(CSV_HEADER) + "\n" + GOOD_ROW,
+                                           encoding="utf-8")
+        (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "latin1").write_bytes(b"experiment = caf\xe9\n")
+        proc = run_module(*(a.format(tmp=tmp_path) for a in args))
+        kind = "config" if code == 1 else "data"
+        assert proc.returncode == code, proc.stderr
+        assert re.search(rf"^{kind} error: ", proc.stderr, re.MULTILINE), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list((tmp_path / "dir").iterdir()) == []
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == "not a directory\n"
+
+    def test_aggregate_and_chart_create_missing_parents(self, tmp_path, capsys):
+        csv_path = tmp_path / "good.csv"
+        csv_path.write_text(",".join(CSV_HEADER) + "\n" + GOOD_ROW, encoding="utf-8")
+        table, svg = tmp_path / "new" / "a" / "table.csv", tmp_path / "new" / "b" / "c.svg"
+        assert main(["aggregate", str(csv_path), "--out", str(table)]) == 0
+        assert main(["chart", str(csv_path), "--out", str(svg)]) == 0
+        assert table.read_text(encoding="utf-8").startswith("model,stage,")
+        assert svg.read_text(encoding="utf-8").startswith("<svg")
+        assert sorted(p.name for p in table.parent.iterdir()) == ["table.csv"]
+        assert sorted(p.name for p in svg.parent.iterdir()) == ["c.svg"]
 
     def test_missing_data_exits_2(self, tmp_path, capsys):
         code = main(["run", "--experiment", "split_custom", "--model", "gvcl:1",

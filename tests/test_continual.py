@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import vclab.continual as continual
 from vclab.continual import AccuracyMatrix, TrainConfig, evaluate, run_sequence, train_on_task
@@ -47,15 +45,6 @@ class TestAccuracyMatrix:
         assert m.rows() == [[0.9], [0.8, 0.95]]
         with pytest.raises(ValueError):
             m.add_stage([0.1])  # stage 3 needs 3 entries
-
-    @given(st.lists(st.floats(0, 1), min_size=1, max_size=6))
-    @settings(max_examples=30, deadline=None)
-    def test_average_consistent(self, accs):
-        m = AccuracyMatrix()
-        for k in range(1, len(accs) + 1):
-            m.add_stage(accs[:k])
-        for k in range(1, len(accs) + 1):
-            assert abs(m.stage_average(k) - np.mean(accs[:k])) < 1e-12
 
 
 class TestTrainOnTask:

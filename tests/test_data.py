@@ -127,7 +127,6 @@ class TestSplitTasks:
         tasks = make_split_tasks(train, test, pairs)
         assert len(tasks) == 5
         assert [t.head_index for t in tasks] == [0, 1, 2, 3, 4]
-        assert tasks[1].label_map == {8: 0, 7: 1}
         assert all(t.chance_accuracy == 0.5 for t in tasks)
         # each task's view contains only the two chosen digit classes
         for task, (a, b) in zip(tasks, pairs):
@@ -157,7 +156,8 @@ class TestPermutedTasks:
         tasks = make_permuted_tasks(train, test, 10, make_rng("perm", 1))
         assert len(tasks) == 10
         for task in tasks:
-            assert sorted(task.input_permutation.tolist()) == list(range(784))
+            assert sorted(task.train.permutation.tolist()) == list(range(784))
+            assert np.array_equal(task.test.permutation, task.train.permutation)
             assert task.head_index == 0
             assert task.chance_accuracy == 0.1
 
@@ -166,12 +166,12 @@ class TestPermutedTasks:
         a = make_permuted_tasks(train, test, 3, make_rng("perm", 2))
         b = make_permuted_tasks(train, test, 3, make_rng("perm", 2))
         for ta, tb in zip(a, b):
-            assert np.array_equal(ta.input_permutation, tb.input_permutation)
+            assert np.array_equal(ta.train.permutation, tb.train.permutation)
 
     def test_permutations_pairwise_distinct(self):
         train, test = toy_dataset(50, "train"), toy_dataset(20, "test")
         tasks = make_permuted_tasks(train, test, 10, make_rng("perm", 3))
-        perms = {tuple(t.input_permutation) for t in tasks}
+        perms = {tuple(t.train.permutation) for t in tasks}
         assert len(perms) == 10
 
     def test_view_applies_permutation(self):
@@ -180,7 +180,7 @@ class TestPermutedTasks:
         idx = np.array([5, 0, 5, 49, 3])
         x, y = task.train.take(idx)
         assert x.dtype == np.float64 and x.flags.c_contiguous
-        np.testing.assert_array_equal(x, train.images[idx][:, task.input_permutation])
+        np.testing.assert_array_equal(x, train.images[idx][:, task.train.permutation])
         np.testing.assert_array_equal(y, train.labels[idx])
 
     def test_shared_label_distribution(self):

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from vclab import vbnn
 from vclab.numerics import finite_diff_grad, make_rng
 from vclab.vbnn import (INIT_LOGVAR, ElboBreakdown, advance_prior, backward_gradients,
-                        beta_elbo_loss, diag_gaussian_kl, fit, flatten_grads,
-                        forward_with_noise, get_param_vector, init_network, kl_to_prior,
-                        load_snapshot, posterior_predict, sample_noise, save_snapshot,
-                        set_param_vector)
+                        beta_elbo_loss, diag_gaussian_kl, fit, forward_with_noise,
+                        init_network, kl_to_prior, load_snapshot, posterior_predict,
+                        sample_noise, save_snapshot)
 
 
 def random_net(seed, input_dim=4, hidden=(3,), out=2, heads=(0,), jitter=0.0):
@@ -28,6 +27,26 @@ def random_net(seed, input_dim=4, hidden=(3,), out=2, heads=(0,), jitter=0.0):
             for a in layer.param_arrays():
                 a += jitter * rng.standard_normal(a.shape)
     return net
+
+
+def get_param_vector(net: vbnn.VariationalNet, head_index: int) -> np.ndarray:
+    """All trainable parameters as one flat vector, layer by layer, each
+    layer's ``flat`` buffer in row-major order."""
+    return np.concatenate([layer.flat.ravel() for layer in net.active_layers(head_index)])
+
+
+def set_param_vector(net: vbnn.VariationalNet, head_index: int, vec: np.ndarray) -> None:
+    """Inverse of :func:`get_param_vector`."""
+    pos = 0
+    for layer in net.active_layers(head_index):
+        layer.flat[...] = vec[pos:pos + layer.flat.size].reshape(layer.flat.shape)
+        pos += layer.flat.size
+    if pos != vec.size:
+        raise ValueError(f"vector has {vec.size} entries, net expects {pos}")
+
+
+def flatten_grads(grads: list[vbnn.VariationalLayer]) -> np.ndarray:
+    return np.concatenate([g.flat.ravel() for g in grads])
 
 
 def zero_noise(net, head_index):
