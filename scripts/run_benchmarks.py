@@ -17,6 +17,7 @@ from pathlib import Path
 
 from vclab.cli import (ExperimentConfig, aggregate_trials, emit_chart_svg, format_aggregates,
                        read_results_csv, run_experiment)
+from vclab.numerics import atomic_write
 
 MODELS = ["auto", "gvcl:0.01", "gvcl:1", "gvcl:100"]
 
@@ -42,7 +43,8 @@ def main() -> int:
         aggregates = aggregate_trials(rows)
         table = format_aggregates(aggregates)
         out = Path(args.out_dir)
-        (out / f"{experiment}_summary.csv").write_text(table, encoding="utf-8")
+        with atomic_write(out / f"{experiment}_summary.csv", "w", encoding="utf-8") as fh:
+            fh.write(table)
         emit_chart_svg(aggregates, "avg_accuracy", out / f"{experiment}_avg_accuracy.svg")
         emit_chart_svg(aggregates, "beta_trace", out / f"{experiment}_beta_trace.svg")
         print(f"\n=== {experiment} ===")

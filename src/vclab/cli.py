@@ -188,8 +188,16 @@ def write_results_csv(rows: list[ResultRow], path) -> Path:
     return path
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def read_results_csv(path) -> list[ResultRow]:
-    """Parse a results CSV back into rows (inverse of write_results_csv)."""
+    """Parse a results CSV back into rows (inverse of write_results_csv);
+    every number must be finite."""
     rows = []
     reader = csv.DictReader(io.StringIO(_read_text(path, DataFormatError), newline=""))
     if reader.fieldnames != CSV_HEADER:
@@ -200,11 +208,9 @@ def read_results_csv(path) -> list[ResultRow]:
                 experiment=rec["experiment"], model=rec["model"], trial=int(rec["trial"]),
                 seed=int(rec["seed"]), stage=int(rec["stage"]),
                 task_index=int(rec["task_index"]), task_name=rec["task_name"],
-                accuracy=float(rec["accuracy"]),
-                beta=float(rec["beta"]) if rec["beta"] else None,
-                d=float(rec["d"]) if rec["d"] else None,
-                s=float(rec["s"]) if rec["s"] else None,
-                delta_d=float(rec["delta_d"]) if rec["delta_d"] else None))
+                accuracy=_finite(rec["accuracy"]),
+                **{key: _finite(rec[key]) if rec[key] else None
+                   for key in ("beta", "d", "s", "delta_d")}))
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
     return rows

@@ -2,8 +2,8 @@
 
 MNIST arrives as IDX files (big-endian magic + dims), CIFAR-10 as the binary
 batches (3073-byte records); both are parsed bit-exactly as published, with
-deterministic format errors on truncation. CIFAR images are converted to
-grayscale with ITU-R 601 luma weights and bilinearly resized to 28x28 so the
+a DataFormatError on truncation or a label outside 0..9. CIFAR images are
+grayscaled with ITU-R 601 luma weights and bilinearly resized to 28x28 so the
 mixed sequence can share one 784-wide trunk with MNIST. Nothing here touches
 the network -- fetching lives in scripts/fetch_data.py, outside the library.
 
@@ -14,8 +14,11 @@ tasks cost one copy of the underlying data.
 
 from __future__ import annotations
 
+import functools
 import gzip
+import math
 import struct
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -94,49 +97,37 @@ class TaskSpec:
 
 
 # ---------------------------------------------------------------------------
-# MNIST IDX
+# Reading files
 
 _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 
 
 def _read_bytes(path: Path) -> bytes:
-    with open(path, "rb") as fh:
-        head = fh.read(2)
-        rest = fh.read()
-    blob = head + rest
-    if head == b"\x1f\x8b":
-        blob = gzip.decompress(blob)
-    return blob
+    """The file's bytes, gunzipped when they start with the gzip magic; any
+    failure to read or decompress them is a ``DataFormatError``."""
+    try:
+        blob = path.read_bytes()
+        return gzip.decompress(blob) if blob[:2] == b"\x1f\x8b" else blob
+    except (OSError, EOFError, zlib.error) as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc}") from None
 
 
-def _read_idx_images(path: Path) -> np.ndarray:
+def _read_idx(path: Path, magic: int) -> np.ndarray:
+    """An unsigned-byte IDX file as a (count, rest) array: its rank is the
+    magic's low byte, each dimension a big-endian unsigned 32-bit count."""
     blob = _read_bytes(path)
-    if len(blob) < 16:
-        raise DataFormatError(f"{path}: header truncated at byte {len(blob)} (need 16)")
-    magic, count, rows, cols = struct.unpack_from(">iiii", blob, 0)
-    if magic != _IDX_IMAGE_MAGIC:
-        raise DataFormatError(f"{path}: bad image magic 0x{magic:08x} at byte 0")
-    expected = 16 + count * rows * cols
-    if len(blob) != expected:
-        raise DataFormatError(
-            f"{path}: expected {expected} bytes for {count}x{rows}x{cols}, "
-            f"got {len(blob)} (truncated at byte {len(blob)})")
-    return np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(count, rows * cols)
-
-
-def _read_idx_labels(path: Path) -> np.ndarray:
-    blob = _read_bytes(path)
-    if len(blob) < 8:
-        raise DataFormatError(f"{path}: header truncated at byte {len(blob)} (need 8)")
-    magic, count = struct.unpack_from(">ii", blob, 0)
-    if magic != _IDX_LABEL_MAGIC:
-        raise DataFormatError(f"{path}: bad label magic 0x{magic:08x} at byte 0")
-    if len(blob) != 8 + count:
-        raise DataFormatError(
-            f"{path}: expected {8 + count} bytes for {count} labels, "
-            f"got {len(blob)} (truncated at byte {len(blob)})")
-    return np.frombuffer(blob, dtype=np.uint8, offset=8).astype(np.int64)
+    header = 4 + 4 * (magic & 0xFF)
+    if len(blob) < header:
+        raise DataFormatError(f"{path}: header truncated at byte {len(blob)} (need {header})")
+    found, count, *rest = struct.unpack_from(f">{header // 4}I", blob, 0)
+    if found != magic:
+        raise DataFormatError(f"{path}: bad magic 0x{found:08x} at byte 0 (need 0x{magic:08x})")
+    size = math.prod(rest)
+    if len(blob) != header + count * size:
+        raise DataFormatError(f"{path}: expected {header + count * size} bytes for shape "
+                              f"{(count, *rest)}, file ends at byte {len(blob)}")
+    return np.frombuffer(blob, dtype=np.uint8, offset=header).reshape(count, size)
 
 
 def _locate(data_dir: Path, names: list[str], subdirs: list[str]) -> Path:
@@ -151,6 +142,16 @@ def _locate(data_dir: Path, names: list[str], subdirs: list[str]) -> Path:
     raise MissingDataError(f"none of these files exist: {tried}")
 
 
+def _dataset(pixels: np.ndarray, labels: np.ndarray, split: str) -> Dataset:
+    """The split from (N, D) pixel values in 0..255 and N uint8 labels, each
+    of which must be a class in 0..9."""
+    if pixels.shape[0] != labels.shape[0]:
+        raise DataFormatError(f"{split}: {pixels.shape[0]} images but {labels.shape[0]} labels")
+    if labels.size and labels.max() > 9:
+        raise DataFormatError(f"{split}: label {labels.max()} is not a class in 0..9")
+    return Dataset(images=pixels / 255.0, labels=labels.astype(np.int64), split=split)
+
+
 def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
     """Load MNIST from IDX files (optionally gzipped) under ``data_dir``."""
     data_dir = Path(data_dir)
@@ -160,12 +161,9 @@ def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
         ("train", "train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
         ("test", "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
     ]:
-        images = _read_idx_images(_locate(data_dir, [img_name], subdirs))
-        labels = _read_idx_labels(_locate(data_dir, [lab_name], subdirs))
-        if images.shape[0] != labels.shape[0]:
-            raise DataFormatError(
-                f"{split}: {images.shape[0]} images but {labels.shape[0]} labels")
-        out.append(Dataset(images=images.astype(np.float64) / 255.0, labels=labels, split=split))
+        images = _read_idx(_locate(data_dir, [img_name], subdirs), _IDX_IMAGE_MAGIC)
+        labels = _read_idx(_locate(data_dir, [lab_name], subdirs), _IDX_LABEL_MAGIC)
+        out.append(_dataset(images, labels[:, 0], split))
     return out[0], out[1]
 
 
@@ -191,38 +189,36 @@ def _bilinear_matrix(src: int, dst: int) -> np.ndarray:
     return weights
 
 
+_RESIZE = _bilinear_matrix(32, 28)
+
+
 def _read_cifar_batch(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """One batch as (N, 784) grayscale 28x28 pixel values in 0..255 and its
+    N labels, converted straight from the uint8 records."""
     blob = _read_bytes(path)
     if len(blob) == 0 or len(blob) % _CIFAR_RECORD != 0:
         raise DataFormatError(
             f"{path}: size {len(blob)} is not a multiple of the {_CIFAR_RECORD}-byte record")
     records = np.frombuffer(blob, dtype=np.uint8).reshape(-1, _CIFAR_RECORD)
-    labels = records[:, 0].astype(np.int64)
-    rgb = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64)
-    return rgb, labels
+    gray = np.einsum("c,nchw->nhw", _LUMA, records[:, 1:].reshape(-1, 3, 32, 32))
+    small = _RESIZE @ gray @ _RESIZE.T
+    return small.reshape(-1, 28 * 28), records[:, 0].copy()
 
 
 def load_cifar10_gray28(data_dir) -> tuple[Dataset, Dataset]:
     """Load CIFAR-10 binary batches; grayscale, resize to 28x28, flatten."""
     data_dir = Path(data_dir)
     subdirs = ["", "cifar-10-batches-bin", "cifar10"]
-    resize = _bilinear_matrix(32, 28)
 
-    def convert(rgb: np.ndarray) -> np.ndarray:
-        gray = np.einsum("c,nchw->nhw", _LUMA, rgb)
-        small = np.einsum("ah,nhw,bw->nab", resize, gray, resize)
-        return small.reshape(-1, 28 * 28) / 255.0
+    def read(split: str, names: list[str]) -> Dataset:
+        batches = [_read_cifar_batch(_locate(data_dir, [n], subdirs)) for n in names]
+        pixels = np.concatenate([x for x, _ in batches])
+        labels = np.concatenate([y for _, y in batches])
+        del batches  # free the per-batch pixels before _dataset scales the split
+        return _dataset(pixels, labels, split)
 
-    out = []
-    for split, names in [
-        ("train", [f"data_batch_{i}.bin" for i in range(1, 6)]),
-        ("test", ["test_batch.bin"]),
-    ]:
-        parts = [_read_cifar_batch(_locate(data_dir, [n], subdirs)) for n in names]
-        images = np.concatenate([convert(rgb) for rgb, _ in parts])
-        labels = np.concatenate([lab for _, lab in parts])
-        out.append(Dataset(images=images, labels=labels, split=split))
-    return out[0], out[1]
+    return (read("train", [f"data_batch_{i}.bin" for i in range(1, 6)]),
+            read("test", ["test_batch.bin"]))
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +232,18 @@ def _binary_view(ds: Dataset, label_a: int, label_b: int) -> TaskView:
 
 
 def make_split_tasks(train: Dataset, test: Dataset, pairs: list[tuple[int, int]],
-                     name_prefix: str = "mnist", head_start: int = 0) -> list[TaskSpec]:
+                     name_prefix: str = "mnist") -> list[TaskSpec]:
     """One binary task per label pair, each with its own head; a' = 0.5."""
-    present = set(np.unique(train.labels))
     tasks = []
     for k, (a, b) in enumerate(pairs):
-        if a not in present or b not in present:
-            raise ValueError(f"labels ({a}, {b}) not present in dataset")
+        for ds in (train, test):
+            if not np.isin([a, b], ds.labels).all():
+                raise DataFormatError(f"{ds.split}: labels ({a}, {b}) not both present")
         tasks.append(TaskSpec(
             name=f"{name_prefix}-{a}/{b}",
             train=_binary_view(train, a, b),
             test=_binary_view(test, a, b),
-            head_index=head_start + k,
+            head_index=k,
             n_classes=2,
         ))
     return tasks
@@ -303,17 +299,13 @@ BLOB_DIM = 784
 _BLOB_SIGNAL_GAIN = 3.0
 _BLOB_PIXEL_NOISE = 0.02
 
-_blob_basis_cache: np.ndarray | None = None
 
-
+@functools.cache
 def _blob_basis() -> np.ndarray:
-    global _blob_basis_cache
-    if _blob_basis_cache is None:
-        rng = make_rng("blob-basis")
-        raw = rng.standard_normal((2, BLOB_DIM))
-        q, _ = np.linalg.qr(raw.T)
-        _blob_basis_cache = np.ascontiguousarray(q.T)
-    return _blob_basis_cache
+    rng = make_rng("blob-basis")
+    raw = rng.standard_normal((2, BLOB_DIM))
+    q, _ = np.linalg.qr(raw.T)
+    return np.ascontiguousarray(q.T)
 
 
 def make_synthetic_blobs(separation: float, rotation: float, n: int,

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_data import gzip_in_place, make_mnist_dir, write_idx_labels
 from vclab.cli import (CSV_HEADER, AggregateRow, ConfigError, ExperimentConfig, ResultRow,
                        _build_parser, aggregate_trials, build_config, emit_chart_svg,
                        format_aggregates, main, parse_model, read_config_file,
@@ -267,7 +268,11 @@ class TestMainEntry:
         (["aggregate"], ""),
         (["aggregate"], "synthetic,autovcl,0,1,1,0,t,abc,1.000000,,,\n"),
         (["chart", "--which", "beta_trace"], "synthetic,gvcl:1,0,1,1,0,t,0.900000,,,,\n"),
-    ], ids=["aggregate-header-only", "aggregate-bad-accuracy", "chart-no-beta"])
+        (["aggregate"], "synthetic,autovcl,0,1,1,0,t,nan,1.000000,,,\n"),
+        (["chart"], "synthetic,autovcl,0,1,1,0,t,0.900000,inf,,,\n"),
+        (["aggregate"], "synthetic,autovcl,0,1,1,0,t,0.900000,1.000000,0.5,-inf,nan\n"),
+    ], ids=["aggregate-header-only", "aggregate-bad-accuracy", "chart-no-beta",
+            "aggregate-nan-accuracy", "chart-inf-beta", "aggregate-nonfinite-heuristics"])
     def test_bad_results_csv_exits_2_without_traceback(self, tmp_path, command, body):
         path = tmp_path / "results.csv"
         path.write_text(",".join(CSV_HEADER) + "\n" + body, encoding="utf-8")
@@ -300,6 +305,29 @@ class TestMainEntry:
         assert "Traceback" not in proc.stderr
         assert list((tmp_path / "dir").iterdir()) == []
         assert (tmp_path / "afile").read_text(encoding="utf-8") == "not a directory\n"
+
+    @pytest.mark.parametrize("experiment, defect", [
+        ("permuted", "gzip-truncated"), ("permuted", "label-200"),
+        ("split_custom", "no-digit-7"),
+    ], ids=lambda v: v)
+    def test_bad_mnist_exits_2_without_traceback(self, tmp_path, experiment, defect):
+        make_mnist_dir(tmp_path, n_train=30, n_test=20)
+        if defect == "gzip-truncated":
+            path = gzip_in_place(tmp_path / "train-images-idx3-ubyte")
+            path.write_bytes(path.read_bytes()[:-9])
+        for name, n in [("train-labels-idx1-ubyte", 30), ("t10k-labels-idx1-ubyte", 20)]:
+            labels = [i % 10 for i in range(n)]
+            if defect == "label-200":
+                labels[-1] = 200
+            if defect == "no-digit-7":
+                labels = [8 if y == 7 else y for y in labels]
+            write_idx_labels(tmp_path / name, labels)
+        proc = run_module("run", "--experiment", experiment, "--model", "gvcl:1", "--trials", "1",
+                          "--epochs", "1", "--data-dir", str(tmp_path),
+                          "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert re.search(r"^data error: ", proc.stderr, re.MULTILINE), proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_aggregate_and_chart_create_missing_parents(self, tmp_path, capsys):
         csv_path = tmp_path / "good.csv"

@@ -1,3 +1,4 @@
+import gzip
 import math
 import struct
 
@@ -31,6 +32,22 @@ def make_mnist_dir(tmp_path, n_train=12, n_test=6):
     return train, test
 
 
+def loads_or_format_error(load, data_dir) -> bool:
+    """True if ``load(data_dir)`` loads, False if it raises DataFormatError;
+    any other exception fails the calling test."""
+    try:
+        load(data_dir)
+    except DataFormatError:
+        return False
+    return True
+
+
+def gzip_in_place(path):
+    path.with_name(path.name + ".gz").write_bytes(gzip.compress(path.read_bytes(), mtime=0))
+    path.unlink()
+    return path.with_name(path.name + ".gz")
+
+
 class TestIdxLoader:
     def test_round_trip(self, tmp_path):
         raw_train, _ = make_mnist_dir(tmp_path, n_train=20, n_test=4)
@@ -62,8 +79,39 @@ class TestIdxLoader:
         with pytest.raises(MissingDataError):
             load_mnist(tmp_path)
 
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    @pytest.mark.parametrize("name", ["train-images-idx3-ubyte", "t10k-labels-idx1-ubyte"])
+    def test_every_truncation_is_a_format_error(self, tmp_path, name, compress):
+        make_mnist_dir(tmp_path, n_train=3, n_test=2)
+        path = gzip_in_place(tmp_path / name) if compress else tmp_path / name
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            assert not loads_or_format_error(load_mnist, tmp_path), cut
+
+    @pytest.mark.parametrize("name, header", [("train-images-idx3-ubyte", 16),
+                                              ("t10k-labels-idx1-ubyte", 8)])
+    def test_every_header_byte_set_to_0_or_ff_loads_or_is_a_format_error(self, tmp_path, name,
+                                                                           header):
+        make_mnist_dir(tmp_path, n_train=3, n_test=2)
+        path = tmp_path / name
+        blob = path.read_bytes()
+        loaded = []
+        for offset in range(header):
+            for value in (0x00, 0xFF):
+                path.write_bytes(blob[:offset] + bytes([value]) + blob[offset + 1:])
+                if loads_or_format_error(load_mnist, tmp_path):
+                    loaded.append((offset, value))
+        # only bytes that already held the value leave a loadable file
+        assert loaded == [(k, blob[k]) for k in range(header) if blob[k] in (0x00, 0xFF)]
+
+    def test_label_outside_0_to_9_rejected(self, tmp_path):
+        make_mnist_dir(tmp_path)
+        write_idx_labels(tmp_path / "t10k-labels-idx1-ubyte", [0, 1, 2, 10, 4, 5])
+        with pytest.raises(DataFormatError, match="label 10"):
+            load_mnist(tmp_path)
+
     def test_gzip_accepted(self, tmp_path):
-        import gzip
         make_mnist_dir(tmp_path)
         for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                      "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
@@ -109,6 +157,36 @@ class TestCifarLoader:
         with pytest.raises(DataFormatError, match="3073"):
             load_cifar10_gray28(tmp_path)
 
+    def test_every_truncation_of_a_batch_loads_or_is_a_format_error(self, tmp_path):
+        make_cifar_dir(tmp_path)
+        path = tmp_path / "data_batch_2.bin"
+        blob = path.read_bytes()
+        loaded = []
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            if loads_or_format_error(load_cifar10_gray28, tmp_path):
+                loaded.append(cut)
+        assert loaded == [3073]  # one whole record is a valid batch
+
+    def test_label_outside_0_to_9_rejected(self, tmp_path):
+        make_cifar_dir(tmp_path)
+        path = tmp_path / "test_batch.bin"
+        path.write_bytes(b"\xc8" + path.read_bytes()[1:])
+        with pytest.raises(DataFormatError, match="label 200"):
+            load_cifar10_gray28(tmp_path)
+
+    def test_resize_matches_einsum_form(self, tmp_path):
+        # The loader resizes with two matrix products; the three-operand
+        # einsum it replaced is the same linear map, summed in another order.
+        make_cifar_dir(tmp_path)
+        train, _ = load_cifar10_gray28(tmp_path)
+        records = np.frombuffer((tmp_path / "data_batch_1.bin").read_bytes(), dtype=np.uint8)
+        rgb = records.reshape(-1, 3073)[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64)
+        gray = np.einsum("c,nchw->nhw", np.array([0.299, 0.587, 0.114]), rgb)
+        resize = _bilinear_matrix(32, 28)
+        expected = np.einsum("ah,nhw,bw->nab", resize, gray, resize).reshape(-1, 784) / 255.0
+        np.testing.assert_allclose(train.images[:2], expected, rtol=0, atol=1e-15)
+
     def test_bilinear_matrix_rows_stochastic(self):
         m = _bilinear_matrix(32, 28)
         assert m.shape == (28, 32)
@@ -148,6 +226,15 @@ class TestSplitTasks:
         small = Dataset(images=np.zeros((4, 784)), labels=np.array([0, 0, 1, 1]), split="train")
         with pytest.raises(ValueError):
             make_split_tasks(small, small, [(0, 7)])
+
+    @pytest.mark.parametrize("lacking", ["train", "test"])
+    def test_pair_missing_from_either_split_is_a_format_error(self, lacking):
+        full = toy_dataset(20, "full")
+        partial = Dataset(images=full.images, labels=np.where(full.labels == 7, 8, full.labels),
+                          split=lacking)
+        train, test = (partial, full) if lacking == "train" else (full, partial)
+        with pytest.raises(DataFormatError, match=f"{lacking}: labels \\(8, 7\\)"):
+            make_split_tasks(train, test, [(0, 1), (8, 7)])
 
 
 class TestPermutedTasks:
