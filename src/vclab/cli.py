@@ -23,13 +23,10 @@ from .continual import TrainConfig, run_sequence
 from .data import (DataFormatError, MissingDataError, load_cifar10_gray28, load_mnist,
                    make_mixed_sequence, make_permuted_tasks, make_split_tasks,
                    make_synthetic_blobs)
-from .heuristics import HeuristicConfig
+from .heuristics import BETA_MAX, BETA_MIN, HeuristicConfig
 from .numerics import ConfigError, NumericError, atomic_write, make_rng, require_positive
 
 EXPERIMENTS = ("split_custom", "permuted", "mixed", "synthetic")
-
-CSV_HEADER = ["experiment", "model", "trial", "seed", "stage", "task_index",
-              "task_name", "accuracy", "beta", "d", "s", "delta_d"]
 
 CUSTOM_SPLIT_PAIRS = [(0, 1), (8, 7), (9, 4), (6, 2), (3, 5)]
 
@@ -169,6 +166,9 @@ class ResultRow:
     delta_d: float | None
 
 
+CSV_HEADER = [f.name for f in fields(ResultRow)]
+
+
 def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
@@ -195,23 +195,39 @@ def _finite(text: str) -> float:
     return value
 
 
+def _check_row(r: ResultRow) -> None:
+    """Raise ValueError unless the row keeps the ranges run_experiment writes."""
+    for name in ("accuracy", "d", "s"):
+        if (value := getattr(r, name)) is not None and not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} {value} is outside [0, 1]")
+    if not 0 <= r.task_index < r.stage:
+        raise ValueError(f"task_index {r.task_index} is outside [0, stage {r.stage})")
+    if r.beta is not None and not (r.beta > 0 and (r.d is None or BETA_MIN <= r.beta <= BETA_MAX)):
+        raise ValueError(f"beta {r.beta} is not > 0, or outside [{BETA_MIN:g}, {BETA_MAX:g}] "
+                         "on a row with d")
+
+
 def read_results_csv(path) -> list[ResultRow]:
-    """Parse a results CSV back into rows (inverse of write_results_csv);
-    every number must be finite."""
-    rows = []
-    reader = csv.DictReader(io.StringIO(_read_text(path, DataFormatError), newline=""))
-    if reader.fieldnames != CSV_HEADER:
-        raise DataFormatError(f"{path}: unexpected header {reader.fieldnames}")
-    for rec in reader:
+    """Parse a results CSV back into rows (inverse of write_results_csv),
+    skipping blank lines. Each row must have the header's fields, finite
+    numbers in the ranges ``_check_row`` names, and its own (experiment,
+    model, trial, stage, task_index)."""
+    rows, seen = [], set()
+    reader = csv.reader(io.StringIO(_read_text(path, DataFormatError), newline=""))
+    if (header := next(reader, None)) != CSV_HEADER:
+        raise DataFormatError(f"{path}: unexpected header {header}")
+    for values in filter(None, reader):
         try:
-            rows.append(ResultRow(
-                experiment=rec["experiment"], model=rec["model"], trial=int(rec["trial"]),
-                seed=int(rec["seed"]), stage=int(rec["stage"]),
-                task_index=int(rec["task_index"]), task_name=rec["task_name"],
-                accuracy=_finite(rec["accuracy"]),
-                **{key: _finite(rec[key]) if rec[key] else None
-                   for key in ("beta", "d", "s", "delta_d")}))
-        except (TypeError, ValueError) as exc:
+            if len(values) != len(CSV_HEADER):
+                raise ValueError(f"{len(values)} fields, the header has {len(CSV_HEADER)}")
+            r = ResultRow(*values[:2], *map(int, values[2:6]), values[6], _finite(values[7]),
+                          *(_finite(v) if v else None for v in values[8:]))
+            _check_row(r)
+            if (key := (r.experiment, r.model, r.trial, r.stage, r.task_index)) in seen:
+                raise ValueError(f"repeats the row of {key}")
+            seen.add(key)
+            rows.append(r)
+        except ValueError as exc:
             raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
     return rows
 
@@ -322,7 +338,7 @@ def aggregate_trials(rows: list[ResultRow]) -> list[AggregateRow]:
     for (model, stage), entries in sorted(grouped.items()):
         means = np.array([acc for acc, _ in entries])
         sem = float(means.std(ddof=1) / math.sqrt(means.size)) if means.size > 1 else 0.0
-        stage_betas = [b for _, b in entries if b is not None and b > 0]
+        stage_betas = [b for _, b in entries if b is not None]
         mean_log_beta = float(np.mean(np.log10(stage_betas))) if stage_betas else None
         out.append(AggregateRow(model=model, stage=stage, mean_accuracy=float(means.mean()),
                                 sem=sem, mean_log10_beta=mean_log_beta, trials=means.size))

@@ -144,10 +144,11 @@ def _locate(data_dir: Path, names: list[str], subdirs: list[str]) -> Path:
 
 def _dataset(pixels: np.ndarray, labels: np.ndarray, split: str) -> Dataset:
     """The split from (N, D) pixel values in 0..255 and N uint8 labels, each
-    of which must be a class in 0..9."""
-    if pixels.shape[0] != labels.shape[0]:
-        raise DataFormatError(f"{split}: {pixels.shape[0]} images but {labels.shape[0]} labels")
-    if labels.size and labels.max() > 9:
+    of which must be a class in 0..9; N must be at least 1."""
+    if not 0 < pixels.shape[0] == labels.shape[0]:
+        raise DataFormatError(f"{split}: {pixels.shape[0]} images and {labels.shape[0]} labels "
+                              "(need equal counts, at least 1)")
+    if labels.max() > 9:
         raise DataFormatError(f"{split}: label {labels.max()} is not a class in 0..9")
     return Dataset(images=pixels / 255.0, labels=labels.astype(np.int64), split=split)
 
@@ -164,6 +165,9 @@ def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
         images = _read_idx(_locate(data_dir, [img_name], subdirs), _IDX_IMAGE_MAGIC)
         labels = _read_idx(_locate(data_dir, [lab_name], subdirs), _IDX_LABEL_MAGIC)
         out.append(_dataset(images, labels[:, 0], split))
+    if out[0].images.shape[1] != out[1].images.shape[1]:
+        raise DataFormatError(f"train images have {out[0].images.shape[1]} pixels, test images "
+                              f"{out[1].images.shape[1]}")
     return out[0], out[1]
 
 
@@ -275,7 +279,9 @@ STANDARD_SPLIT_PAIRS = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
 def make_mixed_sequence(mnist: tuple[Dataset, Dataset],
                         cifar: tuple[Dataset, Dataset]) -> list[TaskSpec]:
     """Standard binary splits of MNIST and CIFAR-10 interleaved MNIST-first,
-    ten tasks with distinct heads."""
+    ten tasks with distinct heads; every split must have the same image width."""
+    if len(widths := {ds.images.shape[1] for ds in (*mnist, *cifar)}) > 1:
+        raise DataFormatError(f"mixed needs one image width, MNIST and CIFAR have {widths}")
     mnist_tasks = make_split_tasks(*mnist, STANDARD_SPLIT_PAIRS, name_prefix="mnist")
     cifar_tasks = make_split_tasks(*cifar, STANDARD_SPLIT_PAIRS, name_prefix="cifar")
     tasks = []

@@ -4,17 +4,14 @@ KL-weight schedule computed from them.
 Difficulty d of an incoming task is measured by mock training: a fresh
 network of the same architecture is trained for one epoch on a small random
 subset and scored on a disjoint held-out subset, repeated several times and
-averaged. The normalized improvement over chance is
-
-    improvement = clamp((mean_acc - chance) / (1 - chance), 0, 1)
-
-and d = 1 - improvement under the default ``theory_consistent`` convention
-(hard tasks score high), or d = improvement under ``paper_verbatim``.
-
-Similarity s is measured without training: the current model's raw
+averaged. Similarity s is measured without training: the current model's raw
 predictions on the new task are scored through every existing head of
-matching arity, and the accuracy farthest from chance (in either direction:
-anti-correlated predictability counts) is normalized to [0, 1].
+matching arity, and a* is the accuracy farthest from chance (in either
+direction: anti-correlated predictability counts). Both go through one
+normalisation, norm(x, hi) = clamp(x / hi, 0, 1):
+
+    d = 1 - norm(mean_acc - chance, 1 - chance)    (hard tasks score high)
+    s = norm(|a* - chance|, 1 - chance)
 
 The schedule for stage t >= 2 is
 
@@ -43,9 +40,6 @@ BETA_MAX = 1e3
 PROBE_TRAIN_MC_SAMPLES = 5
 PROBE_EVAL_MC_SAMPLES = 20
 
-_CONVENTIONS = ("theory_consistent", "paper_verbatim")
-_NORM_SHAPES = ("linear_clamp", "smoothstep")
-
 
 @dataclass
 class HeuristicConfig:
@@ -57,8 +51,6 @@ class HeuristicConfig:
     probe_epochs: int = 1
     probe_repeats: int = 10
     probe_lr: float = 0.001
-    difficulty_convention: str = "theory_consistent"
-    norm_shape: str = "linear_clamp"
 
     def __post_init__(self):
         require_positive("lam", self.lam)
@@ -67,10 +59,6 @@ class HeuristicConfig:
             raise ConfigError(f"probe_size {self.probe_size} < probe_batch {self.probe_batch}")
         if min(self.probe_batch, self.probe_epochs, self.probe_repeats) < 1:
             raise ConfigError("probe_batch, probe_epochs and probe_repeats must be >= 1")
-        if self.difficulty_convention not in _CONVENTIONS:
-            raise ConfigError(f"difficulty_convention must be one of {_CONVENTIONS}")
-        if self.norm_shape not in _NORM_SHAPES:
-            raise ConfigError(f"norm_shape must be one of {_NORM_SHAPES}")
 
 
 @dataclass
@@ -88,16 +76,11 @@ class HeuristicTrace:
     a_prime: float | None = None
 
 
-def norm_unit(x: float, hi: float, shape: str = "linear_clamp") -> float:
-    """Project x from [0, hi] onto [0, 1] with norm(0)=0 and norm(hi)=1."""
+def norm_unit(x: float, hi: float) -> float:
+    """Project x from [0, hi] onto [0, 1], clamping outside it."""
     if hi <= 0:
         raise ValueError(f"hi must be > 0, got {hi}")
-    u = min(max(x / hi, 0.0), 1.0)
-    if shape == "linear_clamp":
-        return u
-    if shape == "smoothstep":
-        return u * u * (3.0 - 2.0 * u)
-    raise ValueError(f"unknown norm shape {shape!r}")
+    return min(max(x / hi, 0.0), 1.0)
 
 
 def average_difficulty_gap(d_history: Sequence[float]) -> float:
@@ -108,15 +91,10 @@ def average_difficulty_gap(d_history: Sequence[float]) -> float:
     return float(diffs.mean())
 
 
-def difficulty_from_accuracy(mean_accuracy: float, chance: float,
-                             convention: str = "theory_consistent") -> float:
-    """Map mock-training accuracy to a difficulty in [0, 1]."""
-    improvement = min(max((mean_accuracy - chance) / (1.0 - chance), 0.0), 1.0)
-    if convention == "theory_consistent":
-        return 1.0 - improvement
-    if convention == "paper_verbatim":
-        return improvement
-    raise ValueError(f"unknown difficulty convention {convention!r}")
+def difficulty_from_accuracy(mean_accuracy: float, chance: float) -> float:
+    """Map mock-training accuracy to a difficulty in [0, 1]; 1 is no better
+    than chance."""
+    return 1.0 - norm_unit(mean_accuracy - chance, 1.0 - chance)
 
 
 def compute_beta(d_history: Sequence[float], d_t: float, s_t: float, t: int,
@@ -166,8 +144,7 @@ def probe_difficulty(task, hidden_dims: Sequence[int], cfg: HeuristicConfig,
         x_eval, y_eval = task.train.take(eval_idx)
         probs = posterior_predict(net, 0, x_eval, rng, PROBE_EVAL_MC_SAMPLES)
         accuracies.append(float((probs.argmax(axis=1) == y_eval).mean()))
-    d = difficulty_from_accuracy(float(np.mean(accuracies)), task.chance_accuracy,
-                                 cfg.difficulty_convention)
+    d = difficulty_from_accuracy(float(np.mean(accuracies)), task.chance_accuracy)
     return d, accuracies
 
 
@@ -196,7 +173,7 @@ def measure_similarity(task, net: VariationalNet, cfg: HeuristicConfig,
         acc = float((probs.argmax(axis=1) == y_eval).mean())
         if abs(acc - chance) > abs(a_star - chance):
             a_star = acc
-    s = norm_unit(abs(a_star - chance), 1.0 - chance, cfg.norm_shape)
+    s = norm_unit(abs(a_star - chance), 1.0 - chance)
     return s, a_star
 
 

@@ -10,11 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_data import gzip_in_place, make_mnist_dir, write_idx_labels
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from test_data import (gzip_in_place, make_cifar_dir, make_mnist_dir, write_idx_images,
+                       write_idx_labels)
+from vclab import cli
 from vclab.cli import (CSV_HEADER, AggregateRow, ConfigError, ExperimentConfig, ResultRow,
                        _build_parser, aggregate_trials, build_config, emit_chart_svg,
                        format_aggregates, main, parse_model, read_config_file,
                        read_results_csv, write_results_csv)
+from vclab.data import DataFormatError
+from vclab.heuristics import BETA_MAX, BETA_MIN
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -31,7 +38,6 @@ RUN_FLAGS = [
     ("--eval-mc-samples", "eval_mc_samples"), ("--lam", "lam"), ("--probe-size", "probe_size"),
     ("--probe-batch", "probe_batch"), ("--probe-epochs", "probe_epochs"),
     ("--probe-repeats", "probe_repeats"), ("--probe-lr", "probe_lr"),
-    ("--difficulty-convention", "difficulty_convention"), ("--norm-shape", "norm_shape"),
 ]
 
 GOOD_ROW = "synthetic,gvcl:1,0,1,1,0,t,0.900000,1.000000,,,\n"
@@ -137,6 +143,24 @@ class TestResultsCsv:
             write_results_csv([row(accuracy=0.75), row(accuracy="high")], path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    def test_schedule_range_binds_only_rows_with_d(self, tmp_path):
+        rows = [row(model="gvcl:5000", beta=5000.0),
+                row(stage=1, task_index=0, beta=BETA_MIN, d=0.0, s=1.0, delta_d=0.0),
+                row(stage=2, task_index=1, beta=BETA_MAX, d=1.0, s=0.0, delta_d=1.0)]
+        path = write_results_csv(rows, tmp_path / "edges.csv")
+        assert read_results_csv(path) == rows
+
+    def test_rejected_row_named_by_path_and_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + GOOD_ROW * 2, encoding="utf-8")
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:3: repeats "):
+            read_results_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n\n" + GOOD_ROW + "\n", encoding="utf-8")
+        assert len(read_results_csv(path)) == 1
 
     def test_lf_line_endings(self, tmp_path):
         path = write_results_csv([row()], tmp_path / "lf.csv")
@@ -271,8 +295,21 @@ class TestMainEntry:
         (["aggregate"], "synthetic,autovcl,0,1,1,0,t,nan,1.000000,,,\n"),
         (["chart"], "synthetic,autovcl,0,1,1,0,t,0.900000,inf,,,\n"),
         (["aggregate"], "synthetic,autovcl,0,1,1,0,t,0.900000,1.000000,0.5,-inf,nan\n"),
+        (["aggregate"], "synthetic,gvcl:1,0,1,1,0,t,0.900000,1.000000,,,,\n"),
+        (["aggregate"], "synthetic,gvcl:1,0,1,1,0,t,0.900000\n"),
+        (["aggregate"], "synthetic,gvcl:1,0,1,2,0,t,0.700000,1.000000,,,\n"
+                        "synthetic,gvcl:1,0,1,2,1,u,1.500000,1.000000,,,\n"),
+        (["chart"], "synthetic,gvcl:1,0,1,1,0,t,0.900000,-2.000000,,,\n"),
+        (["aggregate"], "synthetic,gvcl:1,0,1,1,3,t,0.900000,1.000000,,,\n"),
+        (["aggregate"], GOOD_ROW * 2),
+        (["aggregate"], "synthetic,autovcl,0,1,1,0,t,0.900000,1.000000,1.500000,0.0,0.0\n"),
+        (["aggregate"], "synthetic,autovcl,0,1,1,0,t,0.900000,5000.000000,0.5,0.0,0.0\n"),
+        (["aggregate"], "synthetic,gvcl:1,0,1,0,0,t,0.900000,1.000000,,,\n"),
     ], ids=["aggregate-header-only", "aggregate-bad-accuracy", "chart-no-beta",
-            "aggregate-nan-accuracy", "chart-inf-beta", "aggregate-nonfinite-heuristics"])
+            "aggregate-nan-accuracy", "chart-inf-beta", "aggregate-nonfinite-heuristics",
+            "aggregate-13-fields", "aggregate-8-fields", "aggregate-accuracy-1.5",
+            "chart-negative-beta", "aggregate-task-index-past-stage", "aggregate-repeated-row",
+            "aggregate-d-1.5", "aggregate-beta-past-schedule-with-d", "aggregate-stage-0"])
     def test_bad_results_csv_exits_2_without_traceback(self, tmp_path, command, body):
         path = tmp_path / "results.csv"
         path.write_text(",".join(CSV_HEADER) + "\n" + body, encoding="utf-8")
@@ -308,14 +345,19 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("experiment, defect", [
         ("permuted", "gzip-truncated"), ("permuted", "label-200"),
-        ("split_custom", "no-digit-7"),
+        ("split_custom", "no-digit-7"), ("permuted", "empty-train"), ("permuted", "empty-test"),
+        ("mixed", "mnist-20x20"), ("permuted", "test-20x20"),
     ], ids=lambda v: v)
     def test_bad_mnist_exits_2_without_traceback(self, tmp_path, experiment, defect):
-        make_mnist_dir(tmp_path, n_train=30, n_test=20)
+        n_train, n_test = {"empty-train": (0, 20), "empty-test": (30, 0)}.get(defect, (30, 20))
+        make_mnist_dir(tmp_path, n_train, n_test, side=20 if defect == "mnist-20x20" else 28)
+        make_cifar_dir(tmp_path, n_records=10)  # every class, so mixed finds all its pairs
+        if defect == "test-20x20":
+            write_idx_images(tmp_path / "t10k-images-idx3-ubyte", np.zeros((20, 20, 20), np.uint8))
         if defect == "gzip-truncated":
             path = gzip_in_place(tmp_path / "train-images-idx3-ubyte")
             path.write_bytes(path.read_bytes()[:-9])
-        for name, n in [("train-labels-idx1-ubyte", 30), ("t10k-labels-idx1-ubyte", 20)]:
+        for name, n in [("train-labels-idx1-ubyte", n_train), ("t10k-labels-idx1-ubyte", n_test)]:
             labels = [i % 10 for i in range(n)]
             if defect == "label-200":
                 labels[-1] = 200
@@ -327,6 +369,17 @@ class TestMainEntry:
                           "--out-dir", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         assert re.search(r"^data error: ", proc.stderr, re.MULTILINE), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_removed_assessment_switches_exit_1(self, tmp_path, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("difficulty_convention = theory_consistent\n", encoding="utf-8")
+        extra = ["--norm-shape", "linear_clamp"] if source == "flag" else ["--config", str(cfg)]
+        proc = run_module("run", "--experiment", "synthetic", "--model", "gvcl:1", "--trials",
+                          "1", "--epochs", "1", "--out-dir", str(tmp_path / "out"), *extra)
+        assert proc.returncode == 1, proc.stderr
+        assert re.search(r"^config error: ", proc.stderr, re.MULTILINE), proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_aggregate_and_chart_create_missing_parents(self, tmp_path, capsys):
@@ -404,3 +457,74 @@ class TestMainEntry:
         elapsed = time.monotonic() - start
         assert code == 0
         assert elapsed < 60.0
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed inputs: truncations, byte flips and splices of valid files
+
+
+def _mutation(blob: bytes):
+    """A strategy for one edit of ``blob``: truncate it, flip one byte, or
+    splice a prefix of it onto a suffix of it."""
+    cut = st.integers(0, len(blob))
+    return st.one_of(
+        st.tuples(st.just("truncate"), cut, st.just(0)),
+        st.tuples(st.just("flip"), st.integers(0, len(blob) - 1), st.integers(1, 255)),
+        st.tuples(st.just("splice"), cut, cut))
+
+
+def _mutate(blob: bytes, edits) -> bytes:
+    for kind, at, arg in edits:
+        at = min(at, max(len(blob) - 1, 0))
+        if kind == "truncate":
+            blob = blob[:at]
+        elif kind == "flip" and blob:
+            blob = blob[:at] + bytes([blob[at] ^ arg]) + blob[at + 1:]
+        elif kind == "splice":
+            blob = blob[:at] + blob[arg:]
+    return blob
+
+
+def _valid_results_csv(tmp_path) -> bytes:
+    auto = dict(model="autovcl", beta=2.5, d=0.4, s=0.25, delta_d=0.1)
+    fixed = dict(model="gvcl:1", beta=1.0)
+    rows = [row(trial=trial, stage=stage, task_index=i, accuracy=0.5 + 0.1 * i, **kind)
+            for kind in (auto, fixed) for trial in range(2) for stage in (1, 2)
+            for i in range(stage)]
+    return write_results_csv(rows, tmp_path / "valid.csv").read_bytes()
+
+
+VALID_CONFIG = (b"# a run\nexperiment = synthetic\nmodel = gvcl:0.5\ntrials = 2\n"
+                b"epochs = 3\nlr = 0.002\nprobe_size = 256\nlam = 2.5  # comment\n")
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFuzzedInputs:
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_results_csv_exits_0_or_2(self, tmp_path, data):
+        valid = _valid_results_csv(tmp_path)
+        path = tmp_path / "mutant.csv"
+        path.write_bytes(_mutate(valid, data.draw(st.lists(_mutation(valid), min_size=1,
+                                                            max_size=3))))
+        code = main(["aggregate", str(path), "--out", str(tmp_path / "table.csv")])
+        assert code in (0, 2)
+        if code == 0:
+            for agg in aggregate_trials(read_results_csv(path)):
+                assert all(map(np.isfinite, [agg.mean_accuracy, agg.sem,
+                                             agg.mean_log10_beta or 0.0]))
+        assert main(["chart", str(path), "--out", str(tmp_path / "c.svg")]) in (0, 2)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_config_exits_0_or_1(self, tmp_path, monkeypatch, data):
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: runs.append(cfg) or tmp_path)
+        path = tmp_path / "mutant.cfg"
+        path.write_bytes(_mutate(VALID_CONFIG, data.draw(st.lists(_mutation(VALID_CONFIG),
+                                                                   min_size=1, max_size=3))))
+        code = main(["run", "--config", str(path)])
+        assert code in (0, 1)
+        assert len(runs) == (code == 0)

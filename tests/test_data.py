@@ -21,10 +21,10 @@ def write_idx_labels(path, labels):
     path.write_bytes(struct.pack(">ii", 0x801, len(labels)) + bytes(labels))
 
 
-def make_mnist_dir(tmp_path, n_train=12, n_test=6):
+def make_mnist_dir(tmp_path, n_train=12, n_test=6, side=28):
     rng = make_rng("idx")
-    train = rng.integers(0, 256, (n_train, 28, 28)).astype(np.uint8)
-    test = rng.integers(0, 256, (n_test, 28, 28)).astype(np.uint8)
+    train = rng.integers(0, 256, (n_train, side, side)).astype(np.uint8)
+    test = rng.integers(0, 256, (n_test, side, side)).astype(np.uint8)
     write_idx_images(tmp_path / "train-images-idx3-ubyte", train)
     write_idx_labels(tmp_path / "train-labels-idx1-ubyte", [i % 10 for i in range(n_train)])
     write_idx_images(tmp_path / "t10k-images-idx3-ubyte", test)
@@ -122,11 +122,12 @@ class TestIdxLoader:
         assert train.images.shape[1] == 784
 
 
-def make_cifar_dir(tmp_path, fill=None):
+def make_cifar_dir(tmp_path, fill=None, n_records=2):
+    """Six batches of ``n_records`` records each, labelled 0, 1, 2, ... mod 10."""
     rng = make_rng("cifar")
     for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
         records = bytearray()
-        for k in range(2):
+        for k in range(n_records):
             records.append(k % 10)
             if fill is None:
                 records.extend(rng.integers(0, 256, 3072).astype(np.uint8).tobytes())
