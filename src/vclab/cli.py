@@ -176,8 +176,6 @@ def _fmt(value: float | None) -> str:
 def write_results_csv(rows: list[ResultRow], path) -> Path:
     """UTF-8, LF-terminated CSV with the fixed schema; floats at 6 decimals;
     written atomically."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
@@ -185,7 +183,7 @@ def write_results_csv(rows: list[ResultRow], path) -> Path:
             writer.writerow([r.experiment, r.model, r.trial, r.seed, r.stage, r.task_index,
                              r.task_name, _fmt(r.accuracy), _fmt(r.beta), _fmt(r.d),
                              _fmt(r.s), _fmt(r.delta_d)])
-    return path
+    return Path(path)
 
 
 def _finite(text: str) -> float:
@@ -259,11 +257,9 @@ def _check_output_file(flag: str, value: str) -> None:
 
 def _write_text(path, text: str) -> Path:
     """Write ``text`` as UTF-8 atomically, creating missing parent directories."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    return path
+    return Path(path)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
@@ -346,13 +342,15 @@ def aggregate_trials(rows: list[ResultRow]) -> list[AggregateRow]:
 
 
 def format_aggregates(aggregates: list[AggregateRow]) -> str:
-    lines = ["model,stage,mean_avg_accuracy,sem,mean_log10_beta,trials,note"]
+    """The aggregate table as LF-terminated CSV; floats at 6 decimals."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow("model stage mean_avg_accuracy sem mean_log10_beta trials note".split())
     for a in aggregates:
-        beta = "" if a.mean_log10_beta is None else f"{a.mean_log10_beta:.6f}"
-        note = "single_trial" if a.single_trial else ""
-        lines.append(f"{a.model},{a.stage},{a.mean_accuracy:.6f},{a.sem:.6f},"
-                     f"{beta},{a.trials},{note}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([a.model, a.stage, _fmt(a.mean_accuracy), _fmt(a.sem),
+                         _fmt(a.mean_log10_beta), a.trials,
+                         "single_trial" if a.single_trial else ""])
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +411,7 @@ def emit_chart_svg(aggregates: list[AggregateRow], which: str, path) -> Path:
         f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{y_label}</text>',
     ]
-    for stage in range(int(x_lo), int(x_hi) + 1):
+    for stage in sorted(set(xs)):
         parts.append(f'<text x="{px(stage):.1f}" y="{_HEIGHT - _MARGIN_B + 18}" '
                      f'text-anchor="middle" font-size="11">{stage}</text>')
     for frac in (0.0, 0.5, 1.0):

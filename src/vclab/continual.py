@@ -24,10 +24,13 @@ from .vbnn import (VariationalNet, advance_prior, fit, init_network, posterior_p
 
 _BETA_MODES = ("fixed", "auto")
 
+# Test rows per posterior_predict call in evaluate.
+EVAL_CHUNK = 1000
+
 
 @dataclass
 class TrainConfig:
-    """Per-task training hyperparameters."""
+    """Per-task training hyperparameters, which the probes share."""
 
     epochs: int = 10
     batch_size: int = 256
@@ -82,15 +85,14 @@ def train_on_task(net: VariationalNet, prior, task, beta: float, cfg: TrainConfi
                mc_samples=cfg.train_mc_samples, rng=rng)
 
 
-def evaluate(net: VariationalNet, task, cfg: TrainConfig, rng: np.random.Generator,
-             chunk: int = 1000) -> float:
+def evaluate(net: VariationalNet, task, cfg: TrainConfig, rng: np.random.Generator) -> float:
     """Posterior-predictive argmax accuracy on the task's test split."""
     x, y = task.test.arrays()
     correct = 0
-    for start in range(0, x.shape[0], chunk):
-        probs = posterior_predict(net, task.head_index, x[start:start + chunk],
-                                  rng, cfg.eval_mc_samples)
-        correct += int((probs.argmax(axis=1) == y[start:start + chunk]).sum())
+    for start in range(0, x.shape[0], EVAL_CHUNK):
+        part = slice(start, start + EVAL_CHUNK)
+        probs = posterior_predict(net, task.head_index, x[part], rng, cfg.eval_mc_samples)
+        correct += int((probs.argmax(axis=1) == y[part]).sum())
     return correct / x.shape[0]
 
 
@@ -125,7 +127,7 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
 
     for t, task in enumerate(tasks, start=1):
         if auto:
-            trace = assess_task(task, net, hidden_dims, d_history, t,
+            trace = assess_task(task, net, hidden_dims, d_history, t, cfg,
                                 heuristic_cfg, master_seed)
             d_history.append(trace.d)
         else:
@@ -138,7 +140,6 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
         _check_finite(net, t)
         prior = advance_prior(net)
         if snapshot_dir is not None:
-            Path(snapshot_dir).mkdir(parents=True, exist_ok=True)
             save_snapshot(prior, Path(snapshot_dir) / f"stage_{t:02d}.snap")
 
         accuracies = [evaluate(net, tasks[i], cfg, make_rng(master_seed, "eval", t, i))

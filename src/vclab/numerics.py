@@ -40,13 +40,15 @@ def require_positive(name: str, value: float) -> None:
 
 @contextmanager
 def atomic_write(path, mode: str, **open_kwargs):
-    """Open a temporary file next to ``path`` for writing.
+    """Open a temporary file next to ``path`` for writing, creating the
+    missing parent directories of ``path`` first.
 
     When the block completes, the file is flushed to disk and renamed onto
     ``path`` in one step; when it raises, the temporary file is removed and
     ``path`` keeps its old contents.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, mode, **open_kwargs) as fh:
@@ -77,6 +79,10 @@ def make_rng(*parts: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed_from(*parts)))
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter Adam accumulator (first/second moments + step count)."""
@@ -85,9 +91,6 @@ class AdamState:
     v: np.ndarray
     step_count: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def zeros_like(cls, param: np.ndarray, lr: float = 0.001) -> "AdamState":
@@ -118,7 +121,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
         raise ValueError("param and the Adam moments must be C-contiguous")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m_scale, v_scale = 1.0 - b1 ** t, 1.0 - b2 ** t
     p, g, m, v = (a.reshape(-1) for a in (param, grad, state.m, state.v))
     scratch = np.empty((2, min(ADAM_CHUNK, p.size)))
@@ -135,7 +138,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
         v_c += num
         np.divide(v_c, v_scale, out=den)
         np.sqrt(den, out=den)
-        den += state.eps
+        den += ADAM_EPS
         np.divide(m_c, m_scale, out=num)
         num *= state.lr
         num /= den

@@ -86,9 +86,9 @@ class VariationalLayer:
     def zeros_like(self) -> "VariationalLayer":
         return VariationalLayer(np.zeros_like(self.flat), self.fan_in, self.fan_out)
 
-    def copy(self, frozen: bool = False) -> "VariationalLayer":
+    def frozen_copy(self) -> "VariationalLayer":
         flat = self.flat.copy()
-        flat.flags.writeable = not frozen
+        flat.flags.writeable = False
         return VariationalLayer(flat, self.fan_in, self.fan_out)
 
 
@@ -165,15 +165,15 @@ class PosteriorSnapshot:
 
 def standard_prior(net: VariationalNet) -> PosteriorSnapshot:
     """N(0, 1) prior on every trunk parameter (used before the first task)."""
-    return PosteriorSnapshot(trunk=tuple(layer.zeros_like().copy(frozen=True)
+    return PosteriorSnapshot(trunk=tuple(layer.zeros_like().frozen_copy()
                                          for layer in net.trunk))
 
 
 def advance_prior(net: VariationalNet) -> PosteriorSnapshot:
     """Deep-copy the current posterior; the copy is immutable thereafter."""
     return PosteriorSnapshot(
-        trunk=tuple(layer.copy(frozen=True) for layer in net.trunk),
-        heads={i: h.copy(frozen=True) for i, h in net.heads.items()},
+        trunk=tuple(layer.frozen_copy() for layer in net.trunk),
+        heads={i: h.frozen_copy() for i, h in net.heads.items()},
     )
 
 
@@ -523,7 +523,8 @@ def load_snapshot(path) -> PosteriorSnapshot:
     """Read a snapshot written by :func:`save_snapshot`.
 
     Raises ValueError on a truncated or corrupt file: every length is checked
-    against the header counts before anything is unpacked.
+    against the header counts before anything is unpacked, and every
+    parameter must be finite.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -546,6 +547,8 @@ def load_snapshot(path) -> PosteriorSnapshot:
     if expected != len(blob):
         raise ValueError(f"snapshot should be {expected} bytes for the shapes in its header, "
                          f"file has {len(blob)}")
+    if not np.isfinite(np.frombuffer(blob, dtype="<f8", offset=pos)).all():
+        raise ValueError("snapshot has a non-finite parameter")
 
     def read_layer(fan_in: int, fan_out: int) -> VariationalLayer:
         nonlocal pos
@@ -553,7 +556,7 @@ def load_snapshot(path) -> PosteriorSnapshot:
         for a in layer.param_arrays():
             a[...] = np.frombuffer(blob, dtype="<f8", count=a.size, offset=pos).reshape(a.shape)
             pos += a.nbytes
-        return layer.copy(frozen=True)
+        return layer.frozen_copy()
 
     trunk = tuple(read_layer(fi, fo) for fi, fo in trunk_shapes)
     heads = {index: read_layer(fi, fo) for index, fi, fo in head_shapes}

@@ -15,6 +15,7 @@ import pytest
 from conftest import DATA_DIR, requires_cifar, requires_mnist
 from test_vbnn import flatten_grads, get_param_vector, set_param_vector
 from vclab.cli import ExperimentConfig, read_results_csv, run_experiment
+from vclab.continual import TrainConfig
 from vclab.data import make_synthetic_blobs
 from vclab.heuristics import (HeuristicConfig, compute_beta, measure_similarity,
                               probe_difficulty)
@@ -156,7 +157,7 @@ def test_criterion_5_mixed_mnist_cifar(tmp_path):
 @requires_mnist
 def test_criterion_6_forgetting_pattern(tmp_path):
     # Standard 0/1, 2/3, ... split under vanilla VCL: 0/1 endures, 2/3 fades.
-    from vclab.continual import TrainConfig, run_sequence
+    from vclab.continual import run_sequence
     from vclab.data import STANDARD_SPLIT_PAIRS, load_mnist, make_split_tasks
 
     mnist = load_mnist(DATA_DIR)
@@ -180,15 +181,16 @@ def test_criterion_6_forgetting_pattern(tmp_path):
 
 def test_criterion_7_heuristic_properties():
     start = time.monotonic()
-    cfg = HeuristicConfig()  # full defaults: probe 1000/256, 10 repeats, lr 1e-3
+    cfg = HeuristicConfig()  # full defaults: probe 1000, 10 repeats
+    train_cfg = TrainConfig()  # the probes' batch 256, lr 1e-3, 5 and 20 samples
     arch = (64, 64)
 
     random_label = make_synthetic_blobs(0.0, 0.0, 2048, make_rng("acc7", "rand"))
-    d_hard, _ = probe_difficulty(random_label, arch, cfg, seed_from("acc7", 1))
+    d_hard, _ = probe_difficulty(random_label, arch, train_cfg, cfg, seed_from("acc7", 1))
     assert 0.8 <= d_hard <= 1.0, f"random-label blobs scored d={d_hard}"
 
     separable = make_synthetic_blobs(10.0, 0.0, 2048, make_rng("acc7", "sep"))
-    d_easy, _ = probe_difficulty(separable, arch, cfg, seed_from("acc7", 2))
+    d_easy, _ = probe_difficulty(separable, arch, train_cfg, cfg, seed_from("acc7", 2))
     assert 0.0 <= d_easy <= 0.2, f"separable blobs scored d={d_easy}"
 
     # similarity against a trained model: exact repeat and label-flipped twin
@@ -200,8 +202,8 @@ def test_criterion_7_heuristic_properties():
         batch_size=256, lr=0.001, mc_samples=5, rng=make_rng("acc7", "fit"))
     repeat = make_synthetic_blobs(8.0, 0.0, 2048, make_rng("acc7", "rep"))
     flipped = make_synthetic_blobs(8.0, math.pi, 2048, make_rng("acc7", "flip"))
-    s_repeat, _ = measure_similarity(repeat, net, cfg, seed_from("acc7", 3))
-    s_flipped, _ = measure_similarity(flipped, net, cfg, seed_from("acc7", 4))
+    s_repeat, _ = measure_similarity(repeat, net, train_cfg, cfg, seed_from("acc7", 3))
+    s_flipped, _ = measure_similarity(flipped, net, train_cfg, cfg, seed_from("acc7", 4))
     assert s_repeat >= 0.8, f"repeat-task similarity {s_repeat}"
     assert s_flipped >= 0.8, f"flipped-twin similarity {s_flipped}"
 

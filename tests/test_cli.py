@@ -1,7 +1,9 @@
+import csv
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import fields
@@ -13,20 +15,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from test_data import (gzip_in_place, make_cifar_dir, make_mnist_dir, write_idx_images,
-                       write_idx_labels)
+from test_data import (gzip_in_place, loads_or_format_error, make_cifar_dir, make_mnist_dir,
+                       write_idx_images, write_idx_labels)
+from test_vbnn import random_net
 from vclab import cli
 from vclab.cli import (CSV_HEADER, AggregateRow, ConfigError, ExperimentConfig, ResultRow,
                        _build_parser, aggregate_trials, build_config, emit_chart_svg,
                        format_aggregates, main, parse_model, read_config_file,
                        read_results_csv, write_results_csv)
-from vclab.data import DataFormatError
+from vclab.data import DataFormatError, load_cifar10_gray28, load_mnist
 from vclab.heuristics import BETA_MAX, BETA_MIN
+from vclab.vbnn import advance_prior, load_snapshot, save_snapshot
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-FAST_ARGS = ["--epochs", "2", "--probe-size", "256", "--probe-batch", "64",
-             "--probe-repeats", "2", "--eval-mc-samples", "5", "--train-mc-samples", "2"]
+FAST_ARGS = ["--epochs", "2", "--probe-size", "256", "--probe-repeats", "2",
+             "--eval-mc-samples", "5", "--train-mc-samples", "2"]
 
 
 # Every flag of `vclab run` except --config, with the ExperimentConfig field it sets.
@@ -36,8 +40,7 @@ RUN_FLAGS = [
     ("--snapshot-dir", "snapshot_dir"), ("--epochs", "epochs"), ("--batch-size", "batch_size"),
     ("--lr", "lr"), ("--train-mc-samples", "train_mc_samples"),
     ("--eval-mc-samples", "eval_mc_samples"), ("--lam", "lam"), ("--probe-size", "probe_size"),
-    ("--probe-batch", "probe_batch"), ("--probe-epochs", "probe_epochs"),
-    ("--probe-repeats", "probe_repeats"), ("--probe-lr", "probe_lr"),
+    ("--probe-repeats", "probe_repeats"),
 ]
 
 GOOD_ROW = "synthetic,gvcl:1,0,1,1,0,t,0.900000,1.000000,,,\n"
@@ -97,7 +100,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config({"trials": "many"}, {})
 
-    @pytest.mark.parametrize("key, value", [("lr", "-1"), ("probe_batch", "0")])
+    @pytest.mark.parametrize("key, value", [("lr", "-1"), ("probe_size", "0")])
     def test_training_and_heuristic_values_checked_when_built(self, key, value):
         with pytest.raises(ConfigError):
             build_config({}, {key: value})
@@ -204,6 +207,14 @@ class TestAggregation:
         with pytest.raises(ValueError):
             aggregate_trials([])
 
+    def test_table_quotes_a_model_name_with_a_comma(self, tmp_path):
+        path = write_results_csv([row(model="gvcl:1,x")], tmp_path / "r.csv")
+        assert main(["aggregate", str(path), "--out", str(tmp_path / "table.csv")]) == 0
+        with open(tmp_path / "table.csv", encoding="utf-8", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert [len(line) for line in table] == [7, 7]
+        assert table[1][:2] == ["gvcl:1,x", "1"]
+
 
 def agg_rows(models=("autovcl", "gvcl:1"), stages=5):
     rows = []
@@ -213,6 +224,12 @@ def agg_rows(models=("autovcl", "gvcl:1"), stages=5):
                                      mean_accuracy=0.99 - 0.02 * stage - 0.01 * m_idx,
                                      sem=0.001, mean_log10_beta=0.1 * stage, trials=5))
     return rows
+
+
+def stage_labels(svg_path) -> list[str]:
+    """The chart's x-axis labels: its text elements that are whole numbers."""
+    texts = ET.parse(svg_path).getroot().iter("{http://www.w3.org/2000/svg}text")
+    return [t.text for t in texts if t.text.isdigit()]
 
 
 class TestChart:
@@ -245,6 +262,16 @@ class TestChart:
         b = emit_chart_svg(agg_rows(), "avg_accuracy", tmp_path / "b.svg").read_bytes()
         assert a == b
 
+    def test_stage_labels_only_where_there_is_data(self, tmp_path):
+        rows = [AggregateRow("m", stage, 0.9, 0.0, None, 1) for stage in (1, 100_000)]
+        path = emit_chart_svg(rows, "avg_accuracy", tmp_path / "gap.svg")
+        assert stage_labels(path) == ["1", "100000"]
+        assert path.stat().st_size < 4096
+
+    def test_no_gap_labels_every_stage(self, tmp_path):
+        path = emit_chart_svg(agg_rows(stages=5), "avg_accuracy", tmp_path / "c.svg")
+        assert stage_labels(path) == ["1", "2", "3", "4", "5"]
+
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_chart_svg([], "avg_accuracy", tmp_path / "x.svg")
@@ -262,8 +289,8 @@ class TestMainEntry:
                      "--out-dir", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize("flags", [
-        ["--lr", "-1"], ["--lr", "nan"], ["--probe-lr", "inf"], ["--probe-lr", "0"],
-        ["--lam", "nan"], ["--lam", "-inf"], ["--model", "gvcl:inf"], ["--model", "gvcl:nan"],
+        ["--lr", "-1"], ["--lr", "nan"], ["--lam", "nan"], ["--lam", "-inf"],
+        ["--model", "gvcl:inf"], ["--model", "gvcl:nan"],
         ["--train-mc-samples", "0"], ["--eval-mc-samples", "0"], ["--probe-size", "5000"],
     ], ids=" ".join)
     def test_invalid_value_exits_1_without_traceback(self, tmp_path, flags):
@@ -382,6 +409,18 @@ class TestMainEntry:
         assert re.search(r"^config error: ", proc.stderr, re.MULTILINE), proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_removed_probe_settings_exit_1(self, tmp_path, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("probe_lr = 0.01\n", encoding="utf-8")
+        extra = ["--probe-batch", "64"] if source == "flag" else ["--config", str(cfg)]
+        proc = run_module("run", "--experiment", "synthetic", "--model", "gvcl:1", "--trials",
+                          "1", "--epochs", "1", "--out-dir", str(tmp_path / "out"), *extra)
+        assert proc.returncode == 1, proc.stderr
+        assert re.search(r"^config error: ", proc.stderr, re.MULTILINE), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_aggregate_and_chart_create_missing_parents(self, tmp_path, capsys):
         csv_path = tmp_path / "good.csv"
         csv_path.write_text(",".join(CSV_HEADER) + "\n" + GOOD_ROW, encoding="utf-8")
@@ -443,7 +482,7 @@ class TestMainEntry:
     def test_config_file_plus_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("experiment = synthetic\nmodel = gvcl:1\ntrials = 1\n"
-                       "epochs = 2\nprobe_size = 256\nprobe_batch = 64\n"
+                       "epochs = 2\nprobe_size = 256\n"
                        "probe_repeats = 2\neval_mc_samples = 5\ntrain_mc_samples = 2\n")
         code = main(["run", "--config", str(cfg), "--model", "gvcl:2",
                      "--out-dir", str(tmp_path)])
@@ -483,6 +522,12 @@ def _mutate(blob: bytes, edits) -> bytes:
         elif kind == "splice":
             blob = blob[:at] + blob[arg:]
     return blob
+
+
+def _mutate_in_place(path, data) -> None:
+    """Replace the file with 1-3 edits of it drawn from ``data``."""
+    blob = path.read_bytes()
+    path.write_bytes(_mutate(blob, data.draw(st.lists(_mutation(blob), min_size=1, max_size=3))))
 
 
 def _valid_results_csv(tmp_path) -> bytes:
@@ -528,3 +573,32 @@ class TestFuzzedInputs:
         code = main(["run", "--config", str(path)])
         assert code in (0, 1)
         assert len(runs) == (code == 0)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_snapshot_loads_or_is_a_value_error(self, tmp_path, data):
+        path = tmp_path / "mutant.snap"
+        save_snapshot(advance_prior(random_net(48, jitter=0.1)), path)
+        _mutate_in_place(path, data)
+        try:
+            load_snapshot(path)
+        except ValueError:
+            pass
+
+    @FUZZ
+    @given(data=st.data(), compress=st.booleans(),
+           name=st.sampled_from(["train-images-idx3-ubyte", "train-labels-idx1-ubyte"]))
+    def test_mutated_idx_file_loads_or_is_a_format_error(self, tmp_path, data, compress, name):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as data_dir:
+            make_mnist_dir(Path(data_dir))
+            path = Path(data_dir) / name
+            _mutate_in_place(gzip_in_place(path) if compress else path, data)
+            loads_or_format_error(load_mnist, data_dir)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_cifar_batch_loads_or_is_a_format_error(self, tmp_path, data):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as data_dir:
+            make_cifar_dir(Path(data_dir))
+            _mutate_in_place(Path(data_dir) / "data_batch_1.bin", data)
+            loads_or_format_error(load_cifar10_gray28, data_dir)

@@ -9,7 +9,7 @@ from vclab.numerics import make_rng
 from vclab.vbnn import advance_prior, init_network, load_snapshot, standard_prior
 
 FAST_TRAIN = TrainConfig(epochs=3, batch_size=128, train_mc_samples=3, eval_mc_samples=5)
-FAST_HEUR = HeuristicConfig(probe_size=256, probe_batch=64, probe_repeats=2)
+FAST_HEUR = HeuristicConfig(probe_size=256, probe_repeats=2)
 
 
 def blob_task(separation, rotation=0.0, n=640, head_index=0, tag="c"):
@@ -145,7 +145,7 @@ class TestRunSequence:
         # training streams are derived independently of probing, so stubbing
         # the assessment to produce beta=1 must reproduce the fixed run bit
         # for bit.
-        def fake_assess(task, net, hidden_dims, d_history, t, cfg, master_seed):
+        def fake_assess(task, net, hidden_dims, d_history, t, cfg, heuristic_cfg, master_seed):
             return HeuristicTrace(task_index=t, beta=1.0, d=0.5, s=0.0, delta_d=0.0)
 
         monkeypatch.setattr(continual, "assess_task", fake_assess)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vclab.heuristics as heuristics
+from vclab.continual import TrainConfig
 from vclab.data import make_synthetic_blobs
 from vclab.heuristics import (BETA_MAX, BETA_MIN, HeuristicConfig, assess_task,
                               average_difficulty_gap, compute_beta, difficulty_from_accuracy,
@@ -13,7 +15,8 @@ from vclab.numerics import make_rng, seed_from
 from vclab.vbnn import fit, init_network, standard_prior
 
 # Small probe budget for unit tests; acceptance re-runs the defaults.
-FAST = HeuristicConfig(probe_size=256, probe_batch=64, probe_repeats=4)
+FAST = HeuristicConfig(probe_size=256, probe_repeats=4)
+FAST_TRAIN = TrainConfig(batch_size=64)
 
 
 def blob_task(separation, rotation=0.0, n=640, tag="t"):
@@ -103,31 +106,34 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             HeuristicConfig(lam=0.0)
         with pytest.raises(ValueError):
-            HeuristicConfig(probe_size=10, probe_batch=256)
+            HeuristicConfig(probe_size=0)
         with pytest.raises(ValueError):
             HeuristicConfig(probe_repeats=0)
 
 
 class TestProbeDifficulty:
     def test_unlearnable_task_scores_hard(self):
-        d, accs = probe_difficulty(blob_task(0.0, tag="hard"), (64,), FAST, seed_from(1))
+        d, accs = probe_difficulty(blob_task(0.0, tag="hard"), (64,), FAST_TRAIN, FAST,
+                                   seed_from(1))
         assert 0.8 <= d <= 1.0
         assert abs(np.mean(accs) - 0.5) < 0.15
 
     def test_separable_task_scores_easy(self):
-        d, accs = probe_difficulty(blob_task(10.0, tag="easy"), (64,), FAST, seed_from(2))
+        d, accs = probe_difficulty(blob_task(10.0, tag="easy"), (64,), FAST_TRAIN, FAST,
+                                   seed_from(2))
         assert 0.0 <= d <= 0.2
         assert np.mean(accs) > 0.9
 
     def test_bit_reproducible(self):
         task = blob_task(5.0, tag="repro")
-        a = probe_difficulty(task, (16,), FAST, seed_from(4))
-        b = probe_difficulty(task, (16,), FAST, seed_from(4))
+        a = probe_difficulty(task, (16,), FAST_TRAIN, FAST, seed_from(4))
+        b = probe_difficulty(task, (16,), FAST_TRAIN, FAST, seed_from(4))
         assert a == b
 
     def test_too_little_data(self):
         with pytest.raises(ValueError):
-            probe_difficulty(blob_task(5.0, n=300, tag="small"), (16,), FAST, seed_from(5))
+            probe_difficulty(blob_task(5.0, n=300, tag="small"), (16,), FAST_TRAIN, FAST,
+                             seed_from(5))
 
 
 def train_blob_net(task, hidden=(64,), epochs=5, seed="sim"):
@@ -142,27 +148,28 @@ def train_blob_net(task, hidden=(64,), epochs=5, seed="sim"):
 class TestMeasureSimilarity:
     def test_first_task_is_zero(self):
         net = init_network(784, (16,), 2, make_rng("empty"))
-        s, a_star = measure_similarity(blob_task(5.0), net, FAST, seed_from(6))
+        s, a_star = measure_similarity(blob_task(5.0), net, FAST_TRAIN, FAST, seed_from(6))
         assert s == 0.0 and a_star is None
 
     def test_untrained_head_near_zero(self):
         net = init_network(784, (16,), 2, make_rng("raw"))
         net.ensure_head(0, make_rng("rawhead"))
-        s, a_star = measure_similarity(blob_task(5.0, tag="u"), net, FAST, seed_from(7))
+        s, a_star = measure_similarity(blob_task(5.0, tag="u"), net, FAST_TRAIN, FAST,
+                                       seed_from(7))
         assert s <= 0.1
         assert abs(a_star - 0.5) <= 0.05
 
     def test_repeat_task_scores_high(self):
         trained = train_blob_net(blob_task(8.0, tag="m1"))
         repeat = blob_task(8.0, tag="m2")
-        s, a_star = measure_similarity(repeat, trained, FAST, seed_from(8))
+        s, a_star = measure_similarity(repeat, trained, FAST_TRAIN, FAST, seed_from(8))
         assert s >= 0.8
         assert a_star > 0.9
 
     def test_flipped_labels_score_high(self):
         trained = train_blob_net(blob_task(8.0, tag="m3"))
         flipped = blob_task(8.0, rotation=math.pi, tag="m4")
-        s, a_star = measure_similarity(flipped, trained, FAST, seed_from(9))
+        s, a_star = measure_similarity(flipped, trained, FAST_TRAIN, FAST, seed_from(9))
         assert s >= 0.8
         assert a_star < 0.1  # anti-correlated predictions
 
@@ -170,13 +177,14 @@ class TestMeasureSimilarity:
         task = blob_task(8.0, tag="pick")
         net = train_blob_net(task)
         net.ensure_head(1, make_rng("blank"))  # uninformative second head
-        s_multi, a_star = measure_similarity(task, net, FAST, seed_from(10))
+        s_multi, a_star = measure_similarity(task, net, FAST_TRAIN, FAST, seed_from(10))
         assert a_star > 0.9  # chose the trained head, not the blank one
 
     def test_arity_mismatch_ignored(self):
         net = init_network(784, (16,), 10, make_rng("arity"))
         net.ensure_head(0, make_rng("arityhead"))  # 10-way head
-        s, a_star = measure_similarity(blob_task(5.0, tag="a"), net, FAST, seed_from(11))
+        s, a_star = measure_similarity(blob_task(5.0, tag="a"), net, FAST_TRAIN, FAST,
+                                       seed_from(11))
         assert s == 0.0 and a_star is None
 
 
@@ -184,7 +192,7 @@ class TestAssessTask:
     def test_trace_is_consistent(self):
         task = blob_task(6.0, tag="assess")
         net = train_blob_net(blob_task(6.0, tag="assess-prev"))
-        trace = assess_task(task, net, (64,), [0.3], 2, FAST, master_seed=99)
+        trace = assess_task(task, net, (64,), [0.3], 2, FAST_TRAIN, FAST, master_seed=99)
         assert trace.task_index == 2
         assert trace.a_prime == 0.5
         assert 0.0 <= trace.d <= 1.0 and 0.0 <= trace.s <= 1.0
@@ -192,3 +200,26 @@ class TestAssessTask:
         assert trace.beta == pytest.approx(
             compute_beta([0.3], trace.d, trace.s, 2, FAST), rel=1e-12)
         assert len(trace.raw_accuracies) == FAST.probe_repeats
+
+    def test_probes_train_and_score_with_the_run_settings(self, monkeypatch):
+        fits, predicts = [], []
+        real_predict = heuristics.posterior_predict
+
+        def recording_fit(*args, **kwargs):
+            fits.append(kwargs)
+            return fit(*args, **kwargs)
+
+        def recording_predict(net, head_index, x, rng, n_samples):
+            predicts.append(n_samples)
+            return real_predict(net, head_index, x, rng, n_samples)
+
+        monkeypatch.setattr(heuristics, "fit", recording_fit)
+        monkeypatch.setattr(heuristics, "posterior_predict", recording_predict)
+        cfg = TrainConfig(batch_size=64, lr=0.002, train_mc_samples=3, eval_mc_samples=7)
+        net = init_network(784, (16,), 2, make_rng("run-settings"))
+        net.ensure_head(0, make_rng("run-settings", "head"))
+        assess_task(blob_task(6.0, tag="run-settings"), net, (16,), [0.3], 2, cfg,
+                    HeuristicConfig(probe_size=256, probe_repeats=2), master_seed=5)
+        assert [(f["epochs"], f["batch_size"], f["lr"], f["mc_samples"]) for f in fits] == [
+            (1, 64, 0.002, 3)] * 2
+        assert predicts == [7] * 3  # two probe evaluations, then the one matching head

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vclab.numerics import AdamState, NumericError, adam_step, finite_diff_grad, make_rng, seed_from
+from vclab.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, NumericError, adam_step,
+                            atomic_write, finite_diff_grad, make_rng, seed_from)
 
 
 class TestAdam:
@@ -55,7 +56,7 @@ class TestAdam:
         p = rng.standard_normal((2, 40_000))
         state = AdamState.zeros_like(p, lr=0.01)
         ref_p, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
-        b1, b2, eps = state.beta1, state.beta2, state.eps
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         for t in range(1, 4):
             g = rng.standard_normal(p.shape)
             adam_step(p, g, state)
@@ -64,6 +65,15 @@ class TestAdam:
             ref_p -= (0.01 * (m / (1.0 - b1 ** t))) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
             assert np.array_equal(p, ref_p)
             assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+
+class TestAtomicWrite:
+    def test_creates_missing_parents(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.txt"
+        with atomic_write(path, "w", encoding="utf-8") as fh:
+            fh.write("done\n")
+        assert path.read_text(encoding="utf-8") == "done\n"
+        assert sorted(p.name for p in path.parent.iterdir()) == ["out.txt"]
 
 
 class TestGaussianSample:

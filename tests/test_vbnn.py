@@ -479,6 +479,17 @@ class TestAdvancePrior:
         with pytest.raises(ValueError):
             load_snapshot(path)
 
+    @pytest.mark.parametrize("offset, value", [(-8, math.nan), (-8, math.inf), (52, -math.inf)],
+                             ids=["last-nan", "last-inf", "first-minus-inf"])
+    def test_load_rejects_a_non_finite_parameter(self, tmp_path, offset, value):
+        path = tmp_path / "nonfinite.snap"
+        save_snapshot(advance_prior(random_net(49, jitter=0.1)), path)  # 4-3-2, floats from 52
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, offset % len(blob), value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_snapshot(path)
+
 
 class TestPosteriorPredict:
     @pytest.mark.parametrize("n_samples", [1, 7])
