@@ -230,14 +230,6 @@ def read_results_csv(path) -> list[ResultRow]:
     return rows
 
 
-def _check_probe_size(tasks, probe_size: int) -> None:
-    """The difficulty probe draws two disjoint probe_size subsets per task."""
-    for task in tasks:
-        if 2 * probe_size > len(task.train):
-            raise ConfigError(f"probe_size {probe_size} needs {2 * probe_size} training "
-                              f"examples, task {task.name!r} has {len(task.train)}")
-
-
 def _check_output_dir(flag: str, value: str) -> None:
     """Fail before any training if ``value`` cannot become a directory: it,
     or the nearest of its parents that exists, must be a directory."""
@@ -273,8 +265,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     for trial in range(cfg.trials):
         seed = cfg.master_seed + trial
         tasks, hidden_dims = build_tasks(cfg.experiment, corpus, seed)
-        if cfg.beta_mode == "auto":
-            _check_probe_size(tasks, cfg.probe_size)
 
         def report(t, trace, accuracies, trial=trial):
             print(f"[{cfg.experiment}/{label}] trial {trial} stage {t}/{len(tasks)} "
@@ -375,6 +365,7 @@ def _series(aggregates: list[AggregateRow], which: str) -> dict[str, list[tuple[
 
 def emit_chart_svg(aggregates: list[AggregateRow], which: str, path) -> Path:
     """Standalone SVG: one polyline per model, labeled axes, inverted y."""
+    from xml.sax.saxutils import escape  # here: it imports urllib, which `run` never needs
     if which not in _CHART_KINDS:
         raise ValueError(f"which must be one of {_CHART_KINDS}")
     series = _series(aggregates, which)
@@ -424,7 +415,7 @@ def emit_chart_svg(aggregates: list[AggregateRow], which: str, path) -> Path:
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" '
                      f'points="{coords}"/>')
         parts.append(f'<text x="{_WIDTH - _MARGIN_R + 10}" y="{_MARGIN_T + 16 + 18 * k}" '
-                     f'font-size="12" fill="{color}">{model}</text>')
+                     f'font-size="12" fill="{color}">{escape(model)}</text>')
     parts.append("</svg>")
     return _write_text(path, "\n".join(parts) + "\n")
 

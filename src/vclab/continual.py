@@ -80,9 +80,8 @@ def train_on_task(net: VariationalNet, prior, task, beta: float, cfg: TrainConfi
                   rng: np.random.Generator):
     """Train trunk + the task's head on the full task under the given beta."""
     x, y = task.train.arrays()
-    return fit(net, prior, task.head_index, x, y, beta=beta, n_task=x.shape[0],
-               epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-               mc_samples=cfg.train_mc_samples, rng=rng)
+    return fit(net, prior, task.head_index, x, y, beta=beta, epochs=cfg.epochs,
+               batch_size=cfg.batch_size, lr=cfg.lr, mc_samples=cfg.train_mc_samples, rng=rng)
 
 
 def evaluate(net: VariationalNet, task, cfg: TrainConfig, rng: np.random.Generator) -> float:
@@ -110,7 +109,8 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
     per-stage heuristic trace.
 
     In auto mode each stage is assessed (difficulty probe, similarity, beta)
-    before training; fixed mode skips the probes and uses the constant beta.
+    before training, so every task needs 2 * probe_size training examples;
+    fixed mode skips the probes and uses the constant beta.
     After each stage the posterior becomes the prior and every seen task is
     re-evaluated. If ``snapshot_dir`` is given, the stage-t posterior is
     written there as ``stage_tt.snap``.
@@ -118,8 +118,13 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
     if not tasks:
         raise ValueError("need at least one task")
     auto = cfg.beta_mode == "auto"
-    net = init_network(tasks[0].input_dim, hidden_dims, tasks[0].n_classes,
-                       make_rng(master_seed, "init"))
+    if auto:
+        size = heuristic_cfg.probe_size
+        for task in tasks:
+            if 2 * size > len(task.train):
+                raise ConfigError(f"probe_size {size} needs {2 * size} training "
+                                  f"examples, task {task.name!r} has {len(task.train)}")
+    net = init_network(tasks[0].input_dim, hidden_dims, make_rng(master_seed, "init"))
     prior = standard_prior(net)
     matrix = AccuracyMatrix()
     traces: list[HeuristicTrace] = []
@@ -127,15 +132,14 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
 
     for t, task in enumerate(tasks, start=1):
         if auto:
-            trace = assess_task(task, net, hidden_dims, d_history, t, cfg,
-                                heuristic_cfg, master_seed)
+            trace = assess_task(task, net, hidden_dims, d_history, cfg, heuristic_cfg,
+                                master_seed)
             d_history.append(trace.d)
         else:
             trace = HeuristicTrace(task_index=t, beta=cfg.beta)
         traces.append(trace)
 
-        net.ensure_head(task.head_index, make_rng(master_seed, "head", t),
-                        n_out=task.n_classes)
+        net.ensure_head(task.head_index, task.n_classes, make_rng(master_seed, "head", t))
         train_on_task(net, prior, task, trace.beta, cfg, make_rng(master_seed, "train", t))
         _check_finite(net, t)
         prior = advance_prior(net)

@@ -144,10 +144,12 @@ def _locate(data_dir: Path, names: list[str], subdirs: list[str]) -> Path:
 
 def _dataset(pixels: np.ndarray, labels: np.ndarray, split: str) -> Dataset:
     """The split from (N, D) pixel values in 0..255 and N uint8 labels, each
-    of which must be a class in 0..9; N must be at least 1."""
+    of which must be a class in 0..9; N and D must be at least 1."""
     if not 0 < pixels.shape[0] == labels.shape[0]:
         raise DataFormatError(f"{split}: {pixels.shape[0]} images and {labels.shape[0]} labels "
                               "(need equal counts, at least 1)")
+    if pixels.shape[1] == 0:
+        raise DataFormatError(f"{split}: images have no pixels")
     if labels.max() > 9:
         raise DataFormatError(f"{split}: label {labels.max()} is not a class in 0..9")
     return Dataset(images=pixels / 255.0, labels=labels.astype(np.int64), split=split)
@@ -319,11 +321,11 @@ def make_synthetic_blobs(separation: float, rotation: float, n: int,
                          head_index: int = 0, name: str | None = None) -> TaskSpec:
     """Binary blob task with difficulty set by ``separation`` and task
     identity set by ``rotation``."""
-    if n < 4:
-        raise ValueError("need at least 4 examples")
+    n_test = n_test if n_test is not None else max(4, n // 4)
+    if n < 4 or n_test < 1:
+        raise ValueError(f"need n >= 4 and n_test >= 1, got {n} and {n_test}")
     if separation < 0:
         raise ValueError("separation must be >= 0")
-    n_test = n_test if n_test is not None else max(4, n // 4)
     axis = np.array([np.cos(rotation), np.sin(rotation)])
     basis = _blob_basis()
 

@@ -17,9 +17,10 @@ The schedule for stage t >= 2 is
 
     beta_t = exp(lam * (max(d_1..d_{t-1}) - d_t / (1 + delta_d * (t-1)) + s_t))
 
-with delta_d the mean absolute gap between consecutive previous difficulties;
-beta_1 = 1. Easier or more familiar tasks push beta up (preserve knowledge),
-harder tasks pull it down (let the posterior move).
+with delta_d the mean absolute gap between consecutive previous difficulties
+and t - 1 the length of that history; beta_1 = 1. Easier or more familiar
+tasks push beta up (preserve knowledge), harder tasks pull it down (let the
+posterior move).
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ if TYPE_CHECKING:  # continual imports this module
 
 BETA_MIN = 1e-3
 BETA_MAX = 1e3
+# Any larger exponent clamps to BETA_MAX; the cap keeps exp() from overflowing.
+_EXPONENT_CAP = math.log(BETA_MAX) + 1.0
 
 # The difficulty probe is one epoch of the run's own training.
 PROBE_EPOCHS = 1
@@ -93,15 +96,15 @@ def difficulty_from_accuracy(mean_accuracy: float, chance: float) -> float:
     return 1.0 - norm_unit(mean_accuracy - chance, 1.0 - chance)
 
 
-def compute_beta(d_history: Sequence[float], d_t: float, s_t: float, t: int,
+def compute_beta(d_history: Sequence[float], d_t: float, s_t: float,
                  cfg: HeuristicConfig) -> float:
-    """KL weight for stage t; beta_1 = 1 (empty history), later stages use the
-    schedule. Clamped to [1e-3, 1e3] against optimizer pathologies."""
-    if t <= 1 or not d_history:
+    """KL weight for stage len(d_history) + 1: 1 for the first, the schedule
+    after. Clamped to [1e-3, 1e3] against optimizer pathologies."""
+    if not d_history:
         return 1.0
     delta = average_difficulty_gap(d_history)
-    exponent = cfg.lam * (max(d_history) - d_t / (1.0 + delta * (t - 1)) + s_t)
-    return float(min(max(math.exp(exponent), BETA_MIN), BETA_MAX))
+    exponent = cfg.lam * (max(d_history) - d_t / (1.0 + delta * len(d_history)) + s_t)
+    return float(min(max(math.exp(min(exponent, _EXPONENT_CAP)), BETA_MIN), BETA_MAX))
 
 
 def _subset_indices(n_available: int, size: int, rng: np.random.Generator,
@@ -128,10 +131,9 @@ def probe_difficulty(task, hidden_dims: Sequence[int], cfg: TrainConfig,
         rng = make_rng(seed, "probe", repeat)
         train_idx, eval_idx = _subset_indices(len(task.train), heuristic_cfg.probe_size, rng, 2)
         x_train, y_train = task.train.take(train_idx)
-        net = init_network(x_train.shape[1], hidden_dims, task.n_classes, rng)
-        net.ensure_head(0, rng)
-        fit(net, standard_prior(net), 0, x_train, y_train,
-            beta=1.0, n_task=x_train.shape[0], epochs=PROBE_EPOCHS,
+        net = init_network(x_train.shape[1], hidden_dims, rng)
+        net.ensure_head(0, task.n_classes, rng)
+        fit(net, standard_prior(net), 0, x_train, y_train, beta=1.0, epochs=PROBE_EPOCHS,
             batch_size=cfg.batch_size, lr=cfg.lr, mc_samples=cfg.train_mc_samples, rng=rng)
         # take() draws no randomness, so gathering the eval subset only now
         # keeps one subset in memory at a time and every stream unchanged.
@@ -147,7 +149,8 @@ def measure_similarity(task, net: VariationalNet, cfg: TrainConfig,
                        heuristic_cfg: HeuristicConfig, seed: int) -> tuple[float, float | None]:
     """Similarity s in [0, 1] of a task to what the net already knows.
 
-    Scores the task's probe-eval subset with ``cfg.eval_mc_samples`` draws
+    Draws its own ``probe_size`` subset of the task's training split from
+    the ``similarity`` stream, scores it with ``cfg.eval_mc_samples`` draws
     through every existing head whose output arity matches, takes the
     accuracy a* farthest from chance a', and returns (norm(|a* - a'|, 1 - a'),
     a*). A network with no heads yet (first task) has nothing to say: s = 0.
@@ -173,13 +176,14 @@ def measure_similarity(task, net: VariationalNet, cfg: TrainConfig,
 
 
 def assess_task(task, net: VariationalNet, hidden_dims: Sequence[int],
-                d_history: Sequence[float], t: int, cfg: TrainConfig,
+                d_history: Sequence[float], cfg: TrainConfig,
                 heuristic_cfg: HeuristicConfig, master_seed: int) -> HeuristicTrace:
-    """Full assessment of stage t: probe, similarity, gap, and beta."""
+    """Full assessment of stage len(d_history) + 1: probe, similarity, gap, beta."""
+    t = len(d_history) + 1
     stage_seed = seed_from(master_seed, "assess", t)
     d, raw = probe_difficulty(task, hidden_dims, cfg, heuristic_cfg, stage_seed)
     s, a_star = measure_similarity(task, net, cfg, heuristic_cfg, stage_seed)
     delta = average_difficulty_gap(d_history)
-    beta = compute_beta(d_history, d, s, t, heuristic_cfg)
+    beta = compute_beta(d_history, d, s, heuristic_cfg)
     return HeuristicTrace(task_index=t, beta=beta, d=d, s=s, delta_d=delta,
                           raw_accuracies=raw, a_star=a_star, a_prime=task.chance_accuracy)

@@ -28,8 +28,9 @@ step draws its noise. A step holds the (S, I, O) noise of every layer. The
 first layer's input is the shared batch, so ``forward_with_noise`` builds
 its weights one sample at a time straight into that sample's
 pre-activations and keeps none; later layers keep their (S, I, O) sampled
-weights, which their backward pass multiplies by. The backward pass sums the
-per-sample weight gradients in sample order instead of stacking them.
+weights, which their backward pass multiplies by; it recomputes each
+hidden layer's input as the ReLU of the cached pre-activation, one sample at
+a time, and sums the per-sample weight gradients in sample order.
 ``posterior_predict`` draws all noise in one call, computes every layer's
 sigma once, then streams one sample at a time through
 ``forward_with_noise``, so peak evaluation memory is one (S, I, O) noise
@@ -105,18 +106,16 @@ def _init_layer(fan_in: int, fan_out: int, rng: np.random.Generator) -> Variatio
 class VariationalNet:
     """Shared variational trunk plus per-task variational heads."""
 
-    def __init__(self, input_dim: int, hidden_dims: Sequence[int], head_output_dim: int,
-                 trunk: list[VariationalLayer], heads: dict[int, VariationalLayer]):
+    def __init__(self, input_dim: int, trunk: list[VariationalLayer],
+                 heads: dict[int, VariationalLayer]):
         self.input_dim = input_dim
-        self.hidden_dims = tuple(hidden_dims)
-        self.head_output_dim = head_output_dim
         self.trunk = trunk
         self.heads = heads
 
     @property
     def trunk_width(self) -> int:
         """Width of the representation consumed by every head."""
-        return self.hidden_dims[-1] if self.hidden_dims else self.input_dim
+        return self.trunk[-1].fan_out if self.trunk else self.input_dim
 
     def head(self, head_index: int) -> VariationalLayer:
         try:
@@ -124,11 +123,13 @@ class VariationalNet:
         except KeyError:
             raise KeyError(f"no head {head_index}; existing heads: {sorted(self.heads)}") from None
 
-    def ensure_head(self, head_index: int, rng: np.random.Generator,
-                    n_out: int | None = None) -> VariationalLayer:
-        """Create the head if missing (fresh init, N(0,1) prior implied)."""
+    def ensure_head(self, head_index: int, n_out: int,
+                    rng: np.random.Generator) -> VariationalLayer:
+        """Create an ``n_out``-way head if missing (fresh init, N(0,1) prior implied)."""
+        if n_out < 1:
+            raise ValueError(f"a head needs >= 1 outputs, got {n_out}")
         if head_index not in self.heads:
-            self.heads[head_index] = _init_layer(self.trunk_width, n_out or self.head_output_dim, rng)
+            self.heads[head_index] = _init_layer(self.trunk_width, n_out, rng)
         return self.heads[head_index]
 
     def active_layers(self, head_index: int) -> list[VariationalLayer]:
@@ -136,15 +137,14 @@ class VariationalNet:
         return [*self.trunk, self.head(head_index)]
 
 
-def init_network(input_dim: int, hidden_dims: Sequence[int], head_output_dim: int,
+def init_network(input_dim: int, hidden_dims: Sequence[int],
                  rng: np.random.Generator) -> VariationalNet:
     """Fresh network with no heads yet; heads are added lazily per task."""
-    dims = [input_dim, *hidden_dims, head_output_dim]
-    if any(int(d) < 1 for d in dims):
-        raise ValueError(f"all dimensions must be >= 1, got {dims}")
     widths = [input_dim, *hidden_dims]
-    trunk = [_init_layer(widths[i], widths[i + 1], rng) for i in range(len(hidden_dims))]
-    return VariationalNet(input_dim, hidden_dims, head_output_dim, trunk, {})
+    if any(int(d) < 1 for d in widths):
+        raise ValueError(f"all dimensions must be >= 1, got {widths}")
+    trunk = [_init_layer(fan_in, fan_out, rng) for fan_in, fan_out in zip(widths, widths[1:])]
+    return VariationalNet(input_dim, trunk, {})
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +219,9 @@ class ForwardCache:
     """Everything the matching backward pass needs, including the noise."""
 
     head_index: int
-    n_samples: int
-    batch_size: int
+    x: np.ndarray                                 # the (B, I) batch, the first layer's input
     noise: list[tuple[np.ndarray, np.ndarray]]    # per layer: eps_w (S,I,O), eps_b (S,O)
     weights: list[tuple[np.ndarray, np.ndarray]]  # per layer after the first: w (S,I,O), b (S,O)
-    inputs: list[np.ndarray]                      # input activation per layer
     pre: list[np.ndarray]                         # pre-activations per layer (S,B,out)
 
     @property
@@ -267,7 +265,7 @@ def forward_with_noise(net: VariationalNet, head_index: int, x: np.ndarray,
     if sigmas is None:
         sigmas = layer_sigmas(layers)
     n_samples = noise[0][0].shape[0]
-    weights, inputs, pre = [], [], []
+    weights, pre = [], []
     act: np.ndarray = x
     for li, (layer, (eps_w, eps_b), (sigma_w, sigma_b)) in enumerate(zip(layers, noise, sigmas)):
         b = sigma_b * eps_b                         # (S, O)
@@ -287,12 +285,9 @@ def forward_with_noise(net: VariationalNet, head_index: int, x: np.ndarray,
             z = act @ w                             # (S, B, O)
             z += b[:, None, :]
             weights.append((w, b))
-        inputs.append(act)
         pre.append(z)
         act = np.maximum(z, 0.0) if li < len(layers) - 1 else z
-    return ForwardCache(head_index=head_index, n_samples=n_samples,
-                        batch_size=x.shape[0], noise=noise, weights=weights,
-                        inputs=inputs, pre=pre)
+    return ForwardCache(head_index=head_index, x=x, noise=noise, weights=weights, pre=pre)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -373,12 +368,13 @@ def backward_gradients(net: VariationalNet, prior: PosteriorSnapshot, cache: For
     """
     layers = net.active_layers(cache.head_index)
     y = _check_labels(y, cache.logits.shape[-1])
-    if y.size != cache.batch_size:
-        raise ValueError(f"stale cache: batch size {cache.batch_size}, labels {y.size}")
+    n_samples, batch_size = cache.logits.shape[:2]
+    if y.size != batch_size:
+        raise ValueError(f"stale cache: batch size {batch_size}, labels {y.size}")
     for layer, (eps_w, _) in zip(layers, cache.noise):
         if eps_w.shape[1:] != layer.mu_w.shape:
             raise ValueError("stale cache: layer shapes changed since forward pass")
-    scale = 1.0 / (cache.n_samples * cache.batch_size)
+    scale = 1.0 / (n_samples * batch_size)
     d_z = softmax(cache.logits)
     d_z[:, np.arange(y.size), y] -= 1.0
     d_z *= scale
@@ -389,12 +385,12 @@ def backward_gradients(net: VariationalNet, prior: PosteriorSnapshot, cache: For
     for li in range(len(layers) - 1, -1, -1):
         layer, g, pl = layers[li], grads[li], priors[li]
         eps_w, eps_b = cache.noise[li]
-        a_in = cache.inputs[li]
         # Per-sample weight gradients, summed in sample order from +0.0 as
         # numpy's axis-0 reduction does: the same bits as summing a stacked
-        # (S, I, O) gradient, without building it.
-        for s in range(cache.n_samples):
-            a_s = a_in if a_in.ndim == 2 else a_in[s]
+        # (S, I, O) gradient, without building it. A hidden layer's input is
+        # the ReLU of the previous pre-activation, recomputed per sample.
+        for s in range(n_samples):
+            a_s = cache.x if li == 0 else np.maximum(cache.pre[li - 1][s], 0.0)
             d_w = a_s.T @ d_z[s]                    # (I,B)@(B,O) -> (I,O)
             g.mu_w += d_w
             d_w *= eps_w[s]
@@ -428,33 +424,35 @@ class NetAdam:
 
 
 def fit(net: VariationalNet, prior: PosteriorSnapshot, head_index: int,
-        x: np.ndarray, y: np.ndarray, *, beta: float, n_task: int, epochs: int,
+        x: np.ndarray, y: np.ndarray, *, beta: float, epochs: int,
         batch_size: int, lr: float, mc_samples: int,
         rng: np.random.Generator) -> list[ElboBreakdown]:
     """Train trunk + head with Adam on the per-batch negative beta-ELBO.
 
     Data is reshuffled every epoch from ``rng``; the last partial batch is
-    kept. Returns one averaged breakdown per epoch. This single code path
-    serves both fixed-beta and scheduled-beta training. Each step's cache
-    and gradients are released before the next step draws its noise, so
-    one step's buffers are alive at a time.
+    kept; the KL is divided by the task size ``len(x)``. Returns one averaged
+    breakdown per epoch. One code path serves fixed and scheduled beta. Each
+    step's cache and gradients are released before the next step draws its
+    noise, so one step's buffers are alive at a time.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    if x.shape[0] == 0:
+    n_task = x.shape[0]
+    if n_task == 0:
         raise ValueError("empty dataset")
     optimizer = NetAdam(net, head_index, lr)
     history = []
     for _ in range(epochs):
-        order = rng.permutation(x.shape[0])
+        order = rng.permutation(n_task)
         sums = np.zeros(3)
         n_batches = 0
-        for start in range(0, x.shape[0], batch_size):
+        for start in range(0, n_task, batch_size):
             idx = order[start:start + batch_size]
+            y_batch = y[idx]
             breakdown, cache = beta_elbo_loss(
-                net, prior, head_index, x[idx], y[idx],
+                net, prior, head_index, x[idx], y_batch,
                 beta=beta, n_task=n_task, rng=rng, n_samples=mc_samples)
-            grads = backward_gradients(net, prior, cache, y[idx], beta=beta, n_task=n_task)
+            grads = backward_gradients(net, prior, cache, y_batch, beta=beta, n_task=n_task)
             optimizer.step(grads)
             del cache, grads
             sums += (breakdown.nll, breakdown.kl, breakdown.loss)

@@ -34,10 +34,10 @@ TRIALS = 5
 def test_criterion_1_gradient_correctness():
     start = time.monotonic()
     rng = make_rng("acc1")
-    net = init_network(10, [8], 4, rng)
-    net.ensure_head(0, rng)
-    prior_net = init_network(10, [8], 4, make_rng("acc1-prior"))
-    prior_net.ensure_head(0, make_rng("acc1-prior-head"))
+    net = init_network(10, [8], rng)
+    net.ensure_head(0, 4, rng)
+    prior_net = init_network(10, [8], make_rng("acc1-prior"))
+    prior_net.ensure_head(0, 4, make_rng("acc1-prior-head"))
     for layer in [*prior_net.trunk, prior_net.heads[0]]:
         for a in layer.param_arrays():
             a += 0.3 * make_rng("acc1-jitter").standard_normal(a.shape)
@@ -87,8 +87,8 @@ def test_criterion_2_kl_oracle():
     mu = rng.standard_normal(40)
     lv = rng.standard_normal(40)
     assert diag_gaussian_kl(mu, lv, mu, lv) == 0.0
-    net = init_network(6, [5], 3, make_rng("acc2-net"))
-    net.ensure_head(0, make_rng("acc2-head"))
+    net = init_network(6, [5], make_rng("acc2-net"))
+    net.ensure_head(0, 3, make_rng("acc2-head"))
     assert kl_to_prior(net, advance_prior(net), 0) == 0.0
     assert time.monotonic() - start < 30.0
 
@@ -195,10 +195,10 @@ def test_criterion_7_heuristic_properties():
 
     # similarity against a trained model: exact repeat and label-flipped twin
     base = make_synthetic_blobs(8.0, 0.0, 2048, make_rng("acc7", "base"))
-    net = init_network(784, arch, 2, make_rng("acc7", "net"))
-    net.ensure_head(0, make_rng("acc7", "head"))
+    net = init_network(784, arch, make_rng("acc7", "net"))
+    net.ensure_head(0, 2, make_rng("acc7", "head"))
     x, y = base.train.arrays()
-    fit(net, standard_prior(net), 0, x, y, beta=1.0, n_task=len(x), epochs=10,
+    fit(net, standard_prior(net), 0, x, y, beta=1.0, epochs=10,
         batch_size=256, lr=0.001, mc_samples=5, rng=make_rng("acc7", "fit"))
     repeat = make_synthetic_blobs(8.0, 0.0, 2048, make_rng("acc7", "rep"))
     flipped = make_synthetic_blobs(8.0, math.pi, 2048, make_rng("acc7", "flip"))
@@ -208,13 +208,13 @@ def test_criterion_7_heuristic_properties():
     assert s_flipped >= 0.8, f"flipped-twin similarity {s_flipped}"
 
     # hand-computed beta schedule values
-    assert compute_beta([], 0.5, 0.0, 1, cfg) == pytest.approx(1.0, abs=1e-6)
-    assert compute_beta([0.4], 0.4, 0.0, 2, cfg) == pytest.approx(1.0, abs=1e-6)
-    assert compute_beta([0.2, 0.8], 0.8, 0.0, 3, cfg) == pytest.approx(
+    assert compute_beta([], 0.5, 0.0, cfg) == pytest.approx(1.0, abs=1e-6)
+    assert compute_beta([0.4], 0.4, 0.0, cfg) == pytest.approx(1.0, abs=1e-6)
+    assert compute_beta([0.2, 0.8], 0.8, 0.0, cfg) == pytest.approx(
         math.exp(5.0 * (0.8 - 0.8 / 2.2)), abs=1e-6)
-    assert compute_beta([0.2, 0.8], 0.8, 0.0, 3, cfg) == pytest.approx(8.86, abs=5e-3)
-    assert compute_beta([0.1], 0.1, 0.6, 2, cfg) == pytest.approx(math.exp(3.0), abs=1e-6)
-    assert compute_beta([0.1], 0.1, 0.6, 2, cfg) == pytest.approx(20.09, abs=5e-3)
+    assert compute_beta([0.2, 0.8], 0.8, 0.0, cfg) == pytest.approx(8.86, abs=5e-3)
+    assert compute_beta([0.1], 0.1, 0.6, cfg) == pytest.approx(math.exp(3.0), abs=1e-6)
+    assert compute_beta([0.1], 0.1, 0.6, cfg) == pytest.approx(20.09, abs=5e-3)
 
     assert time.monotonic() - start < 120.0
 

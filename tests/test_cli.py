@@ -272,6 +272,14 @@ class TestChart:
         path = emit_chart_svg(agg_rows(stages=5), "avg_accuracy", tmp_path / "c.svg")
         assert stage_labels(path) == ["1", "2", "3", "4", "5"]
 
+    def test_model_name_is_escaped(self, tmp_path, capsys):
+        csv_path, svg = tmp_path / "odd.csv", tmp_path / "odd.svg"
+        csv_path.write_text(",".join(CSV_HEADER) + "\n" + GOOD_ROW.replace("gvcl:1", "a&b<c"),
+                            encoding="utf-8")
+        assert main(["chart", str(csv_path), "--out", str(svg)]) == 0
+        texts = ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert "a&b<c" in [t.text for t in texts]
+
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_chart_svg([], "avg_accuracy", tmp_path / "x.svg")
@@ -431,6 +439,24 @@ class TestMainEntry:
         assert svg.read_text(encoding="utf-8").startswith("<svg")
         assert sorted(p.name for p in table.parent.iterdir()) == ["table.csv"]
         assert sorted(p.name for p in svg.parent.iterdir()) == ["c.svg"]
+
+    def test_zero_width_mnist_exits_2_before_training(self, tmp_path, capsys):
+        make_mnist_dir(tmp_path, 30, 20, side=0)
+        code = main(["run", "--experiment", "permuted", "--model", "gvcl:1", "--trials", "1",
+                     "--epochs", "1", "--data-dir", str(tmp_path),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert re.search(r"^data error: .*no pixels", capsys.readouterr().err, re.MULTILINE)
+        assert not (tmp_path / "out").exists()
+
+    def test_large_lam_clamps_beta_and_finishes(self, tmp_path, capsys):
+        code = main(["run", "--experiment", "synthetic", "--model", "auto", "--lam", "1000",
+                     "--trials", "1", "--epochs", "1", "--probe-repeats", "2",
+                     "--probe-size", "256", "--out-dir", str(tmp_path)])
+        assert code == 0
+        rows = read_results_csv(tmp_path / "synthetic_autovcl.csv")
+        assert max(r.stage for r in rows) == 3
+        assert max(r.beta for r in rows) == BETA_MAX
 
     def test_missing_data_exits_2(self, tmp_path, capsys):
         code = main(["run", "--experiment", "split_custom", "--model", "gvcl:1",

@@ -5,7 +5,7 @@ import vclab.continual as continual
 from vclab.continual import AccuracyMatrix, TrainConfig, evaluate, run_sequence, train_on_task
 from vclab.data import make_synthetic_blobs
 from vclab.heuristics import HeuristicConfig, HeuristicTrace
-from vclab.numerics import make_rng
+from vclab.numerics import ConfigError, make_rng
 from vclab.vbnn import advance_prior, init_network, load_snapshot, standard_prior
 
 FAST_TRAIN = TrainConfig(epochs=3, batch_size=128, train_mc_samples=3, eval_mc_samples=5)
@@ -18,8 +18,8 @@ def blob_task(separation, rotation=0.0, n=640, head_index=0, tag="c"):
 
 
 def fresh_net(task, hidden=(32,), seed="net"):
-    net = init_network(task.input_dim, hidden, task.n_classes, make_rng(seed))
-    net.ensure_head(task.head_index, make_rng(seed, "head"))
+    net = init_network(task.input_dim, hidden, make_rng(seed))
+    net.ensure_head(task.head_index, task.n_classes, make_rng(seed, "head"))
     return net
 
 
@@ -73,7 +73,7 @@ class TestTrainOnTask:
         train_on_task(net, standard_prior(net), first, 1.0, FAST_TRAIN, make_rng("f1"))
         prior = advance_prior(net)
         before = np.concatenate([layer.flat[0] for layer in net.trunk])  # means, weights + biases
-        net.ensure_head(1, make_rng("f2h"))
+        net.ensure_head(1, 2, make_rng("f2h"))
         train_on_task(net, prior, second, 1e3, FAST_TRAIN, make_rng("f2"))
         drift = np.abs(np.concatenate([layer.flat[0] for layer in net.trunk]) - before).max()
         assert drift < 0.01
@@ -84,7 +84,7 @@ class TestTrainOnTask:
         net = fresh_net(first)
         train_on_task(net, standard_prior(net), first, 1.0, FAST_TRAIN, make_rng("s1"))
         head0 = [a.copy() for a in net.heads[0].param_arrays()]
-        net.ensure_head(1, make_rng("s2h"))
+        net.ensure_head(1, 2, make_rng("s2h"))
         train_on_task(net, advance_prior(net), second, 1.0, FAST_TRAIN, make_rng("s2"))
         for before, after in zip(head0, net.heads[0].param_arrays()):
             assert np.array_equal(before, after)
@@ -112,7 +112,7 @@ class TestEvaluate:
 
     def test_missing_head(self):
         task = blob_task(4.0, head_index=3, tag="miss")
-        net = init_network(task.input_dim, (8,), 2, make_rng("m"))
+        net = init_network(task.input_dim, (8,), make_rng("m"))
         with pytest.raises(KeyError):
             evaluate(net, task, FAST_TRAIN, make_rng("me"))
 
@@ -145,8 +145,9 @@ class TestRunSequence:
         # training streams are derived independently of probing, so stubbing
         # the assessment to produce beta=1 must reproduce the fixed run bit
         # for bit.
-        def fake_assess(task, net, hidden_dims, d_history, t, cfg, heuristic_cfg, master_seed):
-            return HeuristicTrace(task_index=t, beta=1.0, d=0.5, s=0.0, delta_d=0.0)
+        def fake_assess(task, net, hidden_dims, d_history, cfg, heuristic_cfg, master_seed):
+            return HeuristicTrace(task_index=len(d_history) + 1, beta=1.0, d=0.5, s=0.0,
+                                  delta_d=0.0)
 
         monkeypatch.setattr(continual, "assess_task", fake_assess)
         fixed_cfg = TrainConfig(epochs=2, batch_size=128, train_mc_samples=2,
@@ -156,6 +157,21 @@ class TestRunSequence:
         m_fixed, _ = run_sequence(two_tasks(), (16,), fixed_cfg, FAST_HEUR, master_seed=11)
         m_auto, _ = run_sequence(two_tasks(), (16,), auto_cfg, FAST_HEUR, master_seed=11)
         assert m_fixed.rows() == m_auto.rows()
+
+    def test_auto_mode_checks_every_probe_size_before_stage_1(self):
+        tasks = [blob_task(6.0, tag="size1"), blob_task(6.0, n=100, head_index=1, tag="size2")]
+        heur = HeuristicConfig(probe_size=64, probe_repeats=1)  # needs 128 examples per task
+        stages = []
+        auto_cfg = TrainConfig(epochs=1, batch_size=128, train_mc_samples=2, eval_mc_samples=5,
+                               beta_mode="auto")
+        with pytest.raises(ConfigError, match="probe_size 64 needs 128 training examples"):
+            run_sequence(tasks, (16,), auto_cfg, heur, master_seed=17,
+                         progress=lambda *stage: stages.append(stage))
+        assert stages == []
+        fixed_cfg = TrainConfig(epochs=1, batch_size=128, train_mc_samples=2, eval_mc_samples=5,
+                                beta_mode="fixed", beta=1.0)
+        matrix, _ = run_sequence(tasks, (16,), fixed_cfg, heur, master_seed=17)
+        assert matrix.n_stages == 2
 
     def test_fixed_mode_skips_probes(self, monkeypatch):
         def boom(*args, **kwargs):

@@ -111,6 +111,11 @@ class TestIdxLoader:
         with pytest.raises(DataFormatError, match="label 10"):
             load_mnist(tmp_path)
 
+    def test_zero_width_images_rejected(self, tmp_path):
+        make_mnist_dir(tmp_path, n_train=30, n_test=20, side=0)
+        with pytest.raises(DataFormatError, match="no pixels"):
+            load_mnist(tmp_path)
+
     def test_gzip_accepted(self, tmp_path):
         make_mnist_dir(tmp_path)
         for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
@@ -331,6 +336,12 @@ class TestSyntheticBlobs:
             make_synthetic_blobs(5.0, 0.0, 2, make_rng("b", 6))
         with pytest.raises(ValueError):
             make_synthetic_blobs(-1.0, 0.0, 100, make_rng("b", 7))
+
+
+    @pytest.mark.parametrize("n_test", [0, -3])
+    def test_empty_test_split_rejected(self, n_test):
+        with pytest.raises(ValueError, match="n_test >= 1"):
+            make_synthetic_blobs(5.0, 0.0, 100, make_rng("b", 8), n_test=n_test)
 
 
 class TestTaskView:

@@ -67,37 +67,41 @@ class TestComputeBeta:
     CFG = HeuristicConfig()
 
     def test_first_task(self):
-        assert compute_beta([], 0.7, 0.0, 1, self.CFG) == 1.0
+        assert compute_beta([], 0.7, 0.0, self.CFG) == 1.0
 
     def test_equal_difficulty_keeps_beta_one(self):
-        assert compute_beta([0.4], 0.4, 0.0, 2, self.CFG) == pytest.approx(1.0, abs=1e-6)
+        assert compute_beta([0.4], 0.4, 0.0, self.CFG) == pytest.approx(1.0, abs=1e-6)
 
     def test_damping_hand_value(self):
         # delta_d = 0.6, denominator 1 + 0.6*2 = 2.2
         expected = math.exp(5.0 * (0.8 - 0.8 / 2.2))
-        beta = compute_beta([0.2, 0.8], 0.8, 0.0, 3, self.CFG)
+        beta = compute_beta([0.2, 0.8], 0.8, 0.0, self.CFG)
         assert beta == pytest.approx(expected, abs=1e-6)
         assert beta == pytest.approx(8.86, abs=5e-3)
 
     def test_similarity_raises_beta_hand_value(self):
-        beta = compute_beta([0.1], 0.1, 0.6, 2, self.CFG)
+        beta = compute_beta([0.1], 0.1, 0.6, self.CFG)
         assert beta == pytest.approx(math.exp(3.0), abs=1e-6)
         assert beta == pytest.approx(20.09, abs=5e-3)
 
     def test_clamped_to_safe_range(self):
-        assert compute_beta([1.0], 0.0, 1.0, 2, self.CFG) == BETA_MAX
-        assert compute_beta([0.0], 1.0, 0.0, 5, HeuristicConfig(lam=50.0)) == BETA_MIN
+        assert compute_beta([1.0], 0.0, 1.0, self.CFG) == BETA_MAX
+        assert compute_beta([0.0], 1.0, 0.0, HeuristicConfig(lam=50.0)) == BETA_MIN
+
+    def test_large_lam_clamps_without_overflow(self):
+        for lam in (1000.0, 1e308):
+            assert compute_beta([0.5], 0.0, 0.9, HeuristicConfig(lam=lam)) == BETA_MAX
 
     @given(st.floats(0.2, 0.8), st.floats(0.2, 0.8), st.floats(0.05, 0.3))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_difficulty_and_similarity(self, d, s, step):
         cfg = HeuristicConfig(lam=1.0)  # keeps the exponent inside the clamp
         hist = [0.5, 0.6]
-        lo_d = compute_beta(hist, min(d + step, 1.0), s, 3, cfg)
-        hi_d = compute_beta(hist, d, s, 3, cfg)
+        lo_d = compute_beta(hist, min(d + step, 1.0), s, cfg)
+        hi_d = compute_beta(hist, d, s, cfg)
         assert hi_d > lo_d  # harder task, smaller beta
-        lo_s = compute_beta(hist, d, s, 3, cfg)
-        hi_s = compute_beta(hist, d, min(s + step, 1.0), 3, cfg)
+        lo_s = compute_beta(hist, d, s, cfg)
+        hi_s = compute_beta(hist, d, min(s + step, 1.0), cfg)
         assert hi_s > lo_s  # more similar task, larger beta
 
 
@@ -137,23 +141,23 @@ class TestProbeDifficulty:
 
 
 def train_blob_net(task, hidden=(64,), epochs=5, seed="sim"):
-    net = init_network(784, hidden, 2, make_rng(seed, "net"))
-    net.ensure_head(task.head_index, make_rng(seed, "head"))
+    net = init_network(784, hidden, make_rng(seed, "net"))
+    net.ensure_head(task.head_index, 2, make_rng(seed, "head"))
     x, y = task.train.arrays()
-    fit(net, standard_prior(net), task.head_index, x, y, beta=1.0, n_task=len(x),
+    fit(net, standard_prior(net), task.head_index, x, y, beta=1.0,
         epochs=epochs, batch_size=128, lr=0.001, mc_samples=3, rng=make_rng(seed, "fit"))
     return net
 
 
 class TestMeasureSimilarity:
     def test_first_task_is_zero(self):
-        net = init_network(784, (16,), 2, make_rng("empty"))
+        net = init_network(784, (16,), make_rng("empty"))
         s, a_star = measure_similarity(blob_task(5.0), net, FAST_TRAIN, FAST, seed_from(6))
         assert s == 0.0 and a_star is None
 
     def test_untrained_head_near_zero(self):
-        net = init_network(784, (16,), 2, make_rng("raw"))
-        net.ensure_head(0, make_rng("rawhead"))
+        net = init_network(784, (16,), make_rng("raw"))
+        net.ensure_head(0, 2, make_rng("rawhead"))
         s, a_star = measure_similarity(blob_task(5.0, tag="u"), net, FAST_TRAIN, FAST,
                                        seed_from(7))
         assert s <= 0.1
@@ -176,13 +180,13 @@ class TestMeasureSimilarity:
     def test_picks_most_informative_head(self):
         task = blob_task(8.0, tag="pick")
         net = train_blob_net(task)
-        net.ensure_head(1, make_rng("blank"))  # uninformative second head
+        net.ensure_head(1, 2, make_rng("blank"))  # uninformative second head
         s_multi, a_star = measure_similarity(task, net, FAST_TRAIN, FAST, seed_from(10))
         assert a_star > 0.9  # chose the trained head, not the blank one
 
     def test_arity_mismatch_ignored(self):
-        net = init_network(784, (16,), 10, make_rng("arity"))
-        net.ensure_head(0, make_rng("arityhead"))  # 10-way head
+        net = init_network(784, (16,), make_rng("arity"))
+        net.ensure_head(0, 10, make_rng("arityhead"))  # 10-way head
         s, a_star = measure_similarity(blob_task(5.0, tag="a"), net, FAST_TRAIN, FAST,
                                        seed_from(11))
         assert s == 0.0 and a_star is None
@@ -192,13 +196,13 @@ class TestAssessTask:
     def test_trace_is_consistent(self):
         task = blob_task(6.0, tag="assess")
         net = train_blob_net(blob_task(6.0, tag="assess-prev"))
-        trace = assess_task(task, net, (64,), [0.3], 2, FAST_TRAIN, FAST, master_seed=99)
+        trace = assess_task(task, net, (64,), [0.3], FAST_TRAIN, FAST, master_seed=99)
         assert trace.task_index == 2
         assert trace.a_prime == 0.5
         assert 0.0 <= trace.d <= 1.0 and 0.0 <= trace.s <= 1.0
         assert trace.delta_d == 0.0
         assert trace.beta == pytest.approx(
-            compute_beta([0.3], trace.d, trace.s, 2, FAST), rel=1e-12)
+            compute_beta([0.3], trace.d, trace.s, FAST), rel=1e-12)
         assert len(trace.raw_accuracies) == FAST.probe_repeats
 
     def test_probes_train_and_score_with_the_run_settings(self, monkeypatch):
@@ -216,9 +220,9 @@ class TestAssessTask:
         monkeypatch.setattr(heuristics, "fit", recording_fit)
         monkeypatch.setattr(heuristics, "posterior_predict", recording_predict)
         cfg = TrainConfig(batch_size=64, lr=0.002, train_mc_samples=3, eval_mc_samples=7)
-        net = init_network(784, (16,), 2, make_rng("run-settings"))
-        net.ensure_head(0, make_rng("run-settings", "head"))
-        assess_task(blob_task(6.0, tag="run-settings"), net, (16,), [0.3], 2, cfg,
+        net = init_network(784, (16,), make_rng("run-settings"))
+        net.ensure_head(0, 2, make_rng("run-settings", "head"))
+        assess_task(blob_task(6.0, tag="run-settings"), net, (16,), [0.3], cfg,
                     HeuristicConfig(probe_size=256, probe_repeats=2), master_seed=5)
         assert [(f["epochs"], f["batch_size"], f["lr"], f["mc_samples"]) for f in fits] == [
             (1, 64, 0.002, 3)] * 2

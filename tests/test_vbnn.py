@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import math
 import os
@@ -19,9 +20,9 @@ from vclab.vbnn import (INIT_LOGVAR, ElboBreakdown, advance_prior, backward_grad
 
 def random_net(seed, input_dim=4, hidden=(3,), out=2, heads=(0,), jitter=0.0):
     rng = make_rng("net", seed)
-    net = init_network(input_dim, hidden, out, rng)
+    net = init_network(input_dim, hidden, rng)
     for h in heads:
-        net.ensure_head(h, rng)
+        net.ensure_head(h, out, rng)
     if jitter:
         for layer in [*net.trunk, *net.heads.values()]:
             for a in layer.param_arrays():
@@ -71,16 +72,16 @@ def stacked_pre_activations(net, head_index, x, noise):
 
 class TestInit:
     def test_split_architecture_shapes(self):
-        net = init_network(784, [256, 256], 2, make_rng(0))
+        net = init_network(784, [256, 256], make_rng(0))
         assert [(l.fan_in, l.fan_out) for l in net.trunk] == [(784, 256), (256, 256)]
         assert net.heads == {}
-        head = net.ensure_head(0, make_rng(1))
+        head = net.ensure_head(0, 2, make_rng(1))
         assert (head.fan_in, head.fan_out) == (256, 2)
 
     def test_permuted_architecture_shapes(self):
-        net = init_network(784, [100, 100], 10, make_rng(0))
+        net = init_network(784, [100, 100], make_rng(0))
         assert [(l.fan_in, l.fan_out) for l in net.trunk] == [(784, 100), (100, 100)]
-        assert net.ensure_head(0, make_rng(1)).fan_out == 10
+        assert net.ensure_head(0, 10, make_rng(1)).fan_out == 10
 
     def test_initial_variance_constant(self):
         net = random_net(3, heads=(0, 1))
@@ -106,9 +107,16 @@ class TestInit:
 
     def test_zero_dim_rejected(self):
         with pytest.raises(ValueError):
-            init_network(0, [4], 2, make_rng(0))
+            init_network(0, [4], make_rng(0))
         with pytest.raises(ValueError):
-            init_network(4, [0], 2, make_rng(0))
+            init_network(4, [0], make_rng(0))
+
+    def test_head_width_is_the_last_trunk_width_and_needs_an_output(self):
+        assert random_net(0, hidden=(3, 5)).heads[0].fan_in == 5
+        net = init_network(4, [], make_rng(0))
+        assert net.ensure_head(0, 3, make_rng(1)).fan_in == 4
+        with pytest.raises(ValueError):
+            net.ensure_head(1, 0, make_rng(1))
 
     def test_missing_head_lookup(self):
         with pytest.raises(KeyError):
@@ -129,8 +137,8 @@ class TestForward:
         np.testing.assert_allclose(cache.logits[0], expected, atol=1e-12)
 
     def test_hand_computed_2_2_2(self):
-        net = init_network(2, [2], 2, make_rng(0))
-        net.ensure_head(0, make_rng(0))
+        net = init_network(2, [2], make_rng(0))
+        net.ensure_head(0, 2, make_rng(0))
         net.trunk[0].mu_w[...] = [[1.0, -1.0], [0.5, 2.0]]
         net.trunk[0].mu_b[...] = [0.1, -0.2]
         net.heads[0].mu_w[...] = [[1.0, 0.0], [-1.0, 1.0]]
@@ -150,8 +158,8 @@ class TestForward:
         # 1-1-1: the first layer's weights are built per sample and not kept,
         # so with input 1 and a zero-variance zero bias its pre-activations
         # are its weight draws; the head keeps its draws in the cache.
-        net = init_network(1, [1], 1, make_rng(0))
-        net.ensure_head(0, make_rng(0))
+        net = init_network(1, [1], make_rng(0))
+        net.ensure_head(0, 1, make_rng(0))
         for layer in net.active_layers(0):
             layer.mu_w[...] = 0.3
             layer.logvar_w[...] = -2.0  # sigma = e^-1
@@ -207,7 +215,7 @@ class TestKl:
     def test_new_head_uses_standard_normal_prior(self):
         net = random_net(12)
         prior = advance_prior(net)
-        net.ensure_head(1, make_rng("h1"))  # created after the snapshot
+        net.ensure_head(1, 2, make_rng("h1"))  # created after the snapshot
         head = net.heads[1]
         expected = (diag_gaussian_kl(head.mu_w, head.logvar_w, 0.0, 0.0)
                     + diag_gaussian_kl(head.mu_b, head.logvar_b, 0.0, 0.0))
@@ -222,8 +230,8 @@ class TestKl:
 
     def test_shape_mismatch(self):
         net = random_net(13)
-        other = init_network(4, [5], 2, make_rng(1))
-        other.ensure_head(0, make_rng(1))
+        other = init_network(4, [5], make_rng(1))
+        other.ensure_head(0, 2, make_rng(1))
         with pytest.raises(ValueError):
             kl_to_prior(net, advance_prior(other), 0)
 
@@ -315,7 +323,7 @@ class TestBackward:
     def test_gradcheck_new_head_standard_prior(self):
         net = random_net(32, input_dim=3, hidden=(3,), out=2)
         prior = advance_prior(net)
-        net.ensure_head(1, make_rng("nh"))
+        net.ensure_head(1, 2, make_rng("nh"))
         x = make_rng("g2").random((2, 3))
         y = np.array([0, 1])
         err = backprop_vs_finite_diff(net, prior, 1, x, y, 2.0, 10, 2, seed=2)
@@ -370,12 +378,17 @@ class TestBackward:
         d_z1[:, np.arange(5), y] -= 1.0
         d_z1 *= 1.0 / (6 * 5)
         d_z0 = (d_z1 @ cache.weights[0][0].transpose(0, 2, 1)) * (cache.pre[0] > 0)  # head
-        d_w = [x.T @ d_z0, cache.inputs[1].transpose(0, 2, 1) @ d_z1]
+        d_w = [x.T @ d_z0, np.maximum(cache.pre[0], 0.0).transpose(0, 2, 1) @ d_z1]
         for li, layer in enumerate(net.active_layers(0)):
             sigma = np.exp(0.5 * layer.logvar_w)
             assert np.array_equal(grads[li].mu_w, d_w[li].sum(axis=0) + 0.0)
             assert np.array_equal(grads[li].logvar_w,
                                   (d_w[li] * noise[li][0]).sum(axis=0) * (0.5 * sigma) + 0.0)
+
+
+def test_forward_cache_keeps_only_what_backward_cannot_derive():
+    assert [f.name for f in dataclasses.fields(vbnn.ForwardCache)] == [
+        "head_index", "x", "noise", "weights", "pre"]
 
 
 class TestFitMemory:
@@ -386,7 +399,7 @@ class TestFitMemory:
         y = np.arange(16 * n_batches) % 2
         tracemalloc.start()
         try:
-            fit(net, advance_prior(net), 0, x, y, beta=1.0, n_task=x.shape[0], epochs=1,
+            fit(net, advance_prior(net), 0, x, y, beta=1.0, epochs=1,
                 batch_size=16, lr=0.01, mc_samples=5, rng=make_rng("fm-fit"))
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -412,7 +425,7 @@ class TestAdvancePrior:
                   for a in layer.param_arrays()]
         x = make_rng("ap").random((16, 4))
         y = (make_rng("apy").random(16) > 0.5).astype(int)
-        fit(net, snapshot, 0, x, y, beta=1.0, n_task=16, epochs=3, batch_size=8,
+        fit(net, snapshot, 0, x, y, beta=1.0, epochs=3, batch_size=8,
             lr=0.01, mc_samples=2, rng=make_rng("apf"))
         current = [a for layer in [*snapshot.trunk, snapshot.heads[0]]
                    for a in layer.param_arrays()]
