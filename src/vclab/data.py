@@ -76,6 +76,10 @@ class TaskView:
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.take(np.arange(len(self)))
 
+    def subset(self, idx: np.ndarray) -> "TaskView":
+        """The view of positions ``idx`` within this view; copies no pixels."""
+        return replace(self, rows=self.rows[idx], labels=self.labels[idx])
+
 
 @dataclass(frozen=True)
 class TaskSpec:

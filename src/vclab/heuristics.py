@@ -130,14 +130,11 @@ def probe_difficulty(task, hidden_dims: Sequence[int], cfg: TrainConfig,
     for repeat in range(heuristic_cfg.probe_repeats):
         rng = make_rng(seed, "probe", repeat)
         train_idx, eval_idx = _subset_indices(len(task.train), heuristic_cfg.probe_size, rng, 2)
-        x_train, y_train = task.train.take(train_idx)
-        net = init_network(x_train.shape[1], hidden_dims, rng)
+        net = init_network(task.input_dim, hidden_dims, rng)
         net.ensure_head(0, task.n_classes, rng)
-        fit(net, standard_prior(net), 0, x_train, y_train, beta=1.0, epochs=PROBE_EPOCHS,
-            batch_size=cfg.batch_size, lr=cfg.lr, mc_samples=cfg.train_mc_samples, rng=rng)
-        # take() draws no randomness, so gathering the eval subset only now
-        # keeps one subset in memory at a time and every stream unchanged.
-        del x_train, y_train
+        fit(net, standard_prior(net), 0, task.train.subset(train_idx), beta=1.0,
+            epochs=PROBE_EPOCHS, batch_size=cfg.batch_size, lr=cfg.lr,
+            mc_samples=cfg.train_mc_samples, rng=rng)
         x_eval, y_eval = task.train.take(eval_idx)
         probs = posterior_predict(net, 0, x_eval, rng, cfg.eval_mc_samples)
         accuracies.append(float((probs.argmax(axis=1) == y_eval).mean()))

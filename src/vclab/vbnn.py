@@ -22,9 +22,12 @@ weights into (mu, logvar); the KL part is differentiated analytically.
 ``backward_gradients`` is verified against central finite differences with
 frozen noise in the test suite -- there is no autodiff anywhere.
 
-Memory follows the Monte Carlo samples, and only one training step is alive
-at a time: ``fit`` releases a step's cache and gradients before the next
-step draws its noise. A step holds the (S, I, O) noise of every layer. The
+Memory follows the Monte Carlo samples. ``fit`` keeps two step buffers of
+(S, I, O) noise per layer, allocated once: a second thread draws step
+i + 1's noise into one while step i trains on the other, making the draws in
+the order one thread would, so the bits do not change. Each batch is
+gathered from the task view, so the task is never materialized whole, and a
+step's cache and gradients are released before the next step starts. The
 first layer's input is the shared batch, so ``forward_with_noise`` builds
 its weights one sample at a time straight into that sample's
 pre-activations and keeps none; later layers keep their (S, I, O) sampled
@@ -49,13 +52,18 @@ contributes nothing to the KL and receives no updates.
 
 from __future__ import annotations
 
+import queue
 import struct
+import threading
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .numerics import AdamState, NumericError, adam_step, atomic_write
+
+if TYPE_CHECKING:
+    from .data import TaskView
 
 INIT_LOGVAR = -6.0
 
@@ -125,12 +133,16 @@ class VariationalNet:
 
     def ensure_head(self, head_index: int, n_out: int,
                     rng: np.random.Generator) -> VariationalLayer:
-        """Create an ``n_out``-way head if missing (fresh init, N(0,1) prior implied)."""
+        """Create an ``n_out``-way head if missing (fresh init, N(0,1) prior
+        implied); an existing head must already have ``n_out`` outputs."""
         if n_out < 1:
             raise ValueError(f"a head needs >= 1 outputs, got {n_out}")
         if head_index not in self.heads:
             self.heads[head_index] = _init_layer(self.trunk_width, n_out, rng)
-        return self.heads[head_index]
+        head = self.heads[head_index]
+        if head.fan_out != n_out:
+            raise ValueError(f"head {head_index} has {head.fan_out} outputs, not {n_out}")
+        return head
 
     def active_layers(self, head_index: int) -> list[VariationalLayer]:
         """Trunk layers followed by the given head: the trainable set."""
@@ -325,23 +337,15 @@ def _check_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
 
 def beta_elbo_loss(net: VariationalNet, prior: PosteriorSnapshot, head_index: int,
                    x: np.ndarray, y: np.ndarray, *, beta: float, n_task: int,
-                   rng: np.random.Generator | None = None, n_samples: int = 1,
-                   noise: list[tuple[np.ndarray, np.ndarray]] | None = None,
+                   noise: list[tuple[np.ndarray, np.ndarray]],
                    ) -> tuple[ElboBreakdown, ForwardCache]:
-    """Negative beta-ELBO of one batch plus the cache for backward.
-
-    Pass explicit ``noise`` to freeze the reparameterization draws (gradient
-    checking); otherwise fresh noise is drawn from ``rng``.
-    """
+    """Negative beta-ELBO of one batch under the given reparameterization
+    noise (see :func:`sample_noise`), plus the cache for backward."""
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     x = np.asarray(x, dtype=np.float64)
     if n_task < x.shape[0]:
         raise ValueError(f"n_task {n_task} smaller than batch {x.shape[0]}")
-    if noise is None:
-        if rng is None:
-            raise ValueError("either rng or frozen noise is required")
-        noise = sample_noise(net, head_index, n_samples, rng)
     cache = forward_with_noise(net, head_index, x, noise)
     y = _check_labels(y, cache.logits.shape[-1])
     logp = _log_softmax(cache.logits)                       # (S, B, O)
@@ -423,42 +427,88 @@ class NetAdam:
             adam_step(layer.flat, grad.flat, state)
 
 
-def fit(net: VariationalNet, prior: PosteriorSnapshot, head_index: int,
-        x: np.ndarray, y: np.ndarray, *, beta: float, epochs: int,
-        batch_size: int, lr: float, mc_samples: int,
+def _draw_ahead(rng: np.random.Generator, n_task: int, epochs: int, batch_size: int,
+                buffers: list[list[tuple[np.ndarray, np.ndarray]]],
+                free: queue.SimpleQueue, ready: queue.SimpleQueue) -> None:
+    """Every draw of :func:`fit`, in the serial order, one step ahead.
+
+    Per epoch: the shuffle, then per step and per active layer eps_w and
+    eps_b, written into a buffer set taken from ``free``. Each step is put
+    on ``ready`` as (batch positions, buffer set index). A ``None`` from
+    ``free`` stops it early. An exception is put on ``ready`` instead, for
+    the calling thread to raise.
+    """
+    try:
+        for _ in range(epochs):
+            order = rng.permutation(n_task)
+            for start in range(0, n_task, batch_size):
+                k = free.get()
+                if k is None:
+                    return
+                for eps_w, eps_b in buffers[k]:
+                    rng.standard_normal(out=eps_w)
+                    rng.standard_normal(out=eps_b)
+                ready.put((order[start:start + batch_size], k))
+    except BaseException as exc:  # raised again on the thread that called fit
+        ready.put(exc)
+
+
+def fit(net: VariationalNet, prior: PosteriorSnapshot, head_index: int, data: TaskView, *,
+        beta: float, epochs: int, batch_size: int, lr: float, mc_samples: int,
         rng: np.random.Generator) -> list[ElboBreakdown]:
     """Train trunk + head with Adam on the per-batch negative beta-ELBO.
 
     Data is reshuffled every epoch from ``rng``; the last partial batch is
-    kept; the KL is divided by the task size ``len(x)``. Returns one averaged
-    breakdown per epoch. One code path serves fixed and scheduled beta. Each
-    step's cache and gradients are released before the next step draws its
-    noise, so one step's buffers are alive at a time.
+    kept; the KL is divided by the task size ``len(data)``. Each batch is
+    gathered from the view with ``data.take``, so the task is never
+    materialized whole. Returns one averaged breakdown per epoch. One code
+    path serves fixed and scheduled beta.
+
+    A second thread makes every draw from ``rng`` in the serial order (see
+    :func:`_draw_ahead`): it fills the noise of step i + 1 while this thread
+    runs the forward, backward and Adam of step i. Both sets of step noise
+    buffers are allocated here and reused, so a step's cache and gradients
+    are the only step memory that comes and goes. The thread is joined
+    before ``fit`` returns or raises, and an error on it is raised here;
+    ``rng`` is then exactly where one thread drawing step by step leaves it.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    n_task = x.shape[0]
+    n_task = len(data)
     if n_task == 0:
         raise ValueError("empty dataset")
+    steps = range(0, n_task, batch_size)
     optimizer = NetAdam(net, head_index, lr)
+    buffers = [[(np.empty((mc_samples, layer.fan_in, layer.fan_out)),
+                 np.empty((mc_samples, layer.fan_out)))
+                for layer in net.active_layers(head_index)] for _ in range(2)]
+    free: queue.SimpleQueue = queue.SimpleQueue()
+    ready: queue.SimpleQueue = queue.SimpleQueue()
+    free.put(0)
+    free.put(1)
+    producer = threading.Thread(target=_draw_ahead, name="vclab-fit-noise", daemon=True,
+                                args=(rng, n_task, epochs, batch_size, buffers, free, ready))
+    producer.start()
     history = []
-    for _ in range(epochs):
-        order = rng.permutation(n_task)
-        sums = np.zeros(3)
-        n_batches = 0
-        for start in range(0, n_task, batch_size):
-            idx = order[start:start + batch_size]
-            y_batch = y[idx]
-            breakdown, cache = beta_elbo_loss(
-                net, prior, head_index, x[idx], y_batch,
-                beta=beta, n_task=n_task, rng=rng, n_samples=mc_samples)
-            grads = backward_gradients(net, prior, cache, y_batch, beta=beta, n_task=n_task)
-            optimizer.step(grads)
-            del cache, grads
-            sums += (breakdown.nll, breakdown.kl, breakdown.loss)
-            n_batches += 1
-        nll, kl, loss = sums / n_batches
-        history.append(ElboBreakdown(nll=nll, kl=kl, beta=beta, n_task=n_task, loss=loss))
+    try:
+        for _ in range(epochs):
+            sums = np.zeros(3)
+            for _ in steps:
+                step = ready.get()
+                if isinstance(step, BaseException):
+                    raise step
+                idx, k = step
+                x, y = data.take(idx)
+                breakdown, cache = beta_elbo_loss(net, prior, head_index, x, y, beta=beta,
+                                                  n_task=n_task, noise=buffers[k])
+                grads = backward_gradients(net, prior, cache, y, beta=beta, n_task=n_task)
+                optimizer.step(grads)
+                del cache, grads
+                free.put(k)
+                sums += (breakdown.nll, breakdown.kl, breakdown.loss)
+            nll, kl, loss = sums / len(steps)
+            history.append(ElboBreakdown(nll=nll, kl=kl, beta=beta, n_task=n_task, loss=loss))
+    finally:
+        free.put(None)
+        producer.join()
     return history
 
 

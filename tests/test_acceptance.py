@@ -197,8 +197,7 @@ def test_criterion_7_heuristic_properties():
     base = make_synthetic_blobs(8.0, 0.0, 2048, make_rng("acc7", "base"))
     net = init_network(784, arch, make_rng("acc7", "net"))
     net.ensure_head(0, 2, make_rng("acc7", "head"))
-    x, y = base.train.arrays()
-    fit(net, standard_prior(net), 0, x, y, beta=1.0, epochs=10,
+    fit(net, standard_prior(net), 0, base.train, beta=1.0, epochs=10,
         batch_size=256, lr=0.001, mc_samples=5, rng=make_rng("acc7", "fit"))
     repeat = make_synthetic_blobs(8.0, 0.0, 2048, make_rng("acc7", "rep"))
     flipped = make_synthetic_blobs(8.0, math.pi, 2048, make_rng("acc7", "flip"))

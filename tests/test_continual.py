@@ -3,7 +3,7 @@ import pytest
 
 import vclab.continual as continual
 from vclab.continual import AccuracyMatrix, TrainConfig, evaluate, run_sequence, train_on_task
-from vclab.data import make_synthetic_blobs
+from vclab.data import Dataset, make_permuted_tasks, make_synthetic_blobs
 from vclab.heuristics import HeuristicConfig, HeuristicTrace
 from vclab.numerics import ConfigError, make_rng
 from vclab.vbnn import advance_prior, init_network, load_snapshot, standard_prior
@@ -193,6 +193,19 @@ class TestRunSequence:
         snap = load_snapshot(tmp_path / "stage_02.snap")
         assert len(snap.trunk) == 1
         assert sorted(snap.heads) == [0, 1]
+
+    def test_tasks_sharing_a_head_must_share_its_arity(self, monkeypatch):
+        # A 2-class blob task then a 10-class permuted task, both on head 0.
+        rng = make_rng("arity")
+        ten_class = [Dataset(images=rng.random((n, 784)), labels=np.arange(n) % 10, split=split)
+                     for n, split in ((60, "train"), (20, "test"))]
+        tasks = [blob_task(8.0, tag="arity"), *make_permuted_tasks(*ten_class, 1, rng)]
+        trained = []
+        monkeypatch.setattr(continual, "train_on_task", lambda *a: trained.append(a))
+        with pytest.raises(ConfigError, match="'permuted-0' has 10 classes, but head 0 is "
+                                              "shared with a 2-class task"):
+            run_sequence(tasks, (16,), FAST_TRAIN, FAST_HEUR, master_seed=19)
+        assert trained == []
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):

@@ -345,6 +345,30 @@ class TestSyntheticBlobs:
 
 
 class TestTaskView:
+    def test_batches_gathered_from_a_permuted_view_are_its_rows(self):
+        (task,) = make_permuted_tasks(toy_dataset(50, "train"), toy_dataset(20, "test"), 1,
+                                      make_rng("perm", 6))
+        x, y = task.train.arrays()
+        order = make_rng("perm", 7).permutation(len(task.train))
+        for start in range(0, len(order), 16):
+            idx = order[start:start + 16]
+            xb, yb = task.train.take(idx)
+            assert xb.tobytes() == x[idx].tobytes() and np.array_equal(yb, y[idx])
+
+    def test_probe_sub_view_gathers_the_rows_it_names(self):
+        (task,) = make_permuted_tasks(toy_dataset(50, "train"), toy_dataset(20, "test"), 1,
+                                      make_rng("perm", 8))
+        x, y = task.train.arrays()
+        probe_idx = make_rng("perm", 9).choice(50, size=20, replace=False)
+        sub = task.train.subset(probe_idx)
+        assert len(sub) == 20 and sub.images is task.train.images
+        xs, ys = sub.arrays()
+        assert xs.tobytes() == x[probe_idx].tobytes() and np.array_equal(ys, y[probe_idx])
+        batch = np.array([19, 0, 7, 7])
+        xb, yb = sub.take(batch)
+        assert xb.tobytes() == x[probe_idx[batch]].tobytes()
+        assert np.array_equal(yb, y[probe_idx[batch]])
+
     def test_len_and_take(self):
         view = TaskView(images=np.arange(20.0).reshape(5, 4), rows=np.array([1, 3, 4]),
                         labels=np.array([0, 1, 0]))

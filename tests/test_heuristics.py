@@ -143,8 +143,7 @@ class TestProbeDifficulty:
 def train_blob_net(task, hidden=(64,), epochs=5, seed="sim"):
     net = init_network(784, hidden, make_rng(seed, "net"))
     net.ensure_head(task.head_index, 2, make_rng(seed, "head"))
-    x, y = task.train.arrays()
-    fit(net, standard_prior(net), task.head_index, x, y, beta=1.0,
+    fit(net, standard_prior(net), task.head_index, task.train, beta=1.0,
         epochs=epochs, batch_size=128, lr=0.001, mc_samples=3, rng=make_rng(seed, "fit"))
     return net
 

@@ -3,6 +3,8 @@ import errno
 import math
 import os
 import struct
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vclab import vbnn
-from vclab.numerics import finite_diff_grad, make_rng
+from vclab.data import TaskView
+from vclab.numerics import NumericError, finite_diff_grad, make_rng
 from vclab.vbnn import (INIT_LOGVAR, ElboBreakdown, advance_prior, backward_gradients,
                         beta_elbo_loss, diag_gaussian_kl, fit, forward_with_noise,
                         init_network, kl_to_prior, load_snapshot, posterior_predict,
@@ -28,6 +31,11 @@ def random_net(seed, input_dim=4, hidden=(3,), out=2, heads=(0,), jitter=0.0):
             for a in layer.param_arrays():
                 a += jitter * rng.standard_normal(a.shape)
     return net
+
+
+def whole_view(x, y):
+    """A view of every row of ``x``, in order, for :func:`fit`."""
+    return TaskView(images=x, rows=np.arange(len(x)), labels=np.asarray(y))
 
 
 def get_param_vector(net: vbnn.VariationalNet, head_index: int) -> np.ndarray:
@@ -117,6 +125,14 @@ class TestInit:
         assert net.ensure_head(0, 3, make_rng(1)).fan_in == 4
         with pytest.raises(ValueError):
             net.ensure_head(1, 0, make_rng(1))
+
+    def test_existing_head_keeps_its_arity(self):
+        net = random_net(0, out=2)
+        head = net.heads[0]
+        assert net.ensure_head(0, 2, make_rng(1)) is head
+        with pytest.raises(ValueError, match="head 0 has 2 outputs, not 10"):
+            net.ensure_head(0, 10, make_rng(1))
+        assert net.heads[0] is head
 
     def test_missing_head_lookup(self):
         with pytest.raises(KeyError):
@@ -253,8 +269,8 @@ class TestBetaElboLoss:
     def test_loss_arithmetic(self):
         bd = ElboBreakdown(nll=0.7, kl=10.0, beta=2.0, n_task=1000, loss=0.7 + 2.0 * 10.0 / 1000)
         assert bd.loss == pytest.approx(0.72)
-        real, _ = beta_elbo_loss(self.net, self.prior, 0, self.x, self.y,
-                                 beta=2.0, n_task=1000, rng=make_rng(1), n_samples=2)
+        real, _ = beta_elbo_loss(self.net, self.prior, 0, self.x, self.y, beta=2.0, n_task=1000,
+                                 noise=sample_noise(self.net, 0, 2, make_rng(1)))
         assert real.loss == pytest.approx(real.nll + real.beta * real.kl / real.n_task, rel=1e-12)
 
     def test_tiny_beta_approaches_nll(self):
@@ -265,8 +281,8 @@ class TestBetaElboLoss:
 
     def test_net_equals_prior_gives_nll(self):
         prior = advance_prior(self.net)
-        bd, _ = beta_elbo_loss(self.net, prior, 0, self.x, self.y,
-                               beta=5.0, n_task=100, rng=make_rng(3), n_samples=1)
+        bd, _ = beta_elbo_loss(self.net, prior, 0, self.x, self.y, beta=5.0, n_task=100,
+                               noise=sample_noise(self.net, 0, 1, make_rng(3)))
         assert bd.kl == 0.0
         assert bd.loss == bd.nll
 
@@ -280,15 +296,16 @@ class TestBetaElboLoss:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             beta_elbo_loss(self.net, self.prior, 0, self.x, np.array([0, 1, 2, 3]),
-                           beta=1.0, n_task=100, rng=make_rng(5))
+                           beta=1.0, n_task=100, noise=sample_noise(self.net, 0, 1, make_rng(5)))
 
     def test_invalid_beta_and_n_task(self):
+        noise = sample_noise(self.net, 0, 1, make_rng(6))
         with pytest.raises(ValueError):
             beta_elbo_loss(self.net, self.prior, 0, self.x, self.y,
-                           beta=0.0, n_task=100, rng=make_rng(6))
+                           beta=0.0, n_task=100, noise=noise)
         with pytest.raises(ValueError):
             beta_elbo_loss(self.net, self.prior, 0, self.x, self.y,
-                           beta=1.0, n_task=2, rng=make_rng(6))
+                           beta=1.0, n_task=2, noise=noise)
 
 
 def backprop_vs_finite_diff(net, prior, head, x, y, beta, n_task, n_samples, seed):
@@ -358,7 +375,7 @@ class TestBackward:
         x = make_rng("g5").random((3, 4))
         y = np.array([0, 1, 0])
         _, cache = beta_elbo_loss(net, prior, 0, x, y, beta=1.0, n_task=10,
-                                  rng=make_rng(1), n_samples=1)
+                                  noise=sample_noise(net, 0, 1, make_rng(1)))
         with pytest.raises(ValueError):
             backward_gradients(net, prior, cache, np.array([0, 1]), beta=1.0, n_task=10)
 
@@ -399,18 +416,146 @@ class TestFitMemory:
         y = np.arange(16 * n_batches) % 2
         tracemalloc.start()
         try:
-            fit(net, advance_prior(net), 0, x, y, beta=1.0, epochs=1,
+            fit(net, advance_prior(net), 0, whole_view(x, y), beta=1.0, epochs=1,
                 batch_size=16, lr=0.01, mc_samples=5, rng=make_rng("fm-fit"))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     def test_one_step_alive_at_a_time(self):
-        # A step's cache or gradients still alive while the next step draws
-        # its noise would raise the peak by at least one step's noise.
+        # fit allocates its two noise buffer sets once, so the peak does not
+        # grow with the step count. A step's cache or gradients still alive
+        # during the next step would raise it by at least one step's
+        # gradients, which are the size of the parameters.
         net = random_net(60, input_dim=200, hidden=(50,), out=2)
-        step_noise = sum(w.nbytes + b.nbytes for w, b in sample_noise(net, 0, 5, make_rng(0)))
-        assert self.fit_peak_bytes(4) - self.fit_peak_bytes(1) < step_noise
+        step_grads = sum(layer.flat.nbytes for layer in net.active_layers(0))
+        assert self.fit_peak_bytes(4) - self.fit_peak_bytes(1) < step_grads
+
+
+def serial_fit(net, prior, head_index, x, y, *, beta, epochs, batch_size, lr, mc_samples,
+               rng):
+    """fit on one thread: per epoch one permutation, then per step and layer
+    eps_w (S, I, O) and eps_b (S, O), each drawn just before its step."""
+    n_task = len(x)
+    optimizer = vbnn.NetAdam(net, head_index, lr)
+    history = []
+    for _ in range(epochs):
+        order = rng.permutation(n_task)
+        sums, n_steps = np.zeros(3), 0
+        for start in range(0, n_task, batch_size):
+            idx = order[start:start + batch_size]
+            noise = [(rng.standard_normal((mc_samples, layer.fan_in, layer.fan_out)),
+                      rng.standard_normal((mc_samples, layer.fan_out)))
+                     for layer in net.active_layers(head_index)]
+            breakdown, cache = beta_elbo_loss(net, prior, head_index, x[idx], y[idx],
+                                              beta=beta, n_task=n_task, noise=noise)
+            optimizer.step(backward_gradients(net, prior, cache, y[idx], beta=beta,
+                                              n_task=n_task))
+            sums += (breakdown.nll, breakdown.kl, breakdown.loss)
+            n_steps += 1
+        history.append(tuple(sums / n_steps))
+    return history
+
+
+def fit_thread_alive():
+    return any(t.name == "vclab-fit-noise" for t in threading.enumerate())
+
+
+class TestFitSchedule:
+    @pytest.mark.parametrize("n, batch_size, epochs", [
+        (48, 16, 1),    # whole batches
+        (48, 16, 2),
+        (50, 16, 2),    # a partial last batch
+        (50, 50, 1),    # batch_size == len(data)
+        (50, 128, 2),   # batch_size > len(data)
+    ])
+    def test_same_draws_and_bits_as_the_serial_schedule(self, n, batch_size, epochs):
+        x = make_rng("sched", n).random((n, 6))
+        y = np.arange(n) % 3
+        kwargs = dict(beta=0.7, epochs=epochs, batch_size=batch_size, lr=0.01, mc_samples=3)
+        serial_net = random_net(70, input_dim=6, hidden=(5, 4), out=3)
+        net = random_net(70, input_dim=6, hidden=(5, 4), out=3)
+        serial_rng, rng = make_rng("sched-fit"), make_rng("sched-fit")
+        expected = serial_fit(serial_net, advance_prior(serial_net), 0, x, y, rng=serial_rng,
+                              **kwargs)
+        history = fit(net, advance_prior(net), 0, whole_view(x, y), rng=rng, **kwargs)
+        assert rng.bit_generator.state == serial_rng.bit_generator.state
+        for layer, serial_layer in zip(net.active_layers(0), serial_net.active_layers(0)):
+            assert layer.flat.tobytes() == serial_layer.flat.tobytes()
+        assert [(h.nll, h.kl, h.loss) for h in history] == expected
+        assert not fit_thread_alive()
+
+
+class ScriptedRng:
+    """``make_rng(tag)`` whose standard_normal calls each sleep ``delay``
+    seconds first, and whose ``fail_at``-th call raises."""
+
+    def __init__(self, tag, fail_at=None, delay=0.0):
+        self._rng = make_rng(tag)
+        self._left, self._delay = fail_at, delay
+        self.error = RuntimeError("draw failed")
+
+    def permutation(self, n):
+        return self._rng.permutation(n)
+
+    def standard_normal(self, *args, **kwargs):
+        time.sleep(self._delay)
+        if self._left == 0:
+            raise self.error
+        if self._left is not None:
+            self._left -= 1
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+def fit_error(*args, **kwargs):
+    """What ``fit(*args, **kwargs)`` raised, run on a watchdog thread that
+    must finish within a minute, so a hang fails the test instead of
+    stalling the suite."""
+    raised = []
+
+    def target():
+        try:
+            fit(*args, **kwargs)
+        except Exception as exc:
+            raised.append(exc)
+
+    watchdog = threading.Thread(target=target, daemon=True)
+    watchdog.start()
+    watchdog.join(timeout=60)
+    assert not watchdog.is_alive(), "fit did not return"
+    return raised[0] if raised else None
+
+
+class TestFitFailures:
+    def test_non_finite_loss_mid_epoch_raises_and_joins(self):
+        n, batch_size = 64, 16
+        x = make_rng("nan").random((n, 4))
+        first_batch = make_rng("nan-fit").permutation(n)[:batch_size]
+        x[np.setdiff1d(np.arange(n), first_batch)[0]] = np.nan
+        net = random_net(71)
+        before = get_param_vector(net, 0)
+        threads = threading.active_count()
+        # Slow draws keep the noise thread busy with the next step when the
+        # loss fails, so fit must wait for it.
+        error = fit_error(net, advance_prior(net), 0, whole_view(x, np.arange(n) % 2),
+                          beta=1.0, epochs=2, batch_size=batch_size, lr=0.01, mc_samples=2,
+                          rng=ScriptedRng("nan-fit", delay=0.01))
+        assert isinstance(error, NumericError) and "non-finite loss" in str(error)
+        assert threading.active_count() == threads and not fit_thread_alive()
+        after = get_param_vector(net, 0)
+        assert np.isfinite(after).all() and not np.array_equal(after, before)
+
+    # Two layers and two steps per epoch make 8 draws an epoch: the first
+    # draw, the first bias draw, and the second layer of epoch 2's first step.
+    @pytest.mark.parametrize("fail_at", [0, 1, 10])
+    def test_a_failing_draw_surfaces_its_exception(self, fail_at):
+        x = make_rng("fail").random((12, 4))
+        net, rng = random_net(72), ScriptedRng("failing", fail_at)
+        threads = threading.active_count()
+        error = fit_error(net, advance_prior(net), 0, whole_view(x, np.arange(12) % 2),
+                          beta=1.0, epochs=2, batch_size=6, lr=0.01, mc_samples=2, rng=rng)
+        assert error is rng.error
+        assert threading.active_count() == threads and not fit_thread_alive()
 
 
 class TestAdvancePrior:
@@ -425,7 +570,7 @@ class TestAdvancePrior:
                   for a in layer.param_arrays()]
         x = make_rng("ap").random((16, 4))
         y = (make_rng("apy").random(16) > 0.5).astype(int)
-        fit(net, snapshot, 0, x, y, beta=1.0, epochs=3, batch_size=8,
+        fit(net, snapshot, 0, whole_view(x, y), beta=1.0, epochs=3, batch_size=8,
             lr=0.01, mc_samples=2, rng=make_rng("apf"))
         current = [a for layer in [*snapshot.trunk, snapshot.heads[0]]
                    for a in layer.param_arrays()]
