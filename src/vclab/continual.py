@@ -4,8 +4,10 @@ multi-head bookkeeping, and full-sequence evaluation.
 One sequence run is fully determined by its master seed: training, head
 initialization, probing, and evaluation each draw from independent
 sub-streams derived by tag, so switching between fixed-beta and
-scheduled-beta modes never perturbs the training randomness. ``fit`` makes
-its draws on a second thread, in the order one thread would.
+scheduled-beta modes never perturbs the training randomness. ``fit`` draws
+one step ahead on a one-worker executor, in the order one thread would.
+Each stage runs with numpy's floating-point errors raised, so an overflow is
+a ``NumericError``, never a warning in a run that succeeds.
 Fixed beta = 1 is vanilla variational continual learning; the scheduled mode
 runs the exact same training code path with a different beta value.
 """
@@ -85,14 +87,15 @@ def train_on_task(net: VariationalNet, prior, task, beta: float, cfg: TrainConfi
 
 
 def evaluate(net: VariationalNet, task, cfg: TrainConfig, rng: np.random.Generator) -> float:
-    """Posterior-predictive argmax accuracy on the task's test split."""
-    x, y = task.test.arrays()
+    """Posterior-predictive argmax accuracy on the task's test split, whose
+    rows are gathered from the view with ``take``, ``EVAL_CHUNK`` at a time."""
+    n_test = len(task.test)
     correct = 0
-    for start in range(0, x.shape[0], EVAL_CHUNK):
-        part = slice(start, start + EVAL_CHUNK)
-        probs = posterior_predict(net, task.head_index, x[part], rng, cfg.eval_mc_samples)
-        correct += int((probs.argmax(axis=1) == y[part]).sum())
-    return correct / x.shape[0]
+    for start in range(0, n_test, EVAL_CHUNK):
+        x, y = task.test.take(np.arange(start, min(start + EVAL_CHUNK, n_test)))
+        probs = posterior_predict(net, task.head_index, x, rng, cfg.eval_mc_samples)
+        correct += int((probs.argmax(axis=1) == y).sum())
+    return correct / n_test
 
 
 def _check_finite(net: VariationalNet, stage: int) -> None:
@@ -114,7 +117,8 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
     fixed mode skips the probes and uses the constant beta.
     After each stage the posterior becomes the prior and every seen task is
     re-evaluated. If ``snapshot_dir`` is given, the stage-t posterior is
-    written there as ``stage_tt.snap``.
+    written there as ``stage_tt.snap``. A floating-point overflow, invalid
+    value or division by zero in a stage raises ``NumericError`` naming it.
     """
     if not tasks:
         raise ValueError("need at least one task")
@@ -138,23 +142,29 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
     d_history: list[float] = []
 
     for t, task in enumerate(tasks, start=1):
-        if auto:
-            trace = assess_task(task, net, hidden_dims, d_history, cfg, heuristic_cfg,
-                                master_seed)
-            d_history.append(trace.d)
-        else:
-            trace = HeuristicTrace(task_index=t, beta=cfg.beta)
-        traces.append(trace)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                if auto:
+                    trace = assess_task(task, net, hidden_dims, d_history, cfg,
+                                        heuristic_cfg, master_seed)
+                    d_history.append(trace.d)
+                else:
+                    trace = HeuristicTrace(task_index=t, beta=cfg.beta)
+                traces.append(trace)
 
-        net.ensure_head(task.head_index, task.n_classes, make_rng(master_seed, "head", t))
-        train_on_task(net, prior, task, trace.beta, cfg, make_rng(master_seed, "train", t))
-        _check_finite(net, t)
-        prior = advance_prior(net)
-        if snapshot_dir is not None:
-            save_snapshot(prior, Path(snapshot_dir) / f"stage_{t:02d}.snap")
+                net.ensure_head(task.head_index, task.n_classes,
+                                make_rng(master_seed, "head", t))
+                train_on_task(net, prior, task, trace.beta, cfg,
+                              make_rng(master_seed, "train", t))
+                _check_finite(net, t)
+                prior = advance_prior(net)
+                if snapshot_dir is not None:
+                    save_snapshot(prior, Path(snapshot_dir) / f"stage_{t:02d}.snap")
 
-        accuracies = [evaluate(net, tasks[i], cfg, make_rng(master_seed, "eval", t, i))
-                      for i in range(t)]
+                accuracies = [evaluate(net, tasks[i], cfg, make_rng(master_seed, "eval", t, i))
+                              for i in range(t)]
+        except FloatingPointError as exc:
+            raise NumericError(f"stage {t}: {exc}") from exc
         matrix.add_stage(accuracies)
         if progress is not None:
             progress(t, trace, accuracies)

@@ -73,9 +73,6 @@ class TaskView:
             x = self.images[rows[:, None], self.permutation]
         return np.ascontiguousarray(x, dtype=np.float64), self.labels[idx]
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.take(np.arange(len(self)))
-
     def subset(self, idx: np.ndarray) -> "TaskView":
         """The view of positions ``idx`` within this view; copies no pixels."""
         return replace(self, rows=self.rows[idx], labels=self.labels[idx])

@@ -23,11 +23,12 @@ weights into (mu, logvar); the KL part is differentiated analytically.
 frozen noise in the test suite -- there is no autodiff anywhere.
 
 Memory follows the Monte Carlo samples. ``fit`` keeps two step buffers of
-(S, I, O) noise per layer, allocated once: a second thread draws step
-i + 1's noise into one while step i trains on the other, making the draws in
-the order one thread would, so the bits do not change. Each batch is
-gathered from the task view, so the task is never materialized whole, and a
-step's cache and gradients are released before the next step starts. The
+(S, I, O) noise per layer, allocated once: one serial generator makes every
+draw in the order one thread would, and a one-worker executor advances it
+to step i + 1's noise in one buffer while step i trains on the other, so
+the bits do not change. Each batch is gathered from the task view, so the
+task is never materialized whole, and a step's cache and gradients are
+released before the next step starts. The
 first layer's input is the shared batch, so ``forward_with_noise`` builds
 its weights one sample at a time straight into that sample's
 pre-activations and keeps none; later layers keep their (S, I, O) sampled
@@ -52,11 +53,10 @@ contributes nothing to the KL and receives no updates.
 
 from __future__ import annotations
 
-import queue
 import struct
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -427,30 +427,23 @@ class NetAdam:
             adam_step(layer.flat, grad.flat, state)
 
 
-def _draw_ahead(rng: np.random.Generator, n_task: int, epochs: int, batch_size: int,
-                buffers: list[list[tuple[np.ndarray, np.ndarray]]],
-                free: queue.SimpleQueue, ready: queue.SimpleQueue) -> None:
-    """Every draw of :func:`fit`, in the serial order, one step ahead.
+def _draws(rng: np.random.Generator, n_task: int, epochs: int, batch_size: int,
+           buffers: list[list[tuple[np.ndarray, np.ndarray]]]) -> Iterator[tuple]:
+    """Every draw of :func:`fit`, in the serial order.
 
     Per epoch: the shuffle, then per step and per active layer eps_w and
-    eps_b, written into a buffer set taken from ``free``. Each step is put
-    on ``ready`` as (batch positions, buffer set index). A ``None`` from
-    ``free`` stops it early. An exception is put on ``ready`` instead, for
-    the calling thread to raise.
+    eps_b, written into the two buffer sets in turn. Yields (batch
+    positions, noise) per step, and draws nothing after the last step.
     """
-    try:
-        for _ in range(epochs):
-            order = rng.permutation(n_task)
-            for start in range(0, n_task, batch_size):
-                k = free.get()
-                if k is None:
-                    return
-                for eps_w, eps_b in buffers[k]:
-                    rng.standard_normal(out=eps_w)
-                    rng.standard_normal(out=eps_b)
-                ready.put((order[start:start + batch_size], k))
-    except BaseException as exc:  # raised again on the thread that called fit
-        ready.put(exc)
+    k = 0
+    for _ in range(epochs):
+        order = rng.permutation(n_task)
+        for start in range(0, n_task, batch_size):
+            for eps_w, eps_b in buffers[k]:
+                rng.standard_normal(out=eps_w)
+                rng.standard_normal(out=eps_b)
+            yield order[start:start + batch_size], buffers[k]
+            k = 1 - k
 
 
 def fit(net: VariationalNet, prior: PosteriorSnapshot, head_index: int, data: TaskView, *,
@@ -464,13 +457,14 @@ def fit(net: VariationalNet, prior: PosteriorSnapshot, head_index: int, data: Ta
     materialized whole. Returns one averaged breakdown per epoch. One code
     path serves fixed and scheduled beta.
 
-    A second thread makes every draw from ``rng`` in the serial order (see
-    :func:`_draw_ahead`): it fills the noise of step i + 1 while this thread
-    runs the forward, backward and Adam of step i. Both sets of step noise
-    buffers are allocated here and reused, so a step's cache and gradients
-    are the only step memory that comes and goes. The thread is joined
-    before ``fit`` returns or raises, and an error on it is raised here;
-    ``rng`` is then exactly where one thread drawing step by step leaves it.
+    Every draw from ``rng`` comes from one serial generator (see
+    :func:`_draws`), which a one-worker executor advances one step ahead:
+    it fills the noise of step i + 1 while this thread runs the forward,
+    backward and Adam of step i. Both sets of step noise buffers are
+    allocated here and reused, so a step's cache and gradients are the only
+    step memory that comes and goes. The executor's ``with`` block joins
+    its thread before ``fit`` returns or raises, and ``result()`` raises a
+    draw's error here; ``rng`` then ends where a serial run leaves it.
     """
     n_task = len(data)
     if n_task == 0:
@@ -480,35 +474,25 @@ def fit(net: VariationalNet, prior: PosteriorSnapshot, head_index: int, data: Ta
     buffers = [[(np.empty((mc_samples, layer.fan_in, layer.fan_out)),
                  np.empty((mc_samples, layer.fan_out)))
                 for layer in net.active_layers(head_index)] for _ in range(2)]
-    free: queue.SimpleQueue = queue.SimpleQueue()
-    ready: queue.SimpleQueue = queue.SimpleQueue()
-    free.put(0)
-    free.put(1)
-    producer = threading.Thread(target=_draw_ahead, name="vclab-fit-noise", daemon=True,
-                                args=(rng, n_task, epochs, batch_size, buffers, free, ready))
-    producer.start()
+    draws = _draws(rng, n_task, epochs, batch_size, buffers)
     history = []
-    try:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vclab-fit-noise") as helper:
+        ahead = helper.submit(next, draws)
         for _ in range(epochs):
             sums = np.zeros(3)
             for _ in steps:
-                step = ready.get()
-                if isinstance(step, BaseException):
-                    raise step
-                idx, k = step
+                idx, noise = ahead.result()
+                ahead = helper.submit(next, draws, None)
                 x, y = data.take(idx)
                 breakdown, cache = beta_elbo_loss(net, prior, head_index, x, y, beta=beta,
-                                                  n_task=n_task, noise=buffers[k])
+                                                  n_task=n_task, noise=noise)
                 grads = backward_gradients(net, prior, cache, y, beta=beta, n_task=n_task)
                 optimizer.step(grads)
                 del cache, grads
-                free.put(k)
                 sums += (breakdown.nll, breakdown.kl, breakdown.loss)
             nll, kl, loss = sums / len(steps)
             history.append(ElboBreakdown(nll=nll, kl=kl, beta=beta, n_task=n_task, loss=loss))
-    finally:
-        free.put(None)
-        producer.join()
+        ahead.result()  # None: after the last step the generator ends without a draw
     return history
 
 

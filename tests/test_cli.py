@@ -458,6 +458,19 @@ class TestMainEntry:
         assert max(r.stage for r in rows) == 3
         assert max(r.beta for r in rows) == BETA_MAX
 
+    @pytest.mark.parametrize("beta", ["1e300", "1e160"])
+    def test_overflowing_fixed_beta_exits_3_without_csv(self, tmp_path, monkeypatch, capsys,
+                                                         beta):
+        # The KL gradient is scaled by beta / n_task, and Adam squares it.
+        monkeypatch.setattr(cli, "SYNTHETIC_N_TRAIN", 256)
+        code = main(["run", "--experiment", "synthetic", "--model", f"gvcl:{beta}",
+                     "--trials", "1", "--epochs", "1", "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert re.search(r"^numeric failure: stage 1: overflow", err, re.MULTILINE), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_data_exits_2(self, tmp_path, capsys):
         code = main(["run", "--experiment", "split_custom", "--model", "gvcl:1",
                      "--trials", "1", "--data-dir", str(tmp_path / "nowhere"),

@@ -204,6 +204,11 @@ def toy_dataset(n, split, seed=0):
     return Dataset(images=rng.random((n, 784)), labels=np.arange(n) % 10, split=split)
 
 
+def all_rows(view):
+    """Pixels and labels of every position of ``view``, in order."""
+    return view.take(np.arange(len(view)))
+
+
 class TestSplitTasks:
     def test_custom_sequence(self):
         train, test = toy_dataset(100, "train"), toy_dataset(40, "test")
@@ -216,7 +221,7 @@ class TestSplitTasks:
         for task, (a, b) in zip(tasks, pairs):
             original = train.labels[task.train.rows]
             assert set(np.unique(original)) == {a, b}
-            x, y = task.train.arrays()
+            x, y = all_rows(task.train)
             assert set(np.unique(y)) <= {0, 1}
             assert np.array_equal(y, (original == b).astype(int))
 
@@ -279,9 +284,9 @@ class TestPermutedTasks:
     def test_shared_label_distribution(self):
         train, test = toy_dataset(50, "train"), toy_dataset(20, "test")
         tasks = make_permuted_tasks(train, test, 4, make_rng("perm", 5))
-        base = tasks[0].train.arrays()[1]
+        base = all_rows(tasks[0].train)[1]
         for task in tasks[1:]:
-            assert np.array_equal(task.train.arrays()[1], base)
+            assert np.array_equal(all_rows(task.train)[1], base)
 
 
 class TestMixedSequence:
@@ -299,14 +304,14 @@ class TestMixedSequence:
 class TestSyntheticBlobs:
     def test_pixels_in_unit_range(self):
         task = make_synthetic_blobs(8.0, 0.3, 200, make_rng("b", 1))
-        x, y = task.train.arrays()
+        x, y = all_rows(task.train)
         assert x.shape == (200, BLOB_DIM)
         assert x.min() >= 0.0 and x.max() <= 1.0
         assert set(np.unique(y)) == {0, 1}
 
     def test_separation_zero_is_chance(self):
         task = make_synthetic_blobs(0.0, 0.0, 2000, make_rng("b", 2))
-        x, y = task.train.arrays()
+        x, y = all_rows(task.train)
         # projection onto the class-mean axis is the best linear guess
         direction = x[y == 1].mean(axis=0) - x[y == 0].mean(axis=0)
         score = x @ direction
@@ -316,7 +321,7 @@ class TestSyntheticBlobs:
 
     def test_separation_ten_linearly_separable(self):
         task = make_synthetic_blobs(10.0, 0.0, 2000, make_rng("b", 3))
-        x, y = task.train.arrays()
+        x, y = all_rows(task.train)
         direction = x[y == 1].mean(axis=0) - x[y == 0].mean(axis=0)
         midpoint = (x[y == 1] @ direction).mean() / 2 + (x[y == 0] @ direction).mean() / 2
         acc = ((x @ direction > midpoint) == y).mean()
@@ -325,8 +330,8 @@ class TestSyntheticBlobs:
     def test_rotation_pi_flips_labels(self):
         base = make_synthetic_blobs(9.0, 0.0, 1000, make_rng("b", 4))
         flipped = make_synthetic_blobs(9.0, math.pi, 1000, make_rng("b", 5))
-        xb, yb = base.train.arrays()
-        xf, yf = flipped.train.arrays()
+        xb, yb = all_rows(base.train)
+        xf, yf = all_rows(flipped.train)
         direction = xb[yb == 1].mean(axis=0) - xb[yb == 0].mean(axis=0)
         # the flipped task's class-1 cluster sits on the class-0 side
         assert (xf[yf == 1] @ direction).mean() < (xf[yf == 0] @ direction).mean()
@@ -348,7 +353,7 @@ class TestTaskView:
     def test_batches_gathered_from_a_permuted_view_are_its_rows(self):
         (task,) = make_permuted_tasks(toy_dataset(50, "train"), toy_dataset(20, "test"), 1,
                                       make_rng("perm", 6))
-        x, y = task.train.arrays()
+        x, y = all_rows(task.train)
         order = make_rng("perm", 7).permutation(len(task.train))
         for start in range(0, len(order), 16):
             idx = order[start:start + 16]
@@ -358,11 +363,11 @@ class TestTaskView:
     def test_probe_sub_view_gathers_the_rows_it_names(self):
         (task,) = make_permuted_tasks(toy_dataset(50, "train"), toy_dataset(20, "test"), 1,
                                       make_rng("perm", 8))
-        x, y = task.train.arrays()
+        x, y = all_rows(task.train)
         probe_idx = make_rng("perm", 9).choice(50, size=20, replace=False)
         sub = task.train.subset(probe_idx)
         assert len(sub) == 20 and sub.images is task.train.images
-        xs, ys = sub.arrays()
+        xs, ys = all_rows(sub)
         assert xs.tobytes() == x[probe_idx].tobytes() and np.array_equal(ys, y[probe_idx])
         batch = np.array([19, 0, 7, 7])
         xb, yb = sub.take(batch)

@@ -458,7 +458,8 @@ def serial_fit(net, prior, head_index, x, y, *, beta, epochs, batch_size, lr, mc
 
 
 def fit_thread_alive():
-    return any(t.name == "vclab-fit-noise" for t in threading.enumerate())
+    """Whether fit's draw-ahead worker, ``vclab-fit-noise_0``, is running."""
+    return any(t.name.startswith("vclab-fit-noise_") for t in threading.enumerate())
 
 
 class TestFitSchedule:
@@ -494,11 +495,13 @@ class ScriptedRng:
         self._rng = make_rng(tag)
         self._left, self._delay = fail_at, delay
         self.error = RuntimeError("draw failed")
+        self.thread_seen = None   # fit_thread_alive() at the latest draw
 
     def permutation(self, n):
         return self._rng.permutation(n)
 
     def standard_normal(self, *args, **kwargs):
+        self.thread_seen = fit_thread_alive()
         time.sleep(self._delay)
         if self._left == 0:
             raise self.error
@@ -527,6 +530,13 @@ def fit_error(*args, **kwargs):
 
 
 class TestFitFailures:
+    def test_thread_check_sees_the_worker_while_fit_runs(self):
+        x = make_rng("alive").random((12, 4))
+        net, rng = random_net(73), ScriptedRng("alive-fit")
+        fit(net, advance_prior(net), 0, whole_view(x, np.arange(12) % 2), beta=1.0,
+            epochs=1, batch_size=6, lr=0.01, mc_samples=2, rng=rng)
+        assert rng.thread_seen is True and not fit_thread_alive()
+
     def test_non_finite_loss_mid_epoch_raises_and_joins(self):
         n, batch_size = 64, 16
         x = make_rng("nan").random((n, 4))
