@@ -310,21 +310,16 @@ def aggregate_trials(rows: list[ResultRow]) -> list[AggregateRow]:
     (sample std / sqrt(trials); 0 by convention for a single trial)."""
     if not rows:
         raise DataFormatError("no rows to aggregate")
-    per_trial: dict[tuple[str, int, int], list[float]] = {}
-    betas: dict[tuple[str, int, int], float | None] = {}
+    cells: dict[tuple[str, int], dict[int, tuple[list[float], float | None]]] = {}
     for r in rows:
-        key = (r.model, r.trial, r.stage)
-        per_trial.setdefault(key, []).append(r.accuracy)
-        betas[key] = r.beta
-    grouped: dict[tuple[str, int], list[tuple[float, float | None]]] = {}
-    for (model, trial, stage), accs in per_trial.items():
-        grouped.setdefault((model, stage), []).append(
-            (float(np.mean(accs)), betas[(model, trial, stage)]))
+        trials = cells.setdefault((r.model, r.stage), {})
+        accs = trials[r.trial][0] if r.trial in trials else []
+        trials[r.trial] = (accs + [r.accuracy], r.beta)  # a trial's last row gives its beta
     out = []
-    for (model, stage), entries in sorted(grouped.items()):
-        means = np.array([acc for acc, _ in entries])
+    for (model, stage), trials in sorted(cells.items()):
+        means = np.array([np.mean(accs) for accs, _ in trials.values()])
         sem = float(means.std(ddof=1) / math.sqrt(means.size)) if means.size > 1 else 0.0
-        stage_betas = [b for _, b in entries if b is not None]
+        stage_betas = [b for _, b in trials.values() if b is not None]
         mean_log_beta = float(np.mean(np.log10(stage_betas))) if stage_betas else None
         out.append(AggregateRow(model=model, stage=stage, mean_accuracy=float(means.mean()),
                                 sem=sem, mean_log10_beta=mean_log_beta, trials=means.size))
@@ -470,7 +465,10 @@ def main(argv=None) -> int:
             else:
                 print(table, end="")
         elif args.command == "chart":
-            out = args.out or str(Path(args.csv).with_suffix(f".{args.which}.svg"))
+            # Not with_suffix, which raises on a path with no file name ("." or
+            # "/"): such a path reaches the read below and is a data error there.
+            csv_path = Path(args.csv)
+            out = args.out or str(csv_path.parent / f"{csv_path.stem}.{args.which}.svg")
             _check_output_file("--out", out)
             aggregates = aggregate_trials(read_results_csv(args.csv))
             path = emit_chart_svg(aggregates, args.which, out)

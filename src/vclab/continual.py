@@ -109,7 +109,7 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
                  snapshot_dir=None, progress=None,
                  ) -> tuple[AccuracyMatrix, list[HeuristicTrace]]:
     """Run the full task sequence, returning the accuracy matrix and the
-    per-stage heuristic trace.
+    heuristic trace of each stage, in stage order.
 
     Tasks that share a head must have the same number of classes. In auto
     mode each stage is assessed (difficulty probe, similarity, beta)
@@ -118,7 +118,8 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
     After each stage the posterior becomes the prior and every seen task is
     re-evaluated. If ``snapshot_dir`` is given, the stage-t posterior is
     written there as ``stage_tt.snap``. A floating-point overflow, invalid
-    value or division by zero in a stage raises ``NumericError`` naming it.
+    value or division by zero in a stage raises ``NumericError`` naming the
+    stage and its phase: assessment, training or evaluation.
     """
     if not tasks:
         raise ValueError("need at least one task")
@@ -139,19 +140,18 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
     prior = standard_prior(net)
     matrix = AccuracyMatrix()
     traces: list[HeuristicTrace] = []
-    d_history: list[float] = []
 
     for t, task in enumerate(tasks, start=1):
+        phase = "assessment"
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 if auto:
-                    trace = assess_task(task, net, hidden_dims, d_history, cfg,
+                    trace = assess_task(task, net, [tr.d for tr in traces], cfg,
                                         heuristic_cfg, master_seed)
-                    d_history.append(trace.d)
                 else:
-                    trace = HeuristicTrace(task_index=t, beta=cfg.beta)
+                    trace = HeuristicTrace(beta=cfg.beta)
                 traces.append(trace)
-
+                phase = "training"
                 net.ensure_head(task.head_index, task.n_classes,
                                 make_rng(master_seed, "head", t))
                 train_on_task(net, prior, task, trace.beta, cfg,
@@ -160,11 +160,11 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
                 prior = advance_prior(net)
                 if snapshot_dir is not None:
                     save_snapshot(prior, Path(snapshot_dir) / f"stage_{t:02d}.snap")
-
+                phase = "evaluation"
                 accuracies = [evaluate(net, tasks[i], cfg, make_rng(master_seed, "eval", t, i))
                               for i in range(t)]
         except FloatingPointError as exc:
-            raise NumericError(f"stage {t}: {exc}") from exc
+            raise NumericError(f"stage {t}: {exc} during {phase}") from exc
         matrix.add_stage(accuracies)
         if progress is not None:
             progress(t, trace, accuracies)

@@ -62,17 +62,15 @@ class HeuristicConfig:
 
 @dataclass
 class HeuristicTrace:
-    """Per-task record of the assessment; heuristic fields stay None for
-    fixed-beta runs."""
+    """Record of one stage's assessment, at the stage's place in the trace
+    list; heuristic fields stay None for fixed-beta runs."""
 
-    task_index: int
     beta: float
     d: float | None = None
     s: float | None = None
     delta_d: float | None = None
     raw_accuracies: list[float] = field(default_factory=list)
     a_star: float | None = None
-    a_prime: float | None = None
 
 
 def norm_unit(x: float, hi: float) -> float:
@@ -172,15 +170,14 @@ def measure_similarity(task, net: VariationalNet, cfg: TrainConfig,
     return s, a_star
 
 
-def assess_task(task, net: VariationalNet, hidden_dims: Sequence[int],
-                d_history: Sequence[float], cfg: TrainConfig,
+def assess_task(task, net: VariationalNet, d_history: Sequence[float], cfg: TrainConfig,
                 heuristic_cfg: HeuristicConfig, master_seed: int) -> HeuristicTrace:
-    """Full assessment of stage len(d_history) + 1: probe, similarity, gap, beta."""
-    t = len(d_history) + 1
-    stage_seed = seed_from(master_seed, "assess", t)
+    """Full assessment of stage len(d_history) + 1: probe, similarity, gap,
+    beta. The probes get the hidden widths of ``net``'s trunk."""
+    stage_seed = seed_from(master_seed, "assess", len(d_history) + 1)
+    hidden_dims = [layer.fan_out for layer in net.trunk]
     d, raw = probe_difficulty(task, hidden_dims, cfg, heuristic_cfg, stage_seed)
     s, a_star = measure_similarity(task, net, cfg, heuristic_cfg, stage_seed)
-    delta = average_difficulty_gap(d_history)
-    beta = compute_beta(d_history, d, s, heuristic_cfg)
-    return HeuristicTrace(task_index=t, beta=beta, d=d, s=s, delta_d=delta,
-                          raw_accuracies=raw, a_star=a_star, a_prime=task.chance_accuracy)
+    return HeuristicTrace(beta=compute_beta(d_history, d, s, heuristic_cfg), d=d, s=s,
+                          delta_d=average_difficulty_gap(d_history), raw_accuracies=raw,
+                          a_star=a_star)

@@ -359,11 +359,15 @@ class TestMainEntry:
         (["chart", "{tmp}/good.csv", "--out", "{tmp}/afile/x.svg"], 1),
         (["aggregate", "{tmp}/dir"], 2),
         (["aggregate", "{tmp}/latin1"], 2),
+        (["chart", "."], 2),    # a path with no file name
+        (["chart", "/"], 2),
+        (["chart", ""], 2),
         (["run", "--config", "{tmp}/dir"], 1),
         (["run", "--config", "{tmp}/latin1"], 1),
         (["run", "--config", "{tmp}/ghost.cfg"], 1),
     ], ids=["aggregate-out-dir", "chart-out-dir", "chart-out-under-file", "aggregate-dir",
-            "aggregate-not-utf8", "config-dir", "config-not-utf8", "config-missing"])
+            "aggregate-not-utf8", "chart-dot", "chart-root", "chart-empty", "config-dir",
+            "config-not-utf8", "config-missing"])
     def test_unusable_path_exits_with_its_code_without_traceback(self, tmp_path, args, code):
         (tmp_path / "good.csv").write_text(",".join(CSV_HEADER) + "\n" + GOOD_ROW,
                                            encoding="utf-8")
@@ -468,6 +472,22 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert code == 3
         assert re.search(r"^numeric failure: stage 1: overflow", err, re.MULTILINE), err
+        assert re.search(r" during training$", err, re.MULTILINE), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_probe_exits_3_naming_the_assessment(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # A huge lr drives the first probe's log-variances so high that scoring
+        # the probe overflows exp, before stage 1 trains.
+        monkeypatch.setattr(cli, "SYNTHETIC_N_TRAIN", 256)
+        code = main(["run", "--experiment", "synthetic", "--model", "auto", "--lr", "1e300",
+                     "--probe-size", "100", "--probe-repeats", "2", "--trials", "1",
+                     "--epochs", "1", "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert re.search(r"^numeric failure: stage 1: overflow .* during assessment$", err,
+                         re.MULTILINE), err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -581,6 +601,12 @@ def _valid_results_csv(tmp_path) -> bytes:
 VALID_CONFIG = (b"# a run\nexperiment = synthetic\nmodel = gvcl:0.5\ntrials = 2\n"
                 b"epochs = 3\nlr = 0.002\nprobe_size = 256\nlam = 2.5  # comment\n")
 
+
+def _moderate_or_huge(lo):
+    """A float in [lo, 10], or a power of ten from 1e2 to 1e300."""
+    return st.one_of(st.floats(lo, 10.0), st.integers(2, 300).map(lambda e: 10.0 ** e))
+
+
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -612,6 +638,28 @@ class TestFuzzedInputs:
         code = main(["run", "--config", str(path)])
         assert code in (0, 1)
         assert len(runs) == (code == 0)
+
+    @settings(max_examples=12, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(model=st.one_of(st.just("auto"), _moderate_or_huge(1e-3).map("gvcl:{}".format)),
+           lr=_moderate_or_huge(1e-5), batch_size=st.integers(1, 300),
+           lam=_moderate_or_huge(1e-3), probe_size=st.integers(1, 80),
+           probe_repeats=st.integers(1, 3), train_mc_samples=st.integers(1, 3),
+           eval_mc_samples=st.integers(1, 3))
+    def test_fuzzed_run_exits_0_1_or_3_and_reruns_byte_identical(self, tmp_path, monkeypatch,
+                                                                 **settings_drawn):
+        # 128 training examples per task: a probe_size above 64 is a config error.
+        monkeypatch.setattr(cli, "SYNTHETIC_N_TRAIN", 128)
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings_drawn.items()]
+        args = ["run", "--experiment", "synthetic", "--trials", "1", "--epochs", "1", *flags]
+        with tempfile.TemporaryDirectory(dir=tmp_path) as out:
+            code = main([*args, "--out-dir", f"{out}/a"])
+            assert code in (0, 1, 3)
+            if code == 0:
+                (csv_path,) = Path(out, "a").iterdir()
+                assert read_results_csv(csv_path)
+                assert main([*args, "--out-dir", f"{out}/b"]) == 0
+                assert Path(out, "b", csv_path.name).read_bytes() == csv_path.read_bytes()
 
     @FUZZ
     @given(data=st.data())

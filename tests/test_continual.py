@@ -145,9 +145,8 @@ class TestRunSequence:
         # training streams are derived independently of probing, so stubbing
         # the assessment to produce beta=1 must reproduce the fixed run bit
         # for bit.
-        def fake_assess(task, net, hidden_dims, d_history, cfg, heuristic_cfg, master_seed):
-            return HeuristicTrace(task_index=len(d_history) + 1, beta=1.0, d=0.5, s=0.0,
-                                  delta_d=0.0)
+        def fake_assess(task, net, d_history, cfg, heuristic_cfg, master_seed):
+            return HeuristicTrace(beta=1.0, d=0.5, s=0.0, delta_d=0.0)
 
         monkeypatch.setattr(continual, "assess_task", fake_assess)
         fixed_cfg = TrainConfig(epochs=2, batch_size=128, train_mc_samples=2,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 import vclab.heuristics as heuristics
 from vclab.continual import TrainConfig
 from vclab.data import make_synthetic_blobs
-from vclab.heuristics import (BETA_MAX, BETA_MIN, HeuristicConfig, assess_task,
-                              average_difficulty_gap, compute_beta, difficulty_from_accuracy,
-                              measure_similarity, norm_unit, probe_difficulty)
+from vclab.heuristics import (BETA_MAX, BETA_MIN, HeuristicConfig, HeuristicTrace,
+                              assess_task, average_difficulty_gap, compute_beta,
+                              difficulty_from_accuracy, measure_similarity, norm_unit,
+                              probe_difficulty)
 from vclab.numerics import make_rng, seed_from
 from vclab.vbnn import fit, init_network, standard_prior
 
@@ -192,12 +194,15 @@ class TestMeasureSimilarity:
 
 
 class TestAssessTask:
+    def test_trace_keeps_only_what_the_assessment_measured(self):
+        # The stage is the trace's place in the list, chance is the task's.
+        assert [f.name for f in dataclasses.fields(HeuristicTrace)] == [
+            "beta", "d", "s", "delta_d", "raw_accuracies", "a_star"]
+
     def test_trace_is_consistent(self):
         task = blob_task(6.0, tag="assess")
         net = train_blob_net(blob_task(6.0, tag="assess-prev"))
-        trace = assess_task(task, net, (64,), [0.3], FAST_TRAIN, FAST, master_seed=99)
-        assert trace.task_index == 2
-        assert trace.a_prime == 0.5
+        trace = assess_task(task, net, [0.3], FAST_TRAIN, FAST, master_seed=99)
         assert 0.0 <= trace.d <= 1.0 and 0.0 <= trace.s <= 1.0
         assert trace.delta_d == 0.0
         assert trace.beta == pytest.approx(
@@ -208,9 +213,9 @@ class TestAssessTask:
         fits, predicts = [], []
         real_predict = heuristics.posterior_predict
 
-        def recording_fit(*args, **kwargs):
-            fits.append(kwargs)
-            return fit(*args, **kwargs)
+        def recording_fit(net, *args, **kwargs):
+            fits.append({**kwargs, "widths": [layer.fan_out for layer in net.trunk]})
+            return fit(net, *args, **kwargs)
 
         def recording_predict(net, head_index, x, rng, n_samples):
             predicts.append(n_samples)
@@ -221,8 +226,9 @@ class TestAssessTask:
         cfg = TrainConfig(batch_size=64, lr=0.002, train_mc_samples=3, eval_mc_samples=7)
         net = init_network(784, (16,), make_rng("run-settings"))
         net.ensure_head(0, 2, make_rng("run-settings", "head"))
-        assess_task(blob_task(6.0, tag="run-settings"), net, (16,), [0.3], cfg,
+        assess_task(blob_task(6.0, tag="run-settings"), net, [0.3], cfg,
                     HeuristicConfig(probe_size=256, probe_repeats=2), master_seed=5)
-        assert [(f["epochs"], f["batch_size"], f["lr"], f["mc_samples"]) for f in fits] == [
-            (1, 64, 0.002, 3)] * 2
+        # The probe networks take their hidden widths from the run's trunk.
+        assert [(f["epochs"], f["batch_size"], f["lr"], f["mc_samples"], f["widths"])
+                for f in fits] == [(1, 64, 0.002, 3, [16])] * 2
         assert predicts == [7] * 3  # two probe evaluations, then the one matching head

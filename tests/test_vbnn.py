@@ -266,12 +266,14 @@ class TestBetaElboLoss:
         self.x = make_rng("lx").random((4, 6))
         self.y = np.array([0, 2, 1, 1])
 
+    def test_breakdown_keeps_only_the_measured_parts(self):
+        # beta and n_task are arguments of beta_elbo_loss and fit.
+        assert [f.name for f in dataclasses.fields(ElboBreakdown)] == ["nll", "kl", "loss"]
+
     def test_loss_arithmetic(self):
-        bd = ElboBreakdown(nll=0.7, kl=10.0, beta=2.0, n_task=1000, loss=0.7 + 2.0 * 10.0 / 1000)
-        assert bd.loss == pytest.approx(0.72)
         real, _ = beta_elbo_loss(self.net, self.prior, 0, self.x, self.y, beta=2.0, n_task=1000,
                                  noise=sample_noise(self.net, 0, 2, make_rng(1)))
-        assert real.loss == pytest.approx(real.nll + real.beta * real.kl / real.n_task, rel=1e-12)
+        assert real.loss == pytest.approx(real.nll + 2.0 * real.kl / 1000, rel=1e-12)
 
     def test_tiny_beta_approaches_nll(self):
         noise = sample_noise(self.net, 0, 2, make_rng(2))
@@ -489,18 +491,22 @@ class TestFitSchedule:
 
 class ScriptedRng:
     """``make_rng(tag)`` whose standard_normal calls each sleep ``delay``
-    seconds first, and whose ``fail_at``-th call raises."""
+    seconds first, and whose ``fail_at``-th call raises. ``calls`` lists
+    (method, thread name) for every call, in order."""
 
     def __init__(self, tag, fail_at=None, delay=0.0):
         self._rng = make_rng(tag)
         self._left, self._delay = fail_at, delay
         self.error = RuntimeError("draw failed")
         self.thread_seen = None   # fit_thread_alive() at the latest draw
+        self.calls = []
 
     def permutation(self, n):
+        self.calls.append(("permutation", threading.current_thread().name))
         return self._rng.permutation(n)
 
     def standard_normal(self, *args, **kwargs):
+        self.calls.append(("standard_normal", threading.current_thread().name))
         self.thread_seen = fit_thread_alive()
         time.sleep(self._delay)
         if self._left == 0:
@@ -527,6 +533,33 @@ def fit_error(*args, **kwargs):
     watchdog.join(timeout=60)
     assert not watchdog.is_alive(), "fit did not return"
     return raised[0] if raised else None
+
+
+class TestFitWorker:
+    def test_the_worker_only_draws(self, monkeypatch):
+        # np.errstate holds per thread, so the stage guard in run_sequence
+        # does not reach fit's worker: it may do nothing but draw.
+        calls = []
+
+        def recorded(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread().name))
+                return function(*args, **kwargs)
+            return wrapper
+
+        for owner, name in [(vbnn, "beta_elbo_loss"), (vbnn, "backward_gradients"),
+                            (vbnn.NetAdam, "step"), (TaskView, "take")]:
+            monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
+        x = make_rng("worker").random((20, 4))
+        net, rng = random_net(74), ScriptedRng("worker-fit")
+        fit(net, advance_prior(net), 0, whole_view(x, np.arange(20) % 2), beta=1.0,
+            epochs=2, batch_size=6, lr=0.01, mc_samples=2, rng=rng)
+        by_thread = {}
+        for name, thread in [*calls, *rng.calls]:
+            worker = thread.startswith("vclab-fit-noise_")
+            by_thread.setdefault(worker, set()).add(name)
+        assert by_thread == {True: {"permutation", "standard_normal"},
+                             False: {"beta_elbo_loss", "backward_gradients", "step", "take"}}
 
 
 class TestFitFailures:
