@@ -209,8 +209,10 @@ def read_results_csv(path) -> list[ResultRow]:
     """Parse a results CSV back into rows (inverse of write_results_csv),
     skipping blank lines. Each row must have the header's fields, finite
     numbers in the ranges ``_check_row`` names, and its own (experiment,
-    model, trial, stage, task_index)."""
-    rows, seen = [], set()
+    model, trial, stage, task_index); the rows of one (experiment, model,
+    trial, stage) must agree on beta, d, s and delta_d, which
+    ``run_experiment`` writes from one trace."""
+    rows, seen, stages = [], set(), {}
     reader = csv.reader(io.StringIO(_read_text(path, DataFormatError), newline=""))
     if (header := next(reader, None)) != CSV_HEADER:
         raise DataFormatError(f"{path}: unexpected header {header}")
@@ -224,6 +226,11 @@ def read_results_csv(path) -> list[ResultRow]:
             if (key := (r.experiment, r.model, r.trial, r.stage, r.task_index)) in seen:
                 raise ValueError(f"repeats the row of {key}")
             seen.add(key)
+            first = stages.setdefault(key[:4], r)
+            for name in ("beta", "d", "s", "delta_d"):
+                if getattr(r, name) != getattr(first, name):
+                    raise ValueError(f"{name} {getattr(r, name)} differs from "
+                                     f"{getattr(first, name)} on an earlier row of {key[:4]}")
             rows.append(r)
         except ValueError as exc:
             raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
@@ -281,6 +288,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                     stage=t, task_index=i, task_name=tasks[i].name,
                     accuracy=matrix.accuracy(t, i), beta=trace.beta,
                     d=trace.d, s=trace.s, delta_d=trace.delta_d))
+        del tasks  # so two trials' pixels are never alive at once
     out = Path(cfg.out_dir) / f"{cfg.experiment}_{label.replace(':', '-')}.csv"
     return write_results_csv(rows, out)
 
@@ -314,7 +322,8 @@ def aggregate_trials(rows: list[ResultRow]) -> list[AggregateRow]:
     for r in rows:
         trials = cells.setdefault((r.model, r.stage), {})
         accs = trials[r.trial][0] if r.trial in trials else []
-        trials[r.trial] = (accs + [r.accuracy], r.beta)  # a trial's last row gives its beta
+        # read_results_csv checks that the rows of a trial's stage share one beta
+        trials[r.trial] = (accs + [r.accuracy], r.beta)
     out = []
     for (model, stage), trials in sorted(cells.items()):
         means = np.array([np.mean(accs) for accs, _ in trials.values()])

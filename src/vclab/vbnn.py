@@ -24,22 +24,22 @@ frozen noise in the test suite -- there is no autodiff anywhere.
 
 Memory follows the Monte Carlo samples. ``fit`` keeps two step buffers of
 (S, I, O) noise per layer, allocated once: one serial generator makes every
-draw in the order one thread would, and a one-worker executor advances it
-to step i + 1's noise in one buffer while step i trains on the other, so
-the bits do not change. Each batch is gathered from the task view, so the
-task is never materialized whole, and a step's cache and gradients are
-released before the next step starts. The
-first layer's input is the shared batch, so ``forward_with_noise`` builds
-its weights one sample at a time straight into that sample's
-pre-activations and keeps none; later layers keep their (S, I, O) sampled
-weights, which their backward pass multiplies by; it recomputes each
-hidden layer's input as the ReLU of the cached pre-activation, one sample at
-a time, and sums the per-sample weight gradients in sample order.
-``posterior_predict`` draws all noise in one call, computes every layer's
-sigma once, then streams one sample at a time through
-``forward_with_noise``, so peak evaluation memory is one (S, I, O) noise
-tensor per layer plus a single sample's weights and activations. All of
-this gives the same bits as the stacked computation.
+draw in the order one thread would, and a one-worker executor advances it to
+step i + 1's noise in one buffer while step i trains on the other, so the
+bits do not change. Each batch is gathered from the task view, so the task
+is never materialized whole, and a step's cache and gradients are released
+before the next step starts. The first layer's input is the shared batch, so
+``forward_with_noise`` builds its weights one sample at a time straight into
+that sample's pre-activations and keeps none; later layers keep their
+(S, I, O) sampled weights, which their backward pass multiplies by; it
+recomputes each hidden layer's input as the ReLU of the cached
+pre-activation, one sample at a time, and sums the per-sample weight
+gradients in sample order. ``posterior_predict`` draws all noise in one call
+and computes every layer's sigma once; then this thread and a one-worker
+executor each run one sample at a time through a forward pass that keeps no
+backward cache, so peak evaluation memory is one (S, I, O) noise tensor per
+layer plus two samples' weights and activations. All of this gives the same
+bits as the stacked computation.
 
 Each layer keeps means and log-variances as the two rows of one (2, n)
 buffer (see :class:`VariationalLayer`), and so do gradients, Adam moments
@@ -257,29 +257,30 @@ def layer_sigmas(layers: Sequence[VariationalLayer]) -> list[tuple[np.ndarray, n
     return [(np.exp(0.5 * layer.logvar_w), np.exp(0.5 * layer.logvar_b)) for layer in layers]
 
 
+def _as_input(net: VariationalNet, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise ValueError(f"input shape {x.shape} does not match input_dim {net.input_dim}")
+    return x
+
+
 def forward_with_noise(net: VariationalNet, head_index: int, x: np.ndarray,
-                       noise: list[tuple[np.ndarray, np.ndarray]],
-                       sigmas: list[tuple[np.ndarray, np.ndarray]] | None = None) -> ForwardCache:
+                       noise: list[tuple[np.ndarray, np.ndarray]]) -> ForwardCache:
     """Forward pass with the given noise; ReLU between trunk layers, linear head.
 
     The first layer multiplies the shared (B, I) batch, so its weights are
     built one sample at a time into that sample's pre-activations and not
     kept. Later layers keep their sampled weights for the backward pass.
-    ``sigmas`` is :func:`layer_sigmas` of the active layers, for a caller
-    that already has it.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise ValueError(f"input shape {x.shape} does not match input_dim {net.input_dim}")
+    x = _as_input(net, x)
     layers = net.active_layers(head_index)
     if len(noise) != len(layers):
         raise ValueError(f"noise for {len(noise)} layers, net has {len(layers)}")
-    if sigmas is None:
-        sigmas = layer_sigmas(layers)
     n_samples = noise[0][0].shape[0]
     weights, pre = [], []
     act: np.ndarray = x
-    for li, (layer, (eps_w, eps_b), (sigma_w, sigma_b)) in enumerate(zip(layers, noise, sigmas)):
+    for li, (layer, (eps_w, eps_b), (sigma_w, sigma_b)) in enumerate(
+            zip(layers, noise, layer_sigmas(layers))):
         b = sigma_b * eps_b                         # (S, O)
         b += layer.mu_b
         if li == 0:
@@ -496,27 +497,51 @@ def fit(net: VariationalNet, prior: PosteriorSnapshot, head_index: int, data: Ta
     return history
 
 
+def _sample_probs(parts: list[tuple], x: np.ndarray, s: int, errors: dict) -> np.ndarray:
+    """Softmax of draw ``s`` on the batch ``x`` under ``np.errstate(**errors)``,
+    by a forward pass that keeps nothing for backward; ``parts`` holds
+    (layer, (sigma_w, sigma_b), (eps_w, eps_b)) per active layer."""
+    act = x
+    with np.errstate(**errors):
+        for li, (layer, (sigma_w, sigma_b), (eps_w, eps_b)) in enumerate(parts):
+            w = sigma_w * eps_w[s]
+            w += layer.mu_w
+            b = sigma_b * eps_b[s]
+            b += layer.mu_b
+            act = act @ w
+            act += b
+            if li < len(parts) - 1:
+                np.maximum(act, 0.0, out=act)
+        return softmax(act)
+
+
 def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
                       rng: np.random.Generator, n_eval_samples: int) -> np.ndarray:
     """Posterior-predictive class probabilities: softmax averaged over draws.
 
     The noise for all draws comes from one :func:`sample_noise` call, so the
-    stream is consumed exactly as by a batched forward pass. The draws then
-    go through :func:`forward_with_noise` one at a time, sharing one
-    :func:`layer_sigmas`, and their softmax is summed in sample order, which
-    gives the same bits as ``softmax(batched logits).mean(axis=0)``. Peak
-    memory is the noise plus one sample's weights and activations, never S
-    sampled weight tensors.
+    stream is consumed exactly as by a batched forward pass. Even draws run
+    here, odd ones one at a time on a one-worker executor, and this thread
+    sums their softmax in sample order: the same bits as ``softmax(batched
+    logits).mean(axis=0)``. Peak memory is the noise plus two draws' (I, O)
+    weights and (B, O) activations. The worker runs under this thread's
+    ``np.geterr()``, since ``np.errstate`` holds per thread; ``result()``
+    raises its errors here, and the ``with`` block joins it before return.
     """
     if n_eval_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_input(net, x)
+    layers = net.active_layers(head_index)
     noise = sample_noise(net, head_index, n_eval_samples, rng)
-    sigmas = layer_sigmas(net.active_layers(head_index))
-    total = np.zeros((x.shape[0], net.head(head_index).fan_out))
-    for s in range(n_eval_samples):
-        draw = [(eps_w[s:s + 1], eps_b[s:s + 1]) for eps_w, eps_b in noise]
-        total += softmax(forward_with_noise(net, head_index, x, draw, sigmas).logits[0])
+    parts, errors = list(zip(layers, layer_sigmas(layers), noise)), np.geterr()
+    total = np.zeros((x.shape[0], layers[-1].fan_out))
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vclab-predict") as lane:
+        for s in range(0, n_eval_samples, 2):
+            odd = (lane.submit(_sample_probs, parts, x, s + 1, errors)
+                   if s + 1 < n_eval_samples else None)
+            total += _sample_probs(parts, x, s, errors)
+            if odd is not None:
+                total += odd.result()
     return total / n_eval_samples
 
 

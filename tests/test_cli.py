@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
@@ -158,6 +159,15 @@ class TestResultsCsv:
         path = tmp_path / "r.csv"
         path.write_text(",".join(CSV_HEADER) + "\n" + GOOD_ROW * 2, encoding="utf-8")
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:3: repeats "):
+            read_results_csv(path)
+
+    def test_stage_rows_that_disagree_named_by_path_and_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n"
+                        "synthetic,gvcl:1,1,2,2,0,t,0.900000,1.000000,,,\n"
+                        "synthetic,gvcl:1,1,2,2,1,u,0.800000,7.000000,,,\n", encoding="utf-8")
+        with pytest.raises(DataFormatError,
+                           match=rf"^{re.escape(str(path))}:3: beta 7.0 differs from 1.0 "):
             read_results_csv(path)
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -340,11 +350,16 @@ class TestMainEntry:
         (["aggregate"], "synthetic,autovcl,0,1,1,0,t,0.900000,1.000000,1.500000,0.0,0.0\n"),
         (["aggregate"], "synthetic,autovcl,0,1,1,0,t,0.900000,5000.000000,0.5,0.0,0.0\n"),
         (["aggregate"], "synthetic,gvcl:1,0,1,0,0,t,0.900000,1.000000,,,\n"),
+        (["aggregate"], "synthetic,gvcl:1,1,2,2,0,t,0.900000,1.000000,,,\n"
+                        "synthetic,gvcl:1,1,2,2,1,u,0.800000,7.000000,,,\n"),
+        (["chart"], "synthetic,autovcl,0,1,2,0,t,0.900000,2.000000,0.5,0.1,0.0\n"
+                    "synthetic,autovcl,0,1,2,1,u,0.800000,2.000000,0.5,0.2,0.0\n"),
     ], ids=["aggregate-header-only", "aggregate-bad-accuracy", "chart-no-beta",
             "aggregate-nan-accuracy", "chart-inf-beta", "aggregate-nonfinite-heuristics",
             "aggregate-13-fields", "aggregate-8-fields", "aggregate-accuracy-1.5",
             "chart-negative-beta", "aggregate-task-index-past-stage", "aggregate-repeated-row",
-            "aggregate-d-1.5", "aggregate-beta-past-schedule-with-d", "aggregate-stage-0"])
+            "aggregate-d-1.5", "aggregate-beta-past-schedule-with-d", "aggregate-stage-0",
+            "aggregate-stage-rows-disagree-on-beta", "chart-stage-rows-disagree-on-s"])
     def test_bad_results_csv_exits_2_without_traceback(self, tmp_path, command, body):
         path = tmp_path / "results.csv"
         path.write_text(",".join(CSV_HEADER) + "\n" + body, encoding="utf-8")
@@ -508,6 +523,23 @@ class TestMainEntry:
         assert len(rows) == 2 * (1 + 2 + 3)
         assert {r.seed for r in rows} == {77, 78}
         assert all(r.d is not None for r in rows)
+
+    def test_a_trial_releases_its_tasks_before_the_next_builds_its_own(self, tmp_path,
+                                                                        monkeypatch):
+        monkeypatch.setattr(cli, "SYNTHETIC_N_TRAIN", 128)
+        real_build, previous, alive = cli.build_tasks, [], []
+
+        def build_tasks(*args):
+            alive.append([ref() is not None for ref in previous])
+            tasks, hidden_dims = real_build(*args)
+            previous[:] = [weakref.ref(view.images) for task in tasks
+                           for view in (task.train, task.test)]
+            return tasks, hidden_dims
+
+        monkeypatch.setattr(cli, "build_tasks", build_tasks)
+        assert main(["run", "--experiment", "synthetic", "--model", "gvcl:1", "--trials", "3",
+                     "--epochs", "1", "--out-dir", str(tmp_path)]) == 0
+        assert alive == [[], [False] * 6, [False] * 6]
 
     def test_fixed_model_has_empty_heuristic_fields(self, tmp_path):
         code = main(["run", "--experiment", "synthetic", "--model", "gvcl:0.5",

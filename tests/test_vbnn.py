@@ -516,22 +516,22 @@ class ScriptedRng:
         return self._rng.standard_normal(*args, **kwargs)
 
 
-def fit_error(*args, **kwargs):
-    """What ``fit(*args, **kwargs)`` raised, run on a watchdog thread that
-    must finish within a minute, so a hang fails the test instead of
+def error_of(function, *args, **kwargs):
+    """What ``function(*args, **kwargs)`` raised, run on a watchdog thread
+    that must finish within a minute, so a hang fails the test instead of
     stalling the suite."""
     raised = []
 
     def target():
         try:
-            fit(*args, **kwargs)
+            function(*args, **kwargs)
         except Exception as exc:
             raised.append(exc)
 
     watchdog = threading.Thread(target=target, daemon=True)
     watchdog.start()
     watchdog.join(timeout=60)
-    assert not watchdog.is_alive(), "fit did not return"
+    assert not watchdog.is_alive(), f"{function.__name__} did not return"
     return raised[0] if raised else None
 
 
@@ -580,9 +580,9 @@ class TestFitFailures:
         threads = threading.active_count()
         # Slow draws keep the noise thread busy with the next step when the
         # loss fails, so fit must wait for it.
-        error = fit_error(net, advance_prior(net), 0, whole_view(x, np.arange(n) % 2),
-                          beta=1.0, epochs=2, batch_size=batch_size, lr=0.01, mc_samples=2,
-                          rng=ScriptedRng("nan-fit", delay=0.01))
+        error = error_of(fit, net, advance_prior(net), 0, whole_view(x, np.arange(n) % 2),
+                         beta=1.0, epochs=2, batch_size=batch_size, lr=0.01, mc_samples=2,
+                         rng=ScriptedRng("nan-fit", delay=0.01))
         assert isinstance(error, NumericError) and "non-finite loss" in str(error)
         assert threading.active_count() == threads and not fit_thread_alive()
         after = get_param_vector(net, 0)
@@ -595,8 +595,8 @@ class TestFitFailures:
         x = make_rng("fail").random((12, 4))
         net, rng = random_net(72), ScriptedRng("failing", fail_at)
         threads = threading.active_count()
-        error = fit_error(net, advance_prior(net), 0, whole_view(x, np.arange(12) % 2),
-                          beta=1.0, epochs=2, batch_size=6, lr=0.01, mc_samples=2, rng=rng)
+        error = error_of(fit, net, advance_prior(net), 0, whole_view(x, np.arange(12) % 2),
+                         beta=1.0, epochs=2, batch_size=6, lr=0.01, mc_samples=2, rng=rng)
         assert error is rng.error
         assert threading.active_count() == threads and not fit_thread_alive()
 
@@ -692,8 +692,24 @@ class TestAdvancePrior:
             load_snapshot(path)
 
 
+def predict_lane_alive():
+    """Whether posterior_predict's lane, ``vclab-predict_0``, is running."""
+    return any(t.name.startswith("vclab-predict_") for t in threading.enumerate())
+
+
+def recording_softmax(monkeypatch, record):
+    """Route vbnn.softmax through ``record(z)`` before the real softmax."""
+    real = vbnn.softmax
+
+    def softmax(z):
+        record(z)
+        return real(z)
+
+    monkeypatch.setattr(vbnn, "softmax", softmax)
+
+
 class TestPosteriorPredict:
-    @pytest.mark.parametrize("n_samples", [1, 7])
+    @pytest.mark.parametrize("n_samples", [1, 2, 7, 20])
     def test_streamed_equals_batched_reference(self, n_samples):
         net = random_net(52, input_dim=6, hidden=(5, 4), out=3, jitter=0.3)
         rng = make_rng("logvar-jitter")
@@ -701,10 +717,42 @@ class TestPosteriorPredict:
             layer.logvar_w[...] = -2.0 + rng.standard_normal(layer.logvar_w.shape)
             layer.logvar_b[...] = -2.0 + rng.standard_normal(layer.logvar_b.shape)
         x = make_rng("pb").random((9, 6))
-        streamed = posterior_predict(net, 0, x, make_rng(8), n_samples)
-        noise = sample_noise(net, 0, n_samples, make_rng(8))
+        rng, reference_rng = make_rng(8), make_rng(8)
+        streamed = posterior_predict(net, 0, x, rng, n_samples)
+        noise = sample_noise(net, 0, n_samples, reference_rng)
         batched = vbnn.softmax(forward_with_noise(net, 0, x, noise).logits).mean(axis=0)
-        assert np.array_equal(streamed, batched)
+        assert streamed.tobytes() == batched.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert not predict_lane_alive()
+
+    def test_every_sample_runs_under_the_callers_error_state(self, monkeypatch):
+        # np.errstate holds per thread: the lane must take the caller's, or an
+        # overflow in an odd sample would only warn inside a run's stage guard.
+        seen = []
+        recording_softmax(monkeypatch, lambda z: seen.append(
+            (threading.current_thread().name.startswith("vclab-predict_"), np.geterr()["over"])))
+        net = random_net(54, input_dim=6, hidden=(5,), out=3)
+        with np.errstate(over="raise"):
+            posterior_predict(net, 0, make_rng("es").random((4, 6)), make_rng(11), 7)
+        assert sorted(seen) == [(False, "raise")] * 4 + [(True, "raise")] * 3
+
+    @pytest.mark.parametrize("fail_at", [1, 3])
+    def test_an_error_in_an_odd_sample_is_raised_here_and_joins(self, monkeypatch, fail_at):
+        error, lane_calls = RuntimeError("sample failed"), []
+
+        def fail_on_the_lane(z):
+            if threading.current_thread().name.startswith("vclab-predict_"):
+                lane_calls.append(z)
+                if len(lane_calls) == fail_at:
+                    raise error
+
+        recording_softmax(monkeypatch, fail_on_the_lane)
+        net = random_net(55, input_dim=6, hidden=(5,), out=3)
+        threads = threading.active_count()
+        raised = error_of(posterior_predict, net, 0, make_rng("err").random((4, 6)),
+                          make_rng(12), 7)
+        assert raised is error and len(lane_calls) == fail_at
+        assert threading.active_count() == threads and not predict_lane_alive()
 
     def test_rows_sum_to_one(self):
         net = random_net(50, input_dim=6, hidden=(5,), out=4, jitter=0.4)
