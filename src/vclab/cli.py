@@ -75,6 +75,9 @@ def parse_model(model: str) -> tuple[str, float]:
         except ValueError:
             raise ConfigError(f"bad beta in model {model!r}") from None
         require_positive("fixed beta", beta)
+        if float(_fmt(beta)) == 0.0:
+            raise ConfigError(f"fixed beta {beta:g} is below about 5e-7, so the results "
+                              f"CSV would write it as {_fmt(beta)}")
         return "fixed", beta
     raise ConfigError(f"unknown model {model!r}, expected 'auto' or 'gvcl:<beta>'")
 
@@ -208,11 +211,11 @@ def _check_row(r: ResultRow) -> None:
 def read_results_csv(path) -> list[ResultRow]:
     """Parse a results CSV back into rows (inverse of write_results_csv),
     skipping blank lines. Each row must have the header's fields, finite
-    numbers in the ranges ``_check_row`` names, and its own (experiment,
-    model, trial, stage, task_index); the rows of one (experiment, model,
-    trial, stage) must agree on beta, d, s and delta_d, which
-    ``run_experiment`` writes from one trace."""
-    rows, seen, stages = [], set(), {}
+    numbers in the ranges ``_check_row`` names and the first row's experiment.
+    The rows of one stage, (experiment, model, trial, stage), must cover
+    task_index 0 to stage - 1 once each and agree on beta, d, s and delta_d,
+    which ``run_experiment`` writes from one trace."""
+    rows, stages = [], {}  # stage key -> (its first row, its task indices)
     reader = csv.reader(io.StringIO(_read_text(path, DataFormatError), newline=""))
     if (header := next(reader, None)) != CSV_HEADER:
         raise DataFormatError(f"{path}: unexpected header {header}")
@@ -223,17 +226,24 @@ def read_results_csv(path) -> list[ResultRow]:
             r = ResultRow(*values[:2], *map(int, values[2:6]), values[6], _finite(values[7]),
                           *(_finite(v) if v else None for v in values[8:]))
             _check_row(r)
-            if (key := (r.experiment, r.model, r.trial, r.stage, r.task_index)) in seen:
-                raise ValueError(f"repeats the row of {key}")
-            seen.add(key)
-            first = stages.setdefault(key[:4], r)
+            if rows and r.experiment != rows[0].experiment:
+                raise ValueError(f"experiment {r.experiment!r} differs from "
+                                 f"{rows[0].experiment!r} on the first row")
+            key = (r.experiment, r.model, r.trial, r.stage)
+            first, task_indices = stages.setdefault(key, (r, set()))
+            if r.task_index in task_indices:
+                raise ValueError(f"repeats the row of {(*key, r.task_index)}")
+            task_indices.add(r.task_index)
             for name in ("beta", "d", "s", "delta_d"):
                 if getattr(r, name) != getattr(first, name):
                     raise ValueError(f"{name} {getattr(r, name)} differs from "
-                                     f"{getattr(first, name)} on an earlier row of {key[:4]}")
+                                     f"{getattr(first, name)} on an earlier row of {key}")
             rows.append(r)
         except ValueError as exc:
             raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    for key, (_, task_indices) in stages.items():
+        if len(task_indices) < key[3]:
+            raise DataFormatError(f"{path}: stage {key[3]} of {key[:3]} lacks a task row")
     return rows
 
 
@@ -280,14 +290,12 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         snapshot_dir = (Path(cfg.snapshot_dir) / f"trial{trial}") if cfg.snapshot_dir else None
         matrix, traces = run_sequence(tasks, hidden_dims, cfg, cfg, seed,
                                       snapshot_dir=snapshot_dir, progress=report)
-        for t in range(1, matrix.n_stages + 1):
-            trace = traces[t - 1]
-            for i in range(t):
+        for t, (accuracies, trace) in enumerate(zip(matrix.rows(), traces), start=1):
+            for i, accuracy in enumerate(accuracies):
                 rows.append(ResultRow(
                     experiment=cfg.experiment, model=label, trial=trial, seed=seed,
-                    stage=t, task_index=i, task_name=tasks[i].name,
-                    accuracy=matrix.accuracy(t, i), beta=trace.beta,
-                    d=trace.d, s=trace.s, delta_d=trace.delta_d))
+                    stage=t, task_index=i, task_name=tasks[i].name, accuracy=accuracy,
+                    beta=trace.beta, d=trace.d, s=trace.s, delta_d=trace.delta_d))
         del tasks  # so two trials' pixels are never alive at once
     out = Path(cfg.out_dir) / f"{cfg.experiment}_{label.replace(':', '-')}.csv"
     return write_results_csv(rows, out)

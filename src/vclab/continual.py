@@ -60,20 +60,12 @@ class AccuracyMatrix:
     def __init__(self):
         self._rows: list[list[float]] = []
 
-    @property
-    def n_stages(self) -> int:
-        return len(self._rows)
-
     def add_stage(self, accuracies: Sequence[float]) -> None:
         if len(accuracies) != len(self._rows) + 1:
             raise ValueError(
                 f"stage {len(self._rows) + 1} needs {len(self._rows) + 1} accuracies, "
                 f"got {len(accuracies)}")
         self._rows.append([float(a) for a in accuracies])
-
-    def accuracy(self, stage: int, task_index: int) -> float:
-        """Accuracy of task ``task_index`` (0-based) after stage ``stage`` (1-based)."""
-        return self._rows[stage - 1][task_index]
 
     def rows(self) -> list[list[float]]:
         return [list(r) for r in self._rows]

@@ -71,7 +71,7 @@ class TestModelParsing:
         assert parse_model("gvcl:100") == ("fixed", 100.0)
 
     def test_rejected_forms(self):
-        for bad in ("gvcl", "gvcl:zero", "gvcl:-1", "vcl"):
+        for bad in ("gvcl", "gvcl:zero", "gvcl:-1", "vcl", "gvcl:4e-7", "gvcl:1e-300"):
             with pytest.raises(ConfigError):
                 parse_model(bad)
 
@@ -151,6 +151,7 @@ class TestResultsCsv:
     def test_schedule_range_binds_only_rows_with_d(self, tmp_path):
         rows = [row(model="gvcl:5000", beta=5000.0),
                 row(stage=1, task_index=0, beta=BETA_MIN, d=0.0, s=1.0, delta_d=0.0),
+                row(stage=2, task_index=0, beta=BETA_MAX, d=1.0, s=0.0, delta_d=1.0),
                 row(stage=2, task_index=1, beta=BETA_MAX, d=1.0, s=0.0, delta_d=1.0)]
         path = write_results_csv(rows, tmp_path / "edges.csv")
         assert read_results_csv(path) == rows
@@ -308,7 +309,7 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("flags", [
         ["--lr", "-1"], ["--lr", "nan"], ["--lam", "nan"], ["--lam", "-inf"],
-        ["--model", "gvcl:inf"], ["--model", "gvcl:nan"],
+        ["--model", "gvcl:inf"], ["--model", "gvcl:nan"], ["--model", "gvcl:4e-7"],
         ["--train-mc-samples", "0"], ["--eval-mc-samples", "0"], ["--probe-size", "5000"],
     ], ids=" ".join)
     def test_invalid_value_exits_1_without_traceback(self, tmp_path, flags):
@@ -354,12 +355,15 @@ class TestMainEntry:
                         "synthetic,gvcl:1,1,2,2,1,u,0.800000,7.000000,,,\n"),
         (["chart"], "synthetic,autovcl,0,1,2,0,t,0.900000,2.000000,0.5,0.1,0.0\n"
                     "synthetic,autovcl,0,1,2,1,u,0.800000,2.000000,0.5,0.2,0.0\n"),
+        (["aggregate"], GOOD_ROW + GOOD_ROW.replace("synthetic", "permuted")),
+        (["aggregate"], GOOD_ROW + "synthetic,gvcl:1,0,1,2,0,t,0.400000,1.000000,,,\n"),
     ], ids=["aggregate-header-only", "aggregate-bad-accuracy", "chart-no-beta",
             "aggregate-nan-accuracy", "chart-inf-beta", "aggregate-nonfinite-heuristics",
             "aggregate-13-fields", "aggregate-8-fields", "aggregate-accuracy-1.5",
             "chart-negative-beta", "aggregate-task-index-past-stage", "aggregate-repeated-row",
             "aggregate-d-1.5", "aggregate-beta-past-schedule-with-d", "aggregate-stage-0",
-            "aggregate-stage-rows-disagree-on-beta", "chart-stage-rows-disagree-on-s"])
+            "aggregate-stage-rows-disagree-on-beta", "chart-stage-rows-disagree-on-s",
+            "aggregate-two-experiments", "aggregate-stage-missing-a-task"])
     def test_bad_results_csv_exits_2_without_traceback(self, tmp_path, command, body):
         path = tmp_path / "results.csv"
         path.write_text(",".join(CSV_HEADER) + "\n" + body, encoding="utf-8")

@@ -3,10 +3,11 @@ import pytest
 
 import vclab.continual as continual
 from vclab.continual import AccuracyMatrix, TrainConfig, evaluate, run_sequence, train_on_task
-from vclab.data import Dataset, make_permuted_tasks, make_synthetic_blobs
+from vclab.data import Dataset, TaskView, make_permuted_tasks, make_synthetic_blobs
 from vclab.heuristics import HeuristicConfig, HeuristicTrace
 from vclab.numerics import ConfigError, make_rng
-from vclab.vbnn import advance_prior, init_network, load_snapshot, standard_prior
+from vclab.vbnn import (advance_prior, init_network, load_snapshot, posterior_predict,
+                        standard_prior)
 
 FAST_TRAIN = TrainConfig(epochs=3, batch_size=128, train_mc_samples=3, eval_mc_samples=5)
 FAST_HEUR = HeuristicConfig(probe_size=256, probe_repeats=2)
@@ -40,8 +41,6 @@ class TestAccuracyMatrix:
         m = AccuracyMatrix()
         m.add_stage([0.9])
         m.add_stage([0.8, 0.95])
-        assert m.n_stages == 2
-        assert m.accuracy(2, 0) == 0.8
         assert m.rows() == [[0.9], [0.8, 0.95]]
         with pytest.raises(ValueError):
             m.add_stage([0.1])  # stage 3 needs 3 entries
@@ -110,6 +109,28 @@ class TestEvaluate:
         b = evaluate(net, task, FAST_TRAIN, make_rng("same", 1))
         assert a == b
 
+    def test_split_predicted_chunk_by_chunk(self, monkeypatch):
+        # Test splits here are smaller than EVAL_CHUNK; shrink it so the split
+        # takes three chunks, the last one short.
+        monkeypatch.setattr(continual, "EVAL_CHUNK", 16)
+        task = make_synthetic_blobs(4.0, 0.0, 160, make_rng("cblob", "chunks"), n_test=40)
+        net = fresh_net(task)
+        take, taken = TaskView.take, []
+
+        def counting_take(view, idx):
+            taken.append(len(idx))
+            return take(view, idx)
+
+        monkeypatch.setattr(TaskView, "take", counting_take)
+        acc = evaluate(net, task, FAST_TRAIN, make_rng("chunks", 1))
+        assert taken == [16, 16, 8]
+        rng, correct = make_rng("chunks", 1), 0
+        for start in (0, 16, 32):
+            x, y = take(task.test, np.arange(start, min(start + 16, 40)))
+            probs = posterior_predict(net, task.head_index, x, rng, FAST_TRAIN.eval_mc_samples)
+            correct += int((probs.argmax(axis=1) == y).sum())
+        assert acc == correct / 40
+
     def test_missing_head(self):
         task = blob_task(4.0, head_index=3, tag="miss")
         net = init_network(task.input_dim, (8,), make_rng("m"))
@@ -128,7 +149,7 @@ class TestRunSequence:
         cfg = TrainConfig(epochs=2, batch_size=128, train_mc_samples=2, eval_mc_samples=5,
                           beta_mode="auto")
         matrix, traces = run_sequence(tasks, (16,), cfg, FAST_HEUR, master_seed=5)
-        assert matrix.n_stages == 1
+        assert len(matrix.rows()) == 1
         assert len(matrix.rows()[0]) == 1
         assert traces[0].beta == 1.0
         assert traces[0].s == 0.0
@@ -170,7 +191,7 @@ class TestRunSequence:
         fixed_cfg = TrainConfig(epochs=1, batch_size=128, train_mc_samples=2, eval_mc_samples=5,
                                 beta_mode="fixed", beta=1.0)
         matrix, _ = run_sequence(tasks, (16,), fixed_cfg, heur, master_seed=17)
-        assert matrix.n_stages == 2
+        assert len(matrix.rows()) == 2
 
     def test_fixed_mode_skips_probes(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -180,7 +201,7 @@ class TestRunSequence:
         cfg = TrainConfig(epochs=1, batch_size=128, train_mc_samples=2, eval_mc_samples=5,
                           beta_mode="fixed", beta=2.0)
         matrix, traces = run_sequence(two_tasks(), (16,), cfg, FAST_HEUR, master_seed=13)
-        assert matrix.n_stages == 2
+        assert len(matrix.rows()) == 2
         assert all(tr.beta == 2.0 and tr.d is None for tr in traces)
 
     def test_snapshots_written_and_loadable(self, tmp_path):
