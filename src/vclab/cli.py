@@ -214,7 +214,8 @@ def read_results_csv(path) -> list[ResultRow]:
     numbers in the ranges ``_check_row`` names and the first row's experiment.
     The rows of one stage, (experiment, model, trial, stage), must cover
     task_index 0 to stage - 1 once each and agree on beta, d, s and delta_d,
-    which ``run_experiment`` writes from one trace."""
+    which ``run_experiment`` writes from one trace. Every trial of a model
+    must hold stages 1 to the model's largest stage."""
     rows, stages = [], {}  # stage key -> (its first row, its task indices)
     reader = csv.reader(io.StringIO(_read_text(path, DataFormatError), newline=""))
     if (header := next(reader, None)) != CSV_HEADER:
@@ -241,9 +242,17 @@ def read_results_csv(path) -> list[ResultRow]:
             rows.append(r)
         except ValueError as exc:
             raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    last = {}  # (experiment, model) -> its largest stage
     for key, (_, task_indices) in stages.items():
         if len(task_indices) < key[3]:
             raise DataFormatError(f"{path}: stage {key[3]} of {key[:3]} lacks a task row")
+        last[key[:2]] = max(last.get(key[:2], 0), key[3])
+    for experiment, model, trial in dict.fromkeys(key[:3] for key in stages):
+        for stage in range(1, last[experiment, model] + 1):
+            if (experiment, model, trial, stage) not in stages:
+                raise DataFormatError(f"{path}: trial {trial} of model {model!r} lacks "
+                                      f"stage {stage}; the model's last stage is "
+                                      f"{last[experiment, model]}")
     return rows
 
 
@@ -256,11 +265,14 @@ def _check_output_dir(flag: str, value: str) -> None:
         raise ConfigError(f"{flag} {value!r}: {existing} exists and is not a directory")
 
 
-def _check_output_file(flag: str, value: str) -> None:
+def _check_output_file(flag: str, value: str, source: str) -> None:
     """Fail before anything is read if ``value`` cannot become a file: it must
-    not be a directory, and its parent must be able to become one."""
+    not be a directory or the file ``source`` (through a link too), and its
+    parent must be able to become one."""
     if Path(value).is_dir():
         raise ConfigError(f"{flag} {value!r} is a directory")
+    if Path(value).exists() and Path(source).exists() and Path(value).samefile(source):
+        raise ConfigError(f"{flag} {value!r} is the results CSV {source!r}")
     _check_output_dir(flag, str(Path(value).parent))
 
 
@@ -475,7 +487,7 @@ def main(argv=None) -> int:
             print(f"results written to {path}")
         elif args.command == "aggregate":
             if args.out:
-                _check_output_file("--out", args.out)
+                _check_output_file("--out", args.out, args.csv)
             table = format_aggregates(aggregate_trials(read_results_csv(args.csv)))
             if args.out:
                 _write_text(args.out, table)
@@ -486,7 +498,7 @@ def main(argv=None) -> int:
             # "/"): such a path reaches the read below and is a data error there.
             csv_path = Path(args.csv)
             out = args.out or str(csv_path.parent / f"{csv_path.stem}.{args.which}.svg")
-            _check_output_file("--out", out)
+            _check_output_file("--out", out, args.csv)
             aggregates = aggregate_trials(read_results_csv(args.csv))
             path = emit_chart_svg(aggregates, args.which, out)
             print(f"chart written to {path}")

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -114,7 +114,7 @@ def _init_layer(fan_in: int, fan_out: int, rng: np.random.Generator) -> Variatio
 class VariationalNet:
     """Shared variational trunk plus per-task variational heads."""
 
-    def __init__(self, input_dim: int, trunk: list[VariationalLayer],
+    def __init__(self, input_dim: int, trunk: Sequence[VariationalLayer],
                  heads: dict[int, VariationalLayer]):
         self.input_dim = input_dim
         self.trunk = trunk
@@ -160,36 +160,23 @@ def init_network(input_dim: int, hidden_dims: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Posterior snapshots (the running prior q_{t-1})
+# Priors: the running prior q_{t-1} is a VariationalNet with a tuple trunk
+# and read-only arrays; a head it lacks has an N(0, 1) prior.
 
 
-@dataclass(frozen=True)
-class PosteriorSnapshot:
-    """Frozen copy of all variational parameters at the end of a task.
-
-    Serves as the prior for the next task. Arrays are marked read-only;
-    heads absent from the snapshot are treated as having an N(0, 1) prior.
-    """
-
-    trunk: tuple[VariationalLayer, ...]
-    heads: dict[int, VariationalLayer] = field(default_factory=dict)
-
-
-def standard_prior(net: VariationalNet) -> PosteriorSnapshot:
+def standard_prior(net: VariationalNet) -> VariationalNet:
     """N(0, 1) prior on every trunk parameter (used before the first task)."""
-    return PosteriorSnapshot(trunk=tuple(layer.zeros_like().frozen_copy()
-                                         for layer in net.trunk))
+    return VariationalNet(net.input_dim, tuple(layer.zeros_like().frozen_copy()
+                                               for layer in net.trunk), {})
 
 
-def advance_prior(net: VariationalNet) -> PosteriorSnapshot:
+def advance_prior(net: VariationalNet) -> VariationalNet:
     """Deep-copy the current posterior; the copy is immutable thereafter."""
-    return PosteriorSnapshot(
-        trunk=tuple(layer.frozen_copy() for layer in net.trunk),
-        heads={i: h.frozen_copy() for i, h in net.heads.items()},
-    )
+    return VariationalNet(net.input_dim, tuple(layer.frozen_copy() for layer in net.trunk),
+                          {i: h.frozen_copy() for i, h in net.heads.items()})
 
 
-def _prior_layers(net: VariationalNet, prior: PosteriorSnapshot,
+def _prior_layers(net: VariationalNet, prior: VariationalNet,
                  head_index: int) -> list[VariationalLayer]:
     """The prior of each of ``net.active_layers(head_index)``.
 
@@ -216,7 +203,7 @@ def diag_gaussian_kl(mu: np.ndarray, logvar: np.ndarray,
     return 0.5 * float(np.sum(terms))
 
 
-def kl_to_prior(net: VariationalNet, prior: PosteriorSnapshot, active_head: int) -> float:
+def kl_to_prior(net: VariationalNet, prior: VariationalNet, active_head: int) -> float:
     """Total KL in nats over trunk + active head; inactive heads contribute 0."""
     return float(sum(diag_gaussian_kl(*layer.flat, *p.flat) for layer, p in
                      zip(net.active_layers(active_head), _prior_layers(net, prior, active_head))))
@@ -334,7 +321,7 @@ def _check_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
     return y.astype(np.int64)
 
 
-def beta_elbo_loss(net: VariationalNet, prior: PosteriorSnapshot, head_index: int,
+def beta_elbo_loss(net: VariationalNet, prior: VariationalNet, head_index: int,
                    x: np.ndarray, y: np.ndarray, *, beta: float, n_task: int,
                    noise: list[tuple[np.ndarray, np.ndarray]],
                    ) -> tuple[ElboBreakdown, ForwardCache]:
@@ -357,7 +344,7 @@ def beta_elbo_loss(net: VariationalNet, prior: PosteriorSnapshot, head_index: in
     return ElboBreakdown(nll=nll, kl=kl, loss=loss), cache
 
 
-def backward_gradients(net: VariationalNet, prior: PosteriorSnapshot, cache: ForwardCache,
+def backward_gradients(net: VariationalNet, prior: VariationalNet, cache: ForwardCache,
                        y: np.ndarray, *, beta: float, n_task: int) -> list[VariationalLayer]:
     """Exact gradients of the batch loss for every (mu, logvar) of trunk + head.
 
@@ -445,7 +432,7 @@ def _draws(rng: np.random.Generator, n_task: int, epochs: int, batch_size: int,
             k = 1 - k
 
 
-def fit(net: VariationalNet, prior: PosteriorSnapshot, head_index: int, data: TaskView, *,
+def fit(net: VariationalNet, prior: VariationalNet, head_index: int, data: TaskView, *,
         beta: float, epochs: int, batch_size: int, lr: float, mc_samples: int,
         rng: np.random.Generator) -> list[ElboBreakdown]:
     """Train trunk + head with Adam on the per-batch negative beta-ELBO.
@@ -561,8 +548,8 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
 SNAPSHOT_MAGIC = b"VCLSNAP1"
 
 
-def save_snapshot(snapshot: PosteriorSnapshot, path) -> None:
-    """Write a snapshot in the flat binary format described above, atomically."""
+def save_snapshot(snapshot: VariationalNet, path) -> None:
+    """Write a network in the flat binary format described above, atomically."""
     head_items = sorted(snapshot.heads.items())
     with atomic_write(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
@@ -576,8 +563,10 @@ def save_snapshot(snapshot: PosteriorSnapshot, path) -> None:
                 fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def load_snapshot(path) -> PosteriorSnapshot:
-    """Read a snapshot written by :func:`save_snapshot`.
+def load_snapshot(path) -> VariationalNet:
+    """Read a snapshot written by :func:`save_snapshot` as a read-only
+    network that can predict; ``input_dim`` is the first stored layer's
+    ``fan_in`` (0 for a file with no layers).
 
     Raises ValueError on a truncated or corrupt file: every length is checked
     against the header counts before anything is unpacked, and every
@@ -617,4 +606,4 @@ def load_snapshot(path) -> PosteriorSnapshot:
 
     trunk = tuple(read_layer(fi, fo) for fi, fo in trunk_shapes)
     heads = {index: read_layer(fi, fo) for index, fi, fo in head_shapes}
-    return PosteriorSnapshot(trunk=trunk, heads=heads)
+    return VariationalNet(shapes[0][0] if shapes else 0, trunk, heads)

@@ -45,6 +45,9 @@ RUN_FLAGS = [
 ]
 
 GOOD_ROW = "synthetic,gvcl:1,0,1,1,0,t,0.900000,1.000000,,,\n"
+STAGE_2_OF_TRIAL_0 = ("synthetic,gvcl:1,0,1,2,0,t,0.600000,1.000000,,,\n"
+                      "synthetic,gvcl:1,0,1,2,1,u,0.600000,1.000000,,,\n")
+STAGE_2_OF_TRIAL_1 = STAGE_2_OF_TRIAL_0.replace(",0,1,", ",1,2,")
 
 
 def run_module(*args):
@@ -169,6 +172,14 @@ class TestResultsCsv:
                         "synthetic,gvcl:1,1,2,2,1,u,0.800000,7.000000,,,\n", encoding="utf-8")
         with pytest.raises(DataFormatError,
                            match=rf"^{re.escape(str(path))}:3: beta 7.0 differs from 1.0 "):
+            read_results_csv(path)
+
+    def test_trial_lacking_a_stage_named_by_path_model_trial_and_stage(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + GOOD_ROW + STAGE_2_OF_TRIAL_0
+                        + STAGE_2_OF_TRIAL_1, encoding="utf-8")
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: trial 1 of model "
+                                                  r"'gvcl:1' lacks stage 1;"):
             read_results_csv(path)
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -357,13 +368,18 @@ class TestMainEntry:
                     "synthetic,autovcl,0,1,2,1,u,0.800000,2.000000,0.5,0.2,0.0\n"),
         (["aggregate"], GOOD_ROW + GOOD_ROW.replace("synthetic", "permuted")),
         (["aggregate"], GOOD_ROW + "synthetic,gvcl:1,0,1,2,0,t,0.400000,1.000000,,,\n"),
+        (["aggregate"], GOOD_ROW + GOOD_ROW.replace(",0,1,", ",1,2,") + STAGE_2_OF_TRIAL_1),
+        (["aggregate"], GOOD_ROW + STAGE_2_OF_TRIAL_0 + GOOD_ROW.replace(",0,1,", ",1,2,")),
+        (["chart"], GOOD_ROW + STAGE_2_OF_TRIAL_0 + STAGE_2_OF_TRIAL_1),
     ], ids=["aggregate-header-only", "aggregate-bad-accuracy", "chart-no-beta",
             "aggregate-nan-accuracy", "chart-inf-beta", "aggregate-nonfinite-heuristics",
             "aggregate-13-fields", "aggregate-8-fields", "aggregate-accuracy-1.5",
             "chart-negative-beta", "aggregate-task-index-past-stage", "aggregate-repeated-row",
             "aggregate-d-1.5", "aggregate-beta-past-schedule-with-d", "aggregate-stage-0",
             "aggregate-stage-rows-disagree-on-beta", "chart-stage-rows-disagree-on-s",
-            "aggregate-two-experiments", "aggregate-stage-missing-a-task"])
+            "aggregate-two-experiments", "aggregate-stage-missing-a-task",
+            "aggregate-trial-0-lacks-stage-2", "aggregate-trial-1-lacks-stage-2",
+            "chart-trial-1-lacks-stage-1"])
     def test_bad_results_csv_exits_2_without_traceback(self, tmp_path, command, body):
         path = tmp_path / "results.csv"
         path.write_text(",".join(CSV_HEADER) + "\n" + body, encoding="utf-8")
@@ -384,12 +400,19 @@ class TestMainEntry:
         (["run", "--config", "{tmp}/dir"], 1),
         (["run", "--config", "{tmp}/latin1"], 1),
         (["run", "--config", "{tmp}/ghost.cfg"], 1),
+        (["aggregate", "{tmp}/good.csv", "--out", "{tmp}/good.csv"], 1),
+        (["chart", "{tmp}/good.csv", "--out", "{tmp}/good.csv"], 1),
+        (["aggregate", "{tmp}/good.csv", "--out", "{tmp}/hardlink.csv"], 1),
+        (["chart", "{tmp}/good.csv", "--out", "{tmp}/symlink.csv"], 1),
     ], ids=["aggregate-out-dir", "chart-out-dir", "chart-out-under-file", "aggregate-dir",
             "aggregate-not-utf8", "chart-dot", "chart-root", "chart-empty", "config-dir",
-            "config-not-utf8", "config-missing"])
+            "config-not-utf8", "config-missing", "aggregate-out-is-csv", "chart-out-is-csv",
+            "aggregate-out-hard-links-csv", "chart-out-symlinks-csv"])
     def test_unusable_path_exits_with_its_code_without_traceback(self, tmp_path, args, code):
-        (tmp_path / "good.csv").write_text(",".join(CSV_HEADER) + "\n" + GOOD_ROW,
-                                           encoding="utf-8")
+        good = tmp_path / "good.csv"
+        good.write_text(",".join(CSV_HEADER) + "\n" + GOOD_ROW, encoding="utf-8")
+        os.link(good, tmp_path / "hardlink.csv")
+        (tmp_path / "symlink.csv").symlink_to(good)
         (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
         (tmp_path / "dir").mkdir()
         (tmp_path / "latin1").write_bytes(b"experiment = caf\xe9\n")
@@ -400,6 +423,7 @@ class TestMainEntry:
         assert "Traceback" not in proc.stderr
         assert list((tmp_path / "dir").iterdir()) == []
         assert (tmp_path / "afile").read_text(encoding="utf-8") == "not a directory\n"
+        assert good.read_text(encoding="utf-8") == ",".join(CSV_HEADER) + "\n" + GOOD_ROW
 
     @pytest.mark.parametrize("experiment, defect", [
         ("permuted", "gzip-truncated"), ("permuted", "label-200"),

@@ -214,6 +214,17 @@ class TestRunSequence:
         assert len(snap.trunk) == 1
         assert sorted(snap.heads) == [0, 1]
 
+    def test_each_snapshot_predicts_its_stage_of_the_run(self, tmp_path):
+        tasks = [*two_tasks(), blob_task(8.0, rotation=0.4, tag="seq3", head_index=2)]
+        cfg = TrainConfig(epochs=1, batch_size=128, train_mc_samples=2, eval_mc_samples=5,
+                          beta_mode="fixed", beta=1.0)
+        matrix, _ = run_sequence(tasks, (16,), cfg, FAST_HEUR, master_seed=23,
+                                 snapshot_dir=tmp_path)
+        for t, row in enumerate(matrix.rows(), start=1):
+            snap = load_snapshot(tmp_path / f"stage_{t:02d}.snap")
+            assert [evaluate(snap, tasks[i], cfg, make_rng(23, "eval", t, i))
+                    for i in range(t)] == row
+
     def test_tasks_sharing_a_head_must_share_its_arity(self, monkeypatch):
         # A 2-class blob task then a 10-class permuted task, both on head 0.
         rng = make_rng("arity")

@@ -638,6 +638,19 @@ class TestAdvancePrior:
             assert np.array_equal(a, b)
         assert sorted(loaded.heads) == [0, 2]
 
+    def test_loaded_input_dim_is_the_first_layers_fan_in(self, tmp_path):
+        path = tmp_path / "stage.snap"
+        net = random_net(50, hidden=(), heads=(1,), jitter=0.2)  # one 4x2 head, no trunk
+        save_snapshot(advance_prior(net), path)
+        loaded = load_snapshot(path)
+        assert (loaded.input_dim, loaded.trunk, sorted(loaded.heads)) == (4, (), [1])
+        x = make_rng("nt").random((6, 4))
+        assert np.array_equal(posterior_predict(loaded, 1, x, make_rng("ntp"), 3),
+                              posterior_predict(net, 1, x, make_rng("ntp"), 3))
+        save_snapshot(vbnn.VariationalNet(7, (), {}), path)
+        empty = load_snapshot(path)
+        assert (empty.input_dim, empty.trunk, empty.heads) == (0, (), {})
+
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "stage.snap"
         save_snapshot(advance_prior(random_net(46)), path)
