@@ -284,12 +284,17 @@ def _write_text(path, text: str) -> Path:
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
-    """Run all trials of one (experiment, model) pair and write the CSV."""
-    _check_output_dir("--out-dir", cfg.out_dir)
-    if cfg.snapshot_dir:
-        _check_output_dir("--snapshot-dir", cfg.snapshot_dir)
-    corpus = load_corpus(cfg.experiment, cfg.data_dir)
+    """Run all trials of one (experiment, model) pair and write the CSV.
+    Every directory and the CSV path are checked before any data is loaded."""
     label = cfg.model_label()
+    out = Path(cfg.out_dir) / f"{cfg.experiment}_{label.replace(':', '-')}.csv"
+    _check_output_dir("--out-dir", cfg.out_dir)
+    if out.is_dir():
+        raise ConfigError(f"--out-dir {cfg.out_dir!r}: the results CSV {out} is a directory")
+    if cfg.snapshot_dir:
+        for trial in range(cfg.trials):
+            _check_output_dir("--snapshot-dir", str(Path(cfg.snapshot_dir) / f"trial{trial}"))
+    corpus = load_corpus(cfg.experiment, cfg.data_dir)
     rows: list[ResultRow] = []
     for trial in range(cfg.trials):
         seed = cfg.master_seed + trial
@@ -309,7 +314,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                     stage=t, task_index=i, task_name=tasks[i].name, accuracy=accuracy,
                     beta=trace.beta, d=trace.d, s=trace.s, delta_d=trace.delta_d))
         del tasks  # so two trials' pixels are never alive at once
-    out = Path(cfg.out_dir) / f"{cfg.experiment}_{label.replace(':', '-')}.csv"
     return write_results_csv(rows, out)
 
 

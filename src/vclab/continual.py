@@ -109,7 +109,8 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
     fixed mode skips the probes and uses the constant beta.
     After each stage the posterior becomes the prior and every seen task is
     re-evaluated. If ``snapshot_dir`` is given, the stage-t posterior is
-    written there as ``stage_tt.snap``. A floating-point overflow, invalid
+    written there as ``stage_tt.snap``; none of these paths may be an
+    existing directory. A floating-point overflow, invalid
     value or division by zero in a stage raises ``NumericError`` naming the
     stage and its phase: assessment, training or evaluation.
     """
@@ -128,6 +129,11 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
             if 2 * size > len(task.train):
                 raise ConfigError(f"probe_size {size} needs {2 * size} training "
                                   f"examples, task {task.name!r} has {len(task.train)}")
+    snapshots = ([] if snapshot_dir is None else
+                 [Path(snapshot_dir) / f"stage_{t:02d}.snap" for t in range(1, len(tasks) + 1)])
+    for path in snapshots:
+        if path.is_dir():
+            raise ConfigError(f"snapshot path {path} is a directory")
     net = init_network(tasks[0].input_dim, hidden_dims, make_rng(master_seed, "init"))
     prior = standard_prior(net)
     matrix = AccuracyMatrix()
@@ -150,8 +156,8 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
                               make_rng(master_seed, "train", t))
                 _check_finite(net, t)
                 prior = advance_prior(net)
-                if snapshot_dir is not None:
-                    save_snapshot(prior, Path(snapshot_dir) / f"stage_{t:02d}.snap")
+                if snapshots:
+                    save_snapshot(prior, snapshots[t - 1])
                 phase = "evaluation"
                 accuracies = [evaluate(net, tasks[i], cfg, make_rng(master_seed, "eval", t, i))
                               for i in range(t)]

@@ -36,10 +36,10 @@ recomputes each hidden layer's input as the ReLU of the cached
 pre-activation, one sample at a time, and sums the per-sample weight
 gradients in sample order. ``posterior_predict`` draws all noise in one call
 and computes every layer's sigma once; then this thread and a one-worker
-executor each run one sample at a time through a forward pass that keeps no
-backward cache, so peak evaluation memory is one (S, I, O) noise tensor per
-layer plus two samples' weights and activations. All of this gives the same
-bits as the stacked computation.
+executor, started under this thread's error state, each run one sample at a
+time through a forward pass that keeps no backward cache, so peak evaluation
+memory is one (S, I, O) noise tensor per layer plus two samples' weights and
+activations. All of this gives the same bits as the stacked computation.
 
 Each layer keeps means and log-variances as the two rows of one (2, n)
 buffer (see :class:`VariationalLayer`), and so do gradients, Adam moments
@@ -56,6 +56,7 @@ from __future__ import annotations
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -484,12 +485,29 @@ def fit(net: VariationalNet, prior: VariationalNet, head_index: int, data: TaskV
     return history
 
 
-def _sample_probs(parts: list[tuple], x: np.ndarray, s: int, errors: dict) -> np.ndarray:
-    """Softmax of draw ``s`` on the batch ``x`` under ``np.errstate(**errors)``,
-    by a forward pass that keeps nothing for backward; ``parts`` holds
-    (layer, (sigma_w, sigma_b), (eps_w, eps_b)) per active layer."""
-    act = x
-    with np.errstate(**errors):
+def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
+                      rng: np.random.Generator, n_eval_samples: int) -> np.ndarray:
+    """Posterior-predictive class probabilities: softmax averaged over draws.
+
+    The noise for all draws comes from one :func:`sample_noise` call, so the
+    stream is consumed exactly as by a batched forward pass. Each draw runs a
+    forward pass that keeps nothing for backward: even draws here, odd ones
+    one at a time on a one-worker executor that starts under this thread's
+    ``np.geterr()``, since ``np.errstate`` holds per thread. This thread sums
+    their softmax in sample order: the same bits as ``softmax(batched
+    logits).mean(axis=0)``. Peak memory is the noise plus two draws' (I, O)
+    weights and (B, O) activations. ``result()`` raises the worker's errors
+    here, and the ``with`` block joins it before return.
+    """
+    if n_eval_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    x = _as_input(net, x)
+    layers = net.active_layers(head_index)
+    noise = sample_noise(net, head_index, n_eval_samples, rng)
+    parts = list(zip(layers, layer_sigmas(layers), noise))
+
+    def probs(s: int) -> np.ndarray:
+        act = x
         for li, (layer, (sigma_w, sigma_b), (eps_w, eps_b)) in enumerate(parts):
             w = sigma_w * eps_w[s]
             w += layer.mu_w
@@ -501,32 +519,12 @@ def _sample_probs(parts: list[tuple], x: np.ndarray, s: int, errors: dict) -> np
                 np.maximum(act, 0.0, out=act)
         return softmax(act)
 
-
-def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
-                      rng: np.random.Generator, n_eval_samples: int) -> np.ndarray:
-    """Posterior-predictive class probabilities: softmax averaged over draws.
-
-    The noise for all draws comes from one :func:`sample_noise` call, so the
-    stream is consumed exactly as by a batched forward pass. Even draws run
-    here, odd ones one at a time on a one-worker executor, and this thread
-    sums their softmax in sample order: the same bits as ``softmax(batched
-    logits).mean(axis=0)``. Peak memory is the noise plus two draws' (I, O)
-    weights and (B, O) activations. The worker runs under this thread's
-    ``np.geterr()``, since ``np.errstate`` holds per thread; ``result()``
-    raises its errors here, and the ``with`` block joins it before return.
-    """
-    if n_eval_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    x = _as_input(net, x)
-    layers = net.active_layers(head_index)
-    noise = sample_noise(net, head_index, n_eval_samples, rng)
-    parts, errors = list(zip(layers, layer_sigmas(layers), noise)), np.geterr()
     total = np.zeros((x.shape[0], layers[-1].fan_out))
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vclab-predict") as lane:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vclab-predict",
+                            initializer=partial(np.seterr, **np.geterr())) as lane:
         for s in range(0, n_eval_samples, 2):
-            odd = (lane.submit(_sample_probs, parts, x, s + 1, errors)
-                   if s + 1 < n_eval_samples else None)
-            total += _sample_probs(parts, x, s, errors)
+            odd = lane.submit(probs, s + 1) if s + 1 < n_eval_samples else None
+            total += probs(s)
             if odd is not None:
                 total += odd.result()
     return total / n_eval_samples
@@ -569,8 +567,10 @@ def load_snapshot(path) -> VariationalNet:
     ``fan_in`` (0 for a file with no layers).
 
     Raises ValueError on a truncated or corrupt file: every length is checked
-    against the header counts before anything is unpacked, and every
-    parameter must be finite.
+    against the header counts before anything is unpacked, the header's
+    layers must chain (each trunk layer takes the previous one's outputs,
+    each head the trunk's, and no width is 0), and every parameter must be
+    finite.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -589,6 +589,15 @@ def load_snapshot(path) -> VariationalNet:
     if len({index for index, _, _ in head_shapes}) != n_heads:
         raise ValueError("snapshot header repeats a head index")
     shapes = [*trunk_shapes, *((fi, fo) for _, fi, fo in head_shapes)]
+    input_dim = width = shapes[0][0] if shapes else 0
+    names = [f"trunk layer {k}" for k in range(n_trunk)] + [f"head {i}" for i, _, _ in head_shapes]
+    for k, (name, (fan_in, fan_out)) in enumerate(zip(names, shapes)):
+        if min(fan_in, fan_out) < 1:
+            raise ValueError(f"snapshot {name} is {fan_in}x{fan_out}; each width must be >= 1")
+        if fan_in != width:
+            raise ValueError(f"snapshot {name} takes {fan_in} inputs, its input is {width} wide")
+        if k < n_trunk:
+            width = fan_out
     expected = pos + sum(8 * (2 * fi * fo + 2 * fo) for fi, fo in shapes)
     if expected != len(blob):
         raise ValueError(f"snapshot should be {expected} bytes for the shapes in its header, "
@@ -606,4 +615,4 @@ def load_snapshot(path) -> VariationalNet:
 
     trunk = tuple(read_layer(fi, fo) for fi, fo in trunk_shapes)
     heads = {index: read_layer(fi, fo) for index, fi, fo in head_shapes}
-    return VariationalNet(shapes[0][0] if shapes else 0, trunk, heads)
+    return VariationalNet(input_dim, trunk, heads)

@@ -425,6 +425,27 @@ class TestMainEntry:
         assert (tmp_path / "afile").read_text(encoding="utf-8") == "not a directory\n"
         assert good.read_text(encoding="utf-8") == ",".join(CSV_HEADER) + "\n" + GOOD_ROW
 
+    @pytest.mark.parametrize("obstacle, kind, trials", [
+        ("out/synthetic_gvcl-1.csv", "dir", "1"), ("snap/trial0", "file", "1"),
+        ("snap/trial1", "file", "2"), ("snap/trial0/stage_01.snap", "dir", "1"),
+    ], ids=["results-csv-is-a-dir", "trial0-snapshot-dir-is-a-file",
+            "trial1-snapshot-dir-is-a-file", "stage-snapshot-is-a-dir"])
+    def test_run_output_path_in_the_way_exits_1_before_training(self, tmp_path, obstacle, kind,
+                                                                trials):
+        path = tmp_path / obstacle
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if kind == "dir":
+            path.mkdir()
+        else:
+            path.write_text("not a directory\n", encoding="utf-8")
+        proc = run_module("run", "--experiment", "synthetic", "--model", "gvcl:1", "--trials",
+                          trials, "--epochs", "1", "--out-dir", str(tmp_path / "out"),
+                          "--snapshot-dir", str(tmp_path / "snap"))
+        assert proc.returncode == 1, proc.stderr
+        assert re.search(r"^config error: ", proc.stderr, re.MULTILINE), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "stage 1/" not in proc.stdout  # no stage was trained
+
     @pytest.mark.parametrize("experiment, defect", [
         ("permuted", "gzip-truncated"), ("permuted", "label-200"),
         ("split_custom", "no-digit-7"), ("permuted", "empty-train"), ("permuted", "empty-test"),

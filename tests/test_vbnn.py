@@ -693,6 +693,22 @@ class TestAdvancePrior:
         with pytest.raises(ValueError):
             load_snapshot(path)
 
+    @pytest.mark.parametrize("trunk, heads, message", [
+        ([(4, 3)], {0: (5, 2)}, "head 0 takes 5 inputs, its input is 3 wide"),
+        ([(4, 3), (4, 2)], {}, "trunk layer 1 takes 4 inputs, its input is 3 wide"),
+        ([], {0: (4, 2), 1: (5, 2)}, "head 1 takes 5 inputs, its input is 4 wide"),
+        ([(4, 3)], {0: (3, 0)}, "head 0 is 3x0"),
+    ], ids=["head-after-trunk", "trunk-after-trunk", "head-without-trunk", "head-0-outputs"])
+    def test_load_rejects_layers_that_do_not_chain(self, tmp_path, trunk, heads, message):
+        def layer(fan_in, fan_out):
+            return vbnn.VariationalLayer(np.zeros((2, (fan_in + 1) * fan_out)), fan_in, fan_out)
+
+        path = tmp_path / "unchained.snap"
+        save_snapshot(vbnn.VariationalNet(4, tuple(layer(*shape) for shape in trunk),
+                                          {i: layer(*shape) for i, shape in heads.items()}), path)
+        with pytest.raises(ValueError, match=message):
+            load_snapshot(path)
+
     @pytest.mark.parametrize("offset, value", [(-8, math.nan), (-8, math.inf), (52, -math.inf)],
                              ids=["last-nan", "last-inf", "first-minus-inf"])
     def test_load_rejects_a_non_finite_parameter(self, tmp_path, offset, value):
@@ -743,11 +759,21 @@ class TestPosteriorPredict:
         # overflow in an odd sample would only warn inside a run's stage guard.
         seen = []
         recording_softmax(monkeypatch, lambda z: seen.append(
-            (threading.current_thread().name.startswith("vclab-predict_"), np.geterr()["over"])))
+            (threading.current_thread().name.startswith("vclab-predict_"), np.geterr())))
         net = random_net(54, input_dim=6, hidden=(5,), out=3)
-        with np.errstate(over="raise"):
+        with np.errstate(divide="ignore", over="raise", under="warn", invalid="raise"):
+            caller = np.geterr()
             posterior_predict(net, 0, make_rng("es").random((4, 6)), make_rng(11), 7)
-        assert sorted(seen) == [(False, "raise")] * 4 + [(True, "raise")] * 3
+        assert caller != np.geterr()
+        assert sorted(seen, key=lambda e: e[0]) == [(False, caller)] * 4 + [(True, caller)] * 3
+
+    def test_one_sample_starts_no_lane(self, monkeypatch):
+        seen = []
+        recording_softmax(monkeypatch, lambda z: seen.append(
+            (threading.current_thread().name, predict_lane_alive())))
+        net = random_net(56, input_dim=6, hidden=(5,), out=3)
+        posterior_predict(net, 0, make_rng("one").random((4, 6)), make_rng(13), 1)
+        assert seen == [(threading.current_thread().name, False)]
 
     @pytest.mark.parametrize("fail_at", [1, 3])
     def test_an_error_in_an_odd_sample_is_raised_here_and_joins(self, monkeypatch, fail_at):
