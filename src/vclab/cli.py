@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .continual import TrainConfig, run_sequence
+from .continual import TrainConfig, run_sequence, snapshot_paths
 from .data import (DataFormatError, MissingDataError, load_cifar10_gray28, load_mnist,
                    make_mixed_sequence, make_permuted_tasks, make_split_tasks,
                    make_synthetic_blobs)
@@ -285,28 +285,37 @@ def _write_text(path, text: str) -> Path:
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Run all trials of one (experiment, model) pair and write the CSV.
-    Every directory and the CSV path are checked before any data is loaded."""
+    Every directory and the CSV path are checked before any data is loaded.
+    Every trial's stage snapshot paths are checked once trial 0's tasks
+    exist, before any training: none may be a directory, and none may be
+    the CSV, lie inside it or hold it (compared as resolved paths)."""
     label = cfg.model_label()
     out = Path(cfg.out_dir) / f"{cfg.experiment}_{label.replace(':', '-')}.csv"
+    trial_dirs = [Path(cfg.snapshot_dir) / f"trial{trial}" if cfg.snapshot_dir else None
+                  for trial in range(cfg.trials)]
     _check_output_dir("--out-dir", cfg.out_dir)
     if out.is_dir():
         raise ConfigError(f"--out-dir {cfg.out_dir!r}: the results CSV {out} is a directory")
-    if cfg.snapshot_dir:
-        for trial in range(cfg.trials):
-            _check_output_dir("--snapshot-dir", str(Path(cfg.snapshot_dir) / f"trial{trial}"))
+    for trial_dir in filter(None, trial_dirs):
+        _check_output_dir("--snapshot-dir", str(trial_dir))
     corpus = load_corpus(cfg.experiment, cfg.data_dir)
     rows: list[ResultRow] = []
     for trial in range(cfg.trials):
         seed = cfg.master_seed + trial
         tasks, hidden_dims = build_tasks(cfg.experiment, corpus, seed)
+        if trial == 0:  # every trial has as many stages as trial 0
+            for trial_dir in filter(None, trial_dirs):
+                for path in snapshot_paths(trial_dir, len(tasks)):
+                    snap, csv_path = path.resolve(), out.resolve()
+                    if snap.is_relative_to(csv_path) or csv_path.is_relative_to(snap):
+                        raise ConfigError(f"snapshot path {path} overlaps the results CSV {out}")
 
         def report(t, trace, accuracies, trial=trial):
             print(f"[{cfg.experiment}/{label}] trial {trial} stage {t}/{len(tasks)} "
                   f"beta={trace.beta:.4g} avg_acc={np.mean(accuracies):.4f}", flush=True)
 
-        snapshot_dir = (Path(cfg.snapshot_dir) / f"trial{trial}") if cfg.snapshot_dir else None
         matrix, traces = run_sequence(tasks, hidden_dims, cfg, cfg, seed,
-                                      snapshot_dir=snapshot_dir, progress=report)
+                                      snapshot_dir=trial_dirs[trial], progress=report)
         for t, (accuracies, trace) in enumerate(zip(matrix.rows(), traces), start=1):
             for i, accuracy in enumerate(accuracies):
                 rows.append(ResultRow(

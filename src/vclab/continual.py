@@ -72,10 +72,10 @@ class AccuracyMatrix:
 
 
 def train_on_task(net: VariationalNet, prior, task, beta: float, cfg: TrainConfig,
-                  rng: np.random.Generator):
+                  rng: np.random.Generator) -> None:
     """Train trunk + the task's head on the full task under the given beta."""
-    return fit(net, prior, task.head_index, task.train, beta=beta, epochs=cfg.epochs,
-               batch_size=cfg.batch_size, lr=cfg.lr, mc_samples=cfg.train_mc_samples, rng=rng)
+    fit(net, prior, task.head_index, task.train, beta=beta, epochs=cfg.epochs,
+        batch_size=cfg.batch_size, lr=cfg.lr, mc_samples=cfg.train_mc_samples, rng=rng)
 
 
 def evaluate(net: VariationalNet, task, cfg: TrainConfig, rng: np.random.Generator) -> float:
@@ -96,6 +96,16 @@ def _check_finite(net: VariationalNet, stage: int) -> None:
             raise NumericError(f"non-finite parameters after stage {stage}")
 
 
+def snapshot_paths(snapshot_dir, n_stages: int) -> list[Path]:
+    """The ``stage_tt.snap`` path of stages 1 to ``n_stages`` in
+    ``snapshot_dir``; ``ConfigError`` if any of them is an existing directory."""
+    paths = [Path(snapshot_dir) / f"stage_{t:02d}.snap" for t in range(1, n_stages + 1)]
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"snapshot path {path} is a directory")
+    return paths
+
+
 def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
                  heuristic_cfg: HeuristicConfig, master_seed: int,
                  snapshot_dir=None, progress=None,
@@ -109,10 +119,9 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
     fixed mode skips the probes and uses the constant beta.
     After each stage the posterior becomes the prior and every seen task is
     re-evaluated. If ``snapshot_dir`` is given, the stage-t posterior is
-    written there as ``stage_tt.snap``; none of these paths may be an
-    existing directory. A floating-point overflow, invalid
-    value or division by zero in a stage raises ``NumericError`` naming the
-    stage and its phase: assessment, training or evaluation.
+    written to its :func:`snapshot_paths` path. A floating-point overflow,
+    invalid value or division by zero in a stage raises ``NumericError``
+    naming the stage and its phase: assessment, training or evaluation.
     """
     if not tasks:
         raise ValueError("need at least one task")
@@ -129,11 +138,7 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
             if 2 * size > len(task.train):
                 raise ConfigError(f"probe_size {size} needs {2 * size} training "
                                   f"examples, task {task.name!r} has {len(task.train)}")
-    snapshots = ([] if snapshot_dir is None else
-                 [Path(snapshot_dir) / f"stage_{t:02d}.snap" for t in range(1, len(tasks) + 1)])
-    for path in snapshots:
-        if path.is_dir():
-            raise ConfigError(f"snapshot path {path} is a directory")
+    snapshots = [] if snapshot_dir is None else snapshot_paths(snapshot_dir, len(tasks))
     net = init_network(tasks[0].input_dim, hidden_dims, make_rng(master_seed, "init"))
     prior = standard_prior(net)
     matrix = AccuracyMatrix()

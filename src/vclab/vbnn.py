@@ -304,15 +304,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
 # Loss and gradients
 
 
-@dataclass(frozen=True)
-class ElboBreakdown:
-    """Negative beta-ELBO for one batch, split into its parts."""
-
-    nll: float
-    kl: float
-    loss: float
-
-
 def _check_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
     y = np.asarray(y)
     if y.ndim != 1:
@@ -325,7 +316,7 @@ def _check_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
 def beta_elbo_loss(net: VariationalNet, prior: VariationalNet, head_index: int,
                    x: np.ndarray, y: np.ndarray, *, beta: float, n_task: int,
                    noise: list[tuple[np.ndarray, np.ndarray]],
-                   ) -> tuple[ElboBreakdown, ForwardCache]:
+                   ) -> tuple[float, ForwardCache]:
     """Negative beta-ELBO of one batch under the given reparameterization
     noise (see :func:`sample_noise`), plus the cache for backward."""
     if beta <= 0:
@@ -342,7 +333,7 @@ def beta_elbo_loss(net: VariationalNet, prior: VariationalNet, head_index: int,
     loss = nll + beta * kl / n_task
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss: nll={nll}, kl={kl}")
-    return ElboBreakdown(nll=nll, kl=kl, loss=loss), cache
+    return loss, cache
 
 
 def backward_gradients(net: VariationalNet, prior: VariationalNet, cache: ForwardCache,
@@ -435,14 +426,14 @@ def _draws(rng: np.random.Generator, n_task: int, epochs: int, batch_size: int,
 
 def fit(net: VariationalNet, prior: VariationalNet, head_index: int, data: TaskView, *,
         beta: float, epochs: int, batch_size: int, lr: float, mc_samples: int,
-        rng: np.random.Generator) -> list[ElboBreakdown]:
+        rng: np.random.Generator) -> None:
     """Train trunk + head with Adam on the per-batch negative beta-ELBO.
 
     Data is reshuffled every epoch from ``rng``; the last partial batch is
     kept; the KL is divided by the task size ``len(data)``. Each batch is
     gathered from the view with ``data.take``, so the task is never
-    materialized whole. Returns one averaged breakdown per epoch. One code
-    path serves fixed and scheduled beta.
+    materialized whole. Each step's loss must be finite (``NumericError``
+    otherwise). One code path serves fixed and scheduled beta.
 
     Every draw from ``rng`` comes from one serial generator (see
     :func:`_draws`), which a one-worker executor advances one step ahead:
@@ -459,30 +450,23 @@ def fit(net: VariationalNet, prior: VariationalNet, head_index: int, data: TaskV
     n_task = len(data)
     if n_task == 0:
         raise ValueError("empty dataset")
-    steps = range(0, n_task, batch_size)
     optimizer = NetAdam(net, head_index, lr)
     buffers = [[(np.empty((mc_samples, layer.fan_in, layer.fan_out)),
                  np.empty((mc_samples, layer.fan_out)))
                 for layer in net.active_layers(head_index)] for _ in range(2)]
     draws = _draws(rng, n_task, epochs, batch_size, buffers)
-    history = []
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vclab-fit-noise") as helper:
         ahead = helper.submit(next, draws)
-        for _ in range(epochs):
-            sums = np.zeros(3)
-            for _ in steps:
-                idx, noise = ahead.result()
-                ahead = helper.submit(next, draws, None)
-                x, y = data.take(idx)
-                breakdown, cache = beta_elbo_loss(net, prior, head_index, x, y, beta=beta,
-                                                  n_task=n_task, noise=noise)
-                grads = backward_gradients(net, prior, cache, y, beta=beta, n_task=n_task)
-                optimizer.step(grads)
-                del cache, grads
-                sums += (breakdown.nll, breakdown.kl, breakdown.loss)
-            history.append(ElboBreakdown(*(sums / len(steps))))
+        for _ in range(epochs * len(range(0, n_task, batch_size))):
+            idx, noise = ahead.result()
+            ahead = helper.submit(next, draws, None)
+            x, y = data.take(idx)
+            _, cache = beta_elbo_loss(net, prior, head_index, x, y, beta=beta, n_task=n_task,
+                                      noise=noise)
+            grads = backward_gradients(net, prior, cache, y, beta=beta, n_task=n_task)
+            optimizer.step(grads)
+            del cache, grads
         ahead.result()  # None: after the last step the generator ends without a draw
-    return history
 
 
 def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,

@@ -54,8 +54,8 @@ def test_criterion_1_gradient_correctness():
 
     def objective(vec):
         set_param_vector(net, 0, vec)
-        bd, _ = beta_elbo_loss(net, prior, 0, x, y, beta=beta, n_task=n_task, noise=noise)
-        return bd.loss
+        loss, _ = beta_elbo_loss(net, prior, 0, x, y, beta=beta, n_task=n_task, noise=noise)
+        return loss
 
     g_fd = finite_diff_grad(objective, p0, 1e-5)
     set_param_vector(net, 0, p0)

@@ -425,26 +425,46 @@ class TestMainEntry:
         assert (tmp_path / "afile").read_text(encoding="utf-8") == "not a directory\n"
         assert good.read_text(encoding="utf-8") == ",".join(CSV_HEADER) + "\n" + GOOD_ROW
 
-    @pytest.mark.parametrize("obstacle, kind, trials", [
-        ("out/synthetic_gvcl-1.csv", "dir", "1"), ("snap/trial0", "file", "1"),
-        ("snap/trial1", "file", "2"), ("snap/trial0/stage_01.snap", "dir", "1"),
+    @pytest.mark.parametrize("obstacle, kind, trials, out_dir, snapshot_dir", [
+        ("out/synthetic_gvcl-1.csv", "dir", "1", "out", "snap"),
+        ("snap/trial0", "file", "1", "out", "snap"),
+        ("snap/trial1", "file", "2", "out", "snap"),
+        ("snap/trial0/stage_01.snap", "dir", "1", "out", "snap"),
+        ("snap/trial1/stage_02.snap", "dir", "2", "out", "snap"),
+        (None, None, "1", "d", "d/synthetic_gvcl-1.csv"),
+        (None, None, "1", "d/trial0/stage_01.snap", "d"),
     ], ids=["results-csv-is-a-dir", "trial0-snapshot-dir-is-a-file",
-            "trial1-snapshot-dir-is-a-file", "stage-snapshot-is-a-dir"])
+            "trial1-snapshot-dir-is-a-file", "stage-snapshot-is-a-dir",
+            "trial1-stage-snapshot-is-a-dir", "snapshot-dir-is-the-results-csv",
+            "results-csv-inside-a-stage-snapshot"])
     def test_run_output_path_in_the_way_exits_1_before_training(self, tmp_path, obstacle, kind,
-                                                                trials):
-        path = tmp_path / obstacle
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if kind == "dir":
-            path.mkdir()
-        else:
-            path.write_text("not a directory\n", encoding="utf-8")
+                                                                trials, out_dir, snapshot_dir):
+        if obstacle is not None:
+            path = tmp_path / obstacle
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if kind == "dir":
+                path.mkdir()
+            else:
+                path.write_text("not a directory\n", encoding="utf-8")
         proc = run_module("run", "--experiment", "synthetic", "--model", "gvcl:1", "--trials",
-                          trials, "--epochs", "1", "--out-dir", str(tmp_path / "out"),
-                          "--snapshot-dir", str(tmp_path / "snap"))
+                          trials, "--epochs", "1", "--out-dir", str(tmp_path / out_dir),
+                          "--snapshot-dir", str(tmp_path / snapshot_dir))
         assert proc.returncode == 1, proc.stderr
         assert re.search(r"^config error: ", proc.stderr, re.MULTILINE), proc.stderr
         assert "Traceback" not in proc.stderr
         assert "stage 1/" not in proc.stdout  # no stage was trained
+        assert not [p for p in tmp_path.rglob("*.snap") if p.is_file()]
+
+    @pytest.mark.parametrize("out_dir", ["d", "d/trial0"])
+    def test_run_results_csv_beside_or_among_snapshots_is_valid(self, tmp_path, out_dir):
+        # A CSV next to the trial directories, or in one next to its stage
+        # files, shares no path with a snapshot.
+        proc = run_module("run", "--experiment", "synthetic", "--model", "gvcl:1", "--trials",
+                          "1", "--epochs", "1", "--out-dir", str(tmp_path / out_dir),
+                          "--snapshot-dir", str(tmp_path / "d"))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / out_dir / "synthetic_gvcl-1.csv").is_file()
+        assert (tmp_path / "d" / "trial0" / "stage_03.snap").is_file()
 
     @pytest.mark.parametrize("experiment, defect", [
         ("permuted", "gzip-truncated"), ("permuted", "label-200"),
