@@ -24,7 +24,8 @@ from .data import (DataFormatError, MissingDataError, load_cifar10_gray28, load_
                    make_mixed_sequence, make_permuted_tasks, make_split_tasks,
                    make_synthetic_blobs)
 from .heuristics import BETA_MAX, BETA_MIN, HeuristicConfig
-from .numerics import ConfigError, NumericError, atomic_write, make_rng, require_positive
+from .numerics import (ConfigError, NumericError, atomic_write, check_writable, make_rng,
+                       require_positive)
 
 EXPERIMENTS = ("split_custom", "permuted", "mixed", "synthetic")
 
@@ -256,26 +257,6 @@ def read_results_csv(path) -> list[ResultRow]:
     return rows
 
 
-def _check_output_dir(flag: str, value: str) -> None:
-    """Fail before any training if ``value`` cannot become a directory: it,
-    or the nearest of its parents that exists, must be a directory."""
-    path = Path(value)
-    existing = next(p for p in (path, *path.parents) if p.exists())
-    if not existing.is_dir():
-        raise ConfigError(f"{flag} {value!r}: {existing} exists and is not a directory")
-
-
-def _check_output_file(flag: str, value: str, source: str) -> None:
-    """Fail before anything is read if ``value`` cannot become a file: it must
-    not be a directory or the file ``source`` (through a link too), and its
-    parent must be able to become one."""
-    if Path(value).is_dir():
-        raise ConfigError(f"{flag} {value!r} is a directory")
-    if Path(value).exists() and Path(source).exists() and Path(value).samefile(source):
-        raise ConfigError(f"{flag} {value!r} is the results CSV {source!r}")
-    _check_output_dir(flag, str(Path(value).parent))
-
-
 def _write_text(path, text: str) -> Path:
     """Write ``text`` as UTF-8 atomically, creating missing parent directories."""
     with atomic_write(path, "w", encoding="utf-8") as fh:
@@ -285,19 +266,19 @@ def _write_text(path, text: str) -> Path:
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Run all trials of one (experiment, model) pair and write the CSV.
-    Every directory and the CSV path are checked before any data is loaded.
-    Every trial's stage snapshot paths are checked once trial 0's tasks
-    exist, before any training: none may be a directory, and none may be
-    the CSV, lie inside it or hold it (compared as resolved paths)."""
+    The CSV path and each trial's stage-1 snapshot path are checked before
+    any data is loaded, and every trial's stage paths through
+    :func:`snapshot_paths` once trial 0's tasks exist, before any training.
+    In ``auto`` mode each stage's progress line also shows its trace: d, s,
+    delta_d, a* (``-`` with no head of the task's arity) and the probe
+    accuracies."""
     label = cfg.model_label()
     out = Path(cfg.out_dir) / f"{cfg.experiment}_{label.replace(':', '-')}.csv"
     trial_dirs = [Path(cfg.snapshot_dir) / f"trial{trial}" if cfg.snapshot_dir else None
                   for trial in range(cfg.trials)]
-    _check_output_dir("--out-dir", cfg.out_dir)
-    if out.is_dir():
-        raise ConfigError(f"--out-dir {cfg.out_dir!r}: the results CSV {out} is a directory")
+    check_writable(out)
     for trial_dir in filter(None, trial_dirs):
-        _check_output_dir("--snapshot-dir", str(trial_dir))
+        snapshot_paths(trial_dir, 1, out)
     corpus = load_corpus(cfg.experiment, cfg.data_dir)
     rows: list[ResultRow] = []
     for trial in range(cfg.trials):
@@ -305,14 +286,17 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         tasks, hidden_dims = build_tasks(cfg.experiment, corpus, seed)
         if trial == 0:  # every trial has as many stages as trial 0
             for trial_dir in filter(None, trial_dirs):
-                for path in snapshot_paths(trial_dir, len(tasks)):
-                    snap, csv_path = path.resolve(), out.resolve()
-                    if snap.is_relative_to(csv_path) or csv_path.is_relative_to(snap):
-                        raise ConfigError(f"snapshot path {path} overlaps the results CSV {out}")
+                snapshot_paths(trial_dir, len(tasks), out)
 
         def report(t, trace, accuracies, trial=trial):
-            print(f"[{cfg.experiment}/{label}] trial {trial} stage {t}/{len(tasks)} "
-                  f"beta={trace.beta:.4g} avg_acc={np.mean(accuracies):.4f}", flush=True)
+            line = (f"[{cfg.experiment}/{label}] trial {trial} stage {t}/{len(tasks)} "
+                    f"beta={trace.beta:.4g} avg_acc={np.mean(accuracies):.4f}")
+            if trace.d is not None:
+                a_star = "-" if trace.a_star is None else f"{trace.a_star:.4f}"
+                probes = ",".join(f"{a:.4f}" for a in trace.raw_accuracies)
+                line += (f" d={_fmt(trace.d)} s={_fmt(trace.s)} delta_d={_fmt(trace.delta_d)}"
+                         f" a*={a_star} probe_acc={probes}")
+            print(line, flush=True)
 
         matrix, traces = run_sequence(tasks, hidden_dims, cfg, cfg, seed,
                                       snapshot_dir=trial_dirs[trial], progress=report)
@@ -500,7 +484,7 @@ def main(argv=None) -> int:
             print(f"results written to {path}")
         elif args.command == "aggregate":
             if args.out:
-                _check_output_file("--out", args.out, args.csv)
+                check_writable(args.out, args.csv)
             table = format_aggregates(aggregate_trials(read_results_csv(args.csv)))
             if args.out:
                 _write_text(args.out, table)
@@ -511,7 +495,7 @@ def main(argv=None) -> int:
             # "/"): such a path reaches the read below and is a data error there.
             csv_path = Path(args.csv)
             out = args.out or str(csv_path.parent / f"{csv_path.stem}.{args.which}.svg")
-            _check_output_file("--out", out, args.csv)
+            check_writable(out, args.csv)
             aggregates = aggregate_trials(read_results_csv(args.csv))
             path = emit_chart_svg(aggregates, args.which, out)
             print(f"chart written to {path}")

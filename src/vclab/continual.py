@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .heuristics import HeuristicConfig, HeuristicTrace, assess_task
-from .numerics import ConfigError, NumericError, make_rng, require_positive
+from .numerics import ConfigError, NumericError, check_writable, make_rng, require_positive
 from .vbnn import (VariationalNet, advance_prior, fit, init_network, posterior_predict,
                    save_snapshot, standard_prior)
 
@@ -96,13 +96,16 @@ def _check_finite(net: VariationalNet, stage: int) -> None:
             raise NumericError(f"non-finite parameters after stage {stage}")
 
 
-def snapshot_paths(snapshot_dir, n_stages: int) -> list[Path]:
+def snapshot_paths(snapshot_dir, n_stages: int, results_csv=None) -> list[Path]:
     """The ``stage_tt.snap`` path of stages 1 to ``n_stages`` in
-    ``snapshot_dir``; ``ConfigError`` if any of them is an existing directory."""
+    ``snapshot_dir``, each passed through :func:`check_writable`; none may be
+    ``results_csv``, lie inside it or hold it (compared as resolved paths)."""
     paths = [Path(snapshot_dir) / f"stage_{t:02d}.snap" for t in range(1, n_stages + 1)]
+    csv = results_csv and Path(results_csv).resolve()
     for path in paths:
-        if path.is_dir():
-            raise ConfigError(f"snapshot path {path} is a directory")
+        check_writable(path)
+        if csv and (csv.is_relative_to(path.resolve()) or path.resolve().is_relative_to(csv)):
+            raise ConfigError(f"snapshot path {path} overlaps the results CSV {results_csv}")
     return paths
 
 
@@ -113,15 +116,16 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
     """Run the full task sequence, returning the accuracy matrix and the
     heuristic trace of each stage, in stage order.
 
-    Tasks that share a head must have the same number of classes. In auto
-    mode each stage is assessed (difficulty probe, similarity, beta)
-    before training, so every task needs 2 * probe_size training examples;
-    fixed mode skips the probes and uses the constant beta.
-    After each stage the posterior becomes the prior and every seen task is
-    re-evaluated. If ``snapshot_dir`` is given, the stage-t posterior is
-    written to its :func:`snapshot_paths` path. A floating-point overflow,
-    invalid value or division by zero in a stage raises ``NumericError``
-    naming the stage and its phase: assessment, training or evaluation.
+    Every task needs a non-empty train and test split, and tasks that share
+    a head must have the same number of classes. In auto mode each stage is
+    assessed (difficulty probe, similarity, beta) before training, so every
+    task needs 2 * probe_size training examples; fixed mode skips the probes
+    and uses the constant beta. After each stage the posterior becomes the
+    prior and every seen task is re-evaluated. If ``snapshot_dir`` is given,
+    the stage-t posterior is written to its :func:`snapshot_paths` path, all
+    of which are checked before stage 1. A floating-point overflow, invalid
+    value or division by zero in a stage raises ``NumericError`` naming the
+    stage and its phase: assessment, training or evaluation.
     """
     if not tasks:
         raise ValueError("need at least one task")
@@ -131,6 +135,9 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
             raise ConfigError(f"task {task.name!r} has {task.n_classes} classes, but head "
                               f"{task.head_index} is shared with a "
                               f"{arity[task.head_index]}-class task")
+        for split in ("train", "test"):
+            if len(getattr(task, split)) == 0:
+                raise ConfigError(f"task {task.name!r} has an empty {split} split")
     auto = cfg.beta_mode == "auto"
     if auto:
         size = heuristic_cfg.probe_size

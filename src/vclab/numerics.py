@@ -7,9 +7,9 @@ its master seed alone; independent sub-streams are derived by hashing a tag
 tuple rather than by splitting one stream, which keeps unrelated consumers
 (probes, training, evaluation) from perturbing each other.
 
-The error types the command line maps to exit codes (config 1, numeric 3)
-and the atomic file write that snapshots and results CSVs share live here
-too, because every other module imports this one.
+The error types the command line maps to exit codes (config 1, numeric 3),
+the atomic file write that snapshots and results CSVs share and its one
+writability check live here too, because every other module imports this one.
 """
 
 from __future__ import annotations
@@ -38,20 +38,38 @@ def require_positive(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
+def check_writable(path, *inputs) -> None:
+    """Raise ConfigError unless :func:`atomic_write` can write ``path``: it is
+    not a directory, the nearest of its existing parents is one, and it is
+    not the same file as any of ``inputs``, also through a link."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    parent = next(p for p in path.parents if p.exists())
+    if not parent.is_dir():
+        raise ConfigError(f"cannot write {path}: {parent} is not a directory")
+    for source in inputs:
+        if path.exists() and Path(source).exists() and path.samefile(source):
+            raise ConfigError(f"cannot write {path}: it is the input {source}")
+
+
 @contextmanager
 def atomic_write(path, mode: str, **open_kwargs):
-    """Open a temporary file next to ``path`` for writing, creating the
-    missing parent directories of ``path`` first.
+    """Open a new temporary file next to ``path`` for writing (``mode`` "w"
+    or "wb"), creating the missing parent directories of ``path`` first.
 
-    When the block completes, the file is flushed to disk and renamed onto
-    ``path`` in one step; when it raises, the temporary file is removed and
-    ``path`` keeps its old contents.
+    The temporary name carries a random suffix and is created exclusively,
+    so no existing path can block it. When the block completes, the file is
+    flushed to disk and renamed onto ``path`` in one step; when it raises,
+    the temporary file is removed and ``path`` keeps its old contents. A
+    write killed before the rename can leave a ``*.tmp`` file behind.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
     try:
-        with open(tmp, mode, **open_kwargs) as fh:
+        with fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())

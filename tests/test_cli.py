@@ -466,6 +466,33 @@ class TestMainEntry:
         assert (tmp_path / out_dir / "synthetic_gvcl-1.csv").is_file()
         assert (tmp_path / "d" / "trial0" / "stage_03.snap").is_file()
 
+    @pytest.mark.parametrize("args, blocker, written", [
+        (["run", "--out-dir", "{tmp}/d", "--snapshot-dir", "{tmp}/d/synthetic_gvcl-1.csv.tmp"],
+         None, "d/synthetic_gvcl-1.csv"),
+        (["run", "--out-dir", "{tmp}/out", "--snapshot-dir", "{tmp}/snap"],
+         "snap/trial0/stage_02.snap.tmp", "out/synthetic_gvcl-1.csv"),
+        (["aggregate", "{tmp}/good.csv", "--out", "{tmp}/o.csv"], "o.csv.tmp", "o.csv"),
+    ], ids=["run-snapshot-dir-at-the-csv-temp-name", "run-stage-2-temp-name-is-a-dir",
+            "aggregate-out-temp-name-is-a-dir"])
+    def test_a_directory_at_the_old_temp_name_blocks_no_write(self, tmp_path, args, blocker,
+                                                               written):
+        (tmp_path / "good.csv").write_text(",".join(CSV_HEADER) + "\n" + GOOD_ROW,
+                                           encoding="utf-8")
+        if blocker is not None:
+            (tmp_path / blocker).mkdir(parents=True)
+            (tmp_path / blocker / "keep").write_text("kept\n", encoding="utf-8")
+        run_flags = ["--experiment", "synthetic", "--model", "gvcl:1", "--trials", "1",
+                     "--epochs", "1"] if args[0] == "run" else []
+        proc = run_module(*(a.format(tmp=tmp_path) for a in args), *run_flags)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (tmp_path / written).stat().st_size > 0
+        if args[0] == "run":
+            assert (Path(args[-1].format(tmp=tmp_path)) / "trial0" / "stage_03.snap").is_file()
+        if blocker is not None:
+            assert [p.name for p in (tmp_path / blocker).iterdir()] == ["keep"]
+            assert (tmp_path / blocker / "keep").read_text(encoding="utf-8") == "kept\n"
+
     @pytest.mark.parametrize("experiment, defect", [
         ("permuted", "gzip-truncated"), ("permuted", "label-200"),
         ("split_custom", "no-digit-7"), ("permuted", "empty-train"), ("permuted", "empty-test"),
@@ -592,6 +619,19 @@ class TestMainEntry:
         assert len(rows) == 2 * (1 + 2 + 3)
         assert {r.seed for r in rows} == {77, 78}
         assert all(r.d is not None for r in rows)
+
+    def test_auto_progress_line_shows_the_stage_trace(self, tmp_path, capsys):
+        assert main(["run", "--experiment", "synthetic", "--model", "auto", "--trials", "1",
+                     "--out-dir", str(tmp_path), *FAST_ARGS]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if " stage " in line]
+        shown = [dict(f.split("=", 1) for f in line.split() if "=" in f) for line in lines]
+        rows = {r.stage: r for r in read_results_csv(tmp_path / "synthetic_autovcl.csv")}
+        assert len(shown) == len(rows) == 3
+        for t, fields_shown in enumerate(shown, start=1):
+            assert ([float(fields_shown[k]) for k in ("d", "s", "delta_d")]
+                    == [rows[t].d, rows[t].s, rows[t].delta_d])
+            assert len(fields_shown["probe_acc"].split(",")) == 2  # --probe-repeats 2
+        assert [f["a*"] == "-" for f in shown] == [True, False, False]
 
     def test_a_trial_releases_its_tasks_before_the_next_builds_its_own(self, tmp_path,
                                                                         monkeypatch):

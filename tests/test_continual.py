@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,28 @@ class TestRunSequence:
                                               "shared with a 2-class task"):
             run_sequence(tasks, (16,), FAST_TRAIN, FAST_HEUR, master_seed=19)
         assert trained == []
+
+    @pytest.mark.parametrize("defect, match", [
+        ("snapshot-dir-under-a-file", "afile is not a directory"),
+        ("empty-train", "task 'blobs-sep8-rot0.2' has an empty train split"),
+        ("empty-test", "task 'blobs-sep8-rot0.2' has an empty test split"),
+    ], ids=["snapshot-dir-under-a-file", "empty-train", "empty-test"])
+    def test_bad_input_is_a_config_error_before_stage_1(self, tmp_path, defect, match):
+        (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+        tasks = two_tasks()
+        if defect.startswith("empty-"):
+            split = defect.removeprefix("empty-")
+            empty = getattr(tasks[1], split).subset(np.arange(0))
+            tasks[1] = dataclasses.replace(tasks[1], **{split: empty})
+        snapshot_dir = tmp_path / ("afile/snaps" if defect.startswith("snapshot") else "snaps")
+        cfg = TrainConfig(epochs=1, batch_size=128, train_mc_samples=2, eval_mc_samples=5,
+                          beta_mode="fixed", beta=1.0)
+        stages = []
+        with pytest.raises(ConfigError, match=match):
+            run_sequence(tasks, (16,), cfg, FAST_HEUR, master_seed=17,
+                         snapshot_dir=snapshot_dir, progress=lambda *a: stages.append(a))
+        assert stages == []
+        assert not list(tmp_path.rglob("*.snap"))
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):

@@ -75,6 +75,26 @@ class TestAtomicWrite:
         assert path.read_text(encoding="utf-8") == "done\n"
         assert sorted(p.name for p in path.parent.iterdir()) == ["out.txt"]
 
+    def test_a_directory_at_the_old_temp_name_blocks_nothing(self, tmp_path):
+        path = tmp_path / "out.txt"
+        (tmp_path / "out.txt.tmp").mkdir()
+        with atomic_write(path, "w", encoding="utf-8") as fh:
+            fh.write("done\n")
+        assert path.read_text(encoding="utf-8") == "done\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "out.txt.tmp"]
+        assert list((tmp_path / "out.txt.tmp").iterdir()) == []
+
+    def test_a_failed_write_removes_only_its_own_temp_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        (tmp_path / "out.bin.tmp").mkdir()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with atomic_write(path, "wb") as fh:
+                fh.write(b"new")
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", "out.bin.tmp"]
+
 
 class TestGaussianSample:
     def test_same_seed_same_stream(self):
