@@ -15,11 +15,41 @@ import argparse
 import sys
 from pathlib import Path
 
-from vclab.cli import (ExperimentConfig, aggregate_trials, emit_chart_svg, format_aggregates,
-                       read_results_csv, run_experiment)
-from vclab.numerics import atomic_write
+from vclab.cli import (ExperimentConfig, aggregate_trials, emit_chart_svg, exit_code,
+                       format_aggregates, read_results_csv, run_experiment)
+from vclab.numerics import atomic_write, check_writable
 
 MODELS = ["auto", "gvcl:0.01", "gvcl:1", "gvcl:100"]
+
+
+def outputs(out: Path, experiment: str) -> tuple[Path, Path, Path]:
+    """The summary table and the two charts written for ``experiment``."""
+    return (out / f"{experiment}_summary.csv", out / f"{experiment}_avg_accuracy.svg",
+            out / f"{experiment}_beta_trace.svg")
+
+
+def run_grid(args: argparse.Namespace) -> None:
+    out = Path(args.out_dir)
+    # Every output path is checked before the first model trains.
+    for experiment in args.experiments:
+        for path in outputs(out, experiment):
+            check_writable(path)
+    for experiment in args.experiments:
+        rows = []
+        for model in args.models:
+            cfg = ExperimentConfig(experiment=experiment, model=model, trials=args.trials,
+                                   master_seed=args.seed, data_dir=args.data_dir,
+                                   out_dir=args.out_dir)
+            rows.extend(read_results_csv(run_experiment(cfg)))
+        aggregates = aggregate_trials(rows)
+        table = format_aggregates(aggregates)
+        summary, accuracy_chart, beta_chart = outputs(out, experiment)
+        with atomic_write(summary, "w", encoding="utf-8") as fh:
+            fh.write(table)
+        emit_chart_svg(aggregates, "avg_accuracy", accuracy_chart)
+        emit_chart_svg(aggregates, "beta_trace", beta_chart)
+        print(f"\n=== {experiment} ===")
+        print(table)
 
 
 def main() -> int:
@@ -31,25 +61,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--data-dir", default="data")
     parser.add_argument("--out-dir", default="results")
-    args = parser.parse_args()
-
-    for experiment in args.experiments:
-        rows = []
-        for model in args.models:
-            cfg = ExperimentConfig(experiment=experiment, model=model, trials=args.trials,
-                                   master_seed=args.seed, data_dir=args.data_dir,
-                                   out_dir=args.out_dir)
-            rows.extend(read_results_csv(run_experiment(cfg)))
-        aggregates = aggregate_trials(rows)
-        table = format_aggregates(aggregates)
-        out = Path(args.out_dir)
-        with atomic_write(out / f"{experiment}_summary.csv", "w", encoding="utf-8") as fh:
-            fh.write(table)
-        emit_chart_svg(aggregates, "avg_accuracy", out / f"{experiment}_avg_accuracy.svg")
-        emit_chart_svg(aggregates, "beta_trace", out / f"{experiment}_beta_trace.svg")
-        print(f"\n=== {experiment} ===")
-        print(table)
-    return 0
+    # Exit codes as for the vclab command: 1 config, 2 data, 3 numeric error.
+    return exit_code(run_grid, parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -472,33 +472,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
+def exit_code(action, *args) -> int:
+    """Run ``action(*args)`` and return its exit code: 0 if it returns, else
+    1, 2 or 3 for a config, data or numeric error, reported in one line."""
     try:
-        args = _build_parser().parse_args(argv)
-        if args.command == "run":
-            file_values = read_config_file(args.config) if args.config else {}
-            overrides = {key: value for key, value in vars(args).items()
-                         if key not in ("command", "config") and value is not None}
-            cfg = build_config(file_values, overrides)
-            path = run_experiment(cfg)
-            print(f"results written to {path}")
-        elif args.command == "aggregate":
-            if args.out:
-                check_writable(args.out, args.csv)
-            table = format_aggregates(aggregate_trials(read_results_csv(args.csv)))
-            if args.out:
-                _write_text(args.out, table)
-            else:
-                print(table, end="")
-        elif args.command == "chart":
-            # Not with_suffix, which raises on a path with no file name ("." or
-            # "/"): such a path reaches the read below and is a data error there.
-            csv_path = Path(args.csv)
-            out = args.out or str(csv_path.parent / f"{csv_path.stem}.{args.which}.svg")
-            check_writable(out, args.csv)
-            aggregates = aggregate_trials(read_results_csv(args.csv))
-            path = emit_chart_svg(aggregates, args.which, out)
-            print(f"chart written to {path}")
+        action(*args)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -509,6 +487,38 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+
+
+def _command(argv) -> None:
+    args = _build_parser().parse_args(argv)
+    if args.command == "run":
+        file_values = read_config_file(args.config) if args.config else {}
+        overrides = {key: value for key, value in vars(args).items()
+                     if key not in ("command", "config") and value is not None}
+        cfg = build_config(file_values, overrides)
+        path = run_experiment(cfg)
+        print(f"results written to {path}")
+    elif args.command == "aggregate":
+        if args.out:
+            check_writable(args.out, args.csv)
+        table = format_aggregates(aggregate_trials(read_results_csv(args.csv)))
+        if args.out:
+            _write_text(args.out, table)
+        else:
+            print(table, end="")
+    elif args.command == "chart":
+        # Not with_suffix, which raises on a path with no file name ("." or
+        # "/"): such a path reaches the read below and is a data error there.
+        csv_path = Path(args.csv)
+        out = args.out or str(csv_path.parent / f"{csv_path.stem}.{args.which}.svg")
+        check_writable(out, args.csv)
+        aggregates = aggregate_trials(read_results_csv(args.csv))
+        path = emit_chart_svg(aggregates, args.which, out)
+        print(f"chart written to {path}")
+
+
+def main(argv=None) -> int:
+    return exit_code(_command, argv)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """Dense numerical kernel: seeded random streams, Adam, and a
 finite-difference gradient oracle used by the test suite.
 
-Everything is float64 and row-major. All randomness flows through numpy
+Parameters, Adam state, the KL and gradient sums are float64, and so is
+everything here; the Monte Carlo arithmetic of :mod:`vclab.vbnn` (noise,
+sampled weights, activations, softmax and d_z) runs in float32. Arrays are
+row-major. All randomness flows through numpy
 Generators produced by :func:`make_rng`, so a whole run is reproducible from
 its master seed alone; independent sub-streams are derived by hashing a tag
 tuple rather than by splitting one stream, which keeps unrelated consumers

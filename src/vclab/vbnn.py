@@ -22,6 +22,14 @@ weights into (mu, logvar); the KL part is differentiated analytically.
 ``backward_gradients`` is verified against central finite differences with
 frozen noise in the test suite -- there is no autodiff anywhere.
 
+The Monte Carlo arithmetic runs in the dtype of the noise it is given:
+the batch, the means and the sigmas are cast to it per call, and the sampled
+weights, pre-activations, softmax and ``d_z`` are in it. ``fit`` and
+``posterior_predict`` draw ``NOISE_DTYPE`` (float32) noise; the parameters,
+the KL and its gradient, the sums of the per-sample gradients, Adam and
+snapshots stay float64. Float64 noise gives the exact float64 pass that the
+finite-difference check differentiates.
+
 Memory follows the Monte Carlo samples. ``fit`` keeps two step buffers of
 (S, I, O) noise per layer, allocated once: one serial generator makes every
 draw in the order one thread would, and a one-worker executor advances it to
@@ -39,7 +47,10 @@ and computes every layer's sigma once; then this thread and a one-worker
 executor, started under this thread's error state, each run one sample at a
 time through a forward pass that keeps no backward cache, so peak evaluation
 memory is one (S, I, O) noise tensor per layer plus two samples' weights and
-activations. All of this gives the same bits as the stacked computation.
+activations. All of this gives the same bits as the stacked computation in
+the same dtype. At 784x256 the first layer's prediction noise at S = 20 is
+16 MB (32 MB in float64), and each of ``fit``'s two buffer sets holds 4 MB
+of first-layer noise at S = 5 (8 MB in float64).
 
 Each layer keeps means and log-variances as the two rows of one (2, n)
 buffer (see :class:`VariationalLayer`), and so do gradients, Adam moments
@@ -67,6 +78,9 @@ if TYPE_CHECKING:
     from .data import TaskView
 
 INIT_LOGVAR = -6.0
+# The dtype of the noise fit and posterior_predict draw, and so of their Monte
+# Carlo arithmetic; parameters, the KL, gradients and Adam stay float64.
+NOISE_DTYPE = np.float32
 
 
 class VariationalLayer:
@@ -231,58 +245,69 @@ class ForwardCache:
 
 def sample_noise(net: VariationalNet, head_index: int, n_samples: int,
                  rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Fresh standard-normal noise for every weight/bias of trunk + head."""
+    """Fresh standard-normal ``NOISE_DTYPE`` noise for every weight/bias of
+    trunk + head."""
     noise = []
     for layer in net.active_layers(head_index):
-        eps_w = rng.standard_normal((n_samples, layer.fan_in, layer.fan_out))
-        eps_b = rng.standard_normal((n_samples, layer.fan_out))
+        eps_w = rng.standard_normal((n_samples, layer.fan_in, layer.fan_out), dtype=NOISE_DTYPE)
+        eps_b = rng.standard_normal((n_samples, layer.fan_out), dtype=NOISE_DTYPE)
         noise.append((eps_w, eps_b))
     return noise
 
 
-def layer_sigmas(layers: Sequence[VariationalLayer]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """exp(logvar / 2) of the weights and biases of each layer."""
-    return [(np.exp(0.5 * layer.logvar_w), np.exp(0.5 * layer.logvar_b)) for layer in layers]
+def _cast_params(layers: Sequence[VariationalLayer], dtype: np.dtype) -> list[tuple]:
+    """Each layer's (mu_w, sigma_w, mu_b, sigma_b) in ``dtype``.
+
+    sigma = exp(logvar / 2) is taken in float64 and then cast, so a sigma
+    beyond ``dtype``'s range overflows in the cast.
+    """
+    return [tuple(a.astype(dtype, copy=False) for a in (
+        layer.mu_w, np.exp(0.5 * layer.logvar_w), layer.mu_b, np.exp(0.5 * layer.logvar_b)))
+            for layer in layers]
 
 
-def _as_input(net: VariationalNet, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _as_input(net: VariationalNet, x: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"input shape {x.shape} does not match input_dim {net.input_dim}")
-    return x
+    return x.astype(dtype, copy=False)
 
 
 def forward_with_noise(net: VariationalNet, head_index: int, x: np.ndarray,
                        noise: list[tuple[np.ndarray, np.ndarray]]) -> ForwardCache:
     """Forward pass with the given noise; ReLU between trunk layers, linear head.
 
+    Everything runs in the noise's dtype: the batch, the means and the sigmas
+    are cast to it, so float32 noise gives float32 weights, pre-activations
+    and logits, and float64 noise the exact float64 pass.
+
     The first layer multiplies the shared (B, I) batch, so its weights are
     built one sample at a time into that sample's pre-activations and not
     kept. Later layers keep their sampled weights for the backward pass.
     """
-    x = _as_input(net, x)
     layers = net.active_layers(head_index)
     if len(noise) != len(layers):
         raise ValueError(f"noise for {len(noise)} layers, net has {len(layers)}")
-    n_samples = noise[0][0].shape[0]
+    n_samples, dtype = noise[0][0].shape[0], noise[0][0].dtype
+    x = _as_input(net, x, dtype)
     weights, pre = [], []
     act: np.ndarray = x
-    for li, (layer, (eps_w, eps_b), (sigma_w, sigma_b)) in enumerate(
-            zip(layers, noise, layer_sigmas(layers))):
+    for li, ((mu_w, sigma_w, mu_b, sigma_b), (eps_w, eps_b)) in enumerate(
+            zip(_cast_params(layers, dtype), noise)):
         b = sigma_b * eps_b                         # (S, O)
-        b += layer.mu_b
+        b += mu_b
         if li == 0:
             # One (I, O) weight sample at a time: (B, I) @ (I, O) is the
             # same BLAS call a stacked (B, I) @ (S, I, O) makes per sample.
-            z = np.empty((n_samples, x.shape[0], layer.fan_out))
+            z = np.empty((n_samples, x.shape[0], mu_w.shape[1]), dtype=dtype)
             for s in range(n_samples):
                 w = sigma_w * eps_w[s]
-                w += layer.mu_w
+                w += mu_w
                 np.matmul(act, w, out=z[s])
                 z[s] += b[s]
         else:
             w = sigma_w * eps_w                     # (S, I, O)
-            w += layer.mu_w
+            w += mu_w
             z = act @ w                             # (S, B, O)
             z += b[:, None, :]
             weights.append((w, b))
@@ -347,6 +372,9 @@ def backward_gradients(net: VariationalNet, prior: VariationalNet, cache: Forwar
 
         dKL/dmu     = (mu - mu0) / var0
         dKL/dlogvar = (exp(logvar)/var0 - 1) / 2
+
+    ``d_z`` and the per-sample gradients are in the cache's dtype; their sums
+    over samples and the KL part are float64.
     """
     layers = net.active_layers(cache.head_index)
     y = _check_labels(y, cache.logits.shape[-1])
@@ -379,8 +407,9 @@ def backward_gradients(net: VariationalNet, prior: VariationalNet, cache: Forwar
             g.logvar_w += d_w
         g.logvar_w *= 0.5 * np.exp(0.5 * layer.logvar_w)
         d_b = d_z.sum(axis=1)                       # (S, O)
-        g.mu_b[...] = d_b.sum(axis=0)
-        g.logvar_b[...] = (d_b * eps_b).sum(axis=0) * (0.5 * np.exp(0.5 * layer.logvar_b))
+        g.mu_b[...] = d_b.sum(axis=0, dtype=np.float64)
+        g.logvar_b[...] = ((d_b * eps_b).sum(axis=0, dtype=np.float64)
+                           * (0.5 * np.exp(0.5 * layer.logvar_b)))
         # The KL part on both rows at once; against a new head's all-zero
         # prior, mu - 0.0, exp(-0.0) and logvar - 0.0 change no bit.
         g.flat[0] += kl_scale * (layer.flat[0] - pl.flat[0]) * np.exp(-pl.flat[1])
@@ -418,8 +447,8 @@ def _draws(rng: np.random.Generator, n_task: int, epochs: int, batch_size: int,
         order = rng.permutation(n_task)
         for start in range(0, n_task, batch_size):
             for eps_w, eps_b in buffers[k]:
-                rng.standard_normal(out=eps_w)
-                rng.standard_normal(out=eps_b)
+                rng.standard_normal(out=eps_w, dtype=eps_w.dtype)
+                rng.standard_normal(out=eps_b, dtype=eps_b.dtype)
             yield order[start:start + batch_size], buffers[k]
             k = 1 - k
 
@@ -451,8 +480,8 @@ def fit(net: VariationalNet, prior: VariationalNet, head_index: int, data: TaskV
     if n_task == 0:
         raise ValueError("empty dataset")
     optimizer = NetAdam(net, head_index, lr)
-    buffers = [[(np.empty((mc_samples, layer.fan_in, layer.fan_out)),
-                 np.empty((mc_samples, layer.fan_out)))
+    buffers = [[(np.empty((mc_samples, layer.fan_in, layer.fan_out), dtype=NOISE_DTYPE),
+                 np.empty((mc_samples, layer.fan_out), dtype=NOISE_DTYPE))
                 for layer in net.active_layers(head_index)] for _ in range(2)]
     draws = _draws(rng, n_task, epochs, batch_size, buffers)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vclab-fit-noise") as helper:
@@ -478,25 +507,26 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
     forward pass that keeps nothing for backward: even draws here, odd ones
     one at a time on a one-worker executor that starts under this thread's
     ``np.geterr()``, since ``np.errstate`` holds per thread. This thread sums
-    their softmax in sample order: the same bits as ``softmax(batched
-    logits).mean(axis=0)``. Peak memory is the noise plus two draws' (I, O)
-    weights and (B, O) activations. ``result()`` raises the worker's errors
-    here, and the ``with`` block joins it before return.
+    their float32 softmax in float64, in sample order: the same bits as
+    ``softmax(batched logits).mean(axis=0, dtype=np.float64)``. Peak memory is
+    the noise plus two draws' (I, O) weights and (B, O) activations.
+    ``result()`` raises the worker's errors here, and the ``with`` block joins
+    it before return.
     """
     if n_eval_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    x = _as_input(net, x)
+    x = _as_input(net, x, NOISE_DTYPE)
     layers = net.active_layers(head_index)
     noise = sample_noise(net, head_index, n_eval_samples, rng)
-    parts = list(zip(layers, layer_sigmas(layers), noise))
+    parts = list(zip(_cast_params(layers, NOISE_DTYPE), noise))
 
     def probs(s: int) -> np.ndarray:
         act = x
-        for li, (layer, (sigma_w, sigma_b), (eps_w, eps_b)) in enumerate(parts):
+        for li, ((mu_w, sigma_w, mu_b, sigma_b), (eps_w, eps_b)) in enumerate(parts):
             w = sigma_w * eps_w[s]
-            w += layer.mu_w
+            w += mu_w
             b = sigma_b * eps_b[s]
-            b += layer.mu_b
+            b += mu_b
             act = act @ w
             act += b
             if li < len(parts) - 1:

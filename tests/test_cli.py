@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from test_data import (gzip_in_place, loads_or_format_error, make_cifar_dir, make_mnist_dir,
                        write_idx_images, write_idx_labels)
-from test_vbnn import random_net
-from vclab import cli
+from test_vbnn import random_net, with_one_huge_sigma
+from vclab import cli, continual
 from vclab.cli import (CSV_HEADER, AggregateRow, ConfigError, ExperimentConfig, ResultRow,
                        _build_parser, aggregate_trials, build_config, emit_chart_svg,
                        format_aggregates, main, parse_model, read_config_file,
@@ -584,6 +584,20 @@ class TestMainEntry:
         assert code == 3
         assert re.search(r"^numeric failure: stage 1: overflow", err, re.MULTILINE), err
         assert re.search(r" during training$", err, re.MULTILINE), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_sigma_beyond_float32_exits_3_without_csv(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "SYNTHETIC_N_TRAIN", 256)
+        init = continual.init_network
+        monkeypatch.setattr(continual, "init_network",
+                            lambda *args: with_one_huge_sigma(init(*args)))
+        code = main(["run", "--experiment", "synthetic", "--model", "gvcl:1", "--trials", "1",
+                     "--epochs", "1", "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert re.search(r"^numeric failure: stage 1: overflow encountered in cast "
+                         r"during training$", err, re.MULTILINE), err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from test_vbnn import with_one_huge_sigma
 import vclab.continual as continual
 from vclab.continual import AccuracyMatrix, TrainConfig, evaluate, run_sequence, train_on_task
 from vclab.data import Dataset, TaskView, make_permuted_tasks, make_synthetic_blobs
 from vclab.heuristics import HeuristicConfig, HeuristicTrace
-from vclab.numerics import ConfigError, make_rng
+from vclab.numerics import ConfigError, NumericError, make_rng
 from vclab.vbnn import (advance_prior, init_network, load_snapshot, posterior_predict,
                         standard_prior)
 
@@ -92,10 +93,24 @@ class TestTrainOnTask:
 
 
 class TestEvaluate:
-    def test_untrained_balanced_binary_near_chance(self):
+    @pytest.mark.parametrize("trained", [False, True], ids=["untrained", "trained"])
+    def test_labels_independent_of_inputs_score_near_one_half(self, trained):
+        # Each of the 160 test inputs appears twice, once per label, so the
+        # labels carry nothing about the inputs: whatever a net predicts,
+        # half the 320 rows are right. Both copies share one chunk and so
+        # one set of weight draws; the bounds leave room for a tie that
+        # BLAS rounds apart.
         task = blob_task(6.0, tag="chance")
-        acc = evaluate(fresh_net(task), task, FAST_TRAIN, make_rng("ce"))
-        assert 0.3 <= acc <= 0.7
+        rows = np.tile(task.test.rows, 2)
+        labels = np.repeat([0, 1], len(task.test))
+        task = dataclasses.replace(task, test=dataclasses.replace(task.test, rows=rows,
+                                                                  labels=labels))
+        net = fresh_net(task)
+        if trained:
+            train_on_task(net, standard_prior(net), task, 1.0, FAST_TRAIN, make_rng("ct"))
+        assert len(task.test) == 320 <= continual.EVAL_CHUNK
+        acc = evaluate(net, task, FAST_TRAIN, make_rng("ce"))
+        assert 0.4 <= acc <= 0.6
 
     def test_memorizable_task_is_perfect(self):
         task = blob_task(12.0, n=256, tag="perfect")
@@ -261,6 +276,16 @@ class TestRunSequence:
                          snapshot_dir=snapshot_dir, progress=lambda *a: stages.append(a))
         assert stages == []
         assert not list(tmp_path.rglob("*.snap"))
+
+    def test_a_sigma_beyond_float32_is_a_numeric_error(self, monkeypatch):
+        init = continual.init_network
+        monkeypatch.setattr(continual, "init_network",
+                            lambda *args: with_one_huge_sigma(init(*args)))
+        cfg = TrainConfig(epochs=1, batch_size=128, train_mc_samples=2, eval_mc_samples=5,
+                          beta_mode="fixed", beta=1.0)
+        with pytest.raises(NumericError, match="^stage 1: overflow encountered in cast "
+                                               "during training$"):
+            run_sequence(two_tasks(), (16,), cfg, FAST_HEUR, master_seed=18)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):

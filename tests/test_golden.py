@@ -23,7 +23,7 @@ from vclab.vbnn import advance_prior, save_snapshot
 GOLDEN_ARGS = ["run", "--experiment", "synthetic", "--model", "auto", "--trials", "1",
                "--epochs", "1", "--probe-repeats", "2", "--probe-size", "256",
                "--seed", "8817"]
-GOLDEN_SHA256 = "e79957e65627d748c2e1e9fb59cd52df09cb1b09359f58847703d7e82d6f8e23"
+GOLDEN_SHA256 = "938ff3f373afe0ca5b60f052ecaa828413e1bdbe66fb12354aa819e6be33c349"
 SNAPSHOT_SHA256 = "e1b81c7b28eefc178baec08959d989006547075f46b697923a1f82d8f7890c9a"
 RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"

@@ -33,6 +33,16 @@ def random_net(seed, input_dim=4, hidden=(3,), out=2, heads=(0,), jitter=0.0):
     return net
 
 
+# exp(180 / 2) is about 1.2e39: finite in float64, beyond float32's 3.4e38.
+HUGE_LOGVAR = 180.0
+
+
+def with_one_huge_sigma(net):
+    """``net`` with its first weight's log-variance at ``HUGE_LOGVAR``."""
+    net.trunk[0].logvar_w[0, 0] = HUGE_LOGVAR
+    return net
+
+
 def whole_view(x, y):
     """A view of every row of ``x``, in order, for :func:`fit`."""
     return TaskView(images=x, rows=np.arange(len(x)), labels=np.asarray(y))
@@ -64,15 +74,23 @@ def zero_noise(net, head_index):
             for layer in net.active_layers(head_index)]
 
 
+def float64_noise(net, head_index, n_samples, rng):
+    """:func:`sample_noise` cast to float64, for the exact float64 pass."""
+    return [(eps_w.astype(np.float64), eps_b.astype(np.float64))
+            for eps_w, eps_b in sample_noise(net, head_index, n_samples, rng)]
+
+
 def stacked_pre_activations(net, head_index, x, noise):
-    """Every layer's (S, B, O) pre-activations from stacked (S, I, O) weights."""
-    pre, act = [], x
+    """Every layer's (S, B, O) pre-activations from stacked (S, I, O) weights,
+    with the input, means and sigmas cast to the noise's dtype."""
+    dtype = noise[0][0].dtype
+    pre, act = [], x.astype(dtype)
     layers = net.active_layers(head_index)
     for li, (layer, (eps_w, eps_b)) in enumerate(zip(layers, noise)):
-        w = np.exp(0.5 * layer.logvar_w) * eps_w
-        w += layer.mu_w
-        b = np.exp(0.5 * layer.logvar_b) * eps_b
-        b += layer.mu_b
+        w = np.exp(0.5 * layer.logvar_w).astype(dtype) * eps_w
+        w += layer.mu_w.astype(dtype)
+        b = np.exp(0.5 * layer.logvar_b).astype(dtype) * eps_b
+        b += layer.mu_b.astype(dtype)
         pre.append(act @ w + b[:, None, :])
         act = np.maximum(pre[-1], 0.0) if li < len(layers) - 1 else pre[-1]
     return pre
@@ -187,6 +205,20 @@ class TestForward:
         se = math.exp(-1.0) / math.sqrt(10_000)
         for draws in (cache.pre[0][:, 0, 0], cache.weights[0][0][:, 0, 0]):
             assert abs(draws.mean() - 0.3) < 4 * se
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_computes_in_the_noise_dtype(self, dtype):
+        net = random_net(11, input_dim=5, hidden=(4, 3), out=2, jitter=0.3)
+        noise = [(w.astype(dtype), b.astype(dtype)) for w, b in
+                 sample_noise(net, 0, 3, make_rng("dt"))]
+        cache = forward_with_noise(net, 0, make_rng("dtx").random((6, 5)), noise)
+        assert cache.logits.dtype == dtype
+        assert {a.dtype for a in [cache.x, *cache.pre]} == {np.dtype(dtype)}
+
+    def test_fit_and_predict_draw_float32_noise(self):
+        assert vbnn.NOISE_DTYPE == np.float32
+        noise = sample_noise(random_net(12), 0, 2, make_rng("nd"))
+        assert {a.dtype for pair in noise for a in pair} == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("n_samples", [1, 5])
     def test_streamed_first_layer_equals_stacked_reference(self, n_samples):
@@ -315,8 +347,8 @@ class TestBetaElboLoss:
 
 def backprop_vs_finite_diff(net, prior, head, x, y, beta, n_task, n_samples, seed):
     """Max relative error between backprop and the central-difference oracle,
-    with the reparameterization noise frozen."""
-    noise = sample_noise(net, head, n_samples, make_rng("gc", seed))
+    with the reparameterization noise frozen in float64."""
+    noise = float64_noise(net, head, n_samples, make_rng("gc", seed))
     _, cache = beta_elbo_loss(net, prior, head, x, y, beta=beta, n_task=n_task, noise=noise)
     g_bp = flatten_grads(backward_gradients(net, prior, cache, y, beta=beta, n_task=n_task))
 
@@ -400,12 +432,36 @@ class TestBackward:
         d_z1[:, np.arange(5), y] -= 1.0
         d_z1 *= 1.0 / (6 * 5)
         d_z0 = (d_z1 @ cache.weights[0][0].transpose(0, 2, 1)) * (cache.pre[0] > 0)  # head
-        d_w = [x.T @ d_z0, np.maximum(cache.pre[0], 0.0).transpose(0, 2, 1) @ d_z1]
+        x32 = x.astype(np.float32)
+        d_w = [x32.T @ d_z0, np.maximum(cache.pre[0], 0.0).transpose(0, 2, 1) @ d_z1]
+        # float32 per-sample gradients, summed over samples in float64.
         for li, layer in enumerate(net.active_layers(0)):
             sigma = np.exp(0.5 * layer.logvar_w)
-            assert np.array_equal(grads[li].mu_w, d_w[li].sum(axis=0) + 0.0)
-            assert np.array_equal(grads[li].logvar_w,
-                                  (d_w[li] * noise[li][0]).sum(axis=0) * (0.5 * sigma) + 0.0)
+            assert np.array_equal(grads[li].mu_w, d_w[li].sum(axis=0, dtype=np.float64) + 0.0)
+            assert np.array_equal(grads[li].logvar_w, (d_w[li] * noise[li][0]).sum(
+                axis=0, dtype=np.float64) * (0.5 * sigma) + 0.0)
+
+    def test_float32_gradients_match_float64_of_the_same_noise(self):
+        # At the prior the KL part is 0, so this compares the likelihood
+        # part alone. Per layer, every entry lies within 1e-5 of the layer's
+        # largest float64 entry: about 80 float32 ulps; measured 1.5e-7.
+        net = random_net(38, input_dim=30, hidden=(20, 10), out=4, jitter=0.3)
+        rng = make_rng("g7-logvar")
+        for layer in net.active_layers(0):
+            layer.logvar_w[...] = -2.0 + rng.standard_normal(layer.logvar_w.shape)
+        prior = advance_prior(net)
+        x = make_rng("g7").random((16, 30))
+        y = np.arange(16) % 4
+        grads = {}
+        for eps in (sample_noise(net, 0, 4, make_rng(80)), float64_noise(net, 0, 4, make_rng(80))):
+            _, cache = beta_elbo_loss(net, prior, 0, x, y, beta=1.0, n_task=100, noise=eps)
+            grads[cache.logits.dtype] = backward_gradients(net, prior, cache, y, beta=1.0,
+                                                           n_task=100)
+        for g32, g64 in zip(grads[np.dtype(np.float32)], grads[np.dtype(np.float64)]):
+            assert g32.flat.dtype == np.float64
+            scale = np.abs(g64.flat).max(axis=1, keepdims=True)
+            assert np.all(np.abs(g32.flat - g64.flat) <= 1e-5 * scale)
+            assert not np.array_equal(g32.flat, g64.flat)
 
 
 def test_forward_cache_keeps_only_what_backward_cannot_derive():
@@ -440,15 +496,16 @@ class TestFitMemory:
 def serial_fit(net, prior, head_index, x, y, *, beta, epochs, batch_size, lr, mc_samples,
                rng):
     """fit on one thread: per epoch one permutation, then per step and layer
-    eps_w (S, I, O) and eps_b (S, O), each drawn just before its step."""
+    float32 eps_w (S, I, O) and eps_b (S, O), each drawn just before its step."""
     n_task = len(x)
     optimizer = vbnn.NetAdam(net, head_index, lr)
     for _ in range(epochs):
         order = rng.permutation(n_task)
         for start in range(0, n_task, batch_size):
             idx = order[start:start + batch_size]
-            noise = [(rng.standard_normal((mc_samples, layer.fan_in, layer.fan_out)),
-                      rng.standard_normal((mc_samples, layer.fan_out)))
+            noise = [(rng.standard_normal((mc_samples, layer.fan_in, layer.fan_out),
+                                          dtype=np.float32),
+                      rng.standard_normal((mc_samples, layer.fan_out), dtype=np.float32))
                      for layer in net.active_layers(head_index)]
             _, cache = beta_elbo_loss(net, prior, head_index, x[idx], y[idx], beta=beta,
                                       n_task=n_task, noise=noise)
@@ -594,6 +651,30 @@ class TestFitFailures:
                          beta=1.0, epochs=2, batch_size=6, lr=0.01, mc_samples=2, rng=rng)
         assert error is rng.error
         assert threading.active_count() == threads and not fit_thread_alive()
+
+
+class TestFloat32Overflow:
+    """A sigma that float64 holds and float32 cannot is an overflow in the
+    cast, which a caller's ``np.errstate(over="raise")`` turns into an error."""
+
+    def setup_method(self):
+        self.net = with_one_huge_sigma(random_net(57, input_dim=6, hidden=(5,), out=2))
+        self.x = make_rng("huge").random((8, 6))
+        assert np.isfinite(np.exp(0.5 * self.net.trunk[0].logvar_w)).all()
+
+    def test_fit_raises_and_joins(self):
+        before = get_param_vector(self.net, 0)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            fit(self.net, advance_prior(self.net), 0, whole_view(self.x, np.arange(8) % 2),
+                beta=1.0, epochs=1, batch_size=4, lr=0.01, mc_samples=2,
+                rng=make_rng("huge-fit"))
+        assert np.array_equal(get_param_vector(self.net, 0), before)
+        assert not fit_thread_alive()
+
+    def test_posterior_predict_raises(self):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            posterior_predict(self.net, 0, self.x, make_rng("huge-predict"), 3)
+        assert not predict_lane_alive()
 
 
 class TestAdvancePrior:
@@ -744,7 +825,9 @@ class TestPosteriorPredict:
         rng, reference_rng = make_rng(8), make_rng(8)
         streamed = posterior_predict(net, 0, x, rng, n_samples)
         noise = sample_noise(net, 0, n_samples, reference_rng)
-        batched = vbnn.softmax(forward_with_noise(net, 0, x, noise).logits).mean(axis=0)
+        # float32 probabilities, summed over samples in float64.
+        batched = vbnn.softmax(forward_with_noise(net, 0, x, noise).logits).mean(
+            axis=0, dtype=np.float64)
         assert streamed.tobytes() == batched.tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
         assert not predict_lane_alive()
