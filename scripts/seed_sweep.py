@@ -17,12 +17,10 @@ fails the table about 5% of the time rather than at every few runs. At a
 flat 2, 11 of 28 disjoint 8-seed pairs of one toy-sized 64-seed run of the
 same code failed at least one of the 12 metrics; at 2.87, 2 of 28 did.
 
-Trial seeds are master seed + trial index, so the N seeds of one side run
-as ``--trials`` in at most ``--jobs`` processes. Usage:
+Trial seeds are master seed + trial index, so seeds 0 .. N-1 of one side
+run as ``--trials`` in two processes. Usage:
 
-    python scripts/seed_sweep.py BASE CHANGE [--seeds 8] [--first-seed 0]
-        [--change-first-seed S] [--run-args "--epochs 1"] [--change-args "..."]
-        [--jobs 2]
+    python scripts/seed_sweep.py BASE CHANGE [--seeds 8]
 
 Prints a Markdown table and exits 0 if every metric passes, 1 if any fails.
 """
@@ -33,7 +31,6 @@ import argparse
 import csv
 import math
 import os
-import shlex
 import subprocess
 import sys
 import tempfile
@@ -42,15 +39,17 @@ from statistics import NormalDist, fmean, stdev
 
 METRICS = ("avg_acc", "d", "s", "log_beta")
 MIN_SEEDS = 8
+JOBS = 2  # processes per side
 
 # seed -> stage -> metric -> value
 Sweep = dict[int, dict[int, dict[str, float]]]
 
 
-def sweep(checkout, seeds: range, flags: list[str], jobs: int, workdir) -> Sweep:
+def sweep(checkout, seeds: range, flags: list[str], workdir) -> Sweep:
     """Per-stage metrics of ``vclab run --experiment synthetic --model auto``
-    at each of ``seeds`` (consecutive), run from ``checkout``'s sources."""
-    size = math.ceil(len(seeds) / jobs)
+    with extra ``flags`` at each of ``seeds`` (consecutive), run from
+    ``checkout``'s sources."""
+    size = math.ceil(len(seeds) / JOBS)
     chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
     env = {**os.environ, "PYTHONPATH": str(Path(checkout, "src").resolve())}
     procs = []
@@ -124,23 +123,12 @@ def main(argv=None) -> int:
     parser.add_argument("change", help="checkout whose src/ holds the changed vclab")
     parser.add_argument("--seeds", type=int, default=MIN_SEEDS,
                         help=f"seeds per side (at least {MIN_SEEDS})")
-    parser.add_argument("--first-seed", type=int, default=0)
-    parser.add_argument("--change-first-seed", type=int, default=None,
-                        help="first seed of the change side (default: --first-seed)")
-    parser.add_argument("--run-args", default="", help="extra vclab run flags for both sides")
-    parser.add_argument("--change-args", default="",
-                        help="extra vclab run flags for the change side, after --run-args")
-    parser.add_argument("--jobs", type=int, default=2, help="processes per side")
     args = parser.parse_args(argv)
-    if args.seeds < MIN_SEEDS or args.jobs < 1:
-        parser.error(f"need --seeds >= {MIN_SEEDS} and --jobs >= 1")
-    change_first = args.first_seed if args.change_first_seed is None else args.change_first_seed
-    flags = shlex.split(args.run_args)
+    if args.seeds < MIN_SEEDS:
+        parser.error(f"need --seeds >= {MIN_SEEDS}")
     with tempfile.TemporaryDirectory() as workdir:
-        base = sweep(args.base, range(args.first_seed, args.first_seed + args.seeds), flags,
-                     args.jobs, workdir)
-        change = sweep(args.change, range(change_first, change_first + args.seeds),
-                       flags + shlex.split(args.change_args), args.jobs, workdir)
+        base = sweep(args.base, range(args.seeds), [], workdir)
+        change = sweep(args.change, range(args.seeds), [], workdir)
     rows = compare(base, change)
     print(format_table(rows))
     failed = [f"stage {r['stage']} {r['metric']}" for r in rows if not r["ok"]]

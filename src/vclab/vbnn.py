@@ -346,7 +346,7 @@ def beta_elbo_loss(net: VariationalNet, prior: VariationalNet, head_index: int,
     noise (see :func:`sample_noise`), plus the cache for backward."""
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if n_task < x.shape[0]:
         raise ValueError(f"n_task {n_task} smaller than batch {x.shape[0]}")
     cache = forward_with_noise(net, head_index, x, noise)

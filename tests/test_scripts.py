@@ -28,7 +28,7 @@ TOY = ["--epochs", "1", "--probe-repeats", "1", "--batch-size", "32", "--probe-s
 
 
 def toy_sweep(workdir, first_seed=0, extra=()):
-    return seed_sweep.sweep(ROOT, range(first_seed, first_seed + 8), [*TOY, *extra], 2, workdir)
+    return seed_sweep.sweep(ROOT, range(first_seed, first_seed + 8), [*TOY, *extra], workdir)
 
 
 @pytest.fixture(scope="module")
