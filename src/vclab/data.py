@@ -131,15 +131,14 @@ def _read_idx(path: Path, magic: int) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8, offset=header).reshape(count, size)
 
 
-def _locate(data_dir: Path, names: list[str], subdirs: list[str]) -> Path:
+def _locate(data_dir: Path, name: str, subdirs: list[str]) -> Path:
     tried = []
     for sub in subdirs:
         base = data_dir / sub if sub else data_dir
-        for name in names:
-            for candidate in (base / name, base / (name + ".gz")):
-                if candidate.is_file():
-                    return candidate
-                tried.append(str(candidate))
+        for candidate in (base / name, base / (name + ".gz")):
+            if candidate.is_file():
+                return candidate
+            tried.append(str(candidate))
     raise MissingDataError(f"none of these files exist: {tried}")
 
 
@@ -165,8 +164,8 @@ def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
         ("train", "train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
         ("test", "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
     ]:
-        images = _read_idx(_locate(data_dir, [img_name], subdirs), _IDX_IMAGE_MAGIC)
-        labels = _read_idx(_locate(data_dir, [lab_name], subdirs), _IDX_LABEL_MAGIC)
+        images = _read_idx(_locate(data_dir, img_name, subdirs), _IDX_IMAGE_MAGIC)
+        labels = _read_idx(_locate(data_dir, lab_name, subdirs), _IDX_LABEL_MAGIC)
         out.append(_dataset(images, labels[:, 0], split))
     if out[0].images.shape[1] != out[1].images.shape[1]:
         raise DataFormatError(f"train images have {out[0].images.shape[1]} pixels, test images "
@@ -218,7 +217,7 @@ def load_cifar10_gray28(data_dir) -> tuple[Dataset, Dataset]:
     subdirs = ["", "cifar-10-batches-bin", "cifar10"]
 
     def read(split: str, names: list[str]) -> Dataset:
-        batches = [_read_cifar_batch(_locate(data_dir, [n], subdirs)) for n in names]
+        batches = [_read_cifar_batch(_locate(data_dir, n, subdirs)) for n in names]
         pixels = np.concatenate([x for x, _ in batches])
         labels = np.concatenate([y for _, y in batches])
         del batches  # free the per-batch pixels before _dataset scales the split

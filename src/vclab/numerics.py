@@ -43,12 +43,12 @@ def require_positive(name: str, value: float) -> None:
 
 def check_writable(path, *inputs) -> None:
     """Raise ConfigError unless :func:`atomic_write` can write ``path``: it is
-    not a directory, the nearest of its existing parents is one, and it is
-    not the same file as any of ``inputs``, also through a link."""
+    not a directory, its nearest parent that exists or is a link is one, and
+    it is not the same file as any of ``inputs``, also through a link."""
     path = Path(path)
     if path.is_dir():
         raise ConfigError(f"cannot write {path}: it is a directory")
-    parent = next(p for p in path.parents if p.exists())
+    parent = next(p for p in path.parents if p.exists() or p.is_symlink())
     if not parent.is_dir():
         raise ConfigError(f"cannot write {path}: {parent} is not a directory")
     for source in inputs:

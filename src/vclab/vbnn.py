@@ -49,8 +49,8 @@ time through a forward pass that keeps no backward cache, so peak evaluation
 memory is one (S, I, O) noise tensor per layer plus two samples' weights and
 activations. All of this gives the same bits as the stacked computation in
 the same dtype. At 784x256 the first layer's prediction noise at S = 20 is
-16 MB (32 MB in float64), and each of ``fit``'s two buffer sets holds 4 MB
-of first-layer noise at S = 5 (8 MB in float64).
+16 MB, and each of ``fit``'s two buffer sets holds 4 MB of first-layer noise
+at S = 5.
 
 Each layer keeps means and log-variances as the two rows of one (2, n)
 buffer (see :class:`VariationalLayer`), and so do gradients, Adam moments

@@ -325,10 +325,11 @@ class TestMainEntry:
     ], ids=" ".join)
     def test_invalid_value_exits_1_without_traceback(self, tmp_path, flags):
         proc = run_module("run", "--experiment", "synthetic", "--trials", "1",
-                          "--out-dir", str(tmp_path), *flags)
+                          "--out-dir", str(tmp_path / "out"), *flags)
         assert proc.returncode == 1, proc.stderr
         assert re.search(r"^config error: ", proc.stderr, re.MULTILINE), proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, target", [
         ("--out-dir", "afile"), ("--out-dir", "afile/sub"),
@@ -404,15 +405,19 @@ class TestMainEntry:
         (["chart", "{tmp}/good.csv", "--out", "{tmp}/good.csv"], 1),
         (["aggregate", "{tmp}/good.csv", "--out", "{tmp}/hardlink.csv"], 1),
         (["chart", "{tmp}/good.csv", "--out", "{tmp}/symlink.csv"], 1),
+        (["aggregate", "{tmp}/good.csv", "--out", "{tmp}/dangling/x.csv"], 1),
+        (["chart", "{tmp}/dir"], 2),
     ], ids=["aggregate-out-dir", "chart-out-dir", "chart-out-under-file", "aggregate-dir",
             "aggregate-not-utf8", "chart-dot", "chart-root", "chart-empty", "config-dir",
             "config-not-utf8", "config-missing", "aggregate-out-is-csv", "chart-out-is-csv",
-            "aggregate-out-hard-links-csv", "chart-out-symlinks-csv"])
+            "aggregate-out-hard-links-csv", "chart-out-symlinks-csv",
+            "aggregate-out-under-dangling-link", "chart-dir"])
     def test_unusable_path_exits_with_its_code_without_traceback(self, tmp_path, args, code):
         good = tmp_path / "good.csv"
         good.write_text(",".join(CSV_HEADER) + "\n" + GOOD_ROW, encoding="utf-8")
         os.link(good, tmp_path / "hardlink.csv")
         (tmp_path / "symlink.csv").symlink_to(good)
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
         (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
         (tmp_path / "dir").mkdir()
         (tmp_path / "latin1").write_bytes(b"experiment = caf\xe9\n")
@@ -433,10 +438,13 @@ class TestMainEntry:
         ("snap/trial1/stage_02.snap", "dir", "2", "out", "snap"),
         (None, None, "1", "d", "d/synthetic_gvcl-1.csv"),
         (None, None, "1", "d/trial0/stage_01.snap", "d"),
+        ("out", "dangling link", "1", "out", "snap"),
+        ("snap", "dangling link", "1", "out", "snap"),
     ], ids=["results-csv-is-a-dir", "trial0-snapshot-dir-is-a-file",
             "trial1-snapshot-dir-is-a-file", "stage-snapshot-is-a-dir",
             "trial1-stage-snapshot-is-a-dir", "snapshot-dir-is-the-results-csv",
-            "results-csv-inside-a-stage-snapshot"])
+            "results-csv-inside-a-stage-snapshot", "out-dir-is-a-dangling-link",
+            "snapshot-dir-is-a-dangling-link"])
     def test_run_output_path_in_the_way_exits_1_before_training(self, tmp_path, obstacle, kind,
                                                                 trials, out_dir, snapshot_dir):
         if obstacle is not None:
@@ -444,6 +452,8 @@ class TestMainEntry:
             path.parent.mkdir(parents=True, exist_ok=True)
             if kind == "dir":
                 path.mkdir()
+            elif kind == "dangling link":
+                path.symlink_to(tmp_path / "nowhere")
             else:
                 path.write_text("not a directory\n", encoding="utf-8")
         proc = run_module("run", "--experiment", "synthetic", "--model", "gvcl:1", "--trials",
