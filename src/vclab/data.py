@@ -37,11 +37,15 @@ class MissingDataError(FileNotFoundError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """One split of one corpus: pixels in [0, 1], integer class labels."""
+    """One split of one corpus: pixels in [0, 1], integer class labels.
+    Pixels are stored in float32, the dtype the network computes in."""
 
-    images: np.ndarray  # (N, D) float64
+    images: np.ndarray  # (N, D) float32
     labels: np.ndarray  # (N,) int64
     split: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "images", np.asarray(self.images, dtype=np.float32))
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -71,7 +75,7 @@ class TaskView:
             x = self.images[rows]
         else:
             x = self.images[rows[:, None], self.permutation]
-        return np.ascontiguousarray(x, dtype=np.float64), self.labels[idx]
+        return np.ascontiguousarray(x, dtype=np.float32), self.labels[idx]
 
     def subset(self, idx: np.ndarray) -> "TaskView":
         """The view of positions ``idx`` within this view; copies no pixels."""
@@ -166,7 +170,8 @@ def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
     ]:
         images = _read_idx(_locate(data_dir, img_name, subdirs), _IDX_IMAGE_MAGIC)
         labels = _read_idx(_locate(data_dir, lab_name, subdirs), _IDX_LABEL_MAGIC)
-        out.append(_dataset(images, labels[:, 0], split))
+        # Scaled in float32: for each byte value, the float32 cast of p / 255.0.
+        out.append(_dataset(images.astype(np.float32), labels[:, 0], split))
     if out[0].images.shape[1] != out[1].images.shape[1]:
         raise DataFormatError(f"train images have {out[0].images.shape[1]} pixels, test images "
                               f"{out[1].images.shape[1]}")
@@ -336,7 +341,7 @@ def make_synthetic_blobs(separation: float, rotation: float, n: int,
         x = 0.5 + _BLOB_SIGNAL_GAIN * latent @ basis
         x += _BLOB_PIXEL_NOISE * rng.standard_normal((count, BLOB_DIM))
         np.clip(x, 0.0, 1.0, out=x)
-        return TaskView(images=x, rows=np.arange(count), labels=y)
+        return TaskView(images=x.astype(np.float32), rows=np.arange(count), labels=y)
 
     return TaskSpec(
         name=name or f"blobs-sep{separation:g}-rot{rotation:g}",

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from vclab.data import (BLOB_DIM, DataFormatError, Dataset, MissingDataError,
-                        STANDARD_SPLIT_PAIRS, TaskView, _bilinear_matrix, load_cifar10_gray28,
+                        STANDARD_SPLIT_PAIRS, TaskView, _bilinear_matrix, _read_cifar_batch,
+                        load_cifar10_gray28,
                         load_mnist, make_mixed_sequence, make_permuted_tasks, make_split_tasks,
                         make_synthetic_blobs)
 from vclab.numerics import make_rng
@@ -56,6 +57,8 @@ class TestIdxLoader:
         assert test.images.shape == (4, 784)
         assert train.images.min() >= 0.0 and train.images.max() <= 1.0
         np.testing.assert_allclose(train.images[3], raw_train[3].reshape(-1) / 255.0)
+        # Scaled in float32: the float32 cast of the float64 quotient.
+        assert np.array_equal(train.images, (raw_train.reshape(20, -1) / 255.0).astype(np.float32))
         assert train.labels.dtype == np.int64
 
     def test_bad_magic(self, tmp_path):
@@ -184,14 +187,20 @@ class TestCifarLoader:
     def test_resize_matches_einsum_form(self, tmp_path):
         # The loader resizes with two matrix products; the three-operand
         # einsum it replaced is the same linear map, summed in another order.
+        # The split stores the float32 cast of the float64 scaled pixels.
         make_cifar_dir(tmp_path)
         train, _ = load_cifar10_gray28(tmp_path)
-        records = np.frombuffer((tmp_path / "data_batch_1.bin").read_bytes(), dtype=np.uint8)
+        path = tmp_path / "data_batch_1.bin"
+        pixels, _ = _read_cifar_batch(path)
+        records = np.frombuffer(path.read_bytes(), dtype=np.uint8)
         rgb = records.reshape(-1, 3073)[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64)
         gray = np.einsum("c,nchw->nhw", np.array([0.299, 0.587, 0.114]), rgb)
         resize = _bilinear_matrix(32, 28)
         expected = np.einsum("ah,nhw,bw->nab", resize, gray, resize).reshape(-1, 784) / 255.0
-        np.testing.assert_allclose(train.images[:2], expected, rtol=0, atol=1e-15)
+        assert pixels.dtype == np.float64
+        np.testing.assert_allclose(pixels / 255.0, expected, rtol=0, atol=1e-15)
+        assert train.images.dtype == np.float32
+        assert np.array_equal(train.images[:2], (pixels / 255.0).astype(np.float32))
 
     def test_bilinear_matrix_rows_stochastic(self):
         m = _bilinear_matrix(32, 28)
@@ -277,7 +286,7 @@ class TestPermutedTasks:
         (task,) = make_permuted_tasks(train, test, 1, make_rng("perm", 4))
         idx = np.array([5, 0, 5, 49, 3])
         x, y = task.train.take(idx)
-        assert x.dtype == np.float64 and x.flags.c_contiguous
+        assert x.dtype == np.float32 and x.flags.c_contiguous
         np.testing.assert_array_equal(x, train.images[idx][:, task.train.permutation])
         np.testing.assert_array_equal(y, train.labels[idx])
 
