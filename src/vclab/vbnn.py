@@ -6,7 +6,8 @@ forward pass draws whole-tensor weight samples
 
     w = mu + exp(logvar / 2) * eps,    eps ~ N(0, 1)
 
-one draw per Monte Carlo sample, shared across the batch, and the training
+one draw per Monte Carlo sample, shared across the batch (prediction draws
+its first layer's pre-activations instead; see below), and the training
 objective for a batch is
 
     loss = nll + beta * kl / n_task
@@ -42,15 +43,22 @@ that sample's pre-activations and keeps none; later layers keep their
 (S, I, O) sampled weights, which their backward pass multiplies by; it
 recomputes each hidden layer's input as the ReLU of the cached
 pre-activation, one sample at a time, and sums the per-sample weight
-gradients in sample order. ``posterior_predict`` draws all noise in one call
-and computes every layer's sigma once; then this thread and a one-worker
-executor, started under this thread's error state, each run one sample at a
-time through a forward pass that keeps no backward cache, so peak evaluation
-memory is one (S, I, O) noise tensor per layer plus two samples' weights and
-activations. All of this gives the same bits as the stacked computation in
-the same dtype. At 784x256 the first layer's prediction noise at S = 20 is
-16 MB, and each of ``fit``'s two buffer sets holds 4 MB of first-layer noise
-at S = 5.
+gradients in sample order. All of this gives the same bits as the stacked
+computation in the same dtype; each of ``fit``'s two buffer sets holds 4 MB
+of first-layer noise at 784x256 and S = 5.
+
+``posterior_predict`` samples no first-layer weights. It computes the first
+layer's pre-activation moments once per call, m = x mu_w + mu_b and
+v = x^2 sigma_w^2 + sigma_b^2, and each draw takes m + sqrt(v) * eps with
+(B, O) noise: the local reparameterization trick, which for a fixed row has
+the same Gaussian as x w + b with sampled w. Later layers sample their
+weights per draw. Two lanes, this thread and a one-worker executor started
+under this thread's error state, each draw from their own generator, seeded
+from the call's ``rng``, and run one draw at a time through a forward pass
+that keeps no backward cache. So prediction makes no (S, I, O) noise: its
+peak memory is the two (B, O) moments plus two draws' later-layer weights
+and activations. The lane sums are added in a fixed order, so the bits do
+not depend on thread timing.
 
 Each layer keeps means and log-variances as the two rows of one (2, n)
 buffer (see :class:`VariationalLayer`), and so do gradients, Adam moments
@@ -255,14 +263,16 @@ def sample_noise(net: VariationalNet, head_index: int, n_samples: int,
     return noise
 
 
-def _cast_params(layers: Sequence[VariationalLayer], dtype: np.dtype) -> list[tuple]:
-    """Each layer's (mu_w, sigma_w, mu_b, sigma_b) in ``dtype``.
+def _cast_params(layers: Sequence[VariationalLayer], dtype: np.dtype,
+                 power: float = 0.5) -> list[tuple]:
+    """Each layer's (mu_w, sigma_w, mu_b, sigma_b) in ``dtype``, or with
+    ``power=1`` its (mu_w, var_w, mu_b, var_b).
 
-    sigma = exp(logvar / 2) is taken in float64 and then cast, so a sigma
-    beyond ``dtype``'s range overflows in the cast.
+    exp(power * logvar) is taken in float64 and then cast, so a sigma or a
+    variance beyond ``dtype``'s range overflows in the cast.
     """
     return [tuple(a.astype(dtype, copy=False) for a in (
-        layer.mu_w, np.exp(0.5 * layer.logvar_w), layer.mu_b, np.exp(0.5 * layer.logvar_b)))
+        layer.mu_w, np.exp(power * layer.logvar_w), layer.mu_b, np.exp(power * layer.logvar_b)))
             for layer in layers]
 
 
@@ -502,45 +512,44 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
                       rng: np.random.Generator, n_eval_samples: int) -> np.ndarray:
     """Posterior-predictive class probabilities: softmax averaged over draws.
 
-    The noise for all draws comes from one :func:`sample_noise` call, so the
-    stream is consumed exactly as by a batched forward pass. Each draw runs a
-    forward pass that keeps nothing for backward: even draws here, odd ones
-    one at a time on a one-worker executor that starts under this thread's
-    ``np.geterr()``, since ``np.errstate`` holds per thread. This thread sums
-    their float32 softmax in float64, in sample order: the same bits as
-    ``softmax(batched logits).mean(axis=0, dtype=np.float64)``. Peak memory is
-    the noise plus two draws' (I, O) weights and (B, O) activations.
-    ``result()`` raises the worker's errors here, and the ``with`` block joins
-    it before return.
+    The first layer draws from its pre-activation moments (see the module
+    docstring). ``rng`` only seeds the two lanes, with one
+    ``rng.integers(2**63, size=2)`` call. Lane k draws for draws k, k + 2,
+    ...: first the (B, O) first-layer eps, then each later layer's eps_w and
+    eps_b; it sums their float32 softmax in float64. Lane 0 runs here, lane 1
+    on a one-worker executor that starts under this thread's ``np.geterr()``,
+    since ``np.errstate`` holds per thread; one draw starts no lane. The
+    result is (lane 0 + lane 1) / S. ``result()`` raises the lane's errors
+    here, and the ``with`` block joins it before return.
     """
     if n_eval_samples < 1:
         raise ValueError("n_samples must be >= 1")
     x = _as_input(net, x, NOISE_DTYPE)
     layers = net.active_layers(head_index)
-    noise = sample_noise(net, head_index, n_eval_samples, rng)
-    parts = list(zip(_cast_params(layers, NOISE_DTYPE), noise))
+    [(mu_w1, var_w1, mu_b1, var_b1)] = _cast_params(layers[:1], NOISE_DTYPE, power=1.0)
+    mean, std = x @ mu_w1 + mu_b1, np.sqrt(np.square(x) @ var_w1 + var_b1)
+    later = _cast_params(layers[1:], NOISE_DTYPE)
+    seeds = rng.integers(2**63, size=2)
 
-    def probs(s: int) -> np.ndarray:
-        act = x
-        for li, ((mu_w, sigma_w, mu_b, sigma_b), (eps_w, eps_b)) in enumerate(parts):
-            w = sigma_w * eps_w[s]
-            w += mu_w
-            b = sigma_b * eps_b[s]
-            b += mu_b
-            act = act @ w
-            act += b
-            if li < len(parts) - 1:
-                np.maximum(act, 0.0, out=act)
-        return softmax(act)
+    def lane(k: int) -> np.ndarray:
+        draws = np.random.default_rng(seeds[k])
+        total = np.zeros((x.shape[0], layers[-1].fan_out))
+        for _ in range(k, n_eval_samples, 2):
+            act = std * draws.standard_normal(mean.shape, dtype=NOISE_DTYPE) + mean
+            for mu_w, sigma_w, mu_b, sigma_b in later:
+                w = sigma_w * draws.standard_normal(mu_w.shape, dtype=NOISE_DTYPE)
+                w += mu_w
+                b = sigma_b * draws.standard_normal(mu_b.shape, dtype=NOISE_DTYPE) + mu_b
+                act = np.maximum(act, 0.0) @ w + b
+            total += softmax(act)
+        return total
 
-    total = np.zeros((x.shape[0], layers[-1].fan_out))
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vclab-predict",
-                            initializer=partial(np.seterr, **np.geterr())) as lane:
-        for s in range(0, n_eval_samples, 2):
-            odd = lane.submit(probs, s + 1) if s + 1 < n_eval_samples else None
-            total += probs(s)
-            if odd is not None:
-                total += odd.result()
+                            initializer=partial(np.seterr, **np.geterr())) as helper:
+        odd = helper.submit(lane, 1) if n_eval_samples > 1 else None
+        total = lane(0)
+        if odd is not None:
+            total += odd.result()
     return total / n_eval_samples
 
 

@@ -319,7 +319,7 @@ class TestMainEntry:
                      "--out-dir", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize("flags", [
-        ["--lr", "-1"], ["--lr", "nan"], ["--lam", "nan"], ["--lam", "-inf"],
+        ["--lr", "-1"], ["--lr", "nan"], ["--lam", "nan"], ["--lam=-inf"],
         ["--model", "gvcl:inf"], ["--model", "gvcl:nan"], ["--model", "gvcl:4e-7"],
         ["--train-mc-samples", "0"], ["--eval-mc-samples", "0"], ["--probe-size", "5000"],
     ], ids=" ".join)
@@ -328,6 +328,8 @@ class TestMainEntry:
                           "--out-dir", str(tmp_path / "out"), *flags)
         assert proc.returncode == 1, proc.stderr
         assert re.search(r"^config error: ", proc.stderr, re.MULTILINE), proc.stderr
+        # The value reached its check: argparse did not take it for an option.
+        assert "expected one argument" not in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 

@@ -813,9 +813,43 @@ def recording_softmax(monkeypatch, record):
     monkeypatch.setattr(vbnn, "softmax", softmax)
 
 
+def lanes_stacked(net, x, seeds, n_samples):
+    """posterior_predict's estimate with each lane's draws stacked.
+
+    Lane k seeds a generator with ``seeds[k]`` and, for each of draws k,
+    k + 2, ..., draws the (B, O) first-layer noise and then each later
+    layer's eps_w and eps_b. The first layer takes mean + std * eps from its
+    pre-activation moments; the lanes' float64 sums are added in lane order.
+    """
+    dtype = vbnn.NOISE_DTYPE
+    first, *later = net.active_layers(0)
+    x = x.astype(dtype)
+    mean = x @ first.mu_w.astype(dtype) + first.mu_b.astype(dtype)
+    std = np.sqrt(np.square(x) @ np.exp(first.logvar_w).astype(dtype)
+                  + np.exp(first.logvar_b).astype(dtype))
+    shapes = [mean.shape, *(s for layer in later for s in (layer.mu_w.shape, layer.mu_b.shape))]
+    total = np.zeros(mean.shape[:1] + (net.active_layers(0)[-1].fan_out,))
+    for k, seed in enumerate(seeds):
+        lane = np.random.default_rng(seed)
+        draws = [[lane.standard_normal(s, dtype=dtype) for s in shapes]
+                 for _ in range(k, n_samples, 2)]
+        if not draws:
+            continue
+        eps, *later_eps = [np.stack(column) for column in zip(*draws)]
+        act = eps * std + mean                                  # (S_k, B, O)
+        for layer, eps_w, eps_b in zip(later, later_eps[::2], later_eps[1::2]):
+            w = np.exp(0.5 * layer.logvar_w).astype(dtype) * eps_w + layer.mu_w.astype(dtype)
+            b = np.exp(0.5 * layer.logvar_b).astype(dtype) * eps_b + layer.mu_b.astype(dtype)
+            act = np.maximum(act, 0.0) @ w + b[:, None, :]
+        total += vbnn.softmax(act).sum(axis=0, dtype=np.float64)
+    return total / n_samples
+
+
 class TestPosteriorPredict:
     @pytest.mark.parametrize("n_samples", [1, 2, 7, 20])
     def test_streamed_equals_batched_reference(self, n_samples):
+        # Streamed lane by lane, one draw at a time, against every lane's
+        # draws stacked, from the two seeds one rng.integers call gives.
         net = random_net(52, input_dim=6, hidden=(5, 4), out=3, jitter=0.3)
         rng = make_rng("logvar-jitter")
         for layer in net.active_layers(0):
@@ -824,13 +858,39 @@ class TestPosteriorPredict:
         x = make_rng("pb").random((9, 6))
         rng, reference_rng = make_rng(8), make_rng(8)
         streamed = posterior_predict(net, 0, x, rng, n_samples)
-        noise = sample_noise(net, 0, n_samples, reference_rng)
-        # float32 probabilities, summed over samples in float64.
-        batched = vbnn.softmax(forward_with_noise(net, 0, x, noise).logits).mean(
-            axis=0, dtype=np.float64)
-        assert streamed.tobytes() == batched.tobytes()
+        seeds = reference_rng.integers(2**63, size=2)
+        assert streamed.tobytes() == lanes_stacked(net, x, seeds, n_samples).tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
         assert not predict_lane_alive()
+
+    def test_moments_match_weight_sampling(self, monkeypatch):
+        # The first layer's pre-activations are drawn from their moments, not
+        # through sampled weights: per row the same Gaussian, so the same
+        # expected prediction. Every bound is 5 Monte Carlo standard errors.
+        net = random_net(58, input_dim=6, hidden=(5,), out=3, jitter=0.3)
+        rng = make_rng("moment-logvar")
+        for layer in net.active_layers(0):
+            layer.logvar_w[...] = -1.0 + 0.3 * rng.standard_normal(layer.logvar_w.shape)
+            layer.logvar_b[...] = -1.0 + 0.3 * rng.standard_normal(layer.logvar_b.shape)
+        x, n = make_rng("moment-x").random((8, 6)), 4000
+        first = net.trunk[0]
+        m = x @ first.mu_w + first.mu_b
+        v = np.square(x) @ np.exp(first.logvar_w) + np.exp(first.logvar_b)
+        # With the first layer as the only layer, softmax sees each draw's
+        # pre-activations, from both lanes.
+        drawn = []
+        recording_softmax(monkeypatch, lambda z: drawn.append(z.astype(np.float64)))
+        posterior_predict(vbnn.VariationalNet(6, (), {0: first}), 0, x, make_rng("moment-z"), n)
+        z = np.stack(drawn)
+        assert z.shape == (n, 8, 5)
+        assert np.all(np.abs(z.mean(axis=0) - m) < 5 * np.sqrt(v / n))
+        assert np.all(np.abs(z.var(axis=0, ddof=1) - v) < 5 * v * np.sqrt(2 / (n - 1)))
+
+        predicted = posterior_predict(net, 0, x, make_rng("moment-predict"), n)
+        noise = sample_noise(net, 0, n, make_rng("moment-weights"))
+        sampled = vbnn.softmax(forward_with_noise(net, 0, x, noise).logits).astype(np.float64)
+        standard_error = np.sqrt(2 * sampled.var(axis=0, ddof=1) / n)
+        assert np.all(np.abs(predicted - sampled.mean(axis=0)) < 5 * standard_error)
 
     def test_every_sample_runs_under_the_callers_error_state(self, monkeypatch):
         # np.errstate holds per thread: the lane must take the caller's, or an
@@ -870,6 +930,15 @@ class TestPosteriorPredict:
                           make_rng(12), 7)
         assert raised is error and len(lane_calls) == fail_at
         assert threading.active_count() == threads and not predict_lane_alive()
+
+    def test_a_first_layer_variance_beyond_float32_overflows(self):
+        # The first layer's variance is cast, not its sigma: exp(100) is
+        # beyond float32, while exp(100 / 2) is a float32 sigma.
+        net = random_net(59, input_dim=6, hidden=(5,), out=2)
+        net.trunk[0].logvar_w[0, 0] = 100.0
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            posterior_predict(net, 0, make_rng("var").random((8, 6)), make_rng("var-predict"), 3)
+        assert not predict_lane_alive()
 
     def test_rows_sum_to_one(self):
         net = random_net(50, input_dim=6, hidden=(5,), out=4, jitter=0.4)
