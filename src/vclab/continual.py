@@ -4,8 +4,8 @@ multi-head bookkeeping, and full-sequence evaluation.
 One sequence run is fully determined by its master seed: training, head
 initialization, probing, and evaluation each draw from independent
 sub-streams derived by tag, so switching between fixed-beta and
-scheduled-beta modes never perturbs the training randomness. ``fit`` draws
-one step ahead on a one-worker executor, in the order one thread would.
+scheduled-beta modes never perturbs the training randomness. ``fit`` makes
+every draw on the calling thread, each step's noise just before its step.
 Each stage runs with numpy's floating-point errors raised, so an overflow is
 a ``NumericError``, never a warning in a run that succeeds.
 Fixed beta = 1 is vanilla variational continual learning; the scheduled mode

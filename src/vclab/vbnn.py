@@ -2,13 +2,17 @@
 gradients.
 
 Every weight and bias is an independent Gaussian N(mu, exp(logvar)). The
-forward pass draws whole-tensor weight samples
+first layer multiplies the shared (B, I) batch, so it is not sampled through
+its weights: :func:`_first_layer_moments` gives the (B, O) mean x mu_w and
+standard deviation sqrt(x^2 sigma_w^2) of x w, and a draw of x w is
 
-    w = mu + exp(logvar / 2) * eps,    eps ~ N(0, 1)
+    mean + std * eps,    eps ~ N(0, 1) of shape (B, O)
 
-one draw per Monte Carlo sample, shared across the batch (prediction draws
-its first layer's pre-activations instead; see below), and the training
-objective for a batch is
+which for each row is the Gaussian that x w has under sampled w (the local
+reparameterization trick). Every later weight and every bias is sampled
+whole, w = mu + exp(logvar / 2) * eps, one draw per Monte Carlo sample
+shared across the batch. Training and prediction follow this one rule. The
+training objective for a batch is
 
     loss = nll + beta * kl / n_task
 
@@ -18,8 +22,8 @@ summed over the trunk and the active head in nats. Dividing the KL by the
 task's training-set size makes per-batch gradients unbiased estimates of the
 full per-task objective.
 
-The likelihood part of the gradient flows pathwise through the sampled
-weights into (mu, logvar); the KL part is differentiated analytically.
+The likelihood part of the gradient flows pathwise through the draws into
+(mu, logvar); the KL part is differentiated analytically.
 ``backward_gradients`` is verified against central finite differences with
 frozen noise in the test suite -- there is no autodiff anywhere.
 
@@ -27,38 +31,28 @@ The Monte Carlo arithmetic runs in the dtype of the noise it is given:
 the batch, the means and the sigmas are cast to it per call, and the sampled
 weights, pre-activations, softmax and ``d_z`` are in it. ``fit`` and
 ``posterior_predict`` draw ``NOISE_DTYPE`` (float32) noise; the parameters,
-the KL and its gradient, the sums of the per-sample gradients, Adam and
-snapshots stay float64. Float64 noise gives the exact float64 pass that the
+the KL and its gradient, the sums of later layers' per-sample gradients,
+Adam and snapshots stay float64. Float64 noise gives the exact float64 pass that the
 finite-difference check differentiates.
 
-Memory follows the Monte Carlo samples. ``fit`` keeps two step buffers of
-(S, I, O) noise per layer, allocated once: one serial generator makes every
-draw in the order one thread would, and a one-worker executor advances it to
-step i + 1's noise in one buffer while step i trains on the other, so the
-bits do not change. Each batch is gathered from the task view, so the task
-is never materialized whole, and a step's cache and gradients are released
-before the next step starts. The first layer's input is the shared batch, so
-``forward_with_noise`` builds its weights one sample at a time straight into
-that sample's pre-activations and keeps none; later layers keep their
-(S, I, O) sampled weights, which their backward pass multiplies by; it
-recomputes each hidden layer's input as the ReLU of the cached
-pre-activation, one sample at a time, and sums the per-sample weight
-gradients in sample order. All of this gives the same bits as the stacked
-computation in the same dtype; each of ``fit``'s two buffer sets holds 4 MB
-of first-layer noise at 784x256 and S = 5.
+Memory follows the Monte Carlo samples and the batch. Each step of ``fit``
+draws (S, B, O) noise for the first layer and (S, I, O) noise for each later
+layer with :func:`sample_noise`, gathers its batch from the task view, so
+the task is never materialized whole, and releases its cache and gradients
+before the next step starts. Later layers keep their (S, I, O) sampled
+weights, which their backward pass multiplies by; it recomputes each hidden
+layer's input as the ReLU of the cached pre-activation, one sample at a
+time, and sums the per-sample weight gradients in sample order, the same
+bits as the stacked computation in the same dtype.
 
-``posterior_predict`` samples no first-layer weights. It computes the first
-layer's pre-activation moments once per call, m = x mu_w + mu_b and
-v = x^2 sigma_w^2 + sigma_b^2, and each draw takes m + sqrt(v) * eps with
-(B, O) noise: the local reparameterization trick, which for a fixed row has
-the same Gaussian as x w + b with sampled w. Later layers sample their
-weights per draw. Two lanes, this thread and a one-worker executor started
-under this thread's error state, each draw from their own generator, seeded
-from the call's ``rng``, and run one draw at a time through a forward pass
-that keeps no backward cache. So prediction makes no (S, I, O) noise: its
-peak memory is the two (B, O) moments plus two draws' later-layer weights
-and activations. The lane sums are added in a fixed order, so the bits do
-not depend on thread timing.
+``posterior_predict`` computes the first layer's moments once per call and
+runs each draw through a forward pass that keeps no backward cache. Two
+lanes, this thread and a one-worker executor started under this thread's
+error state, each draw from their own generator, seeded from the call's
+``rng``. So prediction makes no (S, I, O) noise: its peak memory is the two
+(B, O) moments plus two draws' later-layer weights and activations. The
+lane sums are added in a fixed order, so the bits do not depend on thread
+timing.
 
 Each layer keeps means and log-variances as the two rows of one (2, n)
 buffer (see :class:`VariationalLayer`), and so do gradients, Adam moments
@@ -76,7 +70,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -242,7 +236,8 @@ class ForwardCache:
 
     head_index: int
     x: np.ndarray                                 # the (B, I) batch, the first layer's input
-    noise: list[tuple[np.ndarray, np.ndarray]]    # per layer: eps_w (S,I,O), eps_b (S,O)
+    std: np.ndarray                               # the first layer's (B, O) std of x w
+    noise: list[tuple[np.ndarray, np.ndarray]]    # see sample_noise
     weights: list[tuple[np.ndarray, np.ndarray]]  # per layer after the first: w (S,I,O), b (S,O)
     pre: list[np.ndarray]                         # pre-activations per layer (S,B,out)
 
@@ -252,28 +247,41 @@ class ForwardCache:
 
 
 def sample_noise(net: VariationalNet, head_index: int, n_samples: int,
-                 rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Fresh standard-normal ``NOISE_DTYPE`` noise for every weight/bias of
-    trunk + head."""
+                 rng: np.random.Generator, batch_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Fresh standard-normal ``NOISE_DTYPE`` noise for a batch of
+    ``batch_size`` rows: per layer of trunk + head, (eps_w, eps_b) with eps_b
+    of shape (S, O). The first layer's eps_w is (S, B, O), for its
+    pre-activations; each later layer's is (S, I, O), for its weights."""
     noise = []
-    for layer in net.active_layers(head_index):
-        eps_w = rng.standard_normal((n_samples, layer.fan_in, layer.fan_out), dtype=NOISE_DTYPE)
+    for li, layer in enumerate(net.active_layers(head_index)):
+        rows = batch_size if li == 0 else layer.fan_in
+        eps_w = rng.standard_normal((n_samples, rows, layer.fan_out), dtype=NOISE_DTYPE)
         eps_b = rng.standard_normal((n_samples, layer.fan_out), dtype=NOISE_DTYPE)
         noise.append((eps_w, eps_b))
     return noise
 
 
-def _cast_params(layers: Sequence[VariationalLayer], dtype: np.dtype,
-                 power: float = 0.5) -> list[tuple]:
-    """Each layer's (mu_w, sigma_w, mu_b, sigma_b) in ``dtype``, or with
-    ``power=1`` its (mu_w, var_w, mu_b, var_b).
+def _cast_params(layers: Sequence[VariationalLayer], dtype: np.dtype) -> list[tuple]:
+    """Each layer's (mu_w, sigma_w, mu_b, sigma_b) in ``dtype``.
 
-    exp(power * logvar) is taken in float64 and then cast, so a sigma or a
-    variance beyond ``dtype``'s range overflows in the cast.
+    exp(logvar / 2) is taken in float64 and then cast, so a sigma beyond
+    ``dtype``'s range overflows in the cast.
     """
     return [tuple(a.astype(dtype, copy=False) for a in (
-        layer.mu_w, np.exp(power * layer.logvar_w), layer.mu_b, np.exp(power * layer.logvar_b)))
+        layer.mu_w, np.exp(0.5 * layer.logvar_w), layer.mu_b, np.exp(0.5 * layer.logvar_b)))
             for layer in layers]
+
+
+def _first_layer_moments(layer: VariationalLayer, x: np.ndarray) -> tuple:
+    """The (B, O) mean x mu_w and std sqrt(x^2 sigma_w^2) of x w, and the
+    layer's (mu_b, sigma_b), all in ``x``'s dtype.
+
+    sigma_w^2 = exp(logvar_w) is cast, not sigma_w, so a log-variance in
+    (88.7, 177] overflows float32 here although its sigma would not.
+    """
+    mu_w, var_w, mu_b, sigma_b = (a.astype(x.dtype, copy=False) for a in (
+        layer.mu_w, np.exp(layer.logvar_w), layer.mu_b, np.exp(0.5 * layer.logvar_b)))
+    return x @ mu_w, np.sqrt(np.square(x) @ var_w), mu_b, sigma_b
 
 
 def _as_input(net: VariationalNet, x: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -285,45 +293,42 @@ def _as_input(net: VariationalNet, x: np.ndarray, dtype: np.dtype) -> np.ndarray
 
 def forward_with_noise(net: VariationalNet, head_index: int, x: np.ndarray,
                        noise: list[tuple[np.ndarray, np.ndarray]]) -> ForwardCache:
-    """Forward pass with the given noise; ReLU between trunk layers, linear head.
+    """Forward pass with the given noise (see :func:`sample_noise`); ReLU
+    between trunk layers, linear head.
 
     Everything runs in the noise's dtype: the batch, the means and the sigmas
     are cast to it, so float32 noise gives float32 weights, pre-activations
     and logits, and float64 noise the exact float64 pass.
 
-    The first layer multiplies the shared (B, I) batch, so its weights are
-    built one sample at a time into that sample's pre-activations and not
-    kept. Later layers keep their sampled weights for the backward pass.
+    The first layer's pre-activations are std * eps_w + mean + b, from its
+    moments (see :func:`_first_layer_moments`) and a sampled bias b. Later
+    layers sample their weights and keep them for the backward pass.
     """
-    layers = net.active_layers(head_index)
-    if len(noise) != len(layers):
-        raise ValueError(f"noise for {len(noise)} layers, net has {len(layers)}")
-    n_samples, dtype = noise[0][0].shape[0], noise[0][0].dtype
-    x = _as_input(net, x, dtype)
-    weights, pre = [], []
-    act: np.ndarray = x
-    for li, ((mu_w, sigma_w, mu_b, sigma_b), (eps_w, eps_b)) in enumerate(
-            zip(_cast_params(layers, dtype), noise)):
+    first, *later = net.active_layers(head_index)
+    if len(noise) != len(later) + 1:
+        raise ValueError(f"noise for {len(noise)} layers, net has {len(later) + 1}")
+    (eps_w, eps_b), *later_noise = noise
+    x = _as_input(net, x, eps_w.dtype)
+    if eps_w.shape[1:] != (x.shape[0], first.fan_out):
+        raise ValueError(f"first-layer noise {eps_w.shape} does not fit a batch of "
+                         f"{x.shape[0]} rows and {first.fan_out} outputs")
+    mean, std, mu_b, sigma_b = _first_layer_moments(first, x)
+    z = std * eps_w                                 # (S, B, O)
+    z += mean
+    z += (sigma_b * eps_b + mu_b)[:, None, :]
+    weights, pre = [], [z]
+    for (mu_w, sigma_w, mu_b, sigma_b), (eps_w, eps_b) in zip(
+            _cast_params(later, x.dtype), later_noise):
+        w = sigma_w * eps_w                         # (S, I, O)
+        w += mu_w
         b = sigma_b * eps_b                         # (S, O)
         b += mu_b
-        if li == 0:
-            # One (I, O) weight sample at a time: (B, I) @ (I, O) is the
-            # same BLAS call a stacked (B, I) @ (S, I, O) makes per sample.
-            z = np.empty((n_samples, x.shape[0], mu_w.shape[1]), dtype=dtype)
-            for s in range(n_samples):
-                w = sigma_w * eps_w[s]
-                w += mu_w
-                np.matmul(act, w, out=z[s])
-                z[s] += b[s]
-        else:
-            w = sigma_w * eps_w                     # (S, I, O)
-            w += mu_w
-            z = act @ w                             # (S, B, O)
-            z += b[:, None, :]
-            weights.append((w, b))
+        z = np.maximum(pre[-1], 0.0) @ w            # (S, B, O)
+        z += b[:, None, :]
+        weights.append((w, b))
         pre.append(z)
-        act = np.maximum(z, 0.0) if li < len(layers) - 1 else z
-    return ForwardCache(head_index=head_index, x=x, noise=noise, weights=weights, pre=pre)
+    return ForwardCache(head_index=head_index, x=x, std=std, noise=noise, weights=weights,
+                        pre=pre)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -376,24 +381,33 @@ def backward_gradients(net: VariationalNet, prior: VariationalNet, cache: Forwar
     """Exact gradients of the batch loss for every (mu, logvar) of trunk + head.
 
     Each gradient is a :class:`VariationalLayer` holding d loss / d param in
-    the place of the param. Combines the pathwise likelihood gradient
-    (through w = mu + sigma * eps, using the cached noise) with the analytic
-    KL gradient:
+    the place of the param. Combines the pathwise likelihood gradient, using
+    the cached noise, with the analytic KL gradient:
 
         dKL/dmu     = (mu - mu0) / var0
         dKL/dlogvar = (exp(logvar)/var0 - 1) / 2
 
-    ``d_z`` and the per-sample gradients are in the cache's dtype; their sums
-    over samples and the KL part are float64.
+    A later layer's gradient flows through w = mu + sigma * eps_w. The first
+    layer's flows through its pre-activations std * eps_w + mean, with
+    mean = x mu_w and std^2 = x^2 sigma_w^2, as two matmuls:
+
+        d mu_w     = x^T sum_s d_z
+        d logvar_w = sigma_w^2 * (x^2)^T (sum_s d_z * eps_w / (2 std))
+
+    where a row with std 0 (an all-zero input row) contributes 0.
+
+    ``d_z`` and the weight gradients are in the cache's dtype; the sums of
+    later layers' per-sample gradients and the KL part are float64.
     """
     layers = net.active_layers(cache.head_index)
     y = _check_labels(y, cache.logits.shape[-1])
     n_samples, batch_size = cache.logits.shape[:2]
     if y.size != batch_size:
         raise ValueError(f"stale cache: batch size {batch_size}, labels {y.size}")
-    for layer, (eps_w, _) in zip(layers, cache.noise):
-        if eps_w.shape[1:] != layer.mu_w.shape:
-            raise ValueError("stale cache: layer shapes changed since forward pass")
+    shapes = [(batch_size, layers[0].fan_out), *(layer.mu_w.shape for layer in layers[1:])]
+    if (cache.x.shape[1] != layers[0].fan_in
+            or [eps_w.shape[1:] for eps_w, _ in cache.noise] != shapes):
+        raise ValueError("stale cache: layer shapes changed since forward pass")
     scale = 1.0 / (n_samples * batch_size)
     d_z = softmax(cache.logits)
     d_z[:, np.arange(y.size), y] -= 1.0
@@ -405,17 +419,23 @@ def backward_gradients(net: VariationalNet, prior: VariationalNet, cache: Forwar
     for li in range(len(layers) - 1, -1, -1):
         layer, g, pl = layers[li], grads[li], priors[li]
         eps_w, eps_b = cache.noise[li]
-        # Per-sample weight gradients, summed in sample order from +0.0 as
-        # numpy's axis-0 reduction does: the same bits as summing a stacked
-        # (S, I, O) gradient, without building it. A hidden layer's input is
-        # the ReLU of the previous pre-activation, recomputed per sample.
-        for s in range(n_samples):
-            a_s = cache.x if li == 0 else np.maximum(cache.pre[li - 1][s], 0.0)
-            d_w = a_s.T @ d_z[s]                    # (I,B)@(B,O) -> (I,O)
-            g.mu_w += d_w
-            d_w *= eps_w[s]
-            g.logvar_w += d_w
-        g.logvar_w *= 0.5 * np.exp(0.5 * layer.logvar_w)
+        if li == 0:
+            g.mu_w[...] = cache.x.T @ d_z.sum(axis=0)
+            d_std = (d_z * eps_w).sum(axis=0)       # (B, O)
+            d_var = np.divide(d_std, 2 * cache.std, out=np.zeros_like(d_std),
+                              where=cache.std > 0)
+            g.logvar_w[...] = np.exp(layer.logvar_w) * (np.square(cache.x).T @ d_var)
+        else:
+            # Per-sample weight gradients, summed in sample order from +0.0
+            # as numpy's axis-0 reduction does: the same bits as summing a
+            # stacked (S, I, O) gradient, without building it. The input is
+            # the ReLU of the previous pre-activation, recomputed per sample.
+            for s in range(n_samples):
+                d_w = np.maximum(cache.pre[li - 1][s], 0.0).T @ d_z[s]  # (I, O)
+                g.mu_w += d_w
+                d_w *= eps_w[s]
+                g.logvar_w += d_w
+            g.logvar_w *= 0.5 * np.exp(0.5 * layer.logvar_w)
         d_b = d_z.sum(axis=1)                       # (S, O)
         g.mu_b[...] = d_b.sum(axis=0, dtype=np.float64)
         g.logvar_b[...] = ((d_b * eps_b).sum(axis=0, dtype=np.float64)
@@ -444,98 +464,70 @@ class NetAdam:
             adam_step(layer.flat, grad.flat, state)
 
 
-def _draws(rng: np.random.Generator, n_task: int, epochs: int, batch_size: int,
-           buffers: list[list[tuple[np.ndarray, np.ndarray]]]) -> Iterator[tuple]:
-    """Every draw of :func:`fit`, in the serial order.
-
-    Per epoch: the shuffle, then per step and per active layer eps_w and
-    eps_b, written into the two buffer sets in turn. Yields (batch
-    positions, noise) per step, and draws nothing after the last step.
-    """
-    k = 0
-    for _ in range(epochs):
-        order = rng.permutation(n_task)
-        for start in range(0, n_task, batch_size):
-            for eps_w, eps_b in buffers[k]:
-                rng.standard_normal(out=eps_w, dtype=eps_w.dtype)
-                rng.standard_normal(out=eps_b, dtype=eps_b.dtype)
-            yield order[start:start + batch_size], buffers[k]
-            k = 1 - k
-
-
 def fit(net: VariationalNet, prior: VariationalNet, head_index: int, data: TaskView, *,
         beta: float, epochs: int, batch_size: int, lr: float, mc_samples: int,
         rng: np.random.Generator) -> None:
     """Train trunk + head with Adam on the per-batch negative beta-ELBO.
 
     Data is reshuffled every epoch from ``rng``; the last partial batch is
-    kept; the KL is divided by the task size ``len(data)``. Each batch is
-    gathered from the view with ``data.take``, so the task is never
-    materialized whole. Each step's loss must be finite (``NumericError``
-    otherwise). One code path serves fixed and scheduled beta.
-
-    Every draw from ``rng`` comes from one serial generator (see
-    :func:`_draws`), which a one-worker executor advances one step ahead:
-    it fills the noise of step i + 1 while this thread runs the forward,
-    backward and Adam of step i. Both sets of step noise buffers are
-    allocated here and reused, so a step's cache and gradients are the only
-    step memory that comes and goes. Fresh arrays drawn on the worker each
-    step keep the bits but cost memory: perfbench peak RSS at seed 77 (2-core
-    x86 VM, 1 BLAS thread) went from 160 to 177 MB on split-fixed and from
-    90 to 96 MB on permuted-auto. The executor's ``with`` block joins
-    its thread before ``fit`` returns or raises, and ``result()`` raises a
-    draw's error here; ``rng`` then ends where a serial run leaves it.
+    kept; the KL is divided by the task size ``len(data)``. Each step draws
+    its noise from ``rng`` with :func:`sample_noise` and gathers its batch
+    from the view with ``data.take``, so the task is never materialized
+    whole; a step's cache and gradients are released before the next step
+    starts. Each step's loss must be finite (``NumericError`` otherwise).
+    One code path serves fixed and scheduled beta.
     """
     n_task = len(data)
     if n_task == 0:
         raise ValueError("empty dataset")
     optimizer = NetAdam(net, head_index, lr)
-    buffers = [[(np.empty((mc_samples, layer.fan_in, layer.fan_out), dtype=NOISE_DTYPE),
-                 np.empty((mc_samples, layer.fan_out), dtype=NOISE_DTYPE))
-                for layer in net.active_layers(head_index)] for _ in range(2)]
-    draws = _draws(rng, n_task, epochs, batch_size, buffers)
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vclab-fit-noise") as helper:
-        ahead = helper.submit(next, draws)
-        for _ in range(epochs * len(range(0, n_task, batch_size))):
-            idx, noise = ahead.result()
-            ahead = helper.submit(next, draws, None)
+    for _ in range(epochs):
+        order = rng.permutation(n_task)
+        for start in range(0, n_task, batch_size):
+            idx = order[start:start + batch_size]
+            noise = sample_noise(net, head_index, mc_samples, rng, len(idx))
             x, y = data.take(idx)
             _, cache = beta_elbo_loss(net, prior, head_index, x, y, beta=beta, n_task=n_task,
                                       noise=noise)
             grads = backward_gradients(net, prior, cache, y, beta=beta, n_task=n_task)
             optimizer.step(grads)
+            # The noise stays until the next step's replaces it. Freeing it
+            # here too left glibc enough free heap top to trim and fault
+            # back in every step: 299549 -> 31415 minor faults on
+            # split-fixed at seed 4242 (2-core VM, transparent huge pages off).
             del cache, grads
-        ahead.result()  # None: after the last step the generator ends without a draw
 
 
 def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
                       rng: np.random.Generator, n_eval_samples: int) -> np.ndarray:
     """Posterior-predictive class probabilities: softmax averaged over draws.
 
-    The first layer draws from its pre-activation moments (see the module
-    docstring). ``rng`` only seeds the two lanes, with one
+    Each draw takes the first layer's pre-activations from its moments and a
+    sampled bias, as :func:`forward_with_noise` does, and samples every later
+    layer's weights. ``rng`` only seeds the two lanes, with one
     ``rng.integers(2**63, size=2)`` call. Lane k draws for draws k, k + 2,
-    ...: first the (B, O) first-layer eps, then each later layer's eps_w and
-    eps_b; it sums their float32 softmax in float64. Lane 0 runs here, lane 1
-    on a one-worker executor that starts under this thread's ``np.geterr()``,
-    since ``np.errstate`` holds per thread; one draw starts no lane. The
-    result is (lane 0 + lane 1) / S. ``result()`` raises the lane's errors
-    here, and the ``with`` block joins it before return.
+    ...: first the (B, O) first-layer eps and the first bias's eps, then each
+    later layer's eps_w and eps_b; it sums their float32 softmax in float64.
+    Lane 0 runs here, lane 1 on a one-worker executor that starts under this
+    thread's ``np.geterr()``, since ``np.errstate`` holds per thread; one
+    draw starts no lane. The result is (lane 0 + lane 1) / S. ``result()``
+    raises the lane's errors here, and the ``with`` block joins it before
+    return.
     """
     if n_eval_samples < 1:
         raise ValueError("n_samples must be >= 1")
     x = _as_input(net, x, NOISE_DTYPE)
-    layers = net.active_layers(head_index)
-    [(mu_w1, var_w1, mu_b1, var_b1)] = _cast_params(layers[:1], NOISE_DTYPE, power=1.0)
-    mean, std = x @ mu_w1 + mu_b1, np.sqrt(np.square(x) @ var_w1 + var_b1)
-    later = _cast_params(layers[1:], NOISE_DTYPE)
+    first, *later_layers = net.active_layers(head_index)
+    mean, std, mu_b1, sigma_b1 = _first_layer_moments(first, x)
+    later = _cast_params(later_layers, NOISE_DTYPE)
     seeds = rng.integers(2**63, size=2)
 
     def lane(k: int) -> np.ndarray:
         draws = np.random.default_rng(seeds[k])
-        total = np.zeros((x.shape[0], layers[-1].fan_out))
+        total = np.zeros((x.shape[0], net.head(head_index).fan_out))
         for _ in range(k, n_eval_samples, 2):
             act = std * draws.standard_normal(mean.shape, dtype=NOISE_DTYPE) + mean
+            act += sigma_b1 * draws.standard_normal(mu_b1.shape, dtype=NOISE_DTYPE) + mu_b1
             for mu_w, sigma_w, mu_b, sigma_b in later:
                 w = sigma_w * draws.standard_normal(mu_w.shape, dtype=NOISE_DTYPE)
                 w += mu_w

@@ -43,25 +43,35 @@ def test_criterion_1_gradient_correctness():
             a += 0.3 * make_rng("acc1-jitter").standard_normal(a.shape)
     prior = advance_prior(prior_net)
 
-    x = make_rng("acc1-x").random((2, 10))
-    y = np.array([1, 3])
     beta, n_task = 0.7, 64
-    # float64 noise: the exact float64 pass that the oracle can check.
-    noise = float64_noise(net, 0, 3, make_rng("acc1-noise"))
-    _, cache = beta_elbo_loss(net, prior, 0, x, y, beta=beta, n_task=n_task, noise=noise)
-    g_bp = flatten_grads(backward_gradients(net, prior, cache, y, beta=beta, n_task=n_task))
 
-    p0 = get_param_vector(net, 0)
+    def max_relative_error(x, y, noise_tag):
+        # float64 noise: the exact float64 pass that the oracle can check.
+        noise = float64_noise(net, 0, 3, make_rng(noise_tag), len(x))
+        _, cache = beta_elbo_loss(net, prior, 0, x, y, beta=beta, n_task=n_task, noise=noise)
+        g_bp = flatten_grads(backward_gradients(net, prior, cache, y, beta=beta, n_task=n_task))
 
-    def objective(vec):
-        set_param_vector(net, 0, vec)
-        loss, _ = beta_elbo_loss(net, prior, 0, x, y, beta=beta, n_task=n_task, noise=noise)
-        return loss
+        p0 = get_param_vector(net, 0)
 
-    g_fd = finite_diff_grad(objective, p0, 1e-5)
-    set_param_vector(net, 0, p0)
-    rel = np.abs(g_bp - g_fd) / np.maximum(1e-6, np.maximum(np.abs(g_bp), np.abs(g_fd)))
-    assert float(rel.max()) < 1e-4, f"max relative error {rel.max():.2e}"
+        def objective(vec):
+            set_param_vector(net, 0, vec)
+            loss, _ = beta_elbo_loss(net, prior, 0, x, y, beta=beta, n_task=n_task, noise=noise)
+            return loss
+
+        g_fd = finite_diff_grad(objective, p0, 1e-5)
+        set_param_vector(net, 0, p0)
+        rel = np.abs(g_bp - g_fd) / np.maximum(1e-6, np.maximum(np.abs(g_bp), np.abs(g_fd)))
+        return float(rel.max())
+
+    x = make_rng("acc1-x").random((2, 10))
+    err = max_relative_error(x, np.array([1, 3]), "acc1-noise")
+    assert err < 1e-4, f"max relative error {err:.2e}"
+    # An all-zero input row has first-layer std 0: no division by it, and
+    # no NaN, under every floating-point error raised.
+    with np.errstate(all="raise"):
+        err = max_relative_error(np.vstack([x, np.zeros(10)]), np.array([1, 3, 0]),
+                                 "acc1-zero-row")
+    assert err < 1e-4, f"max relative error with an all-zero row {err:.2e}"
     assert time.monotonic() - start < 10.0
 
 

@@ -23,7 +23,7 @@ from vclab.vbnn import advance_prior, save_snapshot
 GOLDEN_ARGS = ["run", "--experiment", "synthetic", "--model", "auto", "--trials", "1",
                "--epochs", "1", "--probe-repeats", "2", "--probe-size", "256",
                "--seed", "8817"]
-GOLDEN_SHA256 = "18b7ef92f4f1b4708829cfe9bc94c570d9cd3d3dfc68717e9840824d05e12d6f"
+GOLDEN_SHA256 = "03db348e7da0d8d1827ec27306cc1fafffe2025231e13dd23c5a63402a616011"
 SNAPSHOT_SHA256 = "e1b81c7b28eefc178baec08959d989006547075f46b697923a1f82d8f7890c9a"
 RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"

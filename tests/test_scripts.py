@@ -25,10 +25,14 @@ seed_sweep = load_script("seed_sweep")
 # 32-row batches a 256-row probe trains for 8 steps and a 64-row one for 2.
 TOY = ["--epochs", "1", "--probe-repeats", "1", "--batch-size", "32", "--probe-size", "256",
        "--train-mc-samples", "1", "--eval-mc-samples", "2"]
+# Seeds per toy sweep. At 8, the smaller probe's stage-1 d moved 0.21 -> 0.62
+# but reached only z = 2.47 of the 2.87 bound; at 16 it reaches 4.55.
+TOY_SEEDS = 16
 
 
 def toy_sweep(workdir, first_seed=0, extra=()):
-    return seed_sweep.sweep(ROOT, range(first_seed, first_seed + 8), [*TOY, *extra], workdir)
+    return seed_sweep.sweep(ROOT, range(first_seed, first_seed + TOY_SEEDS), [*TOY, *extra],
+                            workdir)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,6 @@ import math
 import os
 import struct
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -68,31 +67,38 @@ def flatten_grads(grads: list[vbnn.VariationalLayer]) -> np.ndarray:
     return np.concatenate([g.flat.ravel() for g in grads])
 
 
-def zero_noise(net, head_index):
+def zero_noise(net, head_index, batch_size):
     """One all-zero noise sample: the forward pass collapses to the mean network."""
-    return [(np.zeros((1, layer.fan_in, layer.fan_out)), np.zeros((1, layer.fan_out)))
-            for layer in net.active_layers(head_index)]
+    return [(np.zeros((1, batch_size if li == 0 else layer.fan_in, layer.fan_out)),
+             np.zeros((1, layer.fan_out)))
+            for li, layer in enumerate(net.active_layers(head_index))]
 
 
-def float64_noise(net, head_index, n_samples, rng):
+def float64_noise(net, head_index, n_samples, rng, batch_size):
     """:func:`sample_noise` cast to float64, for the exact float64 pass."""
     return [(eps_w.astype(np.float64), eps_b.astype(np.float64))
-            for eps_w, eps_b in sample_noise(net, head_index, n_samples, rng)]
+            for eps_w, eps_b in sample_noise(net, head_index, n_samples, rng, batch_size)]
 
 
 def stacked_pre_activations(net, head_index, x, noise):
-    """Every layer's (S, B, O) pre-activations from stacked (S, I, O) weights,
-    with the input, means and sigmas cast to the noise's dtype."""
+    """Every layer's (S, B, O) pre-activations, with the input, means and
+    sigmas cast to the noise's dtype: the first layer's as std * eps_w +
+    mean + b from its moments, each later layer's from stacked (S, I, O)
+    weights."""
     dtype = noise[0][0].dtype
-    pre, act = [], x.astype(dtype)
-    layers = net.active_layers(head_index)
-    for li, (layer, (eps_w, eps_b)) in enumerate(zip(layers, noise)):
+    x = x.astype(dtype)
+    first, *later = net.active_layers(head_index)
+    (eps_w, eps_b), *later_noise = noise
+    mean = x @ first.mu_w.astype(dtype)
+    std = np.sqrt(np.square(x) @ np.exp(first.logvar_w).astype(dtype))
+    b = np.exp(0.5 * first.logvar_b).astype(dtype) * eps_b + first.mu_b.astype(dtype)
+    pre = [std * eps_w + mean + b[:, None, :]]
+    for layer, (eps_w, eps_b) in zip(later, later_noise):
         w = np.exp(0.5 * layer.logvar_w).astype(dtype) * eps_w
         w += layer.mu_w.astype(dtype)
         b = np.exp(0.5 * layer.logvar_b).astype(dtype) * eps_b
         b += layer.mu_b.astype(dtype)
-        pre.append(act @ w + b[:, None, :])
-        act = np.maximum(pre[-1], 0.0) if li < len(layers) - 1 else pre[-1]
+        pre.append(np.maximum(pre[-1], 0.0) @ w + b[:, None, :])
     return pre
 
 
@@ -161,7 +167,7 @@ class TestForward:
     def test_zero_noise_equals_mean_network(self):
         net = random_net(7, input_dim=5, hidden=(4, 3), out=2)
         x = make_rng("fx").random((6, 5))
-        cache = forward_with_noise(net, 0, x, zero_noise(net, 0))
+        cache = forward_with_noise(net, 0, x, zero_noise(net, 0, 6))
         # independent recomputation with plain numpy
         act = x
         for layer in net.trunk:
@@ -177,21 +183,21 @@ class TestForward:
         net.trunk[0].mu_b[...] = [0.1, -0.2]
         net.heads[0].mu_w[...] = [[1.0, 0.0], [-1.0, 1.0]]
         net.heads[0].mu_b[...] = [0.0, 0.5]
-        cache = forward_with_noise(net, 0, np.array([[1.0, 2.0]]), zero_noise(net, 0))
+        cache = forward_with_noise(net, 0, np.array([[1.0, 2.0]]), zero_noise(net, 0, 1))
         # hidden = relu([2.1, 2.8]); logits = [2.1 - 2.8, 2.8 + 0.5]
         np.testing.assert_allclose(cache.logits[0, 0], [-0.7, 3.3], atol=1e-12)
 
     def test_same_seed_bit_identical(self):
         net = random_net(9)
         x = make_rng("fi").random((3, 4))
-        a = forward_with_noise(net, 0, x, sample_noise(net, 0, 2, make_rng(55))).logits
-        b = forward_with_noise(net, 0, x, sample_noise(net, 0, 2, make_rng(55))).logits
+        a = forward_with_noise(net, 0, x, sample_noise(net, 0, 2, make_rng(55), 3)).logits
+        b = forward_with_noise(net, 0, x, sample_noise(net, 0, 2, make_rng(55), 3)).logits
         assert np.array_equal(a, b)
 
     def test_sample_mean_of_weight_approaches_mu(self):
-        # 1-1-1: the first layer's weights are built per sample and not kept,
-        # so with input 1 and a zero-variance zero bias its pre-activations
-        # are its weight draws; the head keeps its draws in the cache.
+        # 1-1-1: with input 1 and a zero-variance zero bias the first
+        # layer's pre-activations are drawn as its weights would be; the
+        # head keeps its weight draws in the cache.
         net = init_network(1, [1], make_rng(0))
         net.ensure_head(0, 1, make_rng(0))
         for layer in net.active_layers(0):
@@ -199,7 +205,7 @@ class TestForward:
             layer.logvar_w[...] = -2.0  # sigma = e^-1
             layer.mu_b[...] = 0.0
             layer.logvar_b[...] = -np.inf
-        noise = sample_noise(net, 0, 10_000, make_rng("mean"))
+        noise = sample_noise(net, 0, 10_000, make_rng("mean"), 1)
         cache = forward_with_noise(net, 0, np.ones((1, 1)), noise)
         assert len(cache.weights) == 1
         se = math.exp(-1.0) / math.sqrt(10_000)
@@ -210,14 +216,14 @@ class TestForward:
     def test_computes_in_the_noise_dtype(self, dtype):
         net = random_net(11, input_dim=5, hidden=(4, 3), out=2, jitter=0.3)
         noise = [(w.astype(dtype), b.astype(dtype)) for w, b in
-                 sample_noise(net, 0, 3, make_rng("dt"))]
+                 sample_noise(net, 0, 3, make_rng("dt"), 6)]
         cache = forward_with_noise(net, 0, make_rng("dtx").random((6, 5)), noise)
         assert cache.logits.dtype == dtype
         assert {a.dtype for a in [cache.x, *cache.pre]} == {np.dtype(dtype)}
 
     def test_fit_and_predict_draw_float32_noise(self):
         assert vbnn.NOISE_DTYPE == np.float32
-        noise = sample_noise(random_net(12), 0, 2, make_rng("nd"))
+        noise = sample_noise(random_net(12), 0, 2, make_rng("nd"), 5)
         assert {a.dtype for pair in noise for a in pair} == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("n_samples", [1, 5])
@@ -228,7 +234,9 @@ class TestForward:
             layer.logvar_w[...] = -2.0 + rng.standard_normal(layer.logvar_w.shape)
             layer.logvar_b[...] = -2.0 + rng.standard_normal(layer.logvar_b.shape)
         x = make_rng("fs").random((17, 40))
-        noise = sample_noise(net, 0, n_samples, make_rng(12))
+        noise = sample_noise(net, 0, n_samples, make_rng(12), 17)
+        assert [w.shape for w, _ in noise] == [(n_samples, 17, 24), (n_samples, 24, 16),
+                                               (n_samples, 16, 3)]
         cache = forward_with_noise(net, 0, x, noise)
         reference = stacked_pre_activations(net, 0, x, noise)
         assert len(cache.pre) == len(reference) == 3
@@ -236,10 +244,15 @@ class TestForward:
             assert np.array_equal(got, want)
         assert [w.shape for w, _ in cache.weights] == [(n_samples, 24, 16), (n_samples, 16, 3)]
 
+    def test_first_layer_noise_must_fit_the_batch(self):
+        net = random_net(13)
+        with pytest.raises(ValueError, match="does not fit a batch of 3 rows"):
+            forward_with_noise(net, 0, np.zeros((3, 4)), sample_noise(net, 0, 2, make_rng(1), 2))
+
     def test_missing_head(self):
         net = random_net(1)
         with pytest.raises(KeyError):
-            forward_with_noise(net, 3, np.zeros((1, 4)), zero_noise(net, 0))
+            forward_with_noise(net, 3, np.zeros((1, 4)), zero_noise(net, 0, 1))
 
     def test_bad_sample_count(self):
         with pytest.raises(ValueError):
@@ -305,13 +318,13 @@ class TestBetaElboLoss:
     def test_loss_arithmetic(self):
         # At beta = 1e-300 the KL term is below half an ulp of the nll, so
         # that loss is the nll.
-        noise = sample_noise(self.net, 0, 2, make_rng(1))
+        noise = sample_noise(self.net, 0, 2, make_rng(1), 4)
         kl = kl_to_prior(self.net, self.prior, 0)
         assert kl > 0.0
         assert self.loss(2.0, 1000, noise) == self.loss(1e-300, 1000, noise) + 2.0 * kl / 1000
 
     def test_tiny_beta_approaches_nll(self):
-        noise = sample_noise(self.net, 0, 2, make_rng(2))
+        noise = sample_noise(self.net, 0, 2, make_rng(2), 4)
         logits = forward_with_noise(self.net, 0, self.x, noise).logits
         logp = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
         nll = -logp[:, np.arange(4), self.y].mean()
@@ -319,12 +332,12 @@ class TestBetaElboLoss:
 
     def test_net_equals_prior_gives_nll(self):
         prior = advance_prior(self.net)
-        noise = sample_noise(self.net, 0, 1, make_rng(3))
+        noise = sample_noise(self.net, 0, 1, make_rng(3), 4)
         assert kl_to_prior(self.net, prior, 0) == 0.0
         assert self.loss(5.0, 100, noise, prior) == self.loss(1e-300, 100, noise, prior)
 
     def test_monotone_in_beta_when_kl_positive(self):
-        noise = sample_noise(self.net, 0, 2, make_rng(4))
+        noise = sample_noise(self.net, 0, 2, make_rng(4), 4)
         losses = [beta_elbo_loss(self.net, self.prior, 0, self.x, self.y,
                                  beta=b, n_task=100, noise=noise)[0]
                   for b in (0.5, 1.0, 2.0, 10.0)]
@@ -333,10 +346,10 @@ class TestBetaElboLoss:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             beta_elbo_loss(self.net, self.prior, 0, self.x, np.array([0, 1, 2, 3]),
-                           beta=1.0, n_task=100, noise=sample_noise(self.net, 0, 1, make_rng(5)))
+                           beta=1.0, n_task=100, noise=sample_noise(self.net, 0, 1, make_rng(5), 4))
 
     def test_invalid_beta_and_n_task(self):
-        noise = sample_noise(self.net, 0, 1, make_rng(6))
+        noise = sample_noise(self.net, 0, 1, make_rng(6), 4)
         with pytest.raises(ValueError):
             beta_elbo_loss(self.net, self.prior, 0, self.x, self.y,
                            beta=0.0, n_task=100, noise=noise)
@@ -348,7 +361,7 @@ class TestBetaElboLoss:
 def backprop_vs_finite_diff(net, prior, head, x, y, beta, n_task, n_samples, seed):
     """Max relative error between backprop and the central-difference oracle,
     with the reparameterization noise frozen in float64."""
-    noise = float64_noise(net, head, n_samples, make_rng("gc", seed))
+    noise = float64_noise(net, head, n_samples, make_rng("gc", seed), len(x))
     _, cache = beta_elbo_loss(net, prior, head, x, y, beta=beta, n_task=n_task, noise=noise)
     g_bp = flatten_grads(backward_gradients(net, prior, cache, y, beta=beta, n_task=n_task))
 
@@ -388,7 +401,7 @@ class TestBackward:
         prior = advance_prior(net)
         x = make_rng("g3").random((3, 4))
         y = np.array([0, 1, 0])
-        noise = sample_noise(net, 0, 2, make_rng(77))
+        noise = sample_noise(net, 0, 2, make_rng(77), 3)
         _, cache = beta_elbo_loss(net, prior, 0, x, y, beta=1.0, n_task=10, noise=noise)
         g1 = flatten_grads(backward_gradients(net, prior, cache, y, beta=1.0, n_task=10))
         g2 = flatten_grads(backward_gradients(net, prior, cache, y, beta=1e9, n_task=10))
@@ -400,7 +413,7 @@ class TestBackward:
         prior = advance_prior(random_net(35, jitter=0.4))
         x = make_rng("g4").random((3, 4))
         y = np.array([1, 1, 0])
-        noise = sample_noise(net, 0, 2, make_rng(78))
+        noise = sample_noise(net, 0, 2, make_rng(78), 3)
         _, cache = beta_elbo_loss(net, prior, 0, x, y, beta=1.0, n_task=10, noise=noise)
         g = [flatten_grads(backward_gradients(net, prior, cache, y, beta=b, n_task=10))
              for b in (1.0, 2.0, 3.0)]
@@ -412,34 +425,42 @@ class TestBackward:
         x = make_rng("g5").random((3, 4))
         y = np.array([0, 1, 0])
         _, cache = beta_elbo_loss(net, prior, 0, x, y, beta=1.0, n_task=10,
-                                  noise=sample_noise(net, 0, 1, make_rng(1)))
+                                  noise=sample_noise(net, 0, 1, make_rng(1), 3))
         with pytest.raises(ValueError):
             backward_gradients(net, prior, cache, np.array([0, 1]), beta=1.0, n_task=10)
 
     def test_streamed_weight_gradients_equal_batched_reference(self):
-        # The (S, I, O) per-sample weight gradients summed over axis 0, as a
-        # stacked matmul would build them; at the prior the KL part is +0.0.
+        # The head's (S, I, O) per-sample weight gradients summed over axis 0,
+        # as a stacked matmul would build them, and the first layer's two
+        # matmuls through its moments; at the prior the KL part is +0.0.
         net = random_net(37, jitter=0.3)
         for layer in net.active_layers(0):
             layer.logvar_w[...] = -1.0
         prior = advance_prior(net)
         x = make_rng("g6").random((5, 4))
         y = np.array([0, 1, 1, 0, 1])
-        noise = sample_noise(net, 0, 6, make_rng(79))
+        noise = sample_noise(net, 0, 6, make_rng(79), 5)
         _, cache = beta_elbo_loss(net, prior, 0, x, y, beta=1.0, n_task=10, noise=noise)
         grads = backward_gradients(net, prior, cache, y, beta=1.0, n_task=10)
         d_z1 = vbnn.softmax(cache.logits)
         d_z1[:, np.arange(5), y] -= 1.0
         d_z1 *= 1.0 / (6 * 5)
-        d_z0 = (d_z1 @ cache.weights[0][0].transpose(0, 2, 1)) * (cache.pre[0] > 0)  # head
+        # The head: float32 per-sample gradients, summed over samples in float64.
+        head = net.heads[0]
+        d_w = np.maximum(cache.pre[0], 0.0).transpose(0, 2, 1) @ d_z1
+        assert np.array_equal(grads[1].mu_w, d_w.sum(axis=0, dtype=np.float64) + 0.0)
+        assert np.array_equal(grads[1].logvar_w, (d_w * noise[1][0]).sum(
+            axis=0, dtype=np.float64) * (0.5 * np.exp(0.5 * head.logvar_w)) + 0.0)
+        # The first layer: d_z summed over samples, then one matmul per row.
+        first = net.trunk[0]
+        d_z0 = (d_z1 @ cache.weights[0][0].transpose(0, 2, 1)) * (cache.pre[0] > 0)
         x32 = x.astype(np.float32)
-        d_w = [x32.T @ d_z0, np.maximum(cache.pre[0], 0.0).transpose(0, 2, 1) @ d_z1]
-        # float32 per-sample gradients, summed over samples in float64.
-        for li, layer in enumerate(net.active_layers(0)):
-            sigma = np.exp(0.5 * layer.logvar_w)
-            assert np.array_equal(grads[li].mu_w, d_w[li].sum(axis=0, dtype=np.float64) + 0.0)
-            assert np.array_equal(grads[li].logvar_w, (d_w[li] * noise[li][0]).sum(
-                axis=0, dtype=np.float64) * (0.5 * sigma) + 0.0)
+        std = np.sqrt(np.square(x32) @ np.exp(first.logvar_w).astype(np.float32))
+        assert np.array_equal(cache.std, std)
+        d_std = (d_z0 * noise[0][0]).sum(axis=0) / (2 * std)
+        assert np.array_equal(grads[0].mu_w, x32.T @ d_z0.sum(axis=0) + 0.0)
+        assert np.array_equal(grads[0].logvar_w,
+                              np.exp(first.logvar_w) * (np.square(x32).T @ d_std) + 0.0)
 
     def test_float32_gradients_match_float64_of_the_same_noise(self):
         # At the prior the KL part is 0, so this compares the likelihood
@@ -453,7 +474,8 @@ class TestBackward:
         x = make_rng("g7").random((16, 30))
         y = np.arange(16) % 4
         grads = {}
-        for eps in (sample_noise(net, 0, 4, make_rng(80)), float64_noise(net, 0, 4, make_rng(80))):
+        for eps in (sample_noise(net, 0, 4, make_rng(80), 16),
+                    float64_noise(net, 0, 4, make_rng(80), 16)):
             _, cache = beta_elbo_loss(net, prior, 0, x, y, beta=1.0, n_task=100, noise=eps)
             grads[cache.logits.dtype] = backward_gradients(net, prior, cache, y, beta=1.0,
                                                            n_task=100)
@@ -466,7 +488,7 @@ class TestBackward:
 
 def test_forward_cache_keeps_only_what_backward_cannot_derive():
     assert [f.name for f in dataclasses.fields(vbnn.ForwardCache)] == [
-        "head_index", "x", "noise", "weights", "pre"]
+        "head_index", "x", "std", "noise", "weights", "pre"]
 
 
 class TestFitMemory:
@@ -484,10 +506,9 @@ class TestFitMemory:
             tracemalloc.stop()
 
     def test_one_step_alive_at_a_time(self):
-        # fit allocates its two noise buffer sets once, so the peak does not
-        # grow with the step count. A step's cache or gradients still alive
-        # during the next step would raise it by at least one step's
-        # gradients, which are the size of the parameters.
+        # A step's noise, cache or gradients still alive during the next
+        # step would raise the peak by at least one step's gradients, which
+        # are the size of the parameters.
         net = random_net(60, input_dim=200, hidden=(50,), out=2)
         step_grads = sum(layer.flat.nbytes for layer in net.active_layers(0))
         assert self.fit_peak_bytes(4) - self.fit_peak_bytes(1) < step_grads
@@ -495,27 +516,23 @@ class TestFitMemory:
 
 def serial_fit(net, prior, head_index, x, y, *, beta, epochs, batch_size, lr, mc_samples,
                rng):
-    """fit on one thread: per epoch one permutation, then per step and layer
-    float32 eps_w (S, I, O) and eps_b (S, O), each drawn just before its step."""
+    """fit written out: per epoch one permutation, then per step float32
+    noise per layer, eps_w (S, B, O) for the first layer and (S, I, O) for
+    later ones, each layer's eps_b (S, O) after its eps_w."""
     n_task = len(x)
     optimizer = vbnn.NetAdam(net, head_index, lr)
     for _ in range(epochs):
         order = rng.permutation(n_task)
         for start in range(0, n_task, batch_size):
             idx = order[start:start + batch_size]
-            noise = [(rng.standard_normal((mc_samples, layer.fan_in, layer.fan_out),
-                                          dtype=np.float32),
+            noise = [(rng.standard_normal((mc_samples, len(idx) if li == 0 else layer.fan_in,
+                                           layer.fan_out), dtype=np.float32),
                       rng.standard_normal((mc_samples, layer.fan_out), dtype=np.float32))
-                     for layer in net.active_layers(head_index)]
+                     for li, layer in enumerate(net.active_layers(head_index))]
             _, cache = beta_elbo_loss(net, prior, head_index, x[idx], y[idx], beta=beta,
                                       n_task=n_task, noise=noise)
             optimizer.step(backward_gradients(net, prior, cache, y[idx], beta=beta,
                                               n_task=n_task))
-
-
-def fit_thread_alive():
-    """Whether fit's draw-ahead worker, ``vclab-fit-noise_0``, is running."""
-    return any(t.name.startswith("vclab-fit-noise_") for t in threading.enumerate())
 
 
 class TestFitSchedule:
@@ -538,29 +555,35 @@ class TestFitSchedule:
         assert rng.bit_generator.state == serial_rng.bit_generator.state
         for layer, serial_layer in zip(net.active_layers(0), serial_net.active_layers(0)):
             assert layer.flat.tobytes() == serial_layer.flat.tobytes()
-        assert not fit_thread_alive()
+
+    def test_every_step_draws_through_sample_noise(self, monkeypatch):
+        calls = []
+        real = vbnn.sample_noise
+
+        def recorded(net, head_index, n_samples, rng, batch_size):
+            calls.append((n_samples, batch_size))
+            return real(net, head_index, n_samples, rng, batch_size)
+
+        monkeypatch.setattr(vbnn, "sample_noise", recorded)
+        x = make_rng("through").random((20, 4))
+        net = random_net(75)
+        fit(net, advance_prior(net), 0, whole_view(x, np.arange(20) % 2), beta=1.0, epochs=2,
+            batch_size=8, lr=0.01, mc_samples=3, rng=make_rng("through-fit"))
+        assert calls == [(3, 8), (3, 8), (3, 4)] * 2
 
 
 class ScriptedRng:
-    """``make_rng(tag)`` whose standard_normal calls each sleep ``delay``
-    seconds first, and whose ``fail_at``-th call raises. ``calls`` lists
-    (method, thread name) for every call, in order."""
+    """``make_rng(tag)`` whose ``fail_at``-th standard_normal call raises."""
 
-    def __init__(self, tag, fail_at=None, delay=0.0):
+    def __init__(self, tag, fail_at=None):
         self._rng = make_rng(tag)
-        self._left, self._delay = fail_at, delay
+        self._left = fail_at
         self.error = RuntimeError("draw failed")
-        self.thread_seen = None   # fit_thread_alive() at the latest draw
-        self.calls = []
 
     def permutation(self, n):
-        self.calls.append(("permutation", threading.current_thread().name))
         return self._rng.permutation(n)
 
     def standard_normal(self, *args, **kwargs):
-        self.calls.append(("standard_normal", threading.current_thread().name))
-        self.thread_seen = fit_thread_alive()
-        time.sleep(self._delay)
         if self._left == 0:
             raise self.error
         if self._left is not None:
@@ -587,41 +610,7 @@ def error_of(function, *args, **kwargs):
     return raised[0] if raised else None
 
 
-class TestFitWorker:
-    def test_the_worker_only_draws(self, monkeypatch):
-        # np.errstate holds per thread, so the stage guard in run_sequence
-        # does not reach fit's worker: it may do nothing but draw.
-        calls = []
-
-        def recorded(name, function):
-            def wrapper(*args, **kwargs):
-                calls.append((name, threading.current_thread().name))
-                return function(*args, **kwargs)
-            return wrapper
-
-        for owner, name in [(vbnn, "beta_elbo_loss"), (vbnn, "backward_gradients"),
-                            (vbnn.NetAdam, "step"), (TaskView, "take")]:
-            monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
-        x = make_rng("worker").random((20, 4))
-        net, rng = random_net(74), ScriptedRng("worker-fit")
-        fit(net, advance_prior(net), 0, whole_view(x, np.arange(20) % 2), beta=1.0,
-            epochs=2, batch_size=6, lr=0.01, mc_samples=2, rng=rng)
-        by_thread = {}
-        for name, thread in [*calls, *rng.calls]:
-            worker = thread.startswith("vclab-fit-noise_")
-            by_thread.setdefault(worker, set()).add(name)
-        assert by_thread == {True: {"permutation", "standard_normal"},
-                             False: {"beta_elbo_loss", "backward_gradients", "step", "take"}}
-
-
 class TestFitFailures:
-    def test_thread_check_sees_the_worker_while_fit_runs(self):
-        x = make_rng("alive").random((12, 4))
-        net, rng = random_net(73), ScriptedRng("alive-fit")
-        fit(net, advance_prior(net), 0, whole_view(x, np.arange(12) % 2), beta=1.0,
-            epochs=1, batch_size=6, lr=0.01, mc_samples=2, rng=rng)
-        assert rng.thread_seen is True and not fit_thread_alive()
-
     def test_non_finite_loss_mid_epoch_raises_and_joins(self):
         n, batch_size = 64, 16
         x = make_rng("nan").random((n, 4))
@@ -630,13 +619,11 @@ class TestFitFailures:
         net = random_net(71)
         before = get_param_vector(net, 0)
         threads = threading.active_count()
-        # Slow draws keep the noise thread busy with the next step when the
-        # loss fails, so fit must wait for it.
         error = error_of(fit, net, advance_prior(net), 0, whole_view(x, np.arange(n) % 2),
                          beta=1.0, epochs=2, batch_size=batch_size, lr=0.01, mc_samples=2,
-                         rng=ScriptedRng("nan-fit", delay=0.01))
+                         rng=make_rng("nan-fit"))
         assert isinstance(error, NumericError) and "non-finite loss" in str(error)
-        assert threading.active_count() == threads and not fit_thread_alive()
+        assert threading.active_count() == threads
         after = get_param_vector(net, 0)
         assert np.isfinite(after).all() and not np.array_equal(after, before)
 
@@ -650,7 +637,7 @@ class TestFitFailures:
         error = error_of(fit, net, advance_prior(net), 0, whole_view(x, np.arange(12) % 2),
                          beta=1.0, epochs=2, batch_size=6, lr=0.01, mc_samples=2, rng=rng)
         assert error is rng.error
-        assert threading.active_count() == threads and not fit_thread_alive()
+        assert threading.active_count() == threads
 
 
 class TestFloat32Overflow:
@@ -662,14 +649,24 @@ class TestFloat32Overflow:
         self.x = make_rng("huge").random((8, 6))
         assert np.isfinite(np.exp(0.5 * self.net.trunk[0].logvar_w)).all()
 
+    def fit(self):
+        fit(self.net, advance_prior(self.net), 0, whole_view(self.x, np.arange(8) % 2),
+            beta=1.0, epochs=1, batch_size=4, lr=0.01, mc_samples=2, rng=make_rng("huge-fit"))
+
     def test_fit_raises_and_joins(self):
         before = get_param_vector(self.net, 0)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            fit(self.net, advance_prior(self.net), 0, whole_view(self.x, np.arange(8) % 2),
-                beta=1.0, epochs=1, batch_size=4, lr=0.01, mc_samples=2,
-                rng=make_rng("huge-fit"))
+            self.fit()
         assert np.array_equal(get_param_vector(self.net, 0), before)
-        assert not fit_thread_alive()
+
+    def test_a_first_layer_variance_beyond_float32_overflows_in_fit(self):
+        # As in prediction, training casts the first layer's variance, and
+        # exp(100) is beyond float32 while exp(100 / 2) is a float32 sigma.
+        self.net.trunk[0].logvar_w[0, 0] = 100.0
+        before = get_param_vector(self.net, 0)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            self.fit()
+        assert np.array_equal(get_param_vector(self.net, 0), before)
 
     def test_posterior_predict_raises(self):
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
@@ -817,17 +814,18 @@ def lanes_stacked(net, x, seeds, n_samples):
     """posterior_predict's estimate with each lane's draws stacked.
 
     Lane k seeds a generator with ``seeds[k]`` and, for each of draws k,
-    k + 2, ..., draws the (B, O) first-layer noise and then each later
-    layer's eps_w and eps_b. The first layer takes mean + std * eps from its
-    pre-activation moments; the lanes' float64 sums are added in lane order.
+    k + 2, ..., draws the (B, O) first-layer noise and the first bias's,
+    then each later layer's eps_w and eps_b. The first layer takes
+    std * eps + mean + b from its moments of x w and a sampled bias b; the
+    lanes' float64 sums are added in lane order.
     """
     dtype = vbnn.NOISE_DTYPE
     first, *later = net.active_layers(0)
     x = x.astype(dtype)
-    mean = x @ first.mu_w.astype(dtype) + first.mu_b.astype(dtype)
-    std = np.sqrt(np.square(x) @ np.exp(first.logvar_w).astype(dtype)
-                  + np.exp(first.logvar_b).astype(dtype))
-    shapes = [mean.shape, *(s for layer in later for s in (layer.mu_w.shape, layer.mu_b.shape))]
+    mean = x @ first.mu_w.astype(dtype)
+    std = np.sqrt(np.square(x) @ np.exp(first.logvar_w).astype(dtype))
+    shapes = [mean.shape, first.mu_b.shape,
+              *(s for layer in later for s in (layer.mu_w.shape, layer.mu_b.shape))]
     total = np.zeros(mean.shape[:1] + (net.active_layers(0)[-1].fan_out,))
     for k, seed in enumerate(seeds):
         lane = np.random.default_rng(seed)
@@ -835,14 +833,28 @@ def lanes_stacked(net, x, seeds, n_samples):
                  for _ in range(k, n_samples, 2)]
         if not draws:
             continue
-        eps, *later_eps = [np.stack(column) for column in zip(*draws)]
-        act = eps * std + mean                                  # (S_k, B, O)
+        eps, eps_b1, *later_eps = [np.stack(column) for column in zip(*draws)]
+        b1 = np.exp(0.5 * first.logvar_b).astype(dtype) * eps_b1 + first.mu_b.astype(dtype)
+        act = eps * std + mean + b1[:, None, :]                 # (S_k, B, O)
         for layer, eps_w, eps_b in zip(later, later_eps[::2], later_eps[1::2]):
             w = np.exp(0.5 * layer.logvar_w).astype(dtype) * eps_w + layer.mu_w.astype(dtype)
             b = np.exp(0.5 * layer.logvar_b).astype(dtype) * eps_b + layer.mu_b.astype(dtype)
             act = np.maximum(act, 0.0) @ w + b[:, None, :]
         total += vbnn.softmax(act).sum(axis=0, dtype=np.float64)
     return total / n_samples
+
+
+def weight_sampled_logits(layers, x, n_samples, rng):
+    """(S, B, O) logits in float64 with every weight and bias sampled whole
+    per draw, ReLU between layers."""
+    act = x
+    for li, layer in enumerate(layers):
+        w = layer.mu_w + np.exp(0.5 * layer.logvar_w) * rng.standard_normal(
+            (n_samples, *layer.mu_w.shape))
+        b = layer.mu_b + np.exp(0.5 * layer.logvar_b) * rng.standard_normal(
+            (n_samples, layer.fan_out))
+        act = (np.maximum(act, 0.0) if li else act) @ w + b[:, None, :]
+    return act
 
 
 class TestPosteriorPredict:
@@ -864,9 +876,10 @@ class TestPosteriorPredict:
         assert not predict_lane_alive()
 
     def test_moments_match_weight_sampling(self, monkeypatch):
-        # The first layer's pre-activations are drawn from their moments, not
-        # through sampled weights: per row the same Gaussian, so the same
-        # expected prediction. Every bound is 5 Monte Carlo standard errors.
+        # Training and prediction draw the first layer's pre-activations from
+        # their moments, not through sampled weights: per row the same
+        # Gaussian as weight sampling in float64 here, so the same expected
+        # prediction. Every bound is 5 Monte Carlo standard errors.
         net = random_net(58, input_dim=6, hidden=(5,), out=3, jitter=0.3)
         rng = make_rng("moment-logvar")
         for layer in net.active_layers(0):
@@ -876,19 +889,26 @@ class TestPosteriorPredict:
         first = net.trunk[0]
         m = x @ first.mu_w + first.mu_b
         v = np.square(x) @ np.exp(first.logvar_w) + np.exp(first.logvar_b)
+        weights = make_rng("moment-weights")
         # With the first layer as the only layer, softmax sees each draw's
-        # pre-activations, from both lanes.
+        # pre-activations, from both lanes, and the forward pass's are pre[0].
+        only_first = vbnn.VariationalNet(6, (), {0: first})
         drawn = []
         recording_softmax(monkeypatch, lambda z: drawn.append(z.astype(np.float64)))
-        posterior_predict(vbnn.VariationalNet(6, (), {0: first}), 0, x, make_rng("moment-z"), n)
-        z = np.stack(drawn)
-        assert z.shape == (n, 8, 5)
-        assert np.all(np.abs(z.mean(axis=0) - m) < 5 * np.sqrt(v / n))
-        assert np.all(np.abs(z.var(axis=0, ddof=1) - v) < 5 * v * np.sqrt(2 / (n - 1)))
+        posterior_predict(only_first, 0, x, make_rng("moment-z"), n)
+        trained = forward_with_noise(only_first, 0, x,
+                                     sample_noise(only_first, 0, n, make_rng("moment-fit"), 8))
+        sampled = weight_sampled_logits([first], x, n, weights)
+        for z in (np.stack(drawn), trained.pre[0].astype(np.float64)):
+            assert z.shape == sampled.shape == (n, 8, 5)
+            assert np.all(np.abs(z.mean(axis=0) - m) < 5 * np.sqrt(v / n))
+            assert np.all(np.abs(z.var(axis=0, ddof=1) - v) < 5 * v * np.sqrt(2 / (n - 1)))
+            assert np.all(np.abs(z.mean(axis=0) - sampled.mean(axis=0)) < 5 * np.sqrt(2 * v / n))
+            assert np.all(np.abs(z.var(axis=0, ddof=1) - sampled.var(axis=0, ddof=1))
+                          < 5 * v * np.sqrt(4 / (n - 1)))
 
         predicted = posterior_predict(net, 0, x, make_rng("moment-predict"), n)
-        noise = sample_noise(net, 0, n, make_rng("moment-weights"))
-        sampled = vbnn.softmax(forward_with_noise(net, 0, x, noise).logits).astype(np.float64)
+        sampled = vbnn.softmax(weight_sampled_logits(net.active_layers(0), x, n, weights))
         standard_error = np.sqrt(2 * sampled.var(axis=0, ddof=1) / n)
         assert np.all(np.abs(predicted - sampled.mean(axis=0)) < 5 * standard_error)
 
