@@ -147,8 +147,9 @@ def _locate(data_dir: Path, name: str, subdirs: list[str]) -> Path:
 
 
 def _dataset(pixels: np.ndarray, labels: np.ndarray, split: str) -> Dataset:
-    """The split from (N, D) pixel values in 0..255 and N uint8 labels, each
-    of which must be a class in 0..9; N and D must be at least 1."""
+    """The split from (N, D) float pixel values in 0..255, which are scaled
+    to [0, 1] in place, and N uint8 labels, each of which must be a class in
+    0..9; N and D must be at least 1."""
     if not 0 < pixels.shape[0] == labels.shape[0]:
         raise DataFormatError(f"{split}: {pixels.shape[0]} images and {labels.shape[0]} labels "
                               "(need equal counts, at least 1)")
@@ -156,7 +157,8 @@ def _dataset(pixels: np.ndarray, labels: np.ndarray, split: str) -> Dataset:
         raise DataFormatError(f"{split}: images have no pixels")
     if labels.max() > 9:
         raise DataFormatError(f"{split}: label {labels.max()} is not a class in 0..9")
-    return Dataset(images=pixels / 255.0, labels=labels.astype(np.int64), split=split)
+    np.divide(pixels, 255.0, out=pixels)
+    return Dataset(images=pixels, labels=labels.astype(np.int64), split=split)
 
 
 def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
@@ -311,6 +313,7 @@ def make_mixed_sequence(mnist: tuple[Dataset, Dataset],
 BLOB_DIM = 784
 _BLOB_SIGNAL_GAIN = 3.0
 _BLOB_PIXEL_NOISE = 0.02
+_BLOB_BLOCK_ROWS = 256
 
 
 @functools.cache
@@ -325,7 +328,17 @@ def make_synthetic_blobs(separation: float, rotation: float, n: int,
                          rng: np.random.Generator, n_test: int | None = None,
                          head_index: int = 0, name: str | None = None) -> TaskSpec:
     """Binary blob task with difficulty set by ``separation`` and task
-    identity set by ``rotation``."""
+    identity set by ``rotation``.
+
+    Each split is drawn from ``rng`` in this order: its shuffled labels, its
+    (count, 2) latent points, then its (count, 784) pixel noise row by row.
+    The float32 pixels are filled in blocks of 256 rows, each from the same
+    float64 expression as the whole split would be, so a block's float64
+    temporaries, not the split's, bound the memory beyond the pixels. A
+    last block of one row joins the block before it: numpy multiplies one
+    row by the basis through a different BLAS routine, which can round
+    differently.
+    """
     n_test = n_test if n_test is not None else max(4, n // 4)
     if n < 4 or n_test < 1:
         raise ValueError(f"need n >= 4 and n_test >= 1, got {n} and {n_test}")
@@ -338,10 +351,20 @@ def make_synthetic_blobs(separation: float, rotation: float, n: int,
         y = (np.arange(count) % 2).astype(np.int64)
         rng.shuffle(y)
         latent = (y[:, None] - 0.5) * separation * axis + rng.standard_normal((count, 2))
-        x = 0.5 + _BLOB_SIGNAL_GAIN * latent @ basis
-        x += _BLOB_PIXEL_NOISE * rng.standard_normal((count, BLOB_DIM))
-        np.clip(x, 0.0, 1.0, out=x)
-        return TaskView(images=x.astype(np.float32), rows=np.arange(count), labels=y)
+        signal = _BLOB_SIGNAL_GAIN * latent
+        images = np.empty((count, BLOB_DIM), dtype=np.float32)
+        starts = list(range(0, count, _BLOB_BLOCK_ROWS))
+        if len(starts) > 1 and count - starts[-1] == 1:
+            starts.pop()
+        for start, stop in zip(starts, [*starts[1:], count]):
+            x = signal[start:stop] @ basis          # 0.5 + signal @ basis, in place
+            x += 0.5
+            noise = rng.standard_normal(x.shape)
+            noise *= _BLOB_PIXEL_NOISE
+            x += noise
+            np.clip(x, 0.0, 1.0, out=x)
+            images[start:stop] = x
+        return TaskView(images=images, rows=np.arange(count), labels=y)
 
     return TaskSpec(
         name=name or f"blobs-sep{separation:g}-rot{rotation:g}",

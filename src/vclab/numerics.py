@@ -119,16 +119,23 @@ class AdamState:
                    v=np.zeros_like(param, dtype=np.float64), lr=lr)
 
 
-# Elements per chunk of an Adam update: the six chunks one update touches
+# Elements per chunk of the loops that run through a layer's (2, n) buffers:
+# Adam, the KL and its gradient. The six chunks one Adam update touches
 # (parameters, gradient, both moments, two scratch rows) take 1.5 MB, which
-# stays in a 2 MB L2 cache.
-ADAM_CHUNK = 1 << 15
+# stays in a 2 MB L2 cache, and no loop makes a temporary the size of a layer.
+CHUNK = 1 << 15
+
+
+def chunks(n: int):
+    """Slices that cover ``range(n)`` in order, ``CHUNK`` elements each but
+    the last."""
+    return (slice(start, start + CHUNK) for start in range(0, n, CHUNK))
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarray:
     """One bias-corrected Adam update, in place on ``param`` and ``state``.
 
-    Runs through the buffers in chunks of at most ``ADAM_CHUNK`` elements with
+    Runs through the buffers in chunks of at most ``CHUNK`` elements with
     one (2, chunk) scratch array allocated per call, and evaluates in the
     order ``m += (1 - b1) * g``, ``v += ((1 - b2) * g) * g`` and
     ``param -= (lr * m_hat) / (sqrt(v_hat) + eps)``, so the bits equal those
@@ -145,9 +152,8 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     m_scale, v_scale = 1.0 - b1 ** t, 1.0 - b2 ** t
     p, g, m, v = (a.reshape(-1) for a in (param, grad, state.m, state.v))
-    scratch = np.empty((2, min(ADAM_CHUNK, p.size)))
-    for start in range(0, p.size, ADAM_CHUNK):
-        part = slice(start, start + ADAM_CHUNK)
+    scratch = np.empty((2, min(CHUNK, p.size)))
+    for part in chunks(p.size):
         g_c, m_c, v_c = g[part], m[part], v[part]
         num, den = scratch[:, :g_c.size]
         np.multiply(g_c, 1.0 - b1, out=num)

@@ -35,15 +35,21 @@ the KL and its gradient, the sums of later layers' per-sample gradients,
 Adam and snapshots stay float64. Float64 noise gives the exact float64 pass that the
 finite-difference check differentiates.
 
-Memory follows the Monte Carlo samples and the batch. Each step of ``fit``
-draws (S, B, O) noise for the first layer and (S, I, O) noise for each later
-layer with :func:`sample_noise`, gathers its batch from the task view, so
-the task is never materialized whole, and releases its cache and gradients
-before the next step starts. Later layers keep their (S, I, O) sampled
-weights, which their backward pass multiplies by; it recomputes each hidden
-layer's input as the ReLU of the cached pre-activation, one sample at a
-time, and sums the per-sample weight gradients in sample order, the same
-bits as the stacked computation in the same dtype.
+Memory follows the Monte Carlo samples and the batch: ``fit`` holds the
+parameters, Adam's two moments and one set of gradient buffers, which every
+step overwrites, plus one step. Each step draws (S, B, O) noise for the
+first layer and (S, I, O) noise for each later layer with
+:func:`sample_noise`, gathers its batch from the task view, so the task is
+never materialized whole, and releases its noise and cache before the next
+step starts. Later layers keep their (S, I, O) sampled weights, which their
+backward pass multiplies by; it recomputes each hidden layer's input as the
+ReLU of the cached pre-activation, one sample at a time, and sums the
+per-sample weight gradients in sample order, the same bits as the stacked
+computation in the same dtype. The first layer's sum over samples of
+d_z * eps_w is taken the same way, and the ReLU's mask multiplies d_z in
+place. The KL and its gradient, like Adam, run over each (2, n) buffer in
+chunks of ``numerics.CHUNK`` elements through one small scratch array, not
+through whole-buffer temporaries.
 
 ``posterior_predict`` computes the first layer's moments once per call and
 runs each draw through a forward pass that keeps no backward cache. Two
@@ -74,7 +80,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .numerics import AdamState, NumericError, adam_step, atomic_write
+from .numerics import CHUNK, AdamState, NumericError, adam_step, atomic_write, chunks
 
 if TYPE_CHECKING:
     from .data import TaskView
@@ -213,11 +219,60 @@ def diag_gaussian_kl(mu: np.ndarray, logvar: np.ndarray,
                      prior_mu: np.ndarray | float, prior_logvar: np.ndarray | float) -> float:
     """Closed-form KL(N(mu, e^logvar) || N(prior_mu, e^prior_logvar)), summed.
 
-    Written so that KL(q || q) is exactly 0.0 in floating point.
+    The arguments broadcast together. Each term is
+    -diff + exp(diff) + (mu - prior_mu)^2 exp(-prior_logvar) - 1 with
+    diff = logvar - prior_logvar, evaluated in that order in chunks of
+    ``numerics.CHUNK`` elements through one (3, chunk) scratch array, so no
+    temporary is the size of a layer. The chunk sums are added in order,
+    which can move the last bits against one whole-array sum. KL(q || q) is
+    exactly 0.0 in floating point.
     """
-    diff = logvar - prior_logvar
-    terms = -diff + np.exp(diff) + (mu - prior_mu) ** 2 * np.exp(-np.asarray(prior_logvar, dtype=np.float64)) - 1.0
-    return 0.5 * float(np.sum(terms))
+    mu, logvar, prior_mu, prior_logvar = (a.reshape(-1) for a in np.broadcast_arrays(
+        mu, logvar, prior_mu, prior_logvar))
+    scratch = np.empty((3, min(CHUNK, mu.size)))
+    total = 0.0
+    for part in chunks(mu.size):
+        diff, terms, other = scratch[:, :mu[part].size]
+        np.subtract(logvar[part], prior_logvar[part], out=diff)
+        np.exp(diff, out=terms)
+        terms -= diff
+        np.subtract(mu[part], prior_mu[part], out=other)
+        np.square(other, out=other)
+        np.negative(prior_logvar[part], out=diff)
+        other *= np.exp(diff, out=diff)
+        terms += other
+        terms -= 1.0
+        total += terms.sum()
+    return 0.5 * float(total)
+
+
+def _add_kl_gradient(grad: VariationalLayer, layer: VariationalLayer, prior: VariationalLayer,
+                     scale: float) -> None:
+    """Add ``scale`` times the KL's gradient to ``grad``, in place:
+
+        dKL/dmu     = (mu - mu0) / var0
+        dKL/dlogvar = (exp(logvar)/var0 - 1) / 2
+
+    as ``scale * (mu - mu0) * exp(-logvar0)`` and
+    ``scale * 0.5 * (exp(logvar - logvar0) - 1)``, in chunks of
+    ``numerics.CHUNK`` elements through one (2, chunk) scratch array: the
+    bits of the whole-array expressions. Against a new head's all-zero
+    prior, mu - 0.0, exp(-0.0) and logvar - 0.0 change no bit.
+    """
+    (mu, logvar), (mu0, logvar0), (g_mu, g_logvar) = layer.flat, prior.flat, grad.flat
+    scratch = np.empty((2, min(CHUNK, mu.size)))
+    for part in chunks(mu.size):
+        term, factor = scratch[:, :mu[part].size]
+        np.subtract(mu[part], mu0[part], out=term)
+        term *= scale
+        np.negative(logvar0[part], out=factor)
+        term *= np.exp(factor, out=factor)
+        g_mu[part] += term
+        np.subtract(logvar[part], logvar0[part], out=term)
+        np.exp(term, out=term)
+        term -= 1.0
+        term *= scale * 0.5
+        g_logvar[part] += term
 
 
 def kl_to_prior(net: VariationalNet, prior: VariationalNet, active_head: int) -> float:
@@ -277,11 +332,14 @@ def _first_layer_moments(layer: VariationalLayer, x: np.ndarray) -> tuple:
     layer's (mu_b, sigma_b), all in ``x``'s dtype.
 
     sigma_w^2 = exp(logvar_w) is cast, not sigma_w, so a log-variance in
-    (88.7, 177] overflows float32 here although its sigma would not.
+    (88.7, 177] overflows float32 here although its sigma would not. The
+    mean's cast of mu_w is released before sigma_w^2 is made.
     """
-    mu_w, var_w, mu_b, sigma_b = (a.astype(x.dtype, copy=False) for a in (
-        layer.mu_w, np.exp(layer.logvar_w), layer.mu_b, np.exp(0.5 * layer.logvar_b)))
-    return x @ mu_w, np.sqrt(np.square(x) @ var_w), mu_b, sigma_b
+    mean = x @ layer.mu_w.astype(x.dtype, copy=False)
+    var_w = np.exp(layer.logvar_w).astype(x.dtype, copy=False)
+    mu_b, sigma_b = (a.astype(x.dtype, copy=False)
+                     for a in (layer.mu_b, np.exp(0.5 * layer.logvar_b)))
+    return mean, np.sqrt(np.square(x) @ var_w), mu_b, sigma_b
 
 
 def _as_input(net: VariationalNet, x: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -377,15 +435,17 @@ def beta_elbo_loss(net: VariationalNet, prior: VariationalNet, head_index: int,
 
 
 def backward_gradients(net: VariationalNet, prior: VariationalNet, cache: ForwardCache,
-                       y: np.ndarray, *, beta: float, n_task: int) -> list[VariationalLayer]:
+                       y: np.ndarray, *, beta: float, n_task: int,
+                       out: list[VariationalLayer] | None = None) -> list[VariationalLayer]:
     """Exact gradients of the batch loss for every (mu, logvar) of trunk + head.
 
     Each gradient is a :class:`VariationalLayer` holding d loss / d param in
-    the place of the param. Combines the pathwise likelihood gradient, using
-    the cached noise, with the analytic KL gradient:
-
-        dKL/dmu     = (mu - mu0) / var0
-        dKL/dlogvar = (exp(logvar)/var0 - 1) / 2
+    the place of the param. They are written into ``out``, one layer per
+    layer of trunk + head, which is returned; every entry is overwritten, so
+    what ``out`` held before does not matter. Without ``out`` they are
+    written into fresh zeros. Combines the pathwise likelihood gradient, using
+    the cached noise, with the analytic KL gradient (see
+    :func:`_add_kl_gradient`).
 
     A later layer's gradient flows through w = mu + sigma * eps_w. The first
     layer's flows through its pre-activations std * eps_w + mean, with
@@ -394,7 +454,8 @@ def backward_gradients(net: VariationalNet, prior: VariationalNet, cache: Forwar
         d mu_w     = x^T sum_s d_z
         d logvar_w = sigma_w^2 * (x^2)^T (sum_s d_z * eps_w / (2 std))
 
-    where a row with std 0 (an all-zero input row) contributes 0.
+    where a row with std 0 (an all-zero input row) contributes 0. The sum
+    over samples of d_z * eps_w is taken sample by sample, in sample order.
 
     ``d_z`` and the weight gradients are in the cache's dtype; the sums of
     later layers' per-sample gradients and the KL part are float64.
@@ -415,40 +476,49 @@ def backward_gradients(net: VariationalNet, prior: VariationalNet, cache: Forwar
 
     kl_scale = beta / n_task
     priors = _prior_layers(net, prior, cache.head_index)
-    grads = [layer.zeros_like() for layer in layers]
+    if out is None:
+        grads = [layer.zeros_like() for layer in layers]
+    elif [g.flat.shape for g in out] == [layer.flat.shape for layer in layers]:
+        grads = out
+    else:
+        raise ValueError("gradient buffers do not match the layers of trunk + head")
     for li in range(len(layers) - 1, -1, -1):
         layer, g, pl = layers[li], grads[li], priors[li]
         eps_w, eps_b = cache.noise[li]
+        d_b = d_z.sum(axis=1)                       # (S, O)
+        g.mu_b[...] = d_b.sum(axis=0, dtype=np.float64)
+        g.logvar_b[...] = ((d_b * eps_b).sum(axis=0, dtype=np.float64)
+                           * (0.5 * np.exp(0.5 * layer.logvar_b)))
         if li == 0:
             g.mu_w[...] = cache.x.T @ d_z.sum(axis=0)
-            d_std = (d_z * eps_w).sum(axis=0)       # (B, O)
+            # Summed from +0.0 in sample order, as numpy's axis-0 reduction
+            # of the stacked (S, B, O) product does, without building it.
+            d_std = np.zeros_like(cache.std)        # (B, O)
+            for s in range(n_samples):
+                d_std += d_z[s] * eps_w[s]
+            del d_z                                 # not needed past here
             d_var = np.divide(d_std, 2 * cache.std, out=np.zeros_like(d_std),
                               where=cache.std > 0)
-            g.logvar_w[...] = np.exp(layer.logvar_w) * (np.square(cache.x).T @ d_var)
+            np.exp(layer.logvar_w, out=g.logvar_w)
+            g.logvar_w *= np.square(cache.x).T @ d_var
         else:
             # Per-sample weight gradients, summed in sample order from +0.0
             # as numpy's axis-0 reduction does: the same bits as summing a
             # stacked (S, I, O) gradient, without building it. The input is
             # the ReLU of the previous pre-activation, recomputed per sample.
+            g.mu_w[...] = 0.0
+            g.logvar_w[...] = 0.0
             for s in range(n_samples):
                 d_w = np.maximum(cache.pre[li - 1][s], 0.0).T @ d_z[s]  # (I, O)
                 g.mu_w += d_w
                 d_w *= eps_w[s]
                 g.logvar_w += d_w
             g.logvar_w *= 0.5 * np.exp(0.5 * layer.logvar_w)
-        d_b = d_z.sum(axis=1)                       # (S, O)
-        g.mu_b[...] = d_b.sum(axis=0, dtype=np.float64)
-        g.logvar_b[...] = ((d_b * eps_b).sum(axis=0, dtype=np.float64)
-                           * (0.5 * np.exp(0.5 * layer.logvar_b)))
-        # The KL part on both rows at once; against a new head's all-zero
-        # prior, mu - 0.0, exp(-0.0) and logvar - 0.0 change no bit.
-        g.flat[0] += kl_scale * (layer.flat[0] - pl.flat[0]) * np.exp(-pl.flat[1])
-        g.flat[1] += kl_scale * 0.5 * (np.exp(layer.flat[1] - pl.flat[1]) - 1.0)
-
+        _add_kl_gradient(g, layer, pl, kl_scale)
         if li > 0:
             w, _ = cache.weights[li - 1]
-            d_a = d_z @ w.transpose(0, 2, 1)        # (S, B, I)
-            d_z = d_a * (cache.pre[li - 1] > 0)
+            d_z = d_z @ w.transpose(0, 2, 1)        # (S, B, I), then the ReLU's mask
+            d_z *= cache.pre[li - 1] > 0
     return grads
 
 
@@ -473,14 +543,17 @@ def fit(net: VariationalNet, prior: VariationalNet, head_index: int, data: TaskV
     kept; the KL is divided by the task size ``len(data)``. Each step draws
     its noise from ``rng`` with :func:`sample_noise` and gathers its batch
     from the view with ``data.take``, so the task is never materialized
-    whole; a step's cache and gradients are released before the next step
-    starts. Each step's loss must be finite (``NumericError`` otherwise).
-    One code path serves fixed and scheduled beta.
+    whole; a step's noise and cache are released before the next step
+    starts. The first step's gradient buffers take every later step's
+    gradients too.
+    Each step's loss must be finite (``NumericError`` otherwise). One code
+    path serves fixed and scheduled beta.
     """
     n_task = len(data)
     if n_task == 0:
         raise ValueError("empty dataset")
     optimizer = NetAdam(net, head_index, lr)
+    grads = None
     for _ in range(epochs):
         order = rng.permutation(n_task)
         for start in range(0, n_task, batch_size):
@@ -489,13 +562,16 @@ def fit(net: VariationalNet, prior: VariationalNet, head_index: int, data: TaskV
             x, y = data.take(idx)
             _, cache = beta_elbo_loss(net, prior, head_index, x, y, beta=beta, n_task=n_task,
                                       noise=noise)
-            grads = backward_gradients(net, prior, cache, y, beta=beta, n_task=n_task)
+            grads = backward_gradients(net, prior, cache, y, beta=beta, n_task=n_task,
+                                       out=grads)
             optimizer.step(grads)
-            # The noise stays until the next step's replaces it. Freeing it
-            # here too left glibc enough free heap top to trim and fault
-            # back in every step: 299549 -> 31415 minor faults on
-            # split-fixed at seed 4242 (2-core VM, transparent huge pages off).
-            del cache, grads
+            # Made in the first step's backward pass, the gradient buffers
+            # sit above that step's working memory on the heap, so glibc
+            # cannot trim what later steps free below them and fault it back
+            # in on the next step. Made before the loop, they let split-fixed
+            # (seed 4242, 2-core VM, transparent huge pages off) take 145k
+            # minor faults a run instead of 56k.
+            del cache, noise
 
 
 def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,

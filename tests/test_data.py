@@ -1,13 +1,14 @@
 import gzip
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vclab.data import (BLOB_DIM, DataFormatError, Dataset, MissingDataError,
-                        STANDARD_SPLIT_PAIRS, TaskView, _bilinear_matrix, _read_cifar_batch,
-                        load_cifar10_gray28,
+from vclab.data import (_BLOB_PIXEL_NOISE, _BLOB_SIGNAL_GAIN, BLOB_DIM, DataFormatError, Dataset,
+                        MissingDataError, STANDARD_SPLIT_PAIRS, TaskView, _bilinear_matrix,
+                        _blob_basis, _read_cifar_batch, load_cifar10_gray28,
                         load_mnist, make_mixed_sequence, make_permuted_tasks, make_split_tasks,
                         make_synthetic_blobs)
 from vclab.numerics import make_rng
@@ -60,6 +61,18 @@ class TestIdxLoader:
         # Scaled in float32: the float32 cast of the float64 quotient.
         assert np.array_equal(train.images, (raw_train.reshape(20, -1) / 255.0).astype(np.float32))
         assert train.labels.dtype == np.int64
+
+    def test_pixels_are_scaled_in_place(self, tmp_path):
+        # The file's bytes and one float32 copy of its pixels; a second
+        # float32 copy, as pixels / 255.0 makes, would exceed the bound.
+        make_mnist_dir(tmp_path, n_train=2000, n_test=10)
+        tracemalloc.start()
+        try:
+            train, _ = load_mnist(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * train.images.nbytes
 
     def test_bad_magic(self, tmp_path):
         make_mnist_dir(tmp_path)
@@ -344,6 +357,37 @@ class TestSyntheticBlobs:
         direction = xb[yb == 1].mean(axis=0) - xb[yb == 0].mean(axis=0)
         # the flipped task's class-1 cluster sits on the class-0 side
         assert (xf[yf == 1] @ direction).mean() < (xf[yf == 0] @ direction).mean()
+
+    @pytest.mark.parametrize("n, n_test", [(300, 77), (2049, 257), (4, 1)])
+    def test_row_blocks_give_the_whole_array_bits(self, n, n_test):
+        # Neither count is a multiple of the 256-row block; 2049 and 257
+        # end in a one-row remainder, and one test row is a single row.
+        task = make_synthetic_blobs(6.0, 0.7, n, make_rng("blk", n), n_test=n_test)
+        rng = make_rng("blk", n)
+        axis = np.array([np.cos(0.7), np.sin(0.7)])
+        for view, count in ((task.train, n), (task.test, n_test)):
+            y = (np.arange(count) % 2).astype(np.int64)
+            rng.shuffle(y)
+            latent = (y[:, None] - 0.5) * 6.0 * axis + rng.standard_normal((count, 2))
+            x = 0.5 + _BLOB_SIGNAL_GAIN * latent @ _blob_basis()
+            x += _BLOB_PIXEL_NOISE * rng.standard_normal((count, BLOB_DIM))
+            np.clip(x, 0.0, 1.0, out=x)
+            assert view.images.dtype == np.float32
+            assert view.images.tobytes() == x.astype(np.float32).tobytes()
+            assert np.array_equal(view.labels, y)
+
+    def test_peak_memory_is_under_twice_the_pixels(self):
+        # A whole split's float64 temporaries would take 3.2 times the
+        # float32 pixels returned at these sizes. The basis is made once per
+        # process, before tracing starts.
+        _blob_basis()
+        tracemalloc.start()
+        try:
+            task = make_synthetic_blobs(6.0, 0.7, 2048, make_rng("blk", "peak"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (task.train.images.nbytes + task.test.images.nbytes)
 
     def test_validation(self):
         with pytest.raises(ValueError):

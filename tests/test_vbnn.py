@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from vclab import vbnn
 from vclab.data import TaskView
-from vclab.numerics import NumericError, finite_diff_grad, make_rng
+from vclab.numerics import CHUNK, NumericError, finite_diff_grad, make_rng
 from vclab.vbnn import (INIT_LOGVAR, advance_prior, backward_gradients,
                         beta_elbo_loss, diag_gaussian_kl, fit, forward_with_noise,
                         init_network, kl_to_prior, load_snapshot, posterior_predict,
@@ -30,6 +30,12 @@ def random_net(seed, input_dim=4, hidden=(3,), out=2, heads=(0,), jitter=0.0):
             for a in layer.param_arrays():
                 a += jitter * rng.standard_normal(a.shape)
     return net
+
+
+def wide_net(seed, jitter=0.0):
+    """A 784-64-2 net: its first layer's (2, n) buffer has 50240 entries per
+    row, more than ``numerics.CHUNK``."""
+    return random_net(seed, input_dim=784, hidden=(64,), out=2, jitter=jitter)
 
 
 # exp(180 / 2) is about 1.2e39: finite in float64, beyond float32's 3.4e38.
@@ -296,6 +302,24 @@ class TestKl:
         with pytest.raises(ValueError):
             kl_to_prior(net, advance_prior(other), 0)
 
+    def test_a_layer_wider_than_a_chunk(self):
+        # The chunk sums are summed, so the total may move in its last bits
+        # against one whole-array sum, but KL(q || q) stays exactly 0.0.
+        net, prior_net = wide_net(14, jitter=0.3), wide_net(15, jitter=0.3)
+        (mu, logvar), (mu0, logvar0) = net.trunk[0].flat, prior_net.trunk[0].flat
+        assert mu.size > CHUNK
+        diff = logvar - logvar0
+        whole = 0.5 * float(np.sum(-diff + np.exp(diff) + (mu - mu0) ** 2 * np.exp(-logvar0)
+                                   - 1.0))
+        assert diag_gaussian_kl(mu, logvar, mu0, logvar0) == pytest.approx(whole, rel=1e-12)
+        assert kl_to_prior(net, advance_prior(net), 0) == 0.0
+        assert kl_to_prior(net, advance_prior(prior_net), 0) > 0.0
+        # Scalar prior arguments broadcast, against rows and (I, O) arrays.
+        layer = net.trunk[0]
+        for m, lv in ((mu, logvar), (layer.mu_w, layer.logvar_w)):
+            whole = 0.5 * float(np.sum(-lv + np.exp(lv) + m ** 2 - 1.0))
+            assert diag_gaussian_kl(m, lv, 0.0, 0.0) == pytest.approx(whole, rel=1e-12)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_kl_nonnegative(self, seed):
@@ -419,6 +443,57 @@ class TestBackward:
              for b in (1.0, 2.0, 3.0)]
         np.testing.assert_allclose(g[2] - g[1], g[1] - g[0], rtol=1e-9, atol=1e-15)
 
+    def test_kl_part_across_chunks_has_the_whole_array_bits(self):
+        # Against the posterior itself the KL part is exactly +0.0, so that
+        # call gives the likelihood part alone.
+        net, prior = wide_net(41, jitter=0.3), advance_prior(wide_net(42, jitter=0.3))
+        x = make_rng("g9").random((8, 784))
+        y = np.arange(8) % 2
+        noise = sample_noise(net, 0, 2, make_rng(82), 8)
+        _, cache = beta_elbo_loss(net, prior, 0, x, y, beta=3.0, n_task=100, noise=noise)
+        likelihood = backward_gradients(net, advance_prior(net), cache, y, beta=3.0, n_task=100)
+        grads = backward_gradients(net, prior, cache, y, beta=3.0, n_task=100)
+        kl_scale = 3.0 / 100
+        for g, lik, layer, p in zip(grads, likelihood, net.active_layers(0),
+                                    prior.active_layers(0)):
+            (mu, logvar), (mu0, logvar0) = layer.flat, p.flat
+            assert g.flat[0].tobytes() == (
+                lik.flat[0] + kl_scale * (mu - mu0) * np.exp(-logvar0)).tobytes()
+            assert g.flat[1].tobytes() == (
+                lik.flat[1] + kl_scale * 0.5 * (np.exp(logvar - logvar0) - 1.0)).tobytes()
+        assert grads[0].flat.shape[1] > CHUNK
+
+    def test_buffers_of_an_earlier_call_give_the_bits_of_fresh_ones(self):
+        # Written over the first call's gradients, the second call's equal
+        # those written into fresh zeros: nothing of the first leaks into
+        # the second's per-sample sums.
+        net = random_net(39, input_dim=6, hidden=(5, 4), out=3, jitter=0.3)
+        prior = advance_prior(random_net(40, input_dim=6, hidden=(5, 4), out=3, jitter=0.3))
+        x = make_rng("g8").random((7, 6))
+        y = np.arange(7) % 3
+        first, second = (beta_elbo_loss(net, prior, 0, x, y, beta=1.0, n_task=50,
+                                        noise=sample_noise(net, 0, 3, make_rng(81, k), 7))[1]
+                         for k in range(2))
+        buffers = backward_gradients(net, prior, first, y, beta=1.0, n_task=50)
+        before = [g.flat.copy() for g in buffers]
+        reused = backward_gradients(net, prior, second, y, beta=1.0, n_task=50, out=buffers)
+        fresh = backward_gradients(net, prior, second, y, beta=1.0, n_task=50)
+        assert reused is buffers
+        for r, f, b in zip(reused, fresh, before):
+            assert r.flat.tobytes() == f.flat.tobytes()
+            assert not np.array_equal(r.flat, b)
+
+    def test_buffers_must_fit_the_layers(self):
+        net = random_net(43)
+        prior = advance_prior(net)
+        y = np.array([0, 1])
+        _, cache = beta_elbo_loss(net, prior, 0, make_rng("g10").random((2, 4)), y, beta=1.0,
+                                  n_task=10, noise=sample_noise(net, 0, 1, make_rng(83), 2))
+        buffers = [layer.zeros_like() for layer in net.active_layers(0)]
+        for out in (buffers[:1], buffers[::-1]):
+            with pytest.raises(ValueError, match="gradient buffers"):
+                backward_gradients(net, prior, cache, y, beta=1.0, n_task=10, out=out)
+
     def test_stale_cache_rejected(self):
         net = random_net(36)
         prior = advance_prior(net)
@@ -504,6 +579,32 @@ class TestFitMemory:
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_peak_is_the_model_state_plus_one_step(self):
+        # Model state: Adam's two moments and one gradient set, three copies
+        # of the parameters. One step: its noise, batch and cache, and the
+        # KL's (3, CHUNK) float64 scratch. A quarter of the parameters'
+        # bytes covers small arrays and Python objects; whole-array KL
+        # temporaries of this net's first layer exceed it.
+        net = wide_net(61)
+        prior = advance_prior(net)
+        x = make_rng("fm").random((64, 784))
+        y = np.arange(64) % 2
+        params = sum(layer.flat.nbytes for layer in net.active_layers(0))
+        noise = sample_noise(net, 0, 5, make_rng("fm-step"), 16)
+        _, cache = beta_elbo_loss(net, prior, 0, x[:16], y[:16], beta=1.0, n_task=64,
+                                  noise=noise)
+        step = sum(a.nbytes for a in (*(a for pair in noise for a in pair), cache.x, cache.std,
+                                      *cache.pre, *(a for pair in cache.weights for a in pair)))
+        del noise, cache
+        tracemalloc.start()
+        try:
+            fit(net, prior, 0, whole_view(x, y), beta=1.0, epochs=1, batch_size=16, lr=0.01,
+                mc_samples=5, rng=make_rng("fm-fit"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * params + step + 3 * CHUNK * 8 + params / 4
 
     def test_one_step_alive_at_a_time(self):
         # A step's noise, cache or gradients still alive during the next
