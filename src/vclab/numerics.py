@@ -1,7 +1,7 @@
-"""Dense numerical kernel: seeded random streams, Adam, and a
+"""Dense numerical kernel: seeded random streams, a stateless Adam update, and a
 finite-difference gradient oracle used by the test suite.
 
-Parameters, Adam state, the KL and gradient sums are float64, and so is
+Parameters, Adam's moments, the KL and gradient sums are float64, and so is
 everything here; the Monte Carlo arithmetic of :mod:`vclab.vbnn` (noise,
 sampled weights, activations, softmax and d_z) runs in float32. Arrays are
 row-major. All randomness flows through numpy
@@ -21,7 +21,6 @@ import hashlib
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -104,21 +103,6 @@ def make_rng(*parts: int | str) -> np.random.Generator:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
-class AdamState:
-    """Per-parameter Adam accumulator (first/second moments + step count)."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step_count: int = 0
-    lr: float = 0.001
-
-    @classmethod
-    def zeros_like(cls, param: np.ndarray, lr: float = 0.001) -> "AdamState":
-        return cls(m=np.zeros_like(param, dtype=np.float64),
-                   v=np.zeros_like(param, dtype=np.float64), lr=lr)
-
-
 # Elements per chunk of the loops that run through a layer's (2, n) buffers:
 # Adam, the KL and its gradient. The six chunks one Adam update touches
 # (parameters, gradient, both moments, two scratch rows) take 1.5 MB, which
@@ -132,8 +116,9 @@ def chunks(n: int):
     return (slice(start, start + CHUNK) for start in range(0, n, CHUNK))
 
 
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarray:
-    """One bias-corrected Adam update, in place on ``param`` and ``state``.
+def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+              lr: float) -> None:
+    """Adam's bias-corrected update at step ``t`` >= 1, in place on ``param``, ``m`` and ``v``.
 
     Runs through the buffers in chunks of at most ``CHUNK`` elements with
     one (2, chunk) scratch array allocated per call, and evaluates in the
@@ -141,17 +126,15 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
     ``param -= (lr * m_hat) / (sqrt(v_hat) + eps)``, so the bits equal those
     of the whole-array expressions.
     """
-    if param.shape != grad.shape or param.shape != state.m.shape:
-        raise ValueError(
-            f"shape mismatch: param {param.shape}, grad {grad.shape}, state {state.m.shape}")
-    if not (param.flags.c_contiguous and state.m.flags.c_contiguous
-            and state.v.flags.c_contiguous):
+    if not param.shape == grad.shape == m.shape == v.shape:
+        raise ValueError(f"shape mismatch: {[a.shape for a in (param, grad, m, v)]}")
+    if not (param.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
         raise ValueError("param and the Adam moments must be C-contiguous")
-    state.step_count += 1
-    t = state.step_count
+    if t < 1:
+        raise ValueError(f"Adam's step count starts at 1, got {t}")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     m_scale, v_scale = 1.0 - b1 ** t, 1.0 - b2 ** t
-    p, g, m, v = (a.reshape(-1) for a in (param, grad, state.m, state.v))
+    p, g, m, v = (a.reshape(-1) for a in (param, grad, m, v))
     scratch = np.empty((2, min(CHUNK, p.size)))
     for part in chunks(p.size):
         g_c, m_c, v_c = g[part], m[part], v[part]
@@ -167,10 +150,9 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
         np.sqrt(den, out=den)
         den += ADAM_EPS
         np.divide(m_c, m_scale, out=num)
-        num *= state.lr
+        num *= lr
         num /= den
         p[part] -= num
-    return param
 
 
 def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -80,7 +80,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .numerics import CHUNK, AdamState, NumericError, adam_step, atomic_write, chunks
+from .numerics import CHUNK, NumericError, adam_step, atomic_write, chunks
 
 if TYPE_CHECKING:
     from .data import TaskView
@@ -216,10 +216,10 @@ def _prior_layers(net: VariationalNet, prior: VariationalNet,
 
 
 def diag_gaussian_kl(mu: np.ndarray, logvar: np.ndarray,
-                     prior_mu: np.ndarray | float, prior_logvar: np.ndarray | float) -> float:
+                     prior_mu: np.ndarray, prior_logvar: np.ndarray) -> float:
     """Closed-form KL(N(mu, e^logvar) || N(prior_mu, e^prior_logvar)), summed.
 
-    The arguments broadcast together. Each term is
+    The arguments are read flat and must have one size. Each term is
     -diff + exp(diff) + (mu - prior_mu)^2 exp(-prior_logvar) - 1 with
     diff = logvar - prior_logvar, evaluated in that order in chunks of
     ``numerics.CHUNK`` elements through one (3, chunk) scratch array, so no
@@ -227,8 +227,10 @@ def diag_gaussian_kl(mu: np.ndarray, logvar: np.ndarray,
     which can move the last bits against one whole-array sum. KL(q || q) is
     exactly 0.0 in floating point.
     """
-    mu, logvar, prior_mu, prior_logvar = (a.reshape(-1) for a in np.broadcast_arrays(
-        mu, logvar, prior_mu, prior_logvar))
+    mu, logvar, prior_mu, prior_logvar = args = [np.asarray(a).reshape(-1) for a in (
+        mu, logvar, prior_mu, prior_logvar)]
+    if len({a.size for a in args}) > 1:
+        raise ValueError(f"sizes differ: {[a.size for a in args]}")
     scratch = np.empty((3, min(CHUNK, mu.size)))
     total = 0.0
     for part in chunks(mu.size):
@@ -523,15 +525,19 @@ def backward_gradients(net: VariationalNet, prior: VariationalNet, cache: Forwar
 
 
 class NetAdam:
-    """Adam over the parameter buffer of every layer of the trunk plus one head."""
+    """Adam over the trunk plus one head: each layer's moments, allocated m then v, layer
+    by layer, and one step count and one learning rate for them all."""
 
     def __init__(self, net: VariationalNet, head_index: int, lr: float):
         self._layers = net.active_layers(head_index)
-        self._states = [AdamState.zeros_like(layer.flat, lr=lr) for layer in self._layers]
+        self._moments = [(np.zeros_like(layer.flat), np.zeros_like(layer.flat))
+                         for layer in self._layers]
+        self.step_count, self.lr = 0, lr
 
     def step(self, grads: list[VariationalLayer]) -> None:
-        for layer, grad, state in zip(self._layers, grads, self._states):
-            adam_step(layer.flat, grad.flat, state)
+        self.step_count += 1
+        for layer, grad, (m, v) in zip(self._layers, grads, self._moments, strict=True):
+            adam_step(layer.flat, grad.flat, m, v, self.step_count, self.lr)
 
 
 def fit(net: VariationalNet, prior: VariationalNet, head_index: int, data: TaskView, *,

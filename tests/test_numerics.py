@@ -3,30 +3,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vclab.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, NumericError, adam_step,
+from vclab.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, NumericError, adam_step,
                             atomic_write, finite_diff_grad, make_rng, seed_from)
+
+
+def zeros2(p):
+    """Adam's two moments for ``p``, both zero."""
+    return np.zeros_like(p), np.zeros_like(p)
 
 
 class TestAdam:
     def test_zero_gradient_is_identity(self):
         p = np.array([1.0, -2.0])
-        state = AdamState.zeros_like(p)
-        adam_step(p, np.zeros(2), state)
+        m, v = zeros2(p)
+        adam_step(p, np.zeros(2), m, v, 1, 0.001)
         assert p.tolist() == [1.0, -2.0]
-        assert state.step_count == 1
+        assert m.tolist() == v.tolist() == [0.0, 0.0]
 
     def test_first_step_hand_value(self):
         # grad 1 at step 1: m_hat = v_hat = 1, so the update is -lr/(1+eps).
         p = np.array([0.0])
-        adam_step(p, np.array([1.0]), AdamState.zeros_like(p))
+        adam_step(p, np.array([1.0]), *zeros2(p), 1, 0.001)
         assert abs(p[0] + 0.001) < 1e-6
 
     def test_two_steps_hand_value(self):
         # Constant unit gradient: bias correction keeps each step at ~ -lr.
         p = np.array([0.0])
-        state = AdamState.zeros_like(p)
-        adam_step(p, np.array([1.0]), state)
-        adam_step(p, np.array([1.0]), state)
+        m, v = zeros2(p)
+        adam_step(p, np.array([1.0]), m, v, 1, 0.001)
+        adam_step(p, np.array([1.0]), m, v, 2, 0.001)
         assert abs(p[0] + 0.002) < 1e-5
 
     @given(st.integers(0, 2**32 - 1))
@@ -35,36 +40,44 @@ class TestAdam:
         rng = make_rng("adam-lr0", seed)
         p = rng.standard_normal(5)
         before = p.copy()
-        adam_step(p, rng.standard_normal(5), AdamState.zeros_like(p, lr=0.0))
+        adam_step(p, rng.standard_normal(5), *zeros2(p), 1, 0.0)
         assert np.array_equal(p, before)
 
-    def test_shape_mismatch(self):
-        p = np.zeros(3)
+    @pytest.mark.parametrize("grad, m, t", [
+        (np.zeros(4), np.zeros(3), 1),
+        (np.zeros(3), np.zeros(4), 1),
+        (np.zeros(3), np.zeros(3), 0),
+    ], ids=["grad", "moment", "step-zero"])
+    def test_shape_mismatch(self, grad, m, t):
+        # t = 0 would divide by 1 - b1 ** 0 = 0 in the bias correction.
         with pytest.raises(ValueError):
-            adam_step(p, np.zeros(4), AdamState.zeros_like(p))
+            adam_step(np.zeros(3), grad, m, np.zeros(3), t, 0.001)
 
-    def test_non_contiguous_param_rejected(self):
+    @pytest.mark.parametrize("p, m", [
+        (np.zeros((4, 3)).T, np.zeros((3, 4))),
+        (np.zeros((3, 4)), np.zeros((4, 3)).T),
+    ], ids=["param", "moment"])
+    def test_non_contiguous_param_rejected(self, p, m):
         # A flat view of it would be a copy, and the update would be lost.
-        p = np.zeros((4, 3)).T
         with pytest.raises(ValueError):
-            adam_step(p, np.ones(p.shape), AdamState.zeros_like(np.zeros((3, 4))))
+            adam_step(p, np.ones(p.shape), m, np.zeros((3, 4)), 1, 0.001)
 
     def test_chunked_update_equals_whole_array_expressions(self):
         # 80000 elements span three chunks; the update must keep every bit of
         # the textbook whole-array form.
         rng = make_rng("adam-chunks")
         p = rng.standard_normal((2, 40_000))
-        state = AdamState.zeros_like(p, lr=0.01)
+        state_m, state_v = zeros2(p)
         ref_p, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         for t in range(1, 4):
             g = rng.standard_normal(p.shape)
-            adam_step(p, g, state)
+            adam_step(p, g, state_m, state_v, t, 0.01)
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + ((1.0 - b2) * g) * g
             ref_p -= (0.01 * (m / (1.0 - b1 ** t))) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
             assert np.array_equal(p, ref_p)
-            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+            assert np.array_equal(state_m, m) and np.array_equal(state_v, v)
 
 
 class TestAtomicWrite:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from vclab import vbnn
 from vclab.data import TaskView
-from vclab.numerics import CHUNK, NumericError, finite_diff_grad, make_rng
+from vclab.numerics import CHUNK, NumericError, adam_step, finite_diff_grad, make_rng
 from vclab.vbnn import (INIT_LOGVAR, advance_prior, backward_gradients,
                         beta_elbo_loss, diag_gaussian_kl, fit, forward_with_noise,
                         init_network, kl_to_prior, load_snapshot, posterior_predict,
@@ -284,8 +284,10 @@ class TestKl:
         prior = advance_prior(net)
         net.ensure_head(1, 2, make_rng("h1"))  # created after the snapshot
         head = net.heads[1]
-        expected = (diag_gaussian_kl(head.mu_w, head.logvar_w, 0.0, 0.0)
-                    + diag_gaussian_kl(head.mu_b, head.logvar_b, 0.0, 0.0))
+        expected = (diag_gaussian_kl(head.mu_w, head.logvar_w, np.zeros_like(head.mu_w),
+                                     np.zeros_like(head.logvar_w))
+                    + diag_gaussian_kl(head.mu_b, head.logvar_b, np.zeros_like(head.mu_b),
+                                       np.zeros_like(head.logvar_b)))
         trunk_kl = kl_to_prior(net, prior, 0)  # trunk matches snapshot + head 0
         total = kl_to_prior(net, prior, 1)
         assert total == pytest.approx(expected, rel=1e-12)
@@ -314,11 +316,13 @@ class TestKl:
         assert diag_gaussian_kl(mu, logvar, mu0, logvar0) == pytest.approx(whole, rel=1e-12)
         assert kl_to_prior(net, advance_prior(net), 0) == 0.0
         assert kl_to_prior(net, advance_prior(prior_net), 0) > 0.0
-        # Scalar prior arguments broadcast, against rows and (I, O) arrays.
+        # The arguments do not broadcast: a scalar prior against a row, or
+        # a row against an (I, O) array, is a size mismatch.
         layer = net.trunk[0]
-        for m, lv in ((mu, logvar), (layer.mu_w, layer.logvar_w)):
-            whole = 0.5 * float(np.sum(-lv + np.exp(lv) + m ** 2 - 1.0))
-            assert diag_gaussian_kl(m, lv, 0.0, 0.0) == pytest.approx(whole, rel=1e-12)
+        with pytest.raises(ValueError):
+            diag_gaussian_kl(mu, logvar, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            diag_gaussian_kl(layer.mu_w, layer.logvar_w, mu0, logvar0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -613,6 +617,26 @@ class TestFitMemory:
         net = random_net(60, input_dim=200, hidden=(50,), out=2)
         step_grads = sum(layer.flat.nbytes for layer in net.active_layers(0))
         assert self.fit_peak_bytes(4) - self.fit_peak_bytes(1) < step_grads
+
+
+def test_net_adam_advances_one_clock_per_step():
+    # Three steps of a two-layer net: every layer is updated at t = 1, 2, 3.
+    # A clock advanced once per layer would give them t = 1, 3, 5 and 2, 4, 6.
+    net = random_net(70, jitter=0.2)
+    ref = [layer.flat.copy() for layer in net.active_layers(0)]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
+    optimizer = vbnn.NetAdam(net, 0, 0.01)
+    rng = make_rng("net-adam")
+    for t in (1, 2, 3):
+        grads = [layer.zeros_like() for layer in net.active_layers(0)]
+        for g in grads:
+            g.flat[...] = rng.standard_normal(g.flat.shape)
+        optimizer.step(grads)
+        for p, g, (m, v) in zip(ref, grads, moments):
+            adam_step(p, g.flat, m, v, t, 0.01)
+    assert len(ref) == 2
+    for layer, p in zip(net.active_layers(0), ref):
+        assert np.array_equal(layer.flat, p)
 
 
 def serial_fit(net, prior, head_index, x, y, *, beta, epochs, batch_size, lr, mc_samples,
