@@ -269,9 +269,10 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     The CSV path and each trial's stage-1 snapshot path are checked before
     any data is loaded, and every trial's stage paths through
     :func:`snapshot_paths` once trial 0's tasks exist, before any training.
-    In ``auto`` mode each stage's progress line also shows its trace: d, s,
-    delta_d, a* (``-`` with no head of the task's arity) and the probe
-    accuracies."""
+    Each stage's rows are taken from ``run_sequence``'s progress callback,
+    which then prints the stage's progress line. In ``auto`` mode that line
+    also shows the trace: d, s, delta_d, a* (``-`` with no head of the
+    task's arity) and the probe accuracies."""
     label = cfg.model_label()
     out = Path(cfg.out_dir) / f"{cfg.experiment}_{label.replace(':', '-')}.csv"
     trial_dirs = [Path(cfg.snapshot_dir) / f"trial{trial}" if cfg.snapshot_dir else None
@@ -289,6 +290,9 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                 snapshot_paths(trial_dir, len(tasks), out)
 
         def report(t, trace, accuracies, trial=trial):
+            rows.extend(ResultRow(cfg.experiment, label, trial, seed, t, i, tasks[i].name,
+                                  accuracy, trace.beta, trace.d, trace.s, trace.delta_d)
+                        for i, accuracy in enumerate(accuracies))
             line = (f"[{cfg.experiment}/{label}] trial {trial} stage {t}/{len(tasks)} "
                     f"beta={trace.beta:.4g} avg_acc={np.mean(accuracies):.4f}")
             if trace.d is not None:
@@ -298,14 +302,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                          f" a*={a_star} probe_acc={probes}")
             print(line, flush=True)
 
-        matrix, traces = run_sequence(tasks, hidden_dims, cfg, cfg, seed,
-                                      snapshot_dir=trial_dirs[trial], progress=report)
-        for t, (accuracies, trace) in enumerate(zip(matrix.rows(), traces), start=1):
-            for i, accuracy in enumerate(accuracies):
-                rows.append(ResultRow(
-                    experiment=cfg.experiment, model=label, trial=trial, seed=seed,
-                    stage=t, task_index=i, task_name=tasks[i].name, accuracy=accuracy,
-                    beta=trace.beta, d=trace.d, s=trace.s, delta_d=trace.delta_d))
+        run_sequence(tasks, hidden_dims, cfg, cfg, seed, snapshot_dir=trial_dirs[trial],
+                     progress=report)
         del tasks  # so two trials' pixels are never alive at once
     return write_results_csv(rows, out)
 

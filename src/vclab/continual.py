@@ -116,21 +116,26 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
     """Run the full task sequence, returning the accuracy matrix and the
     heuristic trace of each stage, in stage order.
 
-    Every task needs a non-empty train and test split, and tasks that share
-    a head must have the same number of classes. In auto mode each stage is
-    assessed (difficulty probe, similarity, beta) before training, so every
-    task needs 2 * probe_size training examples; fixed mode skips the probes
-    and uses the constant beta. After each stage the posterior becomes the
-    prior and every seen task is re-evaluated. If ``snapshot_dir`` is given,
-    the stage-t posterior is written to its :func:`snapshot_paths` path, all
-    of which are checked before stage 1. A floating-point overflow, invalid
-    value or division by zero in a stage raises ``NumericError`` naming the
-    stage and its phase: assessment, training or evaluation.
+    Every task needs the first task's input width, a non-empty train and
+    test split and, in auto mode, 2 * probe_size training examples; tasks
+    that share a head must have the same number of classes. Auto mode
+    assesses each stage (difficulty probe, similarity, beta) before
+    training; fixed mode uses the constant beta. After stage t the posterior
+    becomes the prior, every seen task is re-evaluated and ``progress(t,
+    trace, accuracies)``, if given, is called. The stage-t posterior is
+    written to its :func:`snapshot_paths` path if ``snapshot_dir`` is given.
+    Tasks and paths are checked before stage 1. A floating-point overflow,
+    invalid value or division by zero in a stage raises ``NumericError``
+    naming the stage and its phase: assessment, training or evaluation.
     """
     if not tasks:
         raise ValueError("need at least one task")
+    auto, size = cfg.beta_mode == "auto", heuristic_cfg.probe_size
     arity: dict[int, int] = {}
     for task in tasks:
+        if task.input_dim != tasks[0].input_dim:
+            raise ConfigError(f"task {task.name!r} has {task.input_dim} inputs, but task "
+                              f"{tasks[0].name!r} has {tasks[0].input_dim}")
         if arity.setdefault(task.head_index, task.n_classes) != task.n_classes:
             raise ConfigError(f"task {task.name!r} has {task.n_classes} classes, but head "
                               f"{task.head_index} is shared with a "
@@ -138,13 +143,9 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
         for split in ("train", "test"):
             if len(getattr(task, split)) == 0:
                 raise ConfigError(f"task {task.name!r} has an empty {split} split")
-    auto = cfg.beta_mode == "auto"
-    if auto:
-        size = heuristic_cfg.probe_size
-        for task in tasks:
-            if 2 * size > len(task.train):
-                raise ConfigError(f"probe_size {size} needs {2 * size} training "
-                                  f"examples, task {task.name!r} has {len(task.train)}")
+        if auto and 2 * size > len(task.train):
+            raise ConfigError(f"probe_size {size} needs {2 * size} training "
+                              f"examples, task {task.name!r} has {len(task.train)}")
     snapshots = [] if snapshot_dir is None else snapshot_paths(snapshot_dir, len(tasks))
     net = init_network(tasks[0].input_dim, hidden_dims, make_rng(master_seed, "init"))
     prior = standard_prior(net)

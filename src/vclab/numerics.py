@@ -1,5 +1,5 @@
-"""Dense numerical kernel: seeded random streams, a stateless Adam update, and a
-finite-difference gradient oracle used by the test suite.
+"""Dense numerical kernel: seeded random streams, a chunk walk, a stateless Adam
+update and a finite-difference gradient oracle used by the test suite.
 
 Parameters, Adam's moments, the KL and gradient sums are float64, and so is
 everything here; the Monte Carlo arithmetic of :mod:`vclab.vbnn` (noise,
@@ -42,14 +42,17 @@ def require_positive(name: str, value: float) -> None:
 
 def check_writable(path, *inputs) -> None:
     """Raise ConfigError unless :func:`atomic_write` can write ``path``: it is
-    not a directory, its nearest parent that exists or is a link is one, and
-    it is not the same file as any of ``inputs``, also through a link."""
+    not a directory, its nearest parent that exists or is a link is one this
+    process may write and enter, and it is not the same file as any of
+    ``inputs``, also through a link."""
     path = Path(path)
     if path.is_dir():
         raise ConfigError(f"cannot write {path}: it is a directory")
     parent = next(p for p in path.parents if p.exists() or p.is_symlink())
     if not parent.is_dir():
         raise ConfigError(f"cannot write {path}: {parent} is not a directory")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write {path}: {parent} is not writable")
     for source in inputs:
         if path.exists() and Path(source).exists() and path.samefile(source):
             raise ConfigError(f"cannot write {path}: it is the input {source}")
@@ -110,21 +113,24 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 CHUNK = 1 << 15
 
 
-def chunks(n: int):
-    """Slices that cover ``range(n)`` in order, ``CHUNK`` elements each but
-    the last."""
-    return (slice(start, start + CHUNK) for start in range(0, n, CHUNK))
+def chunks(n: int, rows: int):
+    """``(part, scratch)`` pairs: the slices ``part`` cover ``range(n)`` in
+    order, ``CHUNK`` elements each but the last, and each ``scratch`` is
+    ``rows`` float64 rows of the part's length, cut from one
+    ``(rows, min(CHUNK, n))`` array allocated per call."""
+    scratch = np.empty((rows, min(CHUNK, n)))
+    for start in range(0, n, CHUNK):
+        yield slice(start, start + CHUNK), scratch[:, :n - start]
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
               lr: float) -> None:
     """Adam's bias-corrected update at step ``t`` >= 1, in place on ``param``, ``m`` and ``v``.
 
-    Runs through the buffers in chunks of at most ``CHUNK`` elements with
-    one (2, chunk) scratch array allocated per call, and evaluates in the
-    order ``m += (1 - b1) * g``, ``v += ((1 - b2) * g) * g`` and
-    ``param -= (lr * m_hat) / (sqrt(v_hat) + eps)``, so the bits equal those
-    of the whole-array expressions.
+    Walks the buffers with :func:`chunks` and two scratch rows, evaluating
+    ``m += (1 - b1) * g``, ``v += ((1 - b2) * g) * g`` and
+    ``param -= (lr * m_hat) / (sqrt(v_hat) + eps)`` in that order, so the
+    bits equal those of the whole-array expressions.
     """
     if not param.shape == grad.shape == m.shape == v.shape:
         raise ValueError(f"shape mismatch: {[a.shape for a in (param, grad, m, v)]}")
@@ -135,10 +141,8 @@ def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     m_scale, v_scale = 1.0 - b1 ** t, 1.0 - b2 ** t
     p, g, m, v = (a.reshape(-1) for a in (param, grad, m, v))
-    scratch = np.empty((2, min(CHUNK, p.size)))
-    for part in chunks(p.size):
+    for part, (num, den) in chunks(p.size, 2):
         g_c, m_c, v_c = g[part], m[part], v[part]
-        num, den = scratch[:, :g_c.size]
         np.multiply(g_c, 1.0 - b1, out=num)
         m_c *= b1
         m_c += num

@@ -47,9 +47,9 @@ ReLU of the cached pre-activation, one sample at a time, and sums the
 per-sample weight gradients in sample order, the same bits as the stacked
 computation in the same dtype. The first layer's sum over samples of
 d_z * eps_w is taken the same way, and the ReLU's mask multiplies d_z in
-place. The KL and its gradient, like Adam, run over each (2, n) buffer in
-chunks of ``numerics.CHUNK`` elements through one small scratch array, not
-through whole-buffer temporaries.
+place. The KL and its gradient, like Adam, walk each (2, n) buffer with
+:func:`numerics.chunks`, whose few chunk-wide scratch rows replace
+whole-buffer temporaries.
 
 ``posterior_predict`` computes the first layer's moments once per call and
 runs each draw through a forward pass that keeps no backward cache. Two
@@ -80,7 +80,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .numerics import CHUNK, NumericError, adam_step, atomic_write, chunks
+from .numerics import NumericError, adam_step, atomic_write, chunks
 
 if TYPE_CHECKING:
     from .data import TaskView
@@ -221,20 +221,18 @@ def diag_gaussian_kl(mu: np.ndarray, logvar: np.ndarray,
 
     The arguments are read flat and must have one size. Each term is
     -diff + exp(diff) + (mu - prior_mu)^2 exp(-prior_logvar) - 1 with
-    diff = logvar - prior_logvar, evaluated in that order in chunks of
-    ``numerics.CHUNK`` elements through one (3, chunk) scratch array, so no
-    temporary is the size of a layer. The chunk sums are added in order,
-    which can move the last bits against one whole-array sum. KL(q || q) is
-    exactly 0.0 in floating point.
+    diff = logvar - prior_logvar, evaluated in that order over the chunks
+    of :func:`numerics.chunks` with three scratch rows, so no temporary is
+    the size of a layer. The chunk sums are added in order, which can move
+    the last bits against one whole-array sum. KL(q || q) is exactly 0.0 in
+    floating point.
     """
     mu, logvar, prior_mu, prior_logvar = args = [np.asarray(a).reshape(-1) for a in (
         mu, logvar, prior_mu, prior_logvar)]
     if len({a.size for a in args}) > 1:
         raise ValueError(f"sizes differ: {[a.size for a in args]}")
-    scratch = np.empty((3, min(CHUNK, mu.size)))
     total = 0.0
-    for part in chunks(mu.size):
-        diff, terms, other = scratch[:, :mu[part].size]
+    for part, (diff, terms, other) in chunks(mu.size, 3):
         np.subtract(logvar[part], prior_logvar[part], out=diff)
         np.exp(diff, out=terms)
         terms -= diff
@@ -256,15 +254,13 @@ def _add_kl_gradient(grad: VariationalLayer, layer: VariationalLayer, prior: Var
         dKL/dlogvar = (exp(logvar)/var0 - 1) / 2
 
     as ``scale * (mu - mu0) * exp(-logvar0)`` and
-    ``scale * 0.5 * (exp(logvar - logvar0) - 1)``, in chunks of
-    ``numerics.CHUNK`` elements through one (2, chunk) scratch array: the
-    bits of the whole-array expressions. Against a new head's all-zero
-    prior, mu - 0.0, exp(-0.0) and logvar - 0.0 change no bit.
+    ``scale * 0.5 * (exp(logvar - logvar0) - 1)``, over the chunks of
+    :func:`numerics.chunks` with two scratch rows: the bits of the
+    whole-array expressions. Against a new head's all-zero prior, mu - 0.0,
+    exp(-0.0) and logvar - 0.0 change no bit.
     """
     (mu, logvar), (mu0, logvar0), (g_mu, g_logvar) = layer.flat, prior.flat, grad.flat
-    scratch = np.empty((2, min(CHUNK, mu.size)))
-    for part in chunks(mu.size):
-        term, factor = scratch[:, :mu[part].size]
+    for part, (term, factor) in chunks(mu.size, 2):
         np.subtract(mu[part], mu0[part], out=term)
         term *= scale
         np.negative(logvar0[part], out=factor)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from test_data import (gzip_in_place, loads_or_format_error, make_cifar_dir, make_mnist_dir,
                        write_idx_images, write_idx_labels)
 from test_vbnn import random_net, with_one_huge_sigma
-from vclab import cli, continual
+from vclab import cli, continual, numerics
 from vclab.cli import (CSV_HEADER, AggregateRow, ConfigError, ExperimentConfig, ResultRow,
                        _build_parser, aggregate_trials, build_config, emit_chart_svg,
                        format_aggregates, main, parse_model, read_config_file,
@@ -467,6 +467,31 @@ class TestMainEntry:
         assert "stage 1/" not in proc.stdout  # no stage was trained
         assert not [p for p in tmp_path.rglob("*.snap") if p.is_file()]
 
+    @pytest.mark.parametrize("args", [
+        ["run", "--out-dir", "{ro}/out"],
+        ["run", "--out-dir", "{tmp}/out", "--snapshot-dir", "{ro}/snap"],
+        ["aggregate", "{tmp}/in.csv", "--out", "{ro}/table.csv"],
+    ], ids=["run-out-dir", "run-snapshot-dir", "aggregate-out"])
+    def test_an_unwritable_parent_exits_1_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                          args):
+        # access() grants root any write, so it is made to refuse one directory.
+        ro = tmp_path / "ro"
+        ro.mkdir()
+        (tmp_path / "in.csv").write_text(",".join(CSV_HEADER) + "\n" + GOOD_ROW, encoding="utf-8")
+        access = numerics.os.access
+        monkeypatch.setattr(numerics.os, "access",
+                            lambda path, mode, **kw: Path(path) != ro and access(path, mode, **kw))
+        argv = [arg.format(tmp=tmp_path, ro=ro) for arg in args]
+        if argv[0] == "run":
+            argv += ["--experiment", "synthetic", "--model", "gvcl:1", "--trials", "1",
+                     "--epochs", "1"]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"config error: cannot write {ro}/"), err
+        assert "stage 1/" not in out
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("out_dir", ["d", "d/trial0"])
     def test_run_results_csv_beside_or_among_snapshots_is_valid(self, tmp_path, out_dir):
         # A CSV next to the trial directories, or in one next to its stage
@@ -688,6 +713,25 @@ class TestMainEntry:
                 "--seed", "123", *FAST_ARGS]
         assert main([*args, "--out-dir", str(tmp_path / "a")]) == 0
         assert main([*args, "--out-dir", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "synthetic_autovcl.csv").read_bytes()
+                == (tmp_path / "b" / "synthetic_autovcl.csv").read_bytes())
+
+    def test_run_takes_each_stage_only_from_the_callback(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "SYNTHETIC_N_TRAIN", 512)  # 2 * --probe-size
+        real = cli.run_sequence
+
+        def run_sequence(*a, **kw):
+            real(*a, **kw)
+            return None, None
+
+        def run(name):
+            return main(["run", "--experiment", "synthetic", "--model", "auto", "--trials", "2",
+                         *FAST_ARGS, "--out-dir", str(tmp_path / name),
+                         "--snapshot-dir", str(tmp_path / name / "snap")])
+
+        assert run("a") == 0
+        monkeypatch.setattr(cli, "run_sequence", run_sequence)
+        assert run("b") == 0
         assert ((tmp_path / "a" / "synthetic_autovcl.csv").read_bytes()
                 == (tmp_path / "b" / "synthetic_autovcl.csv").read_bytes())
 

@@ -259,7 +259,9 @@ class TestRunSequence:
         ("snapshot-dir-under-a-file", "afile is not a directory"),
         ("empty-train", "task 'blobs-sep8-rot0.2' has an empty train split"),
         ("empty-test", "task 'blobs-sep8-rot0.2' has an empty test split"),
-    ], ids=["snapshot-dir-under-a-file", "empty-train", "empty-test"])
+        ("other-input-width", "task 'blobs-sep8-rot0.2' has 100 inputs, but task "
+                              "'blobs-sep8-rot0' has 784"),
+    ], ids=["snapshot-dir-under-a-file", "empty-train", "empty-test", "other-input-width"])
     def test_bad_input_is_a_config_error_before_stage_1(self, tmp_path, defect, match):
         (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
         tasks = two_tasks()
@@ -267,6 +269,10 @@ class TestRunSequence:
             split = defect.removeprefix("empty-")
             empty = getattr(tasks[1], split).subset(np.arange(0))
             tasks[1] = dataclasses.replace(tasks[1], **{split: empty})
+        if defect == "other-input-width":
+            tasks[1] = dataclasses.replace(tasks[1], **{
+                split: dataclasses.replace(view, images=view.images[:, :100])
+                for split, view in (("train", tasks[1].train), ("test", tasks[1].test))})
         snapshot_dir = tmp_path / ("afile/snaps" if defect.startswith("snapshot") else "snaps")
         cfg = TrainConfig(epochs=1, batch_size=128, train_mc_samples=2, eval_mc_samples=5,
                           beta_mode="fixed", beta=1.0)

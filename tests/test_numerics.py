@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vclab.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, NumericError, adam_step,
-                            atomic_write, finite_diff_grad, make_rng, seed_from)
+from vclab.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CHUNK, NumericError, adam_step,
+                            atomic_write, chunks, finite_diff_grad, make_rng, seed_from)
 
 
 def zeros2(p):
@@ -78,6 +78,19 @@ class TestAdam:
             ref_p -= (0.01 * (m / (1.0 - b1 ** t))) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
             assert np.array_equal(p, ref_p)
             assert np.array_equal(state_m, m) and np.array_equal(state_v, v)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("n", [0, 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_parts_cover_the_range_and_share_one_scratch(self, n, rows):
+        pairs = list(chunks(n, rows))
+        covered = [i for part, _ in pairs for i in range(n)[part]]
+        assert covered == list(range(n))
+        for part, scratch in pairs:
+            assert scratch.shape == (rows, len(range(n)[part]))
+            assert scratch.dtype == np.float64
+            assert scratch.base is not None and scratch.base is pairs[0][1].base
 
 
 class TestAtomicWrite:
