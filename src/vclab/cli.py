@@ -84,10 +84,10 @@ def parse_model(model: str) -> tuple[str, float]:
 
 
 def _read_text(path, error: type[Exception]) -> str:
-    """The whole UTF-8 file, newlines untranslated; any failure to read or
-    decode it is raised as ``error``."""
+    """The whole UTF-8 file, newlines untranslated and a leading byte-order
+    mark dropped; any failure to read or decode it is raised as ``error``."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from None

@@ -6,6 +6,10 @@ initialization, probing, and evaluation each draw from independent
 sub-streams derived by tag, so switching between fixed-beta and
 scheduled-beta modes never perturbs the training randomness. ``fit`` makes
 every draw on the calling thread, each step's noise just before its step.
+Stage t's evaluation reads only its frozen posterior and its own streams, so
+it runs on a worker thread while stage t + 1 trains, holding
+``vbnn.SPARE_CORE`` so that no third thread starts; its results are reported
+in stage order, with the bits of a serial run.
 Each stage runs with numpy's floating-point errors raised, so an overflow is
 a ``NumericError``, never a warning in a run that succeeds.
 Fixed beta = 1 is vanilla variational continual learning; the scheduled mode
@@ -14,6 +18,7 @@ runs the exact same training code path with a different beta value.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -22,8 +27,8 @@ import numpy as np
 
 from .heuristics import HeuristicConfig, HeuristicTrace, assess_task
 from .numerics import ConfigError, NumericError, check_writable, make_rng, require_positive
-from .vbnn import (VariationalNet, advance_prior, fit, init_network, posterior_predict,
-                   save_snapshot, standard_prior)
+from .vbnn import (SPARE_CORE, VariationalNet, advance_prior, fit, init_network,
+                   posterior_predict, save_snapshot, standard_prior)
 
 _BETA_MODES = ("fixed", "auto")
 
@@ -90,6 +95,25 @@ def evaluate(net: VariationalNet, task, cfg: TrainConfig, rng: np.random.Generat
     return correct / n_test
 
 
+def _evaluate_stage(posterior: VariationalNet, tasks: Sequence, t: int, cfg: TrainConfig,
+                    master_seed: int) -> list[float]:
+    """Stage t's accuracy on each of the first t tasks, each from its own
+    ``eval`` stream, under this thread's raising error state."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return [evaluate(posterior, tasks[i], cfg, make_rng(master_seed, "eval", t, i))
+                    for i in range(t)]
+    except FloatingPointError as exc:
+        raise NumericError(f"stage {t}: {exc} during evaluation") from exc
+
+
+def _on_spare_core(fn, *args):
+    """``fn(*args)`` while holding ``SPARE_CORE``, so no prediction lane
+    starts beside it."""
+    with SPARE_CORE:
+        return fn(*args)
+
+
 def _check_finite(net: VariationalNet, stage: int) -> None:
     for layer in [*net.trunk, *net.heads.values()]:
         if not np.all(np.isfinite(layer.flat)):
@@ -121,12 +145,19 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
     that share a head must have the same number of classes. Auto mode
     assesses each stage (difficulty probe, similarity, beta) before
     training; fixed mode uses the constant beta. After stage t the posterior
-    becomes the prior, every seen task is re-evaluated and ``progress(t,
-    trace, accuracies)``, if given, is called. The stage-t posterior is
-    written to its :func:`snapshot_paths` path if ``snapshot_dir`` is given.
-    Tasks and paths are checked before stage 1. A floating-point overflow,
-    invalid value or division by zero in a stage raises ``NumericError``
-    naming the stage and its phase: assessment, training or evaluation.
+    becomes the prior, and is written to its :func:`snapshot_paths` path if
+    ``snapshot_dir`` is given. Every seen task is then re-evaluated on that
+    frozen posterior, on a one-worker executor started after stage t + 1's
+    assessment and joined after its training and finite check, before stage
+    t + 1's posterior is frozen; the last stage, and a stage whose successor
+    fails in assessment, is evaluated on this thread. ``progress(t, trace,
+    accuracies)``, if given, is called on this thread in stage order, so
+    stage t's call comes after stage t + 1 has trained. Tasks and paths are
+    checked before stage 1. A floating-point overflow, invalid value or
+    division by zero in a stage raises ``NumericError`` naming the stage and
+    its phase: assessment, training or evaluation. Stage t is reported before
+    any error of stage t + 1 is raised, and its own error wins; no thread
+    outlives the call.
     """
     if not tasks:
         raise ValueError("need at least one task")
@@ -152,31 +183,42 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
     matrix = AccuracyMatrix()
     traces: list[HeuristicTrace] = []
 
-    for t, task in enumerate(tasks, start=1):
-        phase = "assessment"
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                if auto:
-                    trace = assess_task(task, net, [tr.d for tr in traces], cfg,
-                                        heuristic_cfg, master_seed)
-                else:
-                    trace = HeuristicTrace(beta=cfg.beta)
-                traces.append(trace)
-                phase = "training"
-                net.ensure_head(task.head_index, task.n_classes,
-                                make_rng(master_seed, "head", t))
-                train_on_task(net, prior, task, trace.beta, cfg,
-                              make_rng(master_seed, "train", t))
-                _check_finite(net, t)
-                prior = advance_prior(net)
-                if snapshots:
-                    save_snapshot(prior, snapshots[t - 1])
-                phase = "evaluation"
-                accuracies = [evaluate(net, tasks[i], cfg, make_rng(master_seed, "eval", t, i))
-                              for i in range(t)]
-        except FloatingPointError as exc:
-            raise NumericError(f"stage {t}: {exc} during {phase}") from exc
+    def report(t: int, accuracies: list[float]) -> None:
         matrix.add_stage(accuracies)
         if progress is not None:
-            progress(t, trace, accuracies)
+            progress(t, traces[t - 1], accuracies)
+
+    for t, task in enumerate(tasks, start=1):
+        phase, evaluation = "assessment", None
+        # Stage t - 1's evaluation runs on this worker while stage t trains.
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vclab-eval") as worker:
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    if auto:
+                        trace = assess_task(task, net, [tr.d for tr in traces], cfg,
+                                            heuristic_cfg, master_seed)
+                    else:
+                        trace = HeuristicTrace(beta=cfg.beta)
+                    if t > 1:
+                        evaluation = worker.submit(_on_spare_core, _evaluate_stage, prior,
+                                                   tasks, t - 1, cfg, master_seed)
+                    phase = "training"
+                    net.ensure_head(task.head_index, task.n_classes,
+                                    make_rng(master_seed, "head", t))
+                    train_on_task(net, prior, task, trace.beta, cfg,
+                                  make_rng(master_seed, "train", t))
+                    _check_finite(net, t)
+            except FloatingPointError as exc:
+                raise NumericError(f"stage {t}: {exc} during {phase}") from exc
+            finally:
+                # Stage t - 1 is reported before stage t's error, and its own
+                # error wins, as if it had been evaluated before stage t began.
+                if t > 1:
+                    report(t - 1, _evaluate_stage(prior, tasks, t - 1, cfg, master_seed)
+                           if evaluation is None else evaluation.result())
+        traces.append(trace)
+        prior = advance_prior(net)
+        if snapshots:
+            save_snapshot(prior, snapshots[t - 1])
+    report(len(tasks), _evaluate_stage(prior, tasks, len(tasks), cfg, master_seed))
     return matrix, traces

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import make_rng
+from .numerics import make_rng, row_blocks
 
 
 class DataFormatError(ValueError):
@@ -68,13 +68,20 @@ class TaskView:
         """Pixels and labels for positions ``idx`` within this view.
 
         Rows and permuted columns are gathered in one indexing step, so no
-        unpermuted copy of the rows is made.
+        unpermuted copy of the rows is made. Unpermuted rows that are one
+        ascending run of C-contiguous float32 pixels come back as a
+        read-only view of them, not a copy; every other selection is a
+        fresh, writable copy.
         """
         rows = self.rows[idx]
-        if self.permutation is None:
-            x = self.images[rows]
-        else:
+        if self.permutation is not None:
             x = self.images[rows[:, None], self.permutation]
+        elif (rows.size and 0 <= rows[0] and rows[-1] < len(self.images)
+              and (np.diff(rows) == 1).all()):
+            x = self.images[rows[0]:rows[-1] + 1]
+            x.flags.writeable = False
+        else:
+            x = self.images[rows]
         return np.ascontiguousarray(x, dtype=np.float32), self.labels[idx]
 
     def subset(self, idx: np.ndarray) -> "TaskView":
@@ -313,7 +320,6 @@ def make_mixed_sequence(mnist: tuple[Dataset, Dataset],
 BLOB_DIM = 784
 _BLOB_SIGNAL_GAIN = 3.0
 _BLOB_PIXEL_NOISE = 0.02
-_BLOB_BLOCK_ROWS = 256
 
 
 @functools.cache
@@ -332,12 +338,10 @@ def make_synthetic_blobs(separation: float, rotation: float, n: int,
 
     Each split is drawn from ``rng`` in this order: its shuffled labels, its
     (count, 2) latent points, then its (count, 784) pixel noise row by row.
-    The float32 pixels are filled in blocks of 256 rows, each from the same
-    float64 expression as the whole split would be, so a block's float64
-    temporaries, not the split's, bound the memory beyond the pixels. A
-    last block of one row joins the block before it: numpy multiplies one
-    row by the basis through a different BLAS routine, which can round
-    differently.
+    The float32 pixels are filled in the blocks of :func:`numerics.row_blocks`,
+    each from the same float64 expression as the whole split would be, so a
+    block's float64 temporaries, not the split's, bound the memory beyond
+    the pixels.
     """
     n_test = n_test if n_test is not None else max(4, n // 4)
     if n < 4 or n_test < 1:
@@ -353,17 +357,14 @@ def make_synthetic_blobs(separation: float, rotation: float, n: int,
         latent = (y[:, None] - 0.5) * separation * axis + rng.standard_normal((count, 2))
         signal = _BLOB_SIGNAL_GAIN * latent
         images = np.empty((count, BLOB_DIM), dtype=np.float32)
-        starts = list(range(0, count, _BLOB_BLOCK_ROWS))
-        if len(starts) > 1 and count - starts[-1] == 1:
-            starts.pop()
-        for start, stop in zip(starts, [*starts[1:], count]):
-            x = signal[start:stop] @ basis          # 0.5 + signal @ basis, in place
+        for rows in row_blocks(count):
+            x = signal[rows] @ basis                # 0.5 + signal @ basis, in place
             x += 0.5
             noise = rng.standard_normal(x.shape)
             noise *= _BLOB_PIXEL_NOISE
             x += noise
             np.clip(x, 0.0, 1.0, out=x)
-            images[start:stop] = x
+            images[rows] = x
         return TaskView(images=images, rows=np.arange(count), labels=y)
 
     return TaskSpec(

@@ -123,6 +123,21 @@ def chunks(n: int, rows: int):
         yield slice(start, start + CHUNK), scratch[:, :n - start]
 
 
+# Rows per block of the loops that build a (rows, 784) array a block at a time:
+# the blob pixels and prediction's first-layer std.
+ROW_BLOCK = 256
+
+
+def row_blocks(n: int):
+    """Slices of ``ROW_BLOCK`` rows that cover ``range(n)`` in order. A last
+    block of one row joins the block before it: numpy multiplies one row
+    through a different BLAS routine, which can round differently."""
+    starts = list(range(0, n, ROW_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
+
+
 def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
               lr: float) -> None:
     """Adam's bias-corrected update at step ``t`` >= 1, in place on ``param``, ``m`` and ``v``.

@@ -53,12 +53,14 @@ whole-buffer temporaries.
 
 ``posterior_predict`` computes the first layer's moments once per call and
 runs each draw through a forward pass that keeps no backward cache. Two
-lanes, this thread and a one-worker executor started under this thread's
-error state, each draw from their own generator, seeded from the call's
-``rng``. So prediction makes no (S, I, O) noise: its peak memory is the two
-(B, O) moments plus two draws' later-layer weights and activations. The
-lane sums are added in a fixed order, so the bits do not depend on thread
-timing.
+lanes each draw from their own generator, seeded from the call's ``rng``:
+this thread's, and a one-worker executor's, started under this thread's
+error state when :data:`SPARE_CORE` is free, or else run on this thread
+after the first. So prediction makes no (S, I, O) noise: its peak memory is
+the two (B, O) moments, the square of one :func:`numerics.row_blocks` block
+of the input, and two draws' later-layer weights and activations. The lane
+sums are added in a fixed order, so the bits do not depend on thread timing
+or on where lane 1 ran.
 
 Each layer keeps means and log-variances as the two rows of one (2, n)
 buffer (see :class:`VariationalLayer`), and so do gradients, Adam moments
@@ -73,14 +75,16 @@ contributes nothing to the KL and receives no updates.
 from __future__ import annotations
 
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .numerics import NumericError, adam_step, atomic_write, chunks
+from .numerics import NumericError, adam_step, atomic_write, chunks, row_blocks
 
 if TYPE_CHECKING:
     from .data import TaskView
@@ -89,6 +93,10 @@ INIT_LOGVAR = -6.0
 # The dtype of the noise fit and posterior_predict draw, and so of their Monte
 # Carlo arithmetic; parameters, the KL, gradients and Adam stay float64.
 NOISE_DTYPE = np.float32
+# Held by the one thread a run may add beside its own: posterior_predict's
+# second lane, or continual's evaluation worker, whose predictions then run
+# both lanes on the worker. Two cores have room for two busy threads.
+SPARE_CORE = threading.Lock()
 
 
 class VariationalLayer:
@@ -331,13 +339,19 @@ def _first_layer_moments(layer: VariationalLayer, x: np.ndarray) -> tuple:
 
     sigma_w^2 = exp(logvar_w) is cast, not sigma_w, so a log-variance in
     (88.7, 177] overflows float32 here although its sigma would not. The
-    mean's cast of mu_w is released before sigma_w^2 is made.
+    mean's cast of mu_w is released before sigma_w^2 is made. x^2 sigma_w^2
+    is multiplied in the row blocks of :func:`numerics.row_blocks` into the
+    std's own buffer, so no (B, I) square is whole; each row has the bits
+    of the whole product.
     """
     mean = x @ layer.mu_w.astype(x.dtype, copy=False)
     var_w = np.exp(layer.logvar_w).astype(x.dtype, copy=False)
     mu_b, sigma_b = (a.astype(x.dtype, copy=False)
                      for a in (layer.mu_b, np.exp(0.5 * layer.logvar_b)))
-    return mean, np.sqrt(np.square(x) @ var_w), mu_b, sigma_b
+    std = np.empty_like(mean)
+    for rows in row_blocks(x.shape[0]):
+        np.matmul(np.square(x[rows]), var_w, out=std[rows])
+    return mean, np.sqrt(std, out=std), mu_b, sigma_b
 
 
 def _as_input(net: VariationalNet, x: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -587,10 +601,12 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
     ...: first the (B, O) first-layer eps and the first bias's eps, then each
     later layer's eps_w and eps_b; it sums their float32 softmax in float64.
     Lane 0 runs here, lane 1 on a one-worker executor that starts under this
-    thread's ``np.geterr()``, since ``np.errstate`` holds per thread; one
-    draw starts no lane. The result is (lane 0 + lane 1) / S. ``result()``
-    raises the lane's errors here, and the ``with`` block joins it before
-    return.
+    thread's ``np.geterr()``, since ``np.errstate`` holds per thread, while
+    this call holds :data:`SPARE_CORE`. One draw starts no lane, and nor does
+    a call that finds the spare core taken: it runs lane 1 here after lane 0,
+    with the same generators and so the same bits. The result is (lane 0 +
+    lane 1) / S. ``result()`` raises the lane's errors here, and the lane is
+    joined before return.
     """
     if n_eval_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -614,12 +630,16 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
             total += softmax(act)
         return total
 
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vclab-predict",
-                            initializer=partial(np.seterr, **np.geterr())) as helper:
-        odd = helper.submit(lane, 1) if n_eval_samples > 1 else None
+    with ExitStack() as stack:
+        odd = None
+        if n_eval_samples > 1 and SPARE_CORE.acquire(blocking=False):
+            stack.callback(SPARE_CORE.release)
+            odd = stack.enter_context(ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="vclab-predict",
+                initializer=partial(np.seterr, **np.geterr()))).submit(lane, 1)
         total = lane(0)
-        if odd is not None:
-            total += odd.result()
+        if n_eval_samples > 1:
+            total += lane(1) if odd is None else odd.result()
     return total / n_eval_samples
 
 

@@ -120,6 +120,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="imagenet")
 
+    def test_a_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        cfg_file = tmp_path / "bom.cfg"
+        cfg_file.write_bytes(b"\xef\xbb\xbfepochs = 3\ntrials = 2\n")
+        assert read_config_file(cfg_file) == {"epochs": "3", "trials": "2"}
+        assert build_config(read_config_file(cfg_file), {}).epochs == 3
+
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("no equals sign here\n")
@@ -186,6 +192,12 @@ class TestResultsCsv:
         path = tmp_path / "blank.csv"
         path.write_text(",".join(CSV_HEADER) + "\n\n" + GOOD_ROW + "\n", encoding="utf-8")
         assert len(read_results_csv(path)) == 1
+
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = write_results_csv([row()], tmp_path / "plain.csv")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_results_csv(bom) == read_results_csv(path) == [row()]
 
     def test_lf_line_endings(self, tmp_path):
         path = write_results_csv([row()], tmp_path / "lf.csv")

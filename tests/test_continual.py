@@ -1,10 +1,14 @@
 import dataclasses
+import itertools
+import threading
 
 import numpy as np
 import pytest
 
 from test_vbnn import with_one_huge_sigma
 import vclab.continual as continual
+import vclab.vbnn as vbnn
+from vclab import cli
 from vclab.continual import AccuracyMatrix, TrainConfig, evaluate, run_sequence, train_on_task
 from vclab.data import Dataset, TaskView, make_permuted_tasks, make_synthetic_blobs
 from vclab.heuristics import HeuristicConfig, HeuristicTrace
@@ -296,3 +300,100 @@ class TestRunSequence:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             run_sequence([], (16,), FAST_TRAIN, FAST_HEUR, master_seed=1)
+
+
+def three_tasks():
+    return [*two_tasks(), blob_task(8.0, rotation=0.4, tag="seq3", head_index=2)]
+
+
+OVERLAP_CFG = TrainConfig(epochs=1, batch_size=128, train_mc_samples=2, eval_mc_samples=5,
+                          beta_mode="auto")
+
+
+def fail_on_calls(monkeypatch, name, calls):
+    """Make the ``calls``-th calls of ``continual.<name>``, counted from 1 in
+    the order they start, raise FloatingPointError("<name> failed")."""
+    real, count = getattr(continual, name), itertools.count(1)
+
+    def wrapper(*args):
+        if next(count) in calls:
+            raise FloatingPointError(f"{name} failed")
+        return real(*args)
+
+    monkeypatch.setattr(continual, name, wrapper)
+
+
+def no_probes(monkeypatch):
+    """Auto mode without probes: every stage is assessed as beta = 1."""
+    monkeypatch.setattr(continual, "assess_task",
+                        lambda *args: HeuristicTrace(beta=1.0, d=0.5, s=0.0, delta_d=0.0))
+
+
+class TestOverlappedEvaluation:
+    """Stage t is evaluated on a worker while stage t + 1 trains; every
+    failure must surface as it did when each stage was evaluated before the
+    next one began."""
+
+    @pytest.mark.parametrize("failures, message, reported", [
+        ({"evaluate": {2}}, "stage 2: evaluate failed during evaluation", [1]),
+        ({"assess_task": {3}}, "stage 3: assess_task failed during assessment", [1, 2]),
+        ({"train_on_task": {3}}, "stage 3: train_on_task failed during training", [1, 2]),
+        ({"evaluate": {2}, "assess_task": {3}}, "stage 2: evaluate failed during evaluation",
+         [1]),
+        ({"evaluate": {2}, "train_on_task": {3}}, "stage 2: evaluate failed during evaluation",
+         [1]),
+    ], ids=["evaluation", "assessment", "training", "evaluation-and-assessment",
+            "evaluation-and-training"])
+    def test_a_failure_reports_the_stages_before_it_and_leaves_no_thread(
+            self, tmp_path, monkeypatch, failures, message, reported):
+        no_probes(monkeypatch)
+        for name, calls in failures.items():
+            fail_on_calls(monkeypatch, name, calls)
+        threads, stages = threading.enumerate(), []
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            run_sequence(three_tasks(), (16,), OVERLAP_CFG, FAST_HEUR, master_seed=29,
+                         snapshot_dir=tmp_path, progress=lambda t, *_: stages.append(t))
+        assert stages == reported
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stage_01.snap", "stage_02.snap"]
+        assert set(threading.enumerate()) <= set(threads)
+
+    def test_the_worker_predicts_without_a_lane_and_the_last_stage_with_one(self, monkeypatch):
+        predicted, lanes = [], []
+        predict = continual.posterior_predict
+
+        def recording_predict(net, head, x, rng, samples):
+            predicted.append(threading.current_thread().name)
+            return predict(net, head, x, rng, samples)
+
+        class RecordingExecutor(vbnn.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                lanes.append(threading.current_thread().name)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(continual, "posterior_predict", recording_predict)
+        monkeypatch.setattr(vbnn, "ThreadPoolExecutor", RecordingExecutor)
+        threads = threading.enumerate()
+        cfg = dataclasses.replace(OVERLAP_CFG, beta_mode="fixed")
+        matrix, _ = run_sequence(three_tasks(), (16,), cfg, FAST_HEUR, master_seed=31)
+        assert len(matrix.rows()) == 3
+        main = threading.current_thread().name
+        # Stages 1 and 2 (1 + 2 tasks) on the worker, stage 3 (3 tasks) here.
+        assert predicted == ["vclab-eval_0"] * 3 + [main] * 3
+        assert lanes == [main] * 3
+        assert set(threading.enumerate()) <= set(threads)
+
+    def test_a_stage_2_evaluation_failure_exits_3_through_vclab_run(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        monkeypatch.setattr(cli, "SYNTHETIC_N_TRAIN", 256)
+        fail_on_calls(monkeypatch, "evaluate", {2})
+        code = cli.main(["run", "--experiment", "synthetic", "--model", "gvcl:1", "--trials",
+                         "1", "--epochs", "1", "--out-dir", str(tmp_path / "out"),
+                         "--snapshot-dir", str(tmp_path / "snap")])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert err == "numeric failure: stage 2: evaluate failed during evaluation\n"
+        assert [line.split(" beta=")[0] for line in out.splitlines()] == [
+            "[synthetic/gvcl:1] trial 0 stage 1/3"]
+        assert not (tmp_path / "out").exists()
+        assert sorted(p.name for p in (tmp_path / "snap" / "trial0").iterdir()) == [
+            "stage_01.snap", "stage_02.snap"]

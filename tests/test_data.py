@@ -427,6 +427,47 @@ class TestTaskView:
         assert xb.tobytes() == x[probe_idx[batch]].tobytes()
         assert np.array_equal(yb, y[probe_idx[batch]])
 
+    @pytest.mark.parametrize("start, stop", [(0, 1), (0, 40), (7, 33), (39, 40)])
+    def test_a_contiguous_run_is_a_read_only_view_with_the_gathers_bytes(self, start, stop):
+        pixels = toy_dataset(40, "test").images
+        view = TaskView(images=pixels, rows=np.arange(40), labels=np.arange(40) % 2)
+        x, y = view.take(np.arange(start, stop))
+        assert np.shares_memory(x, pixels) and not x.flags.writeable
+        assert x.dtype == np.float32 and x.flags.c_contiguous
+        assert x.tobytes() == pixels[np.arange(start, stop)].tobytes()
+        assert np.array_equal(y, np.arange(start, stop) % 2)
+        assert pixels.flags.writeable
+
+    @pytest.mark.parametrize("rows, idx", [
+        (np.arange(40), np.array([3, 4, 6])),
+        (np.arange(40), np.arange(9, 2, -1)),
+        (np.arange(40), np.array([5, 4, 6])),
+        (np.arange(40), np.array([2, 3, 3, 4])),
+        (np.arange(40)[::-1].copy(), np.arange(4, 9)),
+        (np.array([0, 1, 2, 4, 5, 6]), np.arange(6)),
+        (np.arange(-3, 37), np.arange(3)),
+    ], ids=["gap", "reversed", "permuted", "repeated", "reversed-rows", "rows-with-a-gap",
+            "negative-rows"])
+    def test_any_other_selection_is_a_fresh_writable_copy(self, rows, idx):
+        pixels = toy_dataset(40, "test").images
+        view = TaskView(images=pixels, rows=rows, labels=np.zeros(len(rows), dtype=np.int64))
+        x, _ = view.take(idx)
+        assert not np.shares_memory(x, pixels) and x.flags.writeable
+        assert x.tobytes() == pixels[rows[idx]].tobytes()
+
+    def test_a_run_past_the_last_row_is_an_index_error(self):
+        view = TaskView(images=toy_dataset(40, "test").images, rows=np.arange(38, 41),
+                        labels=np.zeros(3, dtype=np.int64))
+        with pytest.raises(IndexError):
+            view.take(np.arange(3))
+
+    def test_a_permuted_contiguous_run_is_a_fresh_writable_copy(self):
+        (task,) = make_permuted_tasks(toy_dataset(50, "train"), toy_dataset(20, "test"), 1,
+                                      make_rng("perm", 10))
+        x, _ = task.test.take(np.arange(20))
+        assert not np.shares_memory(x, task.test.images) and x.flags.writeable
+        assert x.tobytes() == task.test.images[:, task.test.permutation].tobytes()
+
     def test_len_and_take(self):
         view = TaskView(images=np.arange(20.0).reshape(5, 4), rows=np.array([1, 3, 4]),
                         labels=np.array([0, 1, 0]))

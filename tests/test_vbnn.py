@@ -1076,6 +1076,43 @@ class TestPosteriorPredict:
         assert raised is error and len(lane_calls) == fail_at
         assert threading.active_count() == threads and not predict_lane_alive()
 
+    def test_a_taken_spare_core_runs_both_lanes_here_with_the_same_bits(self, monkeypatch):
+        seen = []
+        recording_softmax(monkeypatch, lambda z: seen.append(
+            (threading.current_thread().name, predict_lane_alive())))
+        net = random_net(57, input_dim=6, hidden=(5,), out=3, jitter=0.3)
+        x = make_rng("spare").random((4, 6))
+        free = posterior_predict(net, 0, x, make_rng(14), 7)
+        assert not vbnn.SPARE_CORE.locked() and len(seen) == 7
+        seen.clear()
+        with vbnn.SPARE_CORE:
+            taken = posterior_predict(net, 0, x, make_rng(14), 7)
+            assert vbnn.SPARE_CORE.locked()
+        assert taken.tobytes() == free.tobytes()
+        assert seen == [(threading.current_thread().name, False)] * 7
+
+    def test_a_failing_lane_frees_the_spare_core(self, monkeypatch):
+        def fail_on_the_lane(z):
+            if threading.current_thread().name.startswith("vclab-predict_"):
+                raise RuntimeError("sample failed")
+
+        recording_softmax(monkeypatch, fail_on_the_lane)
+        net = random_net(55, input_dim=6, hidden=(5,), out=3)
+        with pytest.raises(RuntimeError, match="sample failed"):
+            posterior_predict(net, 0, make_rng("err").random((4, 6)), make_rng(12), 7)
+        assert not vbnn.SPARE_CORE.locked()
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 513, 1000])
+    def test_first_layer_std_in_row_blocks_has_the_whole_product_bits(self, rows):
+        # 257 and 513 end in a one-row remainder, which joins the block before it.
+        layer = wide_net(60, jitter=0.5).trunk[0]
+        x = make_rng("blocks", rows).random((rows, layer.fan_in), dtype=np.float32)
+        var_w = np.exp(layer.logvar_w).astype(np.float32)
+        mean, std, _, _ = vbnn._first_layer_moments(layer, x)
+        assert std.dtype == np.float32 and std.flags.c_contiguous
+        assert std.tobytes() == np.sqrt(np.square(x) @ var_w).tobytes()
+        assert mean.tobytes() == (x @ layer.mu_w.astype(np.float32)).tobytes()
+
     def test_a_first_layer_variance_beyond_float32_overflows(self):
         # The first layer's variance is cast, not its sigma: exp(100) is
         # beyond float32, while exp(100 / 2) is a float32 sigma.
