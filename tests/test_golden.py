@@ -1,5 +1,7 @@
-"""Golden anchors: the exact bytes of one small ``synthetic``/``auto`` run and
-of one posterior snapshot file.
+"""Golden anchors: the exact bytes of one small ``synthetic``/``auto`` run, of
+one posterior snapshot file, and of two toy runs built here, one per code path
+the CLI run does not take: a multi-head fixed-beta run on blob tasks that
+writes stage snapshots, and a shared-head permuted ``auto`` run.
 
 Criterion 8 compares two runs of the same code; this compares against
 digests recorded once, so any change that moves a single bit of the results
@@ -12,11 +14,14 @@ is only checked on the stack it was recorded with and skipped elsewhere.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from test_vbnn import random_net
+from vclab import (Dataset, HeuristicConfig, TrainConfig, make_permuted_tasks, make_rng,
+                   make_synthetic_blobs, run_sequence)
 from vclab.cli import main
 from vclab.vbnn import advance_prior, save_snapshot
 
@@ -25,6 +30,11 @@ GOLDEN_ARGS = ["run", "--experiment", "synthetic", "--model", "auto", "--trials"
                "--seed", "8817"]
 GOLDEN_SHA256 = "03db348e7da0d8d1827ec27306cc1fafffe2025231e13dd23c5a63402a616011"
 SNAPSHOT_SHA256 = "e1b81c7b28eefc178baec08959d989006547075f46b697923a1f82d8f7890c9a"
+# The toy runs: each digest covers the accuracy rows (and beta, d, s) of
+# every stage; the split run's second digest covers its last stage snapshot.
+SPLIT_ROWS_SHA256 = "f7f2023b4ce54362b2aaa9e9c656c40b33f0d69e7ba4509d8dee66ba67af3e58"
+SPLIT_SNAPSHOT_SHA256 = "86fec0786e65dd54b8fce1b596ce51e7bb6e7888102d548c5ee459b333f3f345"
+PERMUTED_ROWS_SHA256 = "af1ec0d0694dec97a357b1743322e34ad18350e42e574a033de752b7213bbaed"
 RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
 
@@ -58,3 +68,47 @@ def test_snapshot_bytes_match_golden_digest(tmp_path):
     blob = path.read_bytes()
     assert len(blob) == 544
     assert hashlib.sha256(blob).hexdigest() == SNAPSHOT_SHA256
+
+
+def stage_rows_digest(run) -> str:
+    """sha256 of ``run_sequence``'s accuracy rows, beta, d and s per stage."""
+    matrix, traces = run
+    records = [{"accuracy": row, "beta": tr.beta, "d": tr.d, "s": tr.s}
+               for row, tr in zip(matrix.rows(), traces)]
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+def test_split_fixed_toy_run_matches_golden_digests(tmp_path):
+    # Three binary blob tasks, one head each, gvcl:1, a snapshot per stage.
+    recorded_stack_or_skip()
+    rng = make_rng("golden-split")
+    tasks = [make_synthetic_blobs(sep, rot, 256, rng, n_test=100, head_index=k,
+                                  name=f"blobs-{k}")
+             for k, (sep, rot) in enumerate([(6.0, 0.0), (5.0, 0.6), (7.0, 1.2)])]
+    cfg = TrainConfig(epochs=1, batch_size=64, train_mc_samples=2, eval_mc_samples=4)
+    run = run_sequence(tasks, (16,), cfg, HeuristicConfig(), 8818, snapshot_dir=tmp_path)
+    blob = (tmp_path / "stage_03.snap").read_bytes()
+    assert (stage_rows_digest(run), hashlib.sha256(blob).hexdigest()) == (
+        SPLIT_ROWS_SHA256, SPLIT_SNAPSHOT_SHA256)
+
+
+def ten_class_split(rng, n, centers, split):
+    """``n`` rows of ten Gaussian classes in 64 pixels, clipped to [0, 1]."""
+    labels = np.arange(n) % 10
+    images = np.clip(0.5 + centers[labels] + 0.15 * rng.standard_normal((n, 64)), 0.0, 1.0)
+    return Dataset(images=images, labels=labels, split=split)
+
+
+def test_permuted_auto_toy_run_matches_golden_digest():
+    # Three pixel-permuted views of one ten-class set, one shared head, auto.
+    recorded_stack_or_skip()
+    rng = make_rng("golden-permuted")
+    centers = 0.3 * rng.standard_normal((10, 64))
+    train, test = (ten_class_split(rng, n, centers, split)
+                   for n, split in ((600, "train"), (200, "test")))
+    tasks = make_permuted_tasks(train, test, 3, rng)
+    cfg = TrainConfig(epochs=1, batch_size=32, lr=0.01, train_mc_samples=2,
+                      eval_mc_samples=4, beta_mode="auto")
+    run = run_sequence(tasks, (32,), cfg, HeuristicConfig(probe_size=128, probe_repeats=2),
+                       8819)
+    assert stage_rows_digest(run) == PERMUTED_ROWS_SHA256
