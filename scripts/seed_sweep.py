@@ -2,25 +2,36 @@
 """Seed-sweep equivalence check of two vclab checkouts.
 
 A change that moves the output bits on purpose (a new rounding, a new
-estimator) cannot be checked against the golden digests. This check runs
-``vclab run --experiment synthetic --model auto`` at N seeds in each
-checkout, as ``python -m vclab.cli`` with ``PYTHONPATH=<checkout>/src``, and
-compares, per stage, the means over seeds of the average accuracy, d, s and
-log beta: z is their difference over its standard error,
-sqrt(se_base^2 + se_change^2), and a metric that is the same constant on
-both sides has z = 0.
+estimator) cannot be checked against the golden digests. This check runs one
+workload at N seeds in each checkout and compares, per stage, the means over
+seeds of the average accuracy, of each seen task's accuracy (every cell of
+the accuracy matrix), and of d, s and log beta where the workload has them:
+z is their difference over its standard error, sqrt(se_base^2 +
+se_change^2), and a metric that is the same constant on both sides has
+z = 0.
 
 A metric fails when |z| reaches the two-sided 95% bound, about 2 for one
 metric, corrected for the number M of metrics in the table (Bonferroni:
-the 1 - 0.025 / M normal quantile, 2.87 for 3 stages), so that the same code
-fails the table about 5% of the time rather than at every few runs. At a
-flat 2, 11 of 28 disjoint 8-seed pairs of one toy-sized 64-seed run of the
-same code failed at least one of the 12 metrics; at 2.87, 2 of 28 did.
+the 1 - 0.025 / M normal quantile, 2.99 for the 18 metrics of 3 stages of
+``synthetic``), so that the same code fails the table about 5% of the time
+rather than at every few runs. At a flat 2, 11 of 28 disjoint 8-seed pairs
+of one toy-sized 64-seed run of the same code failed at least one of 12
+metrics; at 2.87, 2 of 28 did.
 
-Trial seeds are master seed + trial index, so seeds 0 .. N-1 of one side
-run as ``--trials`` in two processes. Usage:
+Workloads:
 
-    python scripts/seed_sweep.py BASE CHANGE [--seeds 8]
+- ``synthetic``: ``vclab run --experiment synthetic --model auto``, as
+  ``python -m vclab.cli`` with ``PYTHONPATH=<checkout>/src``. Trial seeds are
+  master seed + trial index, so seeds 0 .. N-1 of one side run as
+  ``--trials`` in two processes.
+- ``split-fixed`` and ``permuted-auto``: the benchmark's stand-ins for
+  ``split_custom`` and ``permuted``. One process per checkout imports that
+  checkout's ``perfbench/worker.py`` and, per seed, builds the workload at
+  its full benchmark size and runs it untraced.
+
+Usage:
+
+    python scripts/seed_sweep.py BASE CHANGE [--seeds 8] [--workload synthetic]
 
 Prints a Markdown table and exits 0 if every metric passes, 1 if any fails.
 """
@@ -29,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import os
 import subprocess
@@ -37,18 +49,63 @@ import tempfile
 from pathlib import Path
 from statistics import NormalDist, fmean, stdev
 
-METRICS = ("avg_acc", "d", "s", "log_beta")
+WORKLOADS = ("synthetic", "split-fixed", "permuted-auto")
 MIN_SEEDS = 8
-JOBS = 2  # processes per side
+JOBS = 2  # processes per side of a synthetic sweep
+
+# Run in a fresh interpreter: argv is the checkout, the workload, the size
+# and the seeds; prints {seed: [{"accuracy", "beta", "d", "s"} per stage]}.
+STAND_IN = """
+import json, sys, tempfile
+from pathlib import Path
+checkout, workload, size, *seeds = sys.argv[1:]
+sys.path.insert(0, str(Path(checkout, "perfbench")))
+import worker
+vclab = worker.import_vclab()
+out = {}
+for seed in seeds:
+    with tempfile.TemporaryDirectory() as tmp:
+        run, _, _ = worker.WORKLOADS[workload](vclab, int(seed), worker.SIZES[size][workload],
+                                               Path(tmp))
+        out[seed] = run(lambda fn: fn)[1]
+print(json.dumps(out))
+"""
 
 # seed -> stage -> metric -> value
 Sweep = dict[int, dict[int, dict[str, float]]]
 
 
-def sweep(checkout, seeds: range, flags: list[str], workdir) -> Sweep:
-    """Per-stage metrics of ``vclab run --experiment synthetic --model auto``
-    with extra ``flags`` at each of ``seeds`` (consecutive), run from
-    ``checkout``'s sources."""
+def stage_metrics(accuracies: list[float], beta: float, d, s) -> dict[str, float]:
+    """One stage's metrics: the average accuracy, each seen task's accuracy
+    (``acc_1`` for the first task), and d, s and log beta unless absent."""
+    metrics = {"avg_acc": sum(accuracies) / len(accuracies)}
+    metrics.update({f"acc_{i}": a for i, a in enumerate(accuracies, start=1)})
+    metrics.update({name: value for name, value in (("d", d), ("s", s)) if value is not None})
+    metrics["log_beta"] = math.log(beta)
+    return metrics
+
+
+def sweep(checkout, seeds: range, flags: list[str], workdir, workload: str = "synthetic",
+          size: str = "full") -> Sweep:
+    """Per-stage metrics of ``workload`` at each of ``seeds`` (consecutive),
+    run from ``checkout``'s sources. ``flags`` go to ``vclab run`` (synthetic
+    only); ``size`` picks the stand-ins' size in ``perfbench/worker.py``."""
+    if workload == "synthetic":
+        return synthetic_sweep(checkout, seeds, flags, workdir)
+    env = {**os.environ, "PYTHONPATH": ""}
+    proc = subprocess.run([sys.executable, "-c", STAND_IN, str(Path(checkout).resolve()),
+                           workload, size,
+                           *map(str, seeds)], env=env, cwd=workdir, capture_output=True,
+                          text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{workload} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+    return {int(seed): {t: stage_metrics(r["accuracy"], r["beta"], r["d"], r["s"])
+                        for t, r in enumerate(records, start=1)}
+            for seed, records in json.loads(proc.stdout.splitlines()[-1]).items()}
+
+
+def synthetic_sweep(checkout, seeds: range, flags: list[str], workdir) -> Sweep:
+    """``sweep`` of ``vclab run --experiment synthetic --model auto``."""
     size = math.ceil(len(seeds) / JOBS)
     chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
     env = {**os.environ, "PYTHONPATH": str(Path(checkout, "src").resolve())}
@@ -67,15 +124,16 @@ def sweep(checkout, seeds: range, flags: list[str], workdir) -> Sweep:
             raise RuntimeError(f"vclab run in {checkout} exited {proc.returncode}:\n{err}")
         with open(out / "synthetic_autovcl.csv", newline="", encoding="utf-8") as fh:
             rows.extend(csv.DictReader(fh))
-    accuracies: dict[tuple[int, int], list[float]] = {}
-    result: Sweep = {}
+    stages: dict[tuple[int, int], dict] = {}
     for r in rows:
-        seed, stage = int(r["seed"]), int(r["stage"])
-        accuracies.setdefault((seed, stage), []).append(float(r["accuracy"]))
-        result.setdefault(seed, {})[stage] = {
-            "d": float(r["d"]), "s": float(r["s"]), "log_beta": math.log(float(r["beta"]))}
-    for (seed, stage), accs in accuracies.items():
-        result[seed][stage]["avg_acc"] = sum(accs) / len(accs)
+        stage = stages.setdefault((int(r["seed"]), int(r["stage"])), {
+            "accuracy": {}, "beta": float(r["beta"]), "d": float(r["d"]), "s": float(r["s"])})
+        stage["accuracy"][int(r["task_index"])] = float(r["accuracy"])
+    result: Sweep = {}
+    for (seed, t), stage in sorted(stages.items()):
+        accuracies = [stage["accuracy"][i] for i in sorted(stage["accuracy"])]
+        result.setdefault(seed, {})[t] = stage_metrics(accuracies, stage["beta"], stage["d"],
+                                                       stage["s"])
     if sorted(result) != list(seeds):
         raise RuntimeError(f"expected seeds {list(seeds)}, the CSVs hold {sorted(result)}")
     return result
@@ -93,17 +151,16 @@ def critical_z(n_metrics: int) -> float:
 def compare(base: Sweep, change: Sweep) -> list[dict]:
     """One row per stage and metric: both means, their standard errors, the
     difference in standard errors of the difference, and whether it passes."""
+    first = next(iter(base.values()))
+    cells = [(stage, metric) for stage in sorted(first) for metric in first[stage]]
+    bound = critical_z(len(cells))
     rows = []
-    stages = sorted(next(iter(base.values())))
-    bound = critical_z(len(stages) * len(METRICS))
-    for stage in stages:
-        for metric in METRICS:
-            b = mean_and_se([per_stage[stage][metric] for per_stage in base.values()])
-            c = mean_and_se([per_stage[stage][metric] for per_stage in change.values()])
-            diff, se = c[0] - b[0], math.hypot(b[1], c[1])
-            z = 0.0 if diff == 0 else (math.inf if se == 0 else diff / se)
-            rows.append(dict(stage=stage, metric=metric, base=b, change=c, z=z,
-                             ok=abs(z) < bound))
+    for stage, metric in cells:
+        b = mean_and_se([per_stage[stage][metric] for per_stage in base.values()])
+        c = mean_and_se([per_stage[stage][metric] for per_stage in change.values()])
+        diff, se = c[0] - b[0], math.hypot(b[1], c[1])
+        z = 0.0 if diff == 0 else (math.inf if se == 0 else diff / se)
+        rows.append(dict(stage=stage, metric=metric, base=b, change=c, z=z, ok=abs(z) < bound))
     return rows
 
 
@@ -123,12 +180,14 @@ def main(argv=None) -> int:
     parser.add_argument("change", help="checkout whose src/ holds the changed vclab")
     parser.add_argument("--seeds", type=int, default=MIN_SEEDS,
                         help=f"seeds per side (at least {MIN_SEEDS})")
+    parser.add_argument("--workload", choices=WORKLOADS, default="synthetic",
+                        help="what each seed runs (default: synthetic)")
     args = parser.parse_args(argv)
     if args.seeds < MIN_SEEDS:
         parser.error(f"need --seeds >= {MIN_SEEDS}")
     with tempfile.TemporaryDirectory() as workdir:
-        base = sweep(args.base, range(args.seeds), [], workdir)
-        change = sweep(args.change, range(args.seeds), [], workdir)
+        base, change = (sweep(checkout, range(args.seeds), [], workdir, args.workload)
+                        for checkout in (args.base, args.change))
     rows = compare(base, change)
     print(format_table(rows))
     failed = [f"stage {r['stage']} {r['metric']}" for r in rows if not r["ok"]]

@@ -1,5 +1,6 @@
-"""The scripts under scripts/: the seed sweep's self-test at toy sizes, and
-the grid script's checks of its output paths."""
+"""The scripts under scripts/: the seed sweep's self-test at toy sizes, for
+the CLI workload and the benchmark's two stand-ins, and the grid script's
+checks of its output paths."""
 
 import importlib.util
 import os
@@ -44,8 +45,9 @@ class TestSeedSweep:
     def test_identical_code_passes(self, base):
         # Identical code writes identical CSV bytes (criterion 8), so both
         # sides read the same numbers; constant metrics have zero spread.
+        # Per stage t: avg_acc, acc_1 .. acc_t, d, s and log_beta.
         rows = seed_sweep.compare(base, base)
-        assert len(rows) == 12
+        assert len(rows) == 18
         assert all(r["ok"] and r["z"] == 0.0 for r in rows), seed_sweep.format_table(rows)
 
     def test_same_code_passes_under_disjoint_seeds(self, base, tmp_path):
@@ -57,6 +59,29 @@ class TestSeedSweep:
         rows = seed_sweep.compare(base, toy_sweep(tmp_path, extra=["--probe-size", "64"]))
         failed = {(r["stage"], r["metric"]) for r in rows if not r["ok"]}
         assert (1, "d") in failed, seed_sweep.format_table(rows)
+
+    def test_a_cell_shift_the_average_hides_is_flagged(self):
+        # Stage 2 trades task 1's accuracy for task 2's: the average holds.
+        def side(a1, a2):
+            return {seed: {2: seed_sweep.stage_metrics([a1 + 0.01 * (seed % 3), a2], 1.0,
+                                                        None, None)}
+                    for seed in range(8)}
+
+        rows = seed_sweep.compare(side(0.9, 0.7), side(0.7, 0.9))
+        assert [(r["metric"], r["ok"]) for r in rows] == [
+            ("avg_acc", True), ("acc_1", False), ("acc_2", False), ("log_beta", True)]
+
+    @pytest.mark.parametrize("workload, metrics", [
+        ("split-fixed", ["avg_acc", "acc_1", "acc_2", "log_beta"]),
+        ("permuted-auto", ["avg_acc", "acc_1", "acc_2", "d", "s", "log_beta"]),
+    ])
+    def test_a_benchmark_stand_in_passes_against_itself(self, tmp_path, workload, metrics):
+        # Two seeds of the benchmark's tiny size; the table needs no more.
+        result = seed_sweep.sweep(ROOT, range(2), [], tmp_path, workload, "tiny")
+        assert sorted(result) == [0, 1]
+        assert list(result[0][2]) == metrics
+        rows = seed_sweep.compare(result, result)
+        assert all(r["ok"] and r["z"] == 0.0 for r in rows), seed_sweep.format_table(rows)
 
     def test_the_bound_is_bonferroni_corrected(self):
         assert seed_sweep.critical_z(1) == pytest.approx(1.96, abs=5e-3)
