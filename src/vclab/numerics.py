@@ -1,10 +1,9 @@
 """Dense numerical kernel: seeded random streams, a chunk walk, a stateless Adam
 update and a finite-difference gradient oracle used by the test suite.
 
-Parameters, Adam's moments, the KL and gradient sums are float64, and so is
-everything here; the Monte Carlo arithmetic of :mod:`vclab.vbnn` (noise,
-sampled weights, activations, softmax and d_z) runs in float32. Arrays are
-row-major. All randomness flows through numpy
+The kernels run in the dtype of the buffers they are given: a network's,
+float32 unless it is a test's float64 net (see :mod:`vclab.vbnn`). Arrays
+are row-major. All randomness flows through numpy
 Generators produced by :func:`make_rng`, so a whole run is reproducible from
 its master seed alone; independent sub-streams are derived by hashing a tag
 tuple rather than by splitting one stream, which keeps unrelated consumers
@@ -108,17 +107,20 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Elements per chunk of the loops that run through a layer's (2, n) buffers:
 # Adam, the KL and its gradient. The six chunks one Adam update touches
-# (parameters, gradient, both moments, two scratch rows) take 1.5 MB, which
-# stays in a 2 MB L2 cache, and no loop makes a temporary the size of a layer.
+# (parameters, gradient, both moments, two scratch rows) take 0.75 MB in
+# float32 (1.5 MB in float64), which stays in a 2 MB L2 cache, and no loop
+# makes a temporary the size of a layer.
 CHUNK = 1 << 15
 
 
-def chunks(n: int, rows: int):
-    """``(part, scratch)`` pairs: the slices ``part`` cover ``range(n)`` in
-    order, ``CHUNK`` elements each but the last, and each ``scratch`` is
-    ``rows`` float64 rows of the part's length, cut from one
-    ``(rows, min(CHUNK, n))`` array allocated per call."""
-    scratch = np.empty((rows, min(CHUNK, n)))
+def chunks(buffer: np.ndarray, rows: int):
+    """``(part, scratch)`` pairs: the slices ``part`` cover
+    ``range(buffer.size)`` in order, ``CHUNK`` elements each but the last,
+    and each ``scratch`` is ``rows`` rows of the part's length in
+    ``buffer``'s dtype, cut from one ``(rows, min(CHUNK, buffer.size))``
+    array allocated per call."""
+    n = buffer.size
+    scratch = np.empty((rows, min(CHUNK, n)), buffer.dtype)
     for start in range(0, n, CHUNK):
         yield slice(start, start + CHUNK), scratch[:, :n - start]
 
@@ -142,8 +144,9 @@ def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
               lr: float) -> None:
     """Adam's bias-corrected update at step ``t`` >= 1, in place on ``param``, ``m`` and ``v``.
 
-    Walks the buffers with :func:`chunks` and two scratch rows, evaluating
-    ``m += (1 - b1) * g``, ``v += ((1 - b2) * g) * g`` and
+    Walks the buffers with :func:`chunks` and two scratch rows in
+    ``param``'s dtype, evaluating ``m += (1 - b1) * g``,
+    ``v += ((1 - b2) * g) * g`` and
     ``param -= (lr * m_hat) / (sqrt(v_hat) + eps)`` in that order, so the
     bits equal those of the whole-array expressions.
     """
@@ -156,7 +159,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     m_scale, v_scale = 1.0 - b1 ** t, 1.0 - b2 ** t
     p, g, m, v = (a.reshape(-1) for a in (param, grad, m, v))
-    for part, (num, den) in chunks(p.size, 2):
+    for part, (num, den) in chunks(p, 2):
         g_c, m_c, v_c = g[part], m[part], v[part]
         np.multiply(g_c, 1.0 - b1, out=num)
         m_c *= b1

@@ -27,12 +27,10 @@ The likelihood part of the gradient flows pathwise through the draws into
 ``backward_gradients`` is verified against central finite differences with
 frozen noise in the test suite -- there is no autodiff anywhere.
 
-The Monte Carlo arithmetic runs in the dtype of the noise it is given:
-the batch, the means and the sigmas are cast to it per call, and the sampled
-weights, pre-activations, softmax and ``d_z`` are in it. ``fit`` and
-``posterior_predict`` draw ``NOISE_DTYPE`` (float32) noise; the parameters,
-the KL and its gradient, the sums of later layers' per-sample gradients,
-Adam and snapshots stay float64. Float64 noise gives the exact float64 pass that the
+A network has one dtype, its buffers', float32 unless a test builds a
+float64 net, and everything runs in it: the parameters, gradients, Adam's
+moments, the prior, the noise and the Monte Carlo arithmetic. Snapshots
+store float64. A float64 net gives the exact float64 pass that the
 finite-difference check differentiates.
 
 Memory follows the Monte Carlo samples and the batch: ``fit`` holds the
@@ -90,9 +88,8 @@ if TYPE_CHECKING:
     from .data import TaskView
 
 INIT_LOGVAR = -6.0
-# The dtype of the noise fit and posterior_predict draw, and so of their Monte
-# Carlo arithmetic; parameters, the KL, gradients and Adam stay float64.
-NOISE_DTYPE = np.float32
+# The dtype of every network init_network and load_snapshot make.
+DTYPE = np.dtype(np.float32)
 # Held by the one thread a run may add beside its own: posterior_predict's
 # second lane, or continual's evaluation worker, whose predictions then run
 # both lanes on the worker. Two cores have room for two busy threads.
@@ -102,8 +99,9 @@ SPARE_CORE = threading.Lock()
 class VariationalLayer:
     """One affine layer's variational parameters in a single (2, n) buffer.
 
-    ``flat`` is C-contiguous float64 of shape (2, (fan_in + 1) * fan_out):
-    row 0 holds the means and row 1 the log-variances, each as the flattened
+    ``flat`` is C-contiguous float32 or float64 of shape
+    (2, (fan_in + 1) * fan_out), and its dtype is the layer's: row 0 holds
+    the means and row 1 the log-variances, each as the flattened
     (fan_in, fan_out) weights followed by the fan_out biases. ``mu_w``,
     ``logvar_w``, ``mu_b`` and ``logvar_b`` are views into it, so writes
     through either side are seen by the other. Views of a read-only buffer
@@ -111,10 +109,11 @@ class VariationalLayer:
     """
 
     def __init__(self, flat: np.ndarray, fan_in: int, fan_out: int):
-        if (flat.shape != (2, (fan_in + 1) * fan_out) or flat.dtype != np.float64
-                or not flat.flags.c_contiguous):
-            raise ValueError(f"need a C-contiguous float64 (2, {(fan_in + 1) * fan_out}) buffer "
-                             f"for a {fan_in}x{fan_out} layer, got {flat.dtype} {flat.shape}")
+        if (flat.shape != (2, (fan_in + 1) * fan_out) or not flat.flags.c_contiguous
+                or flat.dtype not in (np.float32, np.float64)):
+            raise ValueError(f"need a C-contiguous float32 or float64 (2, "
+                             f"{(fan_in + 1) * fan_out}) buffer for a {fan_in}x{fan_out} layer, "
+                             f"got {flat.dtype} {flat.shape}")
         self.flat, self.fan_in, self.fan_out = flat, fan_in, fan_out
         n_w = fan_in * fan_out
         self.mu_w, self.logvar_w = (row[:n_w].reshape(fan_in, fan_out) for row in flat)
@@ -132,24 +131,31 @@ class VariationalLayer:
         return VariationalLayer(flat, self.fan_in, self.fan_out)
 
 
-def _init_layer(fan_in: int, fan_out: int, rng: np.random.Generator) -> VariationalLayer:
-    # Mean init N(0, 0.1^2); logvar -6 starts training near-deterministic.
-    # The 0.1 scale must stay large enough for one-epoch difficulty probes
-    # to learn through the trunk.
-    layer = VariationalLayer(np.full((2, (fan_in + 1) * fan_out), INIT_LOGVAR), fan_in, fan_out)
+def _init_layer(fan_in: int, fan_out: int, rng: np.random.Generator,
+                dtype: np.dtype = DTYPE) -> VariationalLayer:
+    # Mean init N(0, 0.1^2), drawn in float64 and rounded to ``dtype``; logvar
+    # -6 starts training near-deterministic. The 0.1 scale must stay large
+    # enough for one-epoch difficulty probes to learn through the trunk.
+    layer = VariationalLayer(np.full((2, (fan_in + 1) * fan_out), INIT_LOGVAR, dtype),
+                             fan_in, fan_out)
     layer.mu_w[...] = 0.1 * rng.standard_normal((fan_in, fan_out))
     layer.mu_b[...] = 0.0
     return layer
 
 
 class VariationalNet:
-    """Shared variational trunk plus per-task variational heads."""
+    """Shared variational trunk plus per-task variational heads, all of one
+    ``dtype`` (``DTYPE`` for a net with no layers)."""
 
     def __init__(self, input_dim: int, trunk: Sequence[VariationalLayer],
                  heads: dict[int, VariationalLayer]):
+        dtypes = {layer.flat.dtype for layer in [*trunk, *heads.values()]}
+        if len(dtypes) > 1:
+            raise ValueError(f"one net's layers need one dtype, got {sorted(map(str, dtypes))}")
         self.input_dim = input_dim
         self.trunk = trunk
         self.heads = heads
+        self.dtype = dtypes.pop() if dtypes else DTYPE
 
     @property
     def trunk_width(self) -> int:
@@ -164,12 +170,13 @@ class VariationalNet:
 
     def ensure_head(self, head_index: int, n_out: int,
                     rng: np.random.Generator) -> VariationalLayer:
-        """Create an ``n_out``-way head if missing (fresh init, N(0,1) prior
-        implied); an existing head must already have ``n_out`` outputs."""
+        """Create an ``n_out``-way head in the net's dtype if missing (fresh
+        init, N(0,1) prior implied); an existing head must already have
+        ``n_out`` outputs."""
         if n_out < 1:
             raise ValueError(f"a head needs >= 1 outputs, got {n_out}")
         if head_index not in self.heads:
-            self.heads[head_index] = _init_layer(self.trunk_width, n_out, rng)
+            self.heads[head_index] = _init_layer(self.trunk_width, n_out, rng, self.dtype)
         head = self.heads[head_index]
         if head.fan_out != n_out:
             raise ValueError(f"head {head_index} has {head.fan_out} outputs, not {n_out}")
@@ -229,18 +236,18 @@ def diag_gaussian_kl(mu: np.ndarray, logvar: np.ndarray,
 
     The arguments are read flat and must have one size. Each term is
     -diff + exp(diff) + (mu - prior_mu)^2 exp(-prior_logvar) - 1 with
-    diff = logvar - prior_logvar, evaluated in that order over the chunks
-    of :func:`numerics.chunks` with three scratch rows, so no temporary is
-    the size of a layer. The chunk sums are added in order, which can move
-    the last bits against one whole-array sum. KL(q || q) is exactly 0.0 in
-    floating point.
+    diff = logvar - prior_logvar, evaluated in that order in ``mu``'s dtype
+    over the chunks of :func:`numerics.chunks` with three scratch rows, so no
+    temporary is the size of a layer. Each chunk's terms are summed in
+    float64 and the chunk sums added in order, which can move the last bits
+    against one whole-array sum. KL(q || q) is exactly 0.0 in floating point.
     """
     mu, logvar, prior_mu, prior_logvar = args = [np.asarray(a).reshape(-1) for a in (
         mu, logvar, prior_mu, prior_logvar)]
     if len({a.size for a in args}) > 1:
         raise ValueError(f"sizes differ: {[a.size for a in args]}")
     total = 0.0
-    for part, (diff, terms, other) in chunks(mu.size, 3):
+    for part, (diff, terms, other) in chunks(mu, 3):
         np.subtract(logvar[part], prior_logvar[part], out=diff)
         np.exp(diff, out=terms)
         terms -= diff
@@ -250,7 +257,7 @@ def diag_gaussian_kl(mu: np.ndarray, logvar: np.ndarray,
         other *= np.exp(diff, out=diff)
         terms += other
         terms -= 1.0
-        total += terms.sum()
+        total += terms.sum(dtype=np.float64)
     return 0.5 * float(total)
 
 
@@ -262,13 +269,13 @@ def _add_kl_gradient(grad: VariationalLayer, layer: VariationalLayer, prior: Var
         dKL/dlogvar = (exp(logvar)/var0 - 1) / 2
 
     as ``scale * (mu - mu0) * exp(-logvar0)`` and
-    ``scale * 0.5 * (exp(logvar - logvar0) - 1)``, over the chunks of
-    :func:`numerics.chunks` with two scratch rows: the bits of the
-    whole-array expressions. Against a new head's all-zero prior, mu - 0.0,
+    ``scale * 0.5 * (exp(logvar - logvar0) - 1)``, in the layer's dtype over
+    the chunks of :func:`numerics.chunks` with two scratch rows: the bits of
+    the whole-array expressions. Against a new head's all-zero prior, mu - 0.0,
     exp(-0.0) and logvar - 0.0 change no bit.
     """
     (mu, logvar), (mu0, logvar0), (g_mu, g_logvar) = layer.flat, prior.flat, grad.flat
-    for part, (term, factor) in chunks(mu.size, 2):
+    for part, (term, factor) in chunks(mu, 2):
         np.subtract(mu[part], mu0[part], out=term)
         term *= scale
         np.negative(logvar0[part], out=factor)
@@ -309,56 +316,50 @@ class ForwardCache:
 
 def sample_noise(net: VariationalNet, head_index: int, n_samples: int,
                  rng: np.random.Generator, batch_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Fresh standard-normal ``NOISE_DTYPE`` noise for a batch of
+    """Fresh standard-normal noise in the net's dtype for a batch of
     ``batch_size`` rows: per layer of trunk + head, (eps_w, eps_b) with eps_b
     of shape (S, O). The first layer's eps_w is (S, B, O), for its
     pre-activations; each later layer's is (S, I, O), for its weights."""
     noise = []
     for li, layer in enumerate(net.active_layers(head_index)):
         rows = batch_size if li == 0 else layer.fan_in
-        eps_w = rng.standard_normal((n_samples, rows, layer.fan_out), dtype=NOISE_DTYPE)
-        eps_b = rng.standard_normal((n_samples, layer.fan_out), dtype=NOISE_DTYPE)
+        eps_w = rng.standard_normal((n_samples, rows, layer.fan_out), dtype=net.dtype)
+        eps_b = rng.standard_normal((n_samples, layer.fan_out), dtype=net.dtype)
         noise.append((eps_w, eps_b))
     return noise
 
 
-def _cast_params(layers: Sequence[VariationalLayer], dtype: np.dtype) -> list[tuple]:
-    """Each layer's (mu_w, sigma_w, mu_b, sigma_b) in ``dtype``.
-
-    exp(logvar / 2) is taken in float64 and then cast, so a sigma beyond
-    ``dtype``'s range overflows in the cast.
-    """
-    return [tuple(a.astype(dtype, copy=False) for a in (
-        layer.mu_w, np.exp(0.5 * layer.logvar_w), layer.mu_b, np.exp(0.5 * layer.logvar_b)))
+def _means_and_sigmas(layers: Sequence[VariationalLayer]) -> list[tuple]:
+    """Each layer's (mu_w, sigma_w, mu_b, sigma_b), sigma = exp(logvar / 2)
+    in the layer's dtype, where a sigma beyond its range overflows."""
+    return [(layer.mu_w, np.exp(0.5 * layer.logvar_w), layer.mu_b, np.exp(0.5 * layer.logvar_b))
             for layer in layers]
 
 
 def _first_layer_moments(layer: VariationalLayer, x: np.ndarray) -> tuple:
     """The (B, O) mean x mu_w and std sqrt(x^2 sigma_w^2) of x w, and the
-    layer's (mu_b, sigma_b), all in ``x``'s dtype.
+    layer's (mu_b, sigma_b), all in the layer's dtype, which ``x`` has.
 
-    sigma_w^2 = exp(logvar_w) is cast, not sigma_w, so a log-variance in
-    (88.7, 177] overflows float32 here although its sigma would not. The
-    mean's cast of mu_w is released before sigma_w^2 is made. x^2 sigma_w^2
-    is multiplied in the row blocks of :func:`numerics.row_blocks` into the
-    std's own buffer, so no (B, I) square is whole; each row has the bits
-    of the whole product.
+    sigma_w^2 = exp(logvar_w) is taken, not sigma_w, so in a float32 layer a
+    log-variance in (88.7, 177] overflows here although its sigma would not.
+    x^2 sigma_w^2 is multiplied in the row blocks of
+    :func:`numerics.row_blocks` into the std's own buffer, so no (B, I)
+    square is whole; each row has the bits of the whole product.
     """
-    mean = x @ layer.mu_w.astype(x.dtype, copy=False)
-    var_w = np.exp(layer.logvar_w).astype(x.dtype, copy=False)
-    mu_b, sigma_b = (a.astype(x.dtype, copy=False)
-                     for a in (layer.mu_b, np.exp(0.5 * layer.logvar_b)))
+    mean = x @ layer.mu_w
+    var_w = np.exp(layer.logvar_w)
+    mu_b, sigma_b = layer.mu_b, np.exp(0.5 * layer.logvar_b)
     std = np.empty_like(mean)
     for rows in row_blocks(x.shape[0]):
         np.matmul(np.square(x[rows]), var_w, out=std[rows])
     return mean, np.sqrt(std, out=std), mu_b, sigma_b
 
 
-def _as_input(net: VariationalNet, x: np.ndarray, dtype: np.dtype) -> np.ndarray:
+def _as_input(net: VariationalNet, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"input shape {x.shape} does not match input_dim {net.input_dim}")
-    return x.astype(dtype, copy=False)
+    return x.astype(net.dtype, copy=False)
 
 
 def forward_with_noise(net: VariationalNet, head_index: int, x: np.ndarray,
@@ -366,9 +367,8 @@ def forward_with_noise(net: VariationalNet, head_index: int, x: np.ndarray,
     """Forward pass with the given noise (see :func:`sample_noise`); ReLU
     between trunk layers, linear head.
 
-    Everything runs in the noise's dtype: the batch, the means and the sigmas
-    are cast to it, so float32 noise gives float32 weights, pre-activations
-    and logits, and float64 noise the exact float64 pass.
+    Everything runs in the net's dtype, which the noise must have (a
+    ``ValueError`` otherwise); the batch is cast to it.
 
     The first layer's pre-activations are std * eps_w + mean + b, from its
     moments (see :func:`_first_layer_moments`) and a sampled bias b. Later
@@ -377,8 +377,11 @@ def forward_with_noise(net: VariationalNet, head_index: int, x: np.ndarray,
     first, *later = net.active_layers(head_index)
     if len(noise) != len(later) + 1:
         raise ValueError(f"noise for {len(noise)} layers, net has {len(later) + 1}")
+    dtypes = {a.dtype for pair in noise for a in pair}
+    if dtypes != {net.dtype}:
+        raise ValueError(f"noise of {sorted(map(str, dtypes))} for a {net.dtype} net")
     (eps_w, eps_b), *later_noise = noise
-    x = _as_input(net, x, eps_w.dtype)
+    x = _as_input(net, x)
     if eps_w.shape[1:] != (x.shape[0], first.fan_out):
         raise ValueError(f"first-layer noise {eps_w.shape} does not fit a batch of "
                          f"{x.shape[0]} rows and {first.fan_out} outputs")
@@ -388,7 +391,7 @@ def forward_with_noise(net: VariationalNet, head_index: int, x: np.ndarray,
     z += (sigma_b * eps_b + mu_b)[:, None, :]
     weights, pre = [], [z]
     for (mu_w, sigma_w, mu_b, sigma_b), (eps_w, eps_b) in zip(
-            _cast_params(later, x.dtype), later_noise):
+            _means_and_sigmas(later), later_noise):
         w = sigma_w * eps_w                         # (S, I, O)
         w += mu_w
         b = sigma_b * eps_b                         # (S, O)
@@ -469,8 +472,8 @@ def backward_gradients(net: VariationalNet, prior: VariationalNet, cache: Forwar
     where a row with std 0 (an all-zero input row) contributes 0. The sum
     over samples of d_z * eps_w is taken sample by sample, in sample order.
 
-    ``d_z`` and the weight gradients are in the cache's dtype; the sums of
-    later layers' per-sample gradients and the KL part are float64.
+    ``d_z``, the per-sample gradients, their sums and the KL part are in
+    the net's dtype.
     """
     layers = net.active_layers(cache.head_index)
     y = _check_labels(y, cache.logits.shape[-1])
@@ -498,9 +501,8 @@ def backward_gradients(net: VariationalNet, prior: VariationalNet, cache: Forwar
         layer, g, pl = layers[li], grads[li], priors[li]
         eps_w, eps_b = cache.noise[li]
         d_b = d_z.sum(axis=1)                       # (S, O)
-        g.mu_b[...] = d_b.sum(axis=0, dtype=np.float64)
-        g.logvar_b[...] = ((d_b * eps_b).sum(axis=0, dtype=np.float64)
-                           * (0.5 * np.exp(0.5 * layer.logvar_b)))
+        g.mu_b[...] = d_b.sum(axis=0)
+        g.logvar_b[...] = (d_b * eps_b).sum(axis=0) * (0.5 * np.exp(0.5 * layer.logvar_b))
         if li == 0:
             g.mu_w[...] = cache.x.T @ d_z.sum(axis=0)
             # Summed from +0.0 in sample order, as numpy's axis-0 reduction
@@ -599,7 +601,8 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
     layer's weights. ``rng`` only seeds the two lanes, with one
     ``rng.integers(2**63, size=2)`` call. Lane k draws for draws k, k + 2,
     ...: first the (B, O) first-layer eps and the first bias's eps, then each
-    later layer's eps_w and eps_b; it sums their float32 softmax in float64.
+    later layer's eps_w and eps_b, all in the net's dtype; it sums their
+    softmax in float64.
     Lane 0 runs here, lane 1 on a one-worker executor that starts under this
     thread's ``np.geterr()``, since ``np.errstate`` holds per thread, while
     this call holds :data:`SPARE_CORE`. One draw starts no lane, and nor does
@@ -610,22 +613,22 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
     """
     if n_eval_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    x = _as_input(net, x, NOISE_DTYPE)
+    x, dtype = _as_input(net, x), net.dtype
     first, *later_layers = net.active_layers(head_index)
     mean, std, mu_b1, sigma_b1 = _first_layer_moments(first, x)
-    later = _cast_params(later_layers, NOISE_DTYPE)
+    later = _means_and_sigmas(later_layers)
     seeds = rng.integers(2**63, size=2)
 
     def lane(k: int) -> np.ndarray:
         draws = np.random.default_rng(seeds[k])
         total = np.zeros((x.shape[0], net.head(head_index).fan_out))
         for _ in range(k, n_eval_samples, 2):
-            act = std * draws.standard_normal(mean.shape, dtype=NOISE_DTYPE) + mean
-            act += sigma_b1 * draws.standard_normal(mu_b1.shape, dtype=NOISE_DTYPE) + mu_b1
+            act = std * draws.standard_normal(mean.shape, dtype=dtype) + mean
+            act += sigma_b1 * draws.standard_normal(mu_b1.shape, dtype=dtype) + mu_b1
             for mu_w, sigma_w, mu_b, sigma_b in later:
-                w = sigma_w * draws.standard_normal(mu_w.shape, dtype=NOISE_DTYPE)
+                w = sigma_w * draws.standard_normal(mu_w.shape, dtype=dtype)
                 w += mu_w
-                b = sigma_b * draws.standard_normal(mu_b.shape, dtype=NOISE_DTYPE) + mu_b
+                b = sigma_b * draws.standard_normal(mu_b.shape, dtype=dtype) + mu_b
                 act = np.maximum(act, 0.0) @ w + b
             total += softmax(act)
         return total
@@ -654,7 +657,8 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
 #   H x (u32 head_index, u32 fan_in, u32 fan_out)  heads sorted by index
 #   then for each trunk layer, then each head (same order):
 #       mu_w, logvar_w, mu_b, logvar_b as raw float64 little-endian
-# Round-tripping is lossless for 64-bit floats.
+# A float32 net round-trips exactly; values written from a float64 net load
+# rounded to the nearest float32.
 
 SNAPSHOT_MAGIC = b"VCLSNAP1"
 
@@ -676,14 +680,17 @@ def save_snapshot(snapshot: VariationalNet, path) -> None:
 
 def load_snapshot(path) -> VariationalNet:
     """Read a snapshot written by :func:`save_snapshot` as a read-only
-    network that can predict; ``input_dim`` is the first stored layer's
-    ``fan_in`` (0 for a file with no layers).
+    ``DTYPE`` (float32) network that can predict; ``input_dim`` is the first
+    stored layer's ``fan_in`` (0 for a file with no layers). The stored
+    float64 values are rounded to the nearest float32, so a float32 net
+    loads back bit for bit.
 
     Raises ValueError on a truncated or corrupt file: every length is checked
     against the header counts before anything is unpacked, the header's
     layers must chain (each trunk layer takes the previous one's outputs,
-    each head the trunk's, and no width is 0), and every parameter must be
-    finite.
+    each head the trunk's, and no width is 0), every parameter must be
+    finite, and none may lie beyond float32's range (the message names the
+    layer).
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -718,14 +725,19 @@ def load_snapshot(path) -> VariationalNet:
     if not np.isfinite(np.frombuffer(blob, dtype="<f8", offset=pos)).all():
         raise ValueError("snapshot has a non-finite parameter")
 
-    def read_layer(fan_in: int, fan_out: int) -> VariationalLayer:
-        nonlocal pos
-        layer = VariationalLayer(np.empty((2, (fan_in + 1) * fan_out)), fan_in, fan_out)
+    layers = []
+    for name, (fan_in, fan_out) in zip(names, shapes):
+        stored = np.frombuffer(blob, dtype="<f8", count=2 * (fan_in + 1) * fan_out, offset=pos)
+        pos += stored.nbytes
+        if (largest := np.abs(stored).max()) > np.finfo(DTYPE).max:
+            raise ValueError(f"snapshot {name} has a parameter of magnitude {largest:g}, "
+                             f"beyond {DTYPE}'s range")
+        layer = VariationalLayer(np.empty((2, stored.size // 2), DTYPE), fan_in, fan_out)
+        start = 0
         for a in layer.param_arrays():
-            a[...] = np.frombuffer(blob, dtype="<f8", count=a.size, offset=pos).reshape(a.shape)
-            pos += a.nbytes
-        return layer.frozen_copy()
-
-    trunk = tuple(read_layer(fi, fo) for fi, fo in trunk_shapes)
-    heads = {index: read_layer(fi, fo) for index, fi, fo in head_shapes}
-    return VariationalNet(input_dim, trunk, heads)
+            a[...] = stored[start:start + a.size].reshape(a.shape)
+            start += a.size
+        layer.flat.flags.writeable = False
+        layers.append(layer)
+    heads = {index: layer for (index, _, _), layer in zip(head_shapes, layers[n_trunk:])}
+    return VariationalNet(input_dim, tuple(layers[:n_trunk]), heads)

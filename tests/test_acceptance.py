@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, requires_cifar, requires_mnist
-from test_vbnn import float64_noise, flatten_grads, get_param_vector, set_param_vector
+from test_vbnn import flatten_grads, float64_net, get_param_vector, set_param_vector
 from vclab.cli import ExperimentConfig, read_results_csv, run_experiment
 from vclab.continual import TrainConfig
 from vclab.data import make_synthetic_blobs
@@ -21,7 +21,7 @@ from vclab.heuristics import (HeuristicConfig, compute_beta, measure_similarity,
                               probe_difficulty)
 from vclab.numerics import finite_diff_grad, make_rng, seed_from
 from vclab.vbnn import (advance_prior, backward_gradients, beta_elbo_loss, diag_gaussian_kl,
-                        fit, init_network, kl_to_prior, standard_prior)
+                        fit, init_network, kl_to_prior, sample_noise, standard_prior)
 
 MASTER_SEED = 2024
 TRIALS = 5
@@ -33,10 +33,12 @@ TRIALS = 5
 
 def test_criterion_1_gradient_correctness():
     start = time.monotonic()
+    # Float64 layers built from float64 buffers: the exact float64 pass that
+    # the oracle can check.
     rng = make_rng("acc1")
-    net = init_network(10, [8], rng)
+    net = float64_net(init_network(10, [8], rng))
     net.ensure_head(0, 4, rng)
-    prior_net = init_network(10, [8], make_rng("acc1-prior"))
+    prior_net = float64_net(init_network(10, [8], make_rng("acc1-prior")))
     prior_net.ensure_head(0, 4, make_rng("acc1-prior-head"))
     for layer in [*prior_net.trunk, prior_net.heads[0]]:
         for a in layer.param_arrays():
@@ -46,8 +48,7 @@ def test_criterion_1_gradient_correctness():
     beta, n_task = 0.7, 64
 
     def max_relative_error(x, y, noise_tag):
-        # float64 noise: the exact float64 pass that the oracle can check.
-        noise = float64_noise(net, 0, 3, make_rng(noise_tag), len(x))
+        noise = sample_noise(net, 0, 3, make_rng(noise_tag), len(x))
         _, cache = beta_elbo_loss(net, prior, 0, x, y, beta=beta, n_task=n_task, noise=noise)
         g_bp = flatten_grads(backward_gradients(net, prior, cache, y, beta=beta, n_task=n_task))
 
@@ -98,7 +99,7 @@ def test_criterion_2_kl_oracle():
     mu = rng.standard_normal(40)
     lv = rng.standard_normal(40)
     assert diag_gaussian_kl(mu, lv, mu, lv) == 0.0
-    net = init_network(6, [5], make_rng("acc2-net"))
+    net = float64_net(init_network(6, [5], make_rng("acc2-net")))
     net.ensure_head(0, 3, make_rng("acc2-head"))
     assert kl_to_prior(net, advance_prior(net), 0) == 0.0
     assert time.monotonic() - start < 30.0

@@ -645,7 +645,7 @@ class TestMainEntry:
                      "--epochs", "1", "--out-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 3
-        assert re.search(r"^numeric failure: stage 1: overflow encountered in cast "
+        assert re.search(r"^numeric failure: stage 1: overflow encountered in exp "
                          r"during training$", err, re.MULTILINE), err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()

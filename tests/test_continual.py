@@ -293,7 +293,7 @@ class TestRunSequence:
                             lambda *args: with_one_huge_sigma(init(*args)))
         cfg = TrainConfig(epochs=1, batch_size=128, train_mc_samples=2, eval_mc_samples=5,
                           beta_mode="fixed", beta=1.0)
-        with pytest.raises(NumericError, match="^stage 1: overflow encountered in cast "
+        with pytest.raises(NumericError, match="^stage 1: overflow encountered in exp "
                                                "during training$"):
             run_sequence(two_tasks(), (16,), cfg, FAST_HEUR, master_seed=18)
 

@@ -29,11 +29,11 @@ GOLDEN_ARGS = ["run", "--experiment", "synthetic", "--model", "auto", "--trials"
                "--epochs", "1", "--probe-repeats", "2", "--probe-size", "256",
                "--seed", "8817"]
 GOLDEN_SHA256 = "03db348e7da0d8d1827ec27306cc1fafffe2025231e13dd23c5a63402a616011"
-SNAPSHOT_SHA256 = "e1b81c7b28eefc178baec08959d989006547075f46b697923a1f82d8f7890c9a"
+SNAPSHOT_SHA256 = "7f3df7883e750b733e6fe1d1d366ebb63ba2a02a696c3a190f68172a92876b4b"
 # The toy runs: each digest covers the accuracy rows (and beta, d, s) of
 # every stage; the split run's second digest covers its last stage snapshot.
 SPLIT_ROWS_SHA256 = "f7f2023b4ce54362b2aaa9e9c656c40b33f0d69e7ba4509d8dee66ba67af3e58"
-SPLIT_SNAPSHOT_SHA256 = "86fec0786e65dd54b8fce1b596ce51e7bb6e7888102d548c5ee459b333f3f345"
+SPLIT_SNAPSHOT_SHA256 = "0896d6841174542ddc6b030ea195e5e89b1c0aa81ed4c990708b8da315686b3c"
 PERMUTED_ROWS_SHA256 = "af1ec0d0694dec97a357b1743322e34ad18350e42e574a033de752b7213bbaed"
 RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"

@@ -83,13 +83,14 @@ class TestAdam:
 class TestChunks:
     @pytest.mark.parametrize("n", [0, 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
     @pytest.mark.parametrize("rows", [2, 3])
-    def test_parts_cover_the_range_and_share_one_scratch(self, n, rows):
-        pairs = list(chunks(n, rows))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parts_cover_the_range_and_share_one_scratch(self, n, rows, dtype):
+        pairs = list(chunks(np.empty(n, dtype), rows))
         covered = [i for part, _ in pairs for i in range(n)[part]]
         assert covered == list(range(n))
         for part, scratch in pairs:
             assert scratch.shape == (rows, len(range(n)[part]))
-            assert scratch.dtype == np.float64
+            assert scratch.dtype == dtype
             assert scratch.base is not None and scratch.base is pairs[0][1].base
 
 

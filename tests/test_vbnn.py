@@ -20,11 +20,26 @@ from vclab.vbnn import (INIT_LOGVAR, advance_prior, backward_gradients,
                         sample_noise, save_snapshot)
 
 
-def random_net(seed, input_dim=4, hidden=(3,), out=2, heads=(0,), jitter=0.0):
+def float64_net(net):
+    """``net`` rebuilt on float64 copies of its buffers: the exact float64
+    pass that the oracles check."""
+    def widen(layer):
+        return vbnn.VariationalLayer(layer.flat.astype(np.float64), layer.fan_in, layer.fan_out)
+
+    return vbnn.VariationalNet(net.input_dim, [widen(layer) for layer in net.trunk],
+                               {i: widen(head) for i, head in net.heads.items()})
+
+
+def random_net(seed, input_dim=4, hidden=(3,), out=2, heads=(0,), jitter=0.0,
+               dtype=np.float32):
+    """A net from ``init_network``, in float64 if ``dtype`` says so, with
+    ``jitter`` times standard normals added to every parameter."""
     rng = make_rng("net", seed)
     net = init_network(input_dim, hidden, rng)
     for h in heads:
         net.ensure_head(h, out, rng)
+    if dtype == np.float64:
+        net = float64_net(net)
     if jitter:
         for layer in [*net.trunk, *net.heads.values()]:
             for a in layer.param_arrays():
@@ -32,13 +47,13 @@ def random_net(seed, input_dim=4, hidden=(3,), out=2, heads=(0,), jitter=0.0):
     return net
 
 
-def wide_net(seed, jitter=0.0):
+def wide_net(seed, jitter=0.0, dtype=np.float32):
     """A 784-64-2 net: its first layer's (2, n) buffer has 50240 entries per
     row, more than ``numerics.CHUNK``."""
-    return random_net(seed, input_dim=784, hidden=(64,), out=2, jitter=jitter)
+    return random_net(seed, input_dim=784, hidden=(64,), out=2, jitter=jitter, dtype=dtype)
 
 
-# exp(180 / 2) is about 1.2e39: finite in float64, beyond float32's 3.4e38.
+# exp(180 / 2) is about 1.2e39, beyond float32's 3.4e38.
 HUGE_LOGVAR = 180.0
 
 
@@ -75,35 +90,27 @@ def flatten_grads(grads: list[vbnn.VariationalLayer]) -> np.ndarray:
 
 def zero_noise(net, head_index, batch_size):
     """One all-zero noise sample: the forward pass collapses to the mean network."""
-    return [(np.zeros((1, batch_size if li == 0 else layer.fan_in, layer.fan_out)),
-             np.zeros((1, layer.fan_out)))
+    return [(np.zeros((1, batch_size if li == 0 else layer.fan_in, layer.fan_out), net.dtype),
+             np.zeros((1, layer.fan_out), net.dtype))
             for li, layer in enumerate(net.active_layers(head_index))]
 
 
-def float64_noise(net, head_index, n_samples, rng, batch_size):
-    """:func:`sample_noise` cast to float64, for the exact float64 pass."""
-    return [(eps_w.astype(np.float64), eps_b.astype(np.float64))
-            for eps_w, eps_b in sample_noise(net, head_index, n_samples, rng, batch_size)]
-
-
 def stacked_pre_activations(net, head_index, x, noise):
-    """Every layer's (S, B, O) pre-activations, with the input, means and
-    sigmas cast to the noise's dtype: the first layer's as std * eps_w +
-    mean + b from its moments, each later layer's from stacked (S, I, O)
-    weights."""
-    dtype = noise[0][0].dtype
-    x = x.astype(dtype)
+    """Every layer's (S, B, O) pre-activations in the net's dtype: the first
+    layer's as std * eps_w + mean + b from its moments, each later layer's
+    from stacked (S, I, O) weights."""
+    x = x.astype(net.dtype)
     first, *later = net.active_layers(head_index)
     (eps_w, eps_b), *later_noise = noise
-    mean = x @ first.mu_w.astype(dtype)
-    std = np.sqrt(np.square(x) @ np.exp(first.logvar_w).astype(dtype))
-    b = np.exp(0.5 * first.logvar_b).astype(dtype) * eps_b + first.mu_b.astype(dtype)
+    mean = x @ first.mu_w
+    std = np.sqrt(np.square(x) @ np.exp(first.logvar_w))
+    b = np.exp(0.5 * first.logvar_b) * eps_b + first.mu_b
     pre = [std * eps_w + mean + b[:, None, :]]
     for layer, (eps_w, eps_b) in zip(later, later_noise):
-        w = np.exp(0.5 * layer.logvar_w).astype(dtype) * eps_w
-        w += layer.mu_w.astype(dtype)
-        b = np.exp(0.5 * layer.logvar_b).astype(dtype) * eps_b
-        b += layer.mu_b.astype(dtype)
+        w = np.exp(0.5 * layer.logvar_w) * eps_w
+        w += layer.mu_w
+        b = np.exp(0.5 * layer.logvar_b) * eps_b
+        b += layer.mu_b
         pre.append(np.maximum(pre[-1], 0.0) @ w + b[:, None, :])
     return pre
 
@@ -143,6 +150,32 @@ class TestInit:
         with pytest.raises(ValueError):
             vbnn.VariationalLayer(np.zeros((8, 2)).T, 3, 2)  # right shape, not C-contiguous
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_layer_takes_its_buffers_dtype(self, dtype):
+        layer = vbnn.VariationalLayer(np.zeros((2, 8), dtype), 3, 2)
+        assert {a.dtype for a in layer.param_arrays()} == {np.dtype(dtype)}
+        assert layer.zeros_like().flat.dtype == layer.frozen_copy().flat.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.int32])
+    def test_a_float16_or_integer_buffer_is_rejected(self, dtype):
+        with pytest.raises(ValueError, match=f"float32 or float64 .* got {np.dtype(dtype)}"):
+            vbnn.VariationalLayer(np.zeros((2, 8), dtype), 3, 2)
+
+    def test_init_makes_float32_and_a_net_has_one_dtype(self):
+        net = random_net(5, hidden=(3, 5), heads=(0, 1))
+        assert net.dtype == vbnn.DTYPE == np.float32
+        assert {layer.flat.dtype for layer in [*net.trunk, *net.heads.values()]} == {net.dtype}
+        with pytest.raises(ValueError, match="one dtype"):
+            vbnn.VariationalNet(4, net.trunk, {0: float64_net(net).heads[0]})
+
+    def test_ensure_head_on_a_float64_net_makes_a_float64_head(self):
+        net = random_net(6, dtype=np.float64)
+        head = net.ensure_head(1, 3, make_rng(1))
+        assert net.dtype == head.flat.dtype == np.float64
+        headless = float64_net(random_net(6, hidden=(), heads=(0,)))
+        headless.heads.clear()
+        assert headless.ensure_head(2, 2, make_rng(2)).flat.dtype == np.float64
+
     def test_zero_dim_rejected(self):
         with pytest.raises(ValueError):
             init_network(0, [4], make_rng(0))
@@ -171,7 +204,7 @@ class TestInit:
 
 class TestForward:
     def test_zero_noise_equals_mean_network(self):
-        net = random_net(7, input_dim=5, hidden=(4, 3), out=2)
+        net = random_net(7, input_dim=5, hidden=(4, 3), out=2, dtype=np.float64)
         x = make_rng("fx").random((6, 5))
         cache = forward_with_noise(net, 0, x, zero_noise(net, 0, 6))
         # independent recomputation with plain numpy
@@ -183,7 +216,7 @@ class TestForward:
         np.testing.assert_allclose(cache.logits[0], expected, atol=1e-12)
 
     def test_hand_computed_2_2_2(self):
-        net = init_network(2, [2], make_rng(0))
+        net = float64_net(init_network(2, [2], make_rng(0)))
         net.ensure_head(0, 2, make_rng(0))
         net.trunk[0].mu_w[...] = [[1.0, -1.0], [0.5, 2.0]]
         net.trunk[0].mu_b[...] = [0.1, -0.2]
@@ -219,18 +252,25 @@ class TestForward:
             assert abs(draws.mean() - 0.3) < 4 * se
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_computes_in_the_noise_dtype(self, dtype):
-        net = random_net(11, input_dim=5, hidden=(4, 3), out=2, jitter=0.3)
-        noise = [(w.astype(dtype), b.astype(dtype)) for w, b in
-                 sample_noise(net, 0, 3, make_rng("dt"), 6)]
+    def test_noise_and_arithmetic_are_in_the_nets_dtype(self, dtype):
+        net = random_net(11, input_dim=5, hidden=(4, 3), out=2, jitter=0.3, dtype=dtype)
+        noise = sample_noise(net, 0, 3, make_rng("dt"), 6)
+        assert {a.dtype for pair in noise for a in pair} == {np.dtype(dtype)}
         cache = forward_with_noise(net, 0, make_rng("dtx").random((6, 5)), noise)
         assert cache.logits.dtype == dtype
-        assert {a.dtype for a in [cache.x, *cache.pre]} == {np.dtype(dtype)}
+        assert {a.dtype for a in [cache.x, cache.std, *cache.pre]} == {np.dtype(dtype)}
 
-    def test_fit_and_predict_draw_float32_noise(self):
-        assert vbnn.NOISE_DTYPE == np.float32
-        noise = sample_noise(random_net(12), 0, 2, make_rng("nd"), 5)
-        assert {a.dtype for pair in noise for a in pair} == {np.dtype(np.float32)}
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_noise_of_another_dtype_is_rejected(self, dtype):
+        net = random_net(12, dtype=dtype)
+        other = np.float64 if dtype == np.float32 else np.float32
+        noise = sample_noise(net, 0, 2, make_rng("nd"), 5)
+        for k in range(2):  # a first-layer eps_w, then only a later eps_b
+            mixed = [list(pair) for pair in noise]
+            mixed[k][k] = mixed[k][k].astype(other)
+            with pytest.raises(ValueError, match=f"noise of .*{np.dtype(other)}.* for a "
+                                                 f"{np.dtype(dtype)} net"):
+                forward_with_noise(net, 0, np.zeros((5, 4)), [tuple(p) for p in mixed])
 
     @pytest.mark.parametrize("n_samples", [1, 5])
     def test_streamed_first_layer_equals_stacked_reference(self, n_samples):
@@ -304,15 +344,18 @@ class TestKl:
         with pytest.raises(ValueError):
             kl_to_prior(net, advance_prior(other), 0)
 
-    def test_a_layer_wider_than_a_chunk(self):
-        # The chunk sums are summed, so the total may move in its last bits
-        # against one whole-array sum, but KL(q || q) stays exactly 0.0.
-        net, prior_net = wide_net(14, jitter=0.3), wide_net(15, jitter=0.3)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_layer_wider_than_a_chunk(self, dtype):
+        # The terms are in the net's dtype and the chunk sums are float64
+        # sums of them, so the total may move in its last bits against one
+        # whole-array float64 sum, but KL(q || q) stays exactly 0.0.
+        net, prior_net = wide_net(14, 0.3, dtype), wide_net(15, 0.3, dtype)
         (mu, logvar), (mu0, logvar0) = net.trunk[0].flat, prior_net.trunk[0].flat
         assert mu.size > CHUNK
         diff = logvar - logvar0
-        whole = 0.5 * float(np.sum(-diff + np.exp(diff) + (mu - mu0) ** 2 * np.exp(-logvar0)
-                                   - 1.0))
+        terms = -diff + np.exp(diff) + (mu - mu0) ** 2 * np.exp(-logvar0) - 1.0
+        assert terms.dtype == dtype
+        whole = 0.5 * float(np.sum(terms, dtype=np.float64))
         assert diag_gaussian_kl(mu, logvar, mu0, logvar0) == pytest.approx(whole, rel=1e-12)
         assert kl_to_prior(net, advance_prior(net), 0) == 0.0
         assert kl_to_prior(net, advance_prior(prior_net), 0) > 0.0
@@ -388,8 +431,8 @@ class TestBetaElboLoss:
 
 def backprop_vs_finite_diff(net, prior, head, x, y, beta, n_task, n_samples, seed):
     """Max relative error between backprop and the central-difference oracle,
-    with the reparameterization noise frozen in float64."""
-    noise = float64_noise(net, head, n_samples, make_rng("gc", seed), len(x))
+    with the reparameterization noise frozen; ``net`` must be float64."""
+    noise = sample_noise(net, head, n_samples, make_rng("gc", seed), len(x))
     _, cache = beta_elbo_loss(net, prior, head, x, y, beta=beta, n_task=n_task, noise=noise)
     g_bp = flatten_grads(backward_gradients(net, prior, cache, y, beta=beta, n_task=n_task))
 
@@ -408,15 +451,16 @@ def backprop_vs_finite_diff(net, prior, head, x, y, beta, n_task, n_samples, see
 
 class TestBackward:
     def test_gradcheck_4_3_2_single_sample(self):
-        net = random_net(30, input_dim=4, hidden=(3,), out=2)
-        prior = advance_prior(random_net(31, input_dim=4, hidden=(3,), out=2, jitter=0.3))
+        net = random_net(30, input_dim=4, hidden=(3,), out=2, dtype=np.float64)
+        prior = advance_prior(random_net(31, input_dim=4, hidden=(3,), out=2, jitter=0.3,
+                                         dtype=np.float64))
         x = make_rng("g1").random((2, 4))
         y = np.array([1, 0])
         err = backprop_vs_finite_diff(net, prior, 0, x, y, 0.7, 50, 1, seed=1)
         assert err < 1e-4
 
     def test_gradcheck_new_head_standard_prior(self):
-        net = random_net(32, input_dim=3, hidden=(3,), out=2)
+        net = random_net(32, input_dim=3, hidden=(3,), out=2, dtype=np.float64)
         prior = advance_prior(net)
         net.ensure_head(1, 2, make_rng("nh"))
         x = make_rng("g2").random((2, 3))
@@ -437,8 +481,8 @@ class TestBackward:
         assert np.array_equal(g1, g2)
 
     def test_kl_gradient_linear_in_beta(self):
-        net = random_net(34, jitter=0.1)
-        prior = advance_prior(random_net(35, jitter=0.4))
+        net = random_net(34, jitter=0.1, dtype=np.float64)
+        prior = advance_prior(random_net(35, jitter=0.4, dtype=np.float64))
         x = make_rng("g4").random((3, 4))
         y = np.array([1, 1, 0])
         noise = sample_noise(net, 0, 2, make_rng(78), 3)
@@ -524,17 +568,18 @@ class TestBackward:
         d_z1 = vbnn.softmax(cache.logits)
         d_z1[:, np.arange(5), y] -= 1.0
         d_z1 *= 1.0 / (6 * 5)
-        # The head: float32 per-sample gradients, summed over samples in float64.
+        # The head: float32 per-sample gradients, summed over samples in float32.
         head = net.heads[0]
         d_w = np.maximum(cache.pre[0], 0.0).transpose(0, 2, 1) @ d_z1
-        assert np.array_equal(grads[1].mu_w, d_w.sum(axis=0, dtype=np.float64) + 0.0)
-        assert np.array_equal(grads[1].logvar_w, (d_w * noise[1][0]).sum(
-            axis=0, dtype=np.float64) * (0.5 * np.exp(0.5 * head.logvar_w)) + 0.0)
+        assert grads[1].flat.dtype == d_w.dtype == np.float32
+        assert np.array_equal(grads[1].mu_w, d_w.sum(axis=0) + 0.0)
+        assert np.array_equal(grads[1].logvar_w, (d_w * noise[1][0]).sum(axis=0)
+                              * (0.5 * np.exp(0.5 * head.logvar_w)) + 0.0)
         # The first layer: d_z summed over samples, then one matmul per row.
         first = net.trunk[0]
         d_z0 = (d_z1 @ cache.weights[0][0].transpose(0, 2, 1)) * (cache.pre[0] > 0)
         x32 = x.astype(np.float32)
-        std = np.sqrt(np.square(x32) @ np.exp(first.logvar_w).astype(np.float32))
+        std = np.sqrt(np.square(x32) @ np.exp(first.logvar_w))
         assert np.array_equal(cache.std, std)
         d_std = (d_z0 * noise[0][0]).sum(axis=0) / (2 * std)
         assert np.array_equal(grads[0].mu_w, x32.T @ d_z0.sum(axis=0) + 0.0)
@@ -542,24 +587,26 @@ class TestBackward:
                               np.exp(first.logvar_w) * (np.square(x32).T @ d_std) + 0.0)
 
     def test_float32_gradients_match_float64_of_the_same_noise(self):
-        # At the prior the KL part is 0, so this compares the likelihood
-        # part alone. Per layer, every entry lies within 1e-5 of the layer's
-        # largest float64 entry: about 80 float32 ulps; measured 1.5e-7.
+        # A float32 net against its float64 copy, under the float32 draws
+        # cast up. At the prior the KL part is 0, so this compares the
+        # likelihood part alone. Per layer, every entry lies within 1e-5 of
+        # the layer's largest float64 entry: about 80 float32 ulps; measured
+        # 2.3e-7.
         net = random_net(38, input_dim=30, hidden=(20, 10), out=4, jitter=0.3)
         rng = make_rng("g7-logvar")
         for layer in net.active_layers(0):
             layer.logvar_w[...] = -2.0 + rng.standard_normal(layer.logvar_w.shape)
-        prior = advance_prior(net)
         x = make_rng("g7").random((16, 30))
         y = np.arange(16) % 4
+        noise = sample_noise(net, 0, 4, make_rng(80), 16)
         grads = {}
-        for eps in (sample_noise(net, 0, 4, make_rng(80), 16),
-                    float64_noise(net, 0, 4, make_rng(80), 16)):
-            _, cache = beta_elbo_loss(net, prior, 0, x, y, beta=1.0, n_task=100, noise=eps)
-            grads[cache.logits.dtype] = backward_gradients(net, prior, cache, y, beta=1.0,
-                                                           n_task=100)
+        for n, eps in ((net, noise), (float64_net(net), [
+                tuple(a.astype(np.float64) for a in pair) for pair in noise])):
+            prior = advance_prior(n)
+            _, cache = beta_elbo_loss(n, prior, 0, x, y, beta=1.0, n_task=100, noise=eps)
+            grads[n.dtype] = backward_gradients(n, prior, cache, y, beta=1.0, n_task=100)
         for g32, g64 in zip(grads[np.dtype(np.float32)], grads[np.dtype(np.float64)]):
-            assert g32.flat.dtype == np.float64
+            assert g32.flat.dtype == np.float32
             scale = np.abs(g64.flat).max(axis=1, keepdims=True)
             assert np.all(np.abs(g32.flat - g64.flat) <= 1e-5 * scale)
             assert not np.array_equal(g32.flat, g64.flat)
@@ -587,9 +634,9 @@ class TestFitMemory:
     def test_peak_is_the_model_state_plus_one_step(self):
         # Model state: Adam's two moments and one gradient set, three copies
         # of the parameters. One step: its noise, batch and cache, and the
-        # KL's (3, CHUNK) float64 scratch. A quarter of the parameters'
-        # bytes covers small arrays and Python objects; whole-array KL
-        # temporaries of this net's first layer exceed it.
+        # KL's (3, CHUNK) scratch in the net's dtype. A quarter of the
+        # parameters' bytes covers small arrays and Python objects;
+        # whole-array KL temporaries of this net's first layer exceed it.
         net = wide_net(61)
         prior = advance_prior(net)
         x = make_rng("fm").random((64, 784))
@@ -608,7 +655,7 @@ class TestFitMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * params + step + 3 * CHUNK * 8 + params / 4
+        assert peak < 3 * params + step + 3 * CHUNK * net.dtype.itemsize + params / 4
 
     def test_one_step_alive_at_a_time(self):
         # A step's noise, cache or gradients still alive during the next
@@ -766,13 +813,13 @@ class TestFitFailures:
 
 
 class TestFloat32Overflow:
-    """A sigma that float64 holds and float32 cannot is an overflow in the
-    cast, which a caller's ``np.errstate(over="raise")`` turns into an error."""
+    """A float32 net's sigma beyond float32's range is an overflow in exp,
+    which a caller's ``np.errstate(over="raise")`` turns into an error."""
 
     def setup_method(self):
         self.net = with_one_huge_sigma(random_net(57, input_dim=6, hidden=(5,), out=2))
         self.x = make_rng("huge").random((8, 6))
-        assert np.isfinite(np.exp(0.5 * self.net.trunk[0].logvar_w)).all()
+        assert self.net.dtype == np.float32 and self.net.trunk[0].logvar_w[0, 0] == HUGE_LOGVAR
 
     def fit(self):
         fit(self.net, advance_prior(self.net), 0, whole_view(self.x, np.arange(8) % 2),
@@ -785,7 +832,7 @@ class TestFloat32Overflow:
         assert np.array_equal(get_param_vector(self.net, 0), before)
 
     def test_a_first_layer_variance_beyond_float32_overflows_in_fit(self):
-        # As in prediction, training casts the first layer's variance, and
+        # As in prediction, training takes the first layer's variance, and
         # exp(100) is beyond float32 while exp(100 / 2) is a float32 sigma.
         self.net.trunk[0].logvar_w[0, 0] = 100.0
         before = get_param_vector(self.net, 0)
@@ -848,6 +895,42 @@ class TestAdvancePrior:
         save_snapshot(vbnn.VariationalNet(7, (), {}), path)
         empty = load_snapshot(path)
         assert (empty.input_dim, empty.trunk, empty.heads) == (0, (), {})
+
+    def test_a_float32_net_round_trips_bit_for_bit(self, tmp_path):
+        # Its float32 values are stored as float64, exactly, and rounded back.
+        snapshot = advance_prior(random_net(48, hidden=(5, 3), heads=(0, 1), jitter=0.7))
+        path = tmp_path / "stage.snap"
+        save_snapshot(snapshot, path)
+        loaded = load_snapshot(path)
+        assert loaded.dtype == np.float32
+        for a, b in zip([*snapshot.trunk, *snapshot.heads.values()],
+                        [*loaded.trunk, *loaded.heads.values()]):
+            assert a.flat.tobytes() == b.flat.tobytes()
+        header = 16 + 8 * 2 + 12 * 2  # two trunk layers, two heads
+        assert path.read_bytes()[header:header + 8] == struct.pack(
+            "<d", snapshot.trunk[0].mu_w[0, 0])
+
+    def test_a_file_of_float64_values_loads_rounded_to_float32(self, tmp_path):
+        # Every snapshot written before nets were float32 holds float64 values.
+        snapshot = advance_prior(random_net(51, jitter=0.7, dtype=np.float64))
+        path = tmp_path / "stage.snap"
+        save_snapshot(snapshot, path)
+        loaded = load_snapshot(path)
+        for a, b in zip([*snapshot.trunk, snapshot.heads[0]], [*loaded.trunk, loaded.heads[0]]):
+            assert b.flat.dtype == np.float32
+            assert b.flat.tobytes() == a.flat.astype(np.float32).tobytes()
+            assert not np.array_equal(b.flat, a.flat)
+
+    @pytest.mark.parametrize("offset, name", [(52, "trunk layer 0"), (-8, "head 0")])
+    def test_a_value_beyond_float32_is_an_error_naming_its_layer(self, tmp_path, offset, name):
+        path = tmp_path / "huge.snap"
+        save_snapshot(advance_prior(random_net(49, jitter=0.1)), path)  # 4-3-2, floats from 52
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, offset % len(blob), -1e39)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=f"^snapshot {name} has a parameter of magnitude "
+                                             "1e\\+39, beyond float32's range$"):
+            load_snapshot(path)
 
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "stage.snap"
@@ -942,13 +1025,14 @@ def lanes_stacked(net, x, seeds, n_samples):
     k + 2, ..., draws the (B, O) first-layer noise and the first bias's,
     then each later layer's eps_w and eps_b. The first layer takes
     std * eps + mean + b from its moments of x w and a sampled bias b; the
-    lanes' float64 sums are added in lane order.
+    lanes' float64 sums are added in lane order. Everything else is in the
+    net's dtype.
     """
-    dtype = vbnn.NOISE_DTYPE
+    dtype = net.dtype
     first, *later = net.active_layers(0)
     x = x.astype(dtype)
-    mean = x @ first.mu_w.astype(dtype)
-    std = np.sqrt(np.square(x) @ np.exp(first.logvar_w).astype(dtype))
+    mean = x @ first.mu_w
+    std = np.sqrt(np.square(x) @ np.exp(first.logvar_w))
     shapes = [mean.shape, first.mu_b.shape,
               *(s for layer in later for s in (layer.mu_w.shape, layer.mu_b.shape))]
     total = np.zeros(mean.shape[:1] + (net.active_layers(0)[-1].fan_out,))
@@ -959,11 +1043,11 @@ def lanes_stacked(net, x, seeds, n_samples):
         if not draws:
             continue
         eps, eps_b1, *later_eps = [np.stack(column) for column in zip(*draws)]
-        b1 = np.exp(0.5 * first.logvar_b).astype(dtype) * eps_b1 + first.mu_b.astype(dtype)
+        b1 = np.exp(0.5 * first.logvar_b) * eps_b1 + first.mu_b
         act = eps * std + mean + b1[:, None, :]                 # (S_k, B, O)
         for layer, eps_w, eps_b in zip(later, later_eps[::2], later_eps[1::2]):
-            w = np.exp(0.5 * layer.logvar_w).astype(dtype) * eps_w + layer.mu_w.astype(dtype)
-            b = np.exp(0.5 * layer.logvar_b).astype(dtype) * eps_b + layer.mu_b.astype(dtype)
+            w = np.exp(0.5 * layer.logvar_w) * eps_w + layer.mu_w
+            b = np.exp(0.5 * layer.logvar_b) * eps_b + layer.mu_b
             act = np.maximum(act, 0.0) @ w + b[:, None, :]
         total += vbnn.softmax(act).sum(axis=0, dtype=np.float64)
     return total / n_samples
@@ -1107,14 +1191,14 @@ class TestPosteriorPredict:
         # 257 and 513 end in a one-row remainder, which joins the block before it.
         layer = wide_net(60, jitter=0.5).trunk[0]
         x = make_rng("blocks", rows).random((rows, layer.fan_in), dtype=np.float32)
-        var_w = np.exp(layer.logvar_w).astype(np.float32)
+        var_w = np.exp(layer.logvar_w)
         mean, std, _, _ = vbnn._first_layer_moments(layer, x)
         assert std.dtype == np.float32 and std.flags.c_contiguous
         assert std.tobytes() == np.sqrt(np.square(x) @ var_w).tobytes()
-        assert mean.tobytes() == (x @ layer.mu_w.astype(np.float32)).tobytes()
+        assert mean.tobytes() == (x @ layer.mu_w).tobytes()
 
     def test_a_first_layer_variance_beyond_float32_overflows(self):
-        # The first layer's variance is cast, not its sigma: exp(100) is
+        # The first layer's variance is taken, not its sigma: exp(100) is
         # beyond float32, while exp(100 / 2) is a float32 sigma.
         net = random_net(59, input_dim=6, hidden=(5,), out=2)
         net.trunk[0].logvar_w[0, 0] = 100.0
