@@ -12,7 +12,7 @@ z = 0.
 
 A metric fails when |z| reaches the two-sided 95% bound, about 2 for one
 metric, corrected for the number M of metrics in the table (Bonferroni:
-the 1 - 0.025 / M normal quantile, 2.99 for the 18 metrics of 3 stages of
+the 1 - 0.025 / M normal quantile, 2.97 for the 17 metrics of 3 stages of
 ``synthetic``), so that the same code fails the table about 5% of the time
 rather than at every few runs. At a flat 2, 11 of 28 disjoint 8-seed pairs
 of one toy-sized 64-seed run of the same code failed at least one of 12
@@ -77,9 +77,11 @@ Sweep = dict[int, dict[int, dict[str, float]]]
 
 def stage_metrics(accuracies: list[float], beta: float, d, s) -> dict[str, float]:
     """One stage's metrics: the average accuracy, each seen task's accuracy
-    (``acc_1`` for the first task), and d, s and log beta unless absent."""
+    (``acc_1`` for the first task) once there are two, and d, s and log beta
+    unless absent."""
     metrics = {"avg_acc": sum(accuracies) / len(accuracies)}
-    metrics.update({f"acc_{i}": a for i, a in enumerate(accuracies, start=1)})
+    if len(accuracies) > 1:
+        metrics.update({f"acc_{i}": a for i, a in enumerate(accuracies, start=1)})
     metrics.update({name: value for name, value in (("d", d), ("s", s)) if value is not None})
     metrics["log_beta"] = math.log(beta)
     return metrics

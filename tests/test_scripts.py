@@ -45,9 +45,10 @@ class TestSeedSweep:
     def test_identical_code_passes(self, base):
         # Identical code writes identical CSV bytes (criterion 8), so both
         # sides read the same numbers; constant metrics have zero spread.
-        # Per stage t: avg_acc, acc_1 .. acc_t, d, s and log_beta.
+        # Per stage t: avg_acc, acc_1 .. acc_t from stage 2 on, d, s and
+        # log_beta.
         rows = seed_sweep.compare(base, base)
-        assert len(rows) == 18
+        assert len(rows) == 17
         assert all(r["ok"] and r["z"] == 0.0 for r in rows), seed_sweep.format_table(rows)
 
     def test_same_code_passes_under_disjoint_seeds(self, base, tmp_path):

@@ -172,9 +172,6 @@ class TestInit:
         net = random_net(6, dtype=np.float64)
         head = net.ensure_head(1, 3, make_rng(1))
         assert net.dtype == head.flat.dtype == np.float64
-        headless = float64_net(random_net(6, hidden=(), heads=(0,)))
-        headless.heads.clear()
-        assert headless.ensure_head(2, 2, make_rng(2)).flat.dtype == np.float64
 
     def test_zero_dim_rejected(self):
         with pytest.raises(ValueError):
