@@ -4,11 +4,11 @@
 A change that moves the output bits on purpose (a new rounding, a new
 estimator) cannot be checked against the golden digests. This check runs one
 workload at N seeds in each checkout and compares, per stage, the means over
-seeds of the average accuracy, of each seen task's accuracy (every cell of
-the accuracy matrix), and of d, s and log beta where the workload has them:
-z is their difference over its standard error, sqrt(se_base^2 +
-se_change^2), and a metric that is the same constant on both sides has
-z = 0.
+seeds of the average accuracy, of each seen task's accuracy from stage 2 on
+(every cell of the accuracy matrix), and of d, s and log beta where the
+workload has them: z is their difference over its standard error,
+sqrt(se_base^2 + se_change^2), and a metric that is the same constant on
+both sides has z = 0.
 
 A metric fails when |z| reaches the two-sided 95% bound, about 2 for one
 metric, corrected for the number M of metrics in the table (Bonferroni:
@@ -94,11 +94,9 @@ def sweep(checkout, seeds: range, flags: list[str], workdir, workload: str = "sy
     only); ``size`` picks the stand-ins' size in ``perfbench/worker.py``."""
     if workload == "synthetic":
         return synthetic_sweep(checkout, seeds, flags, workdir)
-    env = {**os.environ, "PYTHONPATH": ""}
     proc = subprocess.run([sys.executable, "-c", STAND_IN, str(Path(checkout).resolve()),
-                           workload, size,
-                           *map(str, seeds)], env=env, cwd=workdir, capture_output=True,
-                          text=True)
+                           workload, size, *map(str, seeds)],
+                          cwd=workdir, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     return {int(seed): {t: stage_metrics(r["accuracy"], r["beta"], r["d"], r["s"])
