@@ -27,7 +27,7 @@ import numpy as np
 
 from .heuristics import HeuristicConfig, HeuristicTrace, assess_task
 from .numerics import ConfigError, NumericError, check_writable, make_rng, require_positive
-from .vbnn import (SPARE_CORE, VariationalNet, advance_prior, fit, init_network,
+from .vbnn import (VariationalNet, advance_prior, fit, init_network, on_spare_core,
                    posterior_predict, save_snapshot, standard_prior)
 
 _BETA_MODES = ("fixed", "auto")
@@ -105,13 +105,6 @@ def _evaluate_stage(posterior: VariationalNet, tasks: Sequence, t: int, cfg: Tra
                     for i in range(t)]
     except FloatingPointError as exc:
         raise NumericError(f"stage {t}: {exc} during evaluation") from exc
-
-
-def _on_spare_core(fn, *args):
-    """``fn(*args)`` while holding ``SPARE_CORE``, so no prediction lane
-    starts beside it."""
-    with SPARE_CORE:
-        return fn(*args)
 
 
 def _check_finite(net: VariationalNet, stage: int) -> None:
@@ -200,7 +193,7 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
                     else:
                         trace = HeuristicTrace(beta=cfg.beta)
                     if t > 1:
-                        evaluation = worker.submit(_on_spare_core, _evaluate_stage, prior,
+                        evaluation = worker.submit(on_spare_core, _evaluate_stage, prior,
                                                    tasks, t - 1, cfg, master_seed)
                     phase = "training"
                     net.ensure_head(task.head_index, task.n_classes,

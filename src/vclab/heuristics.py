@@ -21,18 +21,27 @@ with delta_d the mean absolute gap between consecutive previous difficulties
 and t - 1 the length of that history; beta_1 = 1. Easier or more familiar
 tasks push beta up (preserve knowledge), harder tasks pull it down (let the
 posterior move).
+
+The difficulty probe is pipelined: each repeat is scored on a one-worker
+executor, the probe scorer, which holds ``vbnn.SPARE_CORE``, while the next
+repeat trains on the calling thread. Each repeat draws only from its own
+stream, and prediction's bits do not depend on where its lanes run, so d
+has the bits of a serial loop.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .numerics import ConfigError, make_rng, require_positive, seed_from
-from .vbnn import VariationalNet, fit, init_network, posterior_predict, standard_prior
+from .vbnn import (SPARE_CORE, VariationalNet, fit, init_network, on_spare_core,
+                   posterior_predict, standard_prior)
 
 if TYPE_CHECKING:  # continual imports this module
     from .continual import TrainConfig
@@ -115,6 +124,13 @@ def _subset_indices(n_available: int, size: int, rng: np.random.Generator,
     return [picked[i * size:(i + 1) * size] for i in range(count)]
 
 
+def _score_probe(net: VariationalNet, x: np.ndarray, y: np.ndarray,
+                 rng: np.random.Generator, n_samples: int) -> float:
+    """Posterior-predictive argmax accuracy of a probe net's head 0."""
+    probs = posterior_predict(net, 0, x, rng, n_samples)
+    return float((probs.argmax(axis=1) == y).mean())
+
+
 def probe_difficulty(task, hidden_dims: Sequence[int], cfg: TrainConfig,
                      heuristic_cfg: HeuristicConfig, seed: int) -> tuple[float, list[float]]:
     """Mock-training difficulty of a task: d in [0, 1] plus raw probe accuracies.
@@ -123,19 +139,49 @@ def probe_difficulty(task, hidden_dims: Sequence[int], cfg: TrainConfig,
     ``PROBE_EPOCHS`` of ``cfg``'s training on ``probe_size`` random examples,
     scores it with ``cfg.eval_mc_samples`` draws on a disjoint subset of equal
     size, and draws from its own derived seed, so repeats are bit-reproducible.
+
+    Repeat r is scored on a one-worker executor (``vclab-probe``), started
+    under this thread's ``np.geterr()``, while repeat r + 1 trains here; each
+    score holds ``SPARE_CORE``, so its prediction runs both lanes on the
+    worker. Repeat r's score is joined before repeat r + 1's is submitted,
+    so at most one trained probe net and its eval batch wait. When another
+    thread holds ``SPARE_CORE`` as the call starts, each repeat is scored
+    here after its fit. Either way the bits are those of a serial loop, and
+    so is the order of errors: repeat r's scoring error is raised here before
+    repeat r + 1's training error. The worker is joined before return.
     """
-    accuracies = []
-    for repeat in range(heuristic_cfg.probe_repeats):
-        rng = make_rng(seed, "probe", repeat)
-        train_idx, eval_idx = _subset_indices(len(task.train), heuristic_cfg.probe_size, rng, 2)
-        net = init_network(task.input_dim, hidden_dims, rng)
-        net.ensure_head(0, task.n_classes, rng)
-        fit(net, standard_prior(net), 0, task.train.subset(train_idx), beta=1.0,
-            epochs=PROBE_EPOCHS, batch_size=cfg.batch_size, lr=cfg.lr,
-            mc_samples=cfg.train_mc_samples, rng=rng)
-        x_eval, y_eval = task.train.take(eval_idx)
-        probs = posterior_predict(net, 0, x_eval, rng, cfg.eval_mc_samples)
-        accuracies.append(float((probs.argmax(axis=1) == y_eval).mean()))
+    accuracies, pending = [], None
+    # A thread that takes the spare core after this check only delays the
+    # scores, which wait for it in on_spare_core.
+    pipelined = not SPARE_CORE.locked()
+    # The executor starts its thread at the first submit, so an inline call
+    # starts none.
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vclab-probe",
+                            initializer=partial(np.seterr, **np.geterr())) as scorer:
+        for repeat in range(heuristic_cfg.probe_repeats):
+            try:
+                rng = make_rng(seed, "probe", repeat)
+                train_idx, eval_idx = _subset_indices(len(task.train),
+                                                      heuristic_cfg.probe_size, rng, 2)
+                net = init_network(task.input_dim, hidden_dims, rng)
+                net.ensure_head(0, task.n_classes, rng)
+                fit(net, standard_prior(net), 0, task.train.subset(train_idx), beta=1.0,
+                    epochs=PROBE_EPOCHS, batch_size=cfg.batch_size, lr=cfg.lr,
+                    mc_samples=cfg.train_mc_samples, rng=rng)
+            finally:
+                # Repeat r - 1 is joined first, and its error wins, as in a
+                # serial loop.
+                if pending is not None:
+                    accuracies.append(pending.result())
+                    pending = None
+            score = (net, *task.train.take(eval_idx), rng, cfg.eval_mc_samples)
+            if pipelined:
+                pending = scorer.submit(on_spare_core, _score_probe, *score)
+            else:
+                accuracies.append(_score_probe(*score))
+            del score  # the worker keeps the net and its eval batch until scored
+        if pending is not None:
+            accuracies.append(pending.result())
     d = difficulty_from_accuracy(float(np.mean(accuracies)), task.chance_accuracy)
     return d, accuracies
 

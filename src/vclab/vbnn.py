@@ -91,9 +91,17 @@ INIT_LOGVAR = -6.0
 # The dtype of every network init_network and load_snapshot make.
 DTYPE = np.dtype(np.float32)
 # Held by the one thread a run may add beside its own: posterior_predict's
-# second lane, or continual's evaluation worker, whose predictions then run
-# both lanes on the worker. Two cores have room for two busy threads.
+# second lane, continual's evaluation worker or heuristics' probe scorer,
+# whose predictions then run both lanes on that thread. Two cores have room
+# for two busy threads.
 SPARE_CORE = threading.Lock()
+
+
+def on_spare_core(fn, *args):
+    """``fn(*args)`` while holding :data:`SPARE_CORE`, so no prediction lane
+    starts beside it."""
+    with SPARE_CORE:
+        return fn(*args)
 
 
 class VariationalLayer:

@@ -1,5 +1,9 @@
 import dataclasses
+import itertools
 import math
+import threading
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -7,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vclab.heuristics as heuristics
-from vclab.continual import TrainConfig
+import vclab.vbnn as vbnn
+from vclab.continual import TrainConfig, run_sequence
 from vclab.data import make_synthetic_blobs
 from vclab.heuristics import (BETA_MAX, BETA_MIN, HeuristicConfig, HeuristicTrace,
                               assess_task, average_difficulty_gap, compute_beta,
                               difficulty_from_accuracy, measure_similarity, norm_unit,
                               probe_difficulty)
-from vclab.numerics import make_rng, seed_from
-from vclab.vbnn import fit, init_network, standard_prior
+from vclab.numerics import NumericError, make_rng, seed_from
+from vclab.vbnn import fit, init_network, posterior_predict, standard_prior
 
 # Small probe budget for unit tests; acceptance re-runs the defaults.
 FAST = HeuristicConfig(probe_size=256, probe_repeats=4)
@@ -140,6 +145,168 @@ class TestProbeDifficulty:
         with pytest.raises(ValueError):
             probe_difficulty(blob_task(5.0, n=300, tag="small"), (16,), FAST_TRAIN, FAST,
                              seed_from(5))
+
+
+def serial_probe_difficulty(task, hidden_dims, cfg, heuristic_cfg, seed, record):
+    """The probe loop with each repeat scored right after its fit, on this
+    thread; ``record(probs)`` sees each repeat's predictions."""
+    accuracies = []
+    for repeat in range(heuristic_cfg.probe_repeats):
+        rng = make_rng(seed, "probe", repeat)
+        train_idx, eval_idx = heuristics._subset_indices(len(task.train),
+                                                         heuristic_cfg.probe_size, rng, 2)
+        net = init_network(task.input_dim, hidden_dims, rng)
+        net.ensure_head(0, task.n_classes, rng)
+        fit(net, standard_prior(net), 0, task.train.subset(train_idx), beta=1.0,
+            epochs=heuristics.PROBE_EPOCHS, batch_size=cfg.batch_size, lr=cfg.lr,
+            mc_samples=cfg.train_mc_samples, rng=rng)
+        x_eval, y_eval = task.train.take(eval_idx)
+        probs = posterior_predict(net, 0, x_eval, rng, cfg.eval_mc_samples)
+        record(probs)
+        accuracies.append(float((probs.argmax(axis=1) == y_eval).mean()))
+    return difficulty_from_accuracy(float(np.mean(accuracies)), task.chance_accuracy), accuracies
+
+
+@contextmanager
+def spare_core_held_by_another_thread():
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with vbnn.SPARE_CORE:
+            held.set()
+            release.wait(60)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    assert held.wait(30)
+    try:
+        yield
+    finally:
+        release.set()
+        holder.join(30)
+        assert not holder.is_alive()
+
+
+def wrap_probe_calls(monkeypatch, before_fit=None, before_predict=None, after_predict=None):
+    """Route ``heuristics.fit`` and ``heuristics.posterior_predict`` through
+    the given hooks; each gets the call's index, counted from 0."""
+    real_fit, real_predict = heuristics.fit, heuristics.posterior_predict
+    fits, predicts = itertools.count(), itertools.count()
+
+    def hooked_fit(*args, **kwargs):
+        if before_fit:
+            before_fit(next(fits))
+        return real_fit(*args, **kwargs)
+
+    def hooked_predict(*args):
+        call = next(predicts)
+        if before_predict:
+            before_predict(call)
+        probs = real_predict(*args)
+        if after_predict:
+            after_predict(call, probs)
+        return probs
+
+    monkeypatch.setattr(heuristics, "fit", hooked_fit)
+    monkeypatch.setattr(heuristics, "posterior_predict", hooked_predict)
+
+
+def pipeline_task():
+    """Overlapping blobs, so the probe repeats score differently."""
+    return blob_task(1.5, tag="pipeline")
+
+
+def probe_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("vclab-probe")]
+
+
+class TestPipelinedProbes:
+    """Repeat r is scored on the probe scorer while repeat r + 1 trains."""
+
+    CFG = HeuristicConfig(probe_size=256, probe_repeats=4)
+
+    def test_same_bits_as_a_serial_loop_with_the_spare_core_free_or_taken(self, monkeypatch):
+        task, seed = pipeline_task(), seed_from(12)
+        reference = []
+        expected = serial_probe_difficulty(task, (16,), FAST_TRAIN, self.CFG, seed,
+                                           lambda p: reference.append(p.tobytes()))
+        assert len(set(expected[1])) > 1  # the repeats differ, so order matters
+        seen = []
+        wrap_probe_calls(monkeypatch, after_predict=lambda call, probs: seen.append(
+            (threading.current_thread().name, probs.tobytes())))
+        free = probe_difficulty(task, (16,), FAST_TRAIN, self.CFG, seed)
+        assert not vbnn.SPARE_CORE.locked() and not probe_threads()
+        assert seen == [("vclab-probe_0", p) for p in reference]
+        seen.clear()
+        with spare_core_held_by_another_thread():
+            taken = probe_difficulty(task, (16,), FAST_TRAIN, self.CFG, seed)
+        assert seen == [(threading.current_thread().name, p) for p in reference]
+        assert free == taken == expected
+
+    def test_at_most_one_scored_probe_is_pending(self, monkeypatch):
+        # A slow scorer would let a pipeline that never joins train ahead.
+        lock, trained, scored, overlapped = threading.Lock(), [0], [0], []
+
+        def before_fit(call):
+            with lock:
+                assert trained[0] - scored[0] <= 1
+                overlapped.append(trained[0] > scored[0])
+                trained[0] += 1
+
+        def before_predict(call):
+            with lock:
+                assert trained[0] - scored[0] in (1, 2)
+            time.sleep(0.05)
+
+        def after_predict(call, probs):
+            with lock:
+                scored[0] += 1
+
+        # ``trained`` counts fits begun, so while repeat r + 1 trains, repeat
+        # r's score is the one pending.
+        wrap_probe_calls(monkeypatch, before_fit, before_predict, after_predict)
+        probe_difficulty(pipeline_task(), (16,), FAST_TRAIN, self.CFG, seed_from(13))
+        assert trained[0] == scored[0] == self.CFG.probe_repeats
+        assert any(overlapped)  # some repeat trained while another was scored
+
+    def test_a_scoring_overflow_is_a_numeric_error_during_assessment(self, monkeypatch):
+        # The scorer starts under the caller's error state, so the overflow
+        # raises there and surfaces from the run as the stage's error.
+        threads = []
+
+        def overflow(call):
+            threads.append(threading.current_thread().name)
+            np.exp(np.float32(100.0))
+
+        wrap_probe_calls(monkeypatch, before_predict=overflow)
+        cfg = dataclasses.replace(FAST_TRAIN, epochs=1, eval_mc_samples=5, beta_mode="auto")
+        with pytest.raises(NumericError, match="^stage 1: overflow encountered in exp "
+                                               "during assessment$"):
+            run_sequence([pipeline_task()], (16,), cfg, self.CFG, master_seed=14)
+        assert threads == ["vclab-probe_0"] and not probe_threads()
+
+    @pytest.mark.parametrize("score_fails", [False, True], ids=["fit-error", "score-error"])
+    def test_a_fit_error_while_a_probe_is_scored_leaves_no_probe_thread(self, monkeypatch,
+                                                                        score_fails):
+        # Repeat 1's fit fails while repeat 0 is scored. A failing score came
+        # first in a serial loop, so its error wins.
+        scoring = threading.Event()
+
+        def before_fit(call):
+            if call == 1:
+                assert scoring.wait(30)
+                raise RuntimeError("fit failed")
+
+        def before_predict(call):
+            scoring.set()
+            time.sleep(0.05)
+            if score_fails:
+                raise RuntimeError("score failed")
+
+        wrap_probe_calls(monkeypatch, before_fit, before_predict)
+        with pytest.raises(RuntimeError, match="score failed" if score_fails else "fit failed"):
+            probe_difficulty(pipeline_task(), (16,), FAST_TRAIN, self.CFG, seed_from(15))
+        assert not probe_threads() and not vbnn.SPARE_CORE.locked()
 
 
 def train_blob_net(task, hidden=(64,), epochs=5, seed="sim"):
