@@ -50,15 +50,18 @@ place. The KL and its gradient, like Adam, walk each (2, n) buffer with
 whole-buffer temporaries.
 
 ``posterior_predict`` computes the first layer's moments once per call and
-runs each draw through a forward pass that keeps no backward cache. Two
-lanes each draw from their own generator, seeded from the call's ``rng``:
-this thread's, and a one-worker executor's, started under this thread's
-error state when :data:`SPARE_CORE` is free, or else run on this thread
-after the first. So prediction makes no (S, I, O) noise: its peak memory is
-the two (B, O) moments, the square of one :func:`numerics.row_blocks` block
-of the input, and two draws' later-layer weights and activations. The lane
-sums are added in a fixed order, so the bits do not depend on thread timing
-or on where lane 1 ran.
+runs each draw through a forward pass that keeps no backward cache. Draws
+come in antithetic pairs (Hammersley & Morton 1956): one noise set makes a
+draw at +eps and one at -eps, so S draws take ceil(S / 2) noise sets. Two
+lanes each draw from their own generator, seeded from the call's ``rng``,
+and take alternate pairs: this thread's, and a one-worker executor's,
+started under this thread's error state when :data:`SPARE_CORE` is free, or
+else run on this thread after the first. So prediction makes no (S, I, O)
+noise: its peak memory is the two (B, O) moments, the square of one
+:func:`numerics.row_blocks` block of the input, and per lane one noise set
+and one draw's later-layer weights and activations. The lane sums are added
+in a fixed order, so the bits do not depend on thread timing or on where
+lane 1 ran.
 
 Each layer keeps means and log-variances as the two rows of one (2, n)
 buffer (see :class:`VariationalLayer`), and so do gradients, Adam moments
@@ -606,18 +609,21 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
 
     Each draw takes the first layer's pre-activations from its moments and a
     sampled bias, as :func:`forward_with_noise` does, and samples every later
-    layer's weights. ``rng`` only seeds the two lanes, with one
-    ``rng.integers(2**63, size=2)`` call. Lane k draws for draws k, k + 2,
-    ...: first the (B, O) first-layer eps and the first bias's eps, then each
-    later layer's eps_w and eps_b, all in the net's dtype; it sums their
-    softmax in float64.
+    layer's weights. The S draws come from ceil(S / 2) noise sets: pair j is
+    draws 2j and 2j + 1, at +eps and then -eps of set j, and with odd S the
+    last pair is the one +eps draw S - 1. Each draw is an exact posterior
+    sample, so the average stays unbiased. ``rng`` only seeds the two lanes,
+    with one ``rng.integers(2**63, size=2)`` call. Lane k takes pairs k,
+    k + 2, ...: for each it draws first the (B, O) first-layer eps and the
+    first bias's eps, then each later layer's eps_w and eps_b, all in the
+    net's dtype; it sums its draws' softmax in float64, in draw order.
     Lane 0 runs here, lane 1 on a one-worker executor that starts under this
     thread's ``np.geterr()``, since ``np.errstate`` holds per thread, while
-    this call holds :data:`SPARE_CORE`. One draw starts no lane, and nor does
-    a call that finds the spare core taken: it runs lane 1 here after lane 0,
-    with the same generators and so the same bits. The result is (lane 0 +
-    lane 1) / S. ``result()`` raises the lane's errors here, and the lane is
-    joined before return.
+    this call holds :data:`SPARE_CORE`. S <= 2 makes one pair and starts no
+    lane, and nor does a call that finds the spare core taken: it runs lane
+    1 here after lane 0, with the same generators and so the same bits. The
+    result is (lane 0 + lane 1) / S. ``result()`` raises the lane's errors
+    here, and the lane is joined before return.
     """
     if n_eval_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -626,30 +632,37 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
     mean, std, mu_b1, sigma_b1 = _first_layer_moments(first, x)
     later = _means_and_sigmas(later_layers)
     seeds = rng.integers(2**63, size=2)
+    n_pairs = (n_eval_samples + 1) // 2
 
     def lane(k: int) -> np.ndarray:
         draws = np.random.default_rng(seeds[k])
         total = np.zeros((x.shape[0], net.head(head_index).fan_out))
-        for _ in range(k, n_eval_samples, 2):
-            act = std * draws.standard_normal(mean.shape, dtype=dtype) + mean
-            act += sigma_b1 * draws.standard_normal(mu_b1.shape, dtype=dtype) + mu_b1
-            for mu_w, sigma_w, mu_b, sigma_b in later:
-                w = sigma_w * draws.standard_normal(mu_w.shape, dtype=dtype)
-                w += mu_w
-                b = sigma_b * draws.standard_normal(mu_b.shape, dtype=dtype) + mu_b
-                act = np.maximum(act, 0.0) @ w + b
-            total += softmax(act)
+        for pair in range(k, n_pairs, 2):
+            # One noise set, scaled by the sigmas, makes the pair's draw at
+            # +eps and then its draw at -eps; with odd S the last pair is one
+            # +eps draw.
+            z1 = std * draws.standard_normal(mean.shape, dtype=dtype)
+            z1_b = sigma_b1 * draws.standard_normal(mu_b1.shape, dtype=dtype)
+            z_later = [(sigma_w * draws.standard_normal(mu_w.shape, dtype=dtype),
+                        sigma_b * draws.standard_normal(mu_b.shape, dtype=dtype))
+                       for mu_w, sigma_w, mu_b, sigma_b in later]
+            for shift in (np.add, np.subtract)[:n_eval_samples - 2 * pair]:
+                act = shift(mean, z1)
+                act += shift(mu_b1, z1_b)
+                for (mu_w, _, mu_b, _), (z_w, z_b) in zip(later, z_later):
+                    act = np.maximum(act, 0.0) @ shift(mu_w, z_w) + shift(mu_b, z_b)
+                total += softmax(act)
         return total
 
     with ExitStack() as stack:
         odd = None
-        if n_eval_samples > 1 and SPARE_CORE.acquire(blocking=False):
+        if n_pairs > 1 and SPARE_CORE.acquire(blocking=False):
             stack.callback(SPARE_CORE.release)
             odd = stack.enter_context(ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="vclab-predict",
                 initializer=partial(np.seterr, **np.geterr()))).submit(lane, 1)
         total = lane(0)
-        if n_eval_samples > 1:
+        if n_pairs > 1:
             total += lane(1) if odd is None else odd.result()
     return total / n_eval_samples
 

@@ -28,13 +28,13 @@ from vclab.vbnn import advance_prior, save_snapshot
 GOLDEN_ARGS = ["run", "--experiment", "synthetic", "--model", "auto", "--trials", "1",
                "--epochs", "1", "--probe-repeats", "2", "--probe-size", "256",
                "--seed", "8817"]
-GOLDEN_SHA256 = "03db348e7da0d8d1827ec27306cc1fafffe2025231e13dd23c5a63402a616011"
+GOLDEN_SHA256 = "e1ffbb14926f4448d6975b5088e37f3574ae88b8a8fc825d62af4ff7527154da"
 SNAPSHOT_SHA256 = "7f3df7883e750b733e6fe1d1d366ebb63ba2a02a696c3a190f68172a92876b4b"
 # The toy runs: each digest covers the accuracy rows (and beta, d, s) of
 # every stage; the split run's second digest covers its last stage snapshot.
-SPLIT_ROWS_SHA256 = "f7f2023b4ce54362b2aaa9e9c656c40b33f0d69e7ba4509d8dee66ba67af3e58"
+SPLIT_ROWS_SHA256 = "c34c402f78f4969e67a9f5ed682ad5cf2d6bbb48eb9d536470e3521f0b7fea70"
 SPLIT_SNAPSHOT_SHA256 = "0896d6841174542ddc6b030ea195e5e89b1c0aa81ed4c990708b8da315686b3c"
-PERMUTED_ROWS_SHA256 = "af1ec0d0694dec97a357b1743322e34ad18350e42e574a033de752b7213bbaed"
+PERMUTED_ROWS_SHA256 = "87bc9d90102d8656bfdc7f5172ffd2b4e4155b2d7b860b646c8eb1c496a08435"
 RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
 

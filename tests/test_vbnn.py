@@ -1018,12 +1018,14 @@ def recording_softmax(monkeypatch, record):
 def lanes_stacked(net, x, seeds, n_samples):
     """posterior_predict's estimate with each lane's draws stacked.
 
-    Lane k seeds a generator with ``seeds[k]`` and, for each of draws k,
-    k + 2, ..., draws the (B, O) first-layer noise and the first bias's,
-    then each later layer's eps_w and eps_b. The first layer takes
-    std * eps + mean + b from its moments of x w and a sampled bias b; the
-    lanes' float64 sums are added in lane order. Everything else is in the
-    net's dtype.
+    Draws come in antithetic pairs: pair j is draws 2j and 2j + 1, and with
+    odd S the last pair is draw S - 1 alone. Lane k seeds a generator with
+    ``seeds[k]`` and, for each of pairs k, k + 2, ..., draws one noise set:
+    the (B, O) first-layer noise and the first bias's, then each later
+    layer's eps_w and eps_b. The pair's draws take that set times +1 and
+    then times -1. The first layer takes std * eps + mean + b from its
+    moments of x w and a sampled bias b; the lanes' float64 sums are added
+    in lane order. Everything else is in the net's dtype.
     """
     dtype = net.dtype
     first, *later = net.active_layers(0)
@@ -1035,8 +1037,11 @@ def lanes_stacked(net, x, seeds, n_samples):
     total = np.zeros(mean.shape[:1] + (net.active_layers(0)[-1].fan_out,))
     for k, seed in enumerate(seeds):
         lane = np.random.default_rng(seed)
-        draws = [[lane.standard_normal(s, dtype=dtype) for s in shapes]
-                 for _ in range(k, n_samples, 2)]
+        draws = []
+        for pair in range(k, (n_samples + 1) // 2, 2):
+            noise = [lane.standard_normal(s, dtype=dtype) for s in shapes]
+            draws += [[sign * eps for eps in noise]
+                      for sign in (dtype.type(1), dtype.type(-1))[:n_samples - 2 * pair]]
         if not draws:
             continue
         eps, eps_b1, *later_eps = [np.stack(column) for column in zip(*draws)]
@@ -1064,7 +1069,7 @@ def weight_sampled_logits(layers, x, n_samples, rng):
 
 
 class TestPosteriorPredict:
-    @pytest.mark.parametrize("n_samples", [1, 2, 7, 20])
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 7, 20])
     def test_streamed_equals_batched_reference(self, n_samples):
         # Streamed lane by lane, one draw at a time, against every lane's
         # draws stacked, from the two seeds one rng.integers call gives.
@@ -1131,13 +1136,38 @@ class TestPosteriorPredict:
         assert caller != np.geterr()
         assert sorted(seen, key=lambda e: e[0]) == [(False, caller)] * 4 + [(True, caller)] * 3
 
-    def test_one_sample_starts_no_lane(self, monkeypatch):
+    @pytest.mark.parametrize("n_samples", [1, 2])
+    def test_one_pair_starts_no_lane(self, monkeypatch, n_samples):
+        # Lane 1 takes pairs 1, 3, ...; one or two draws make only pair 0.
         seen = []
         recording_softmax(monkeypatch, lambda z: seen.append(
             (threading.current_thread().name, predict_lane_alive())))
         net = random_net(56, input_dim=6, hidden=(5,), out=3)
-        posterior_predict(net, 0, make_rng("one").random((4, 6)), make_rng(13), 1)
-        assert seen == [(threading.current_thread().name, False)]
+        posterior_predict(net, 0, make_rng("one").random((4, 6)), make_rng(13), n_samples)
+        assert seen == [(threading.current_thread().name, False)] * n_samples
+
+    def test_a_pair_averages_to_the_mean_network_on_a_head_only_net(self, monkeypatch):
+        # With no trunk the logits are mean + std * eps + mu_b + sigma_b * eps_b,
+        # linear in eps, so a pair's +eps and -eps logits average to the
+        # logits of the mean network, up to float32 rounding.
+        net = random_net(61, input_dim=6, hidden=(), out=3, jitter=0.3)
+        head = net.head(0)
+        rng = make_rng("head-only")
+        head.logvar_w[...] = -1.0 + 0.3 * rng.standard_normal(head.logvar_w.shape)
+        head.logvar_b[...] = -1.0 + 0.3 * rng.standard_normal(head.logvar_b.shape)
+        x = make_rng("head-only-x").random((8, 6))
+        logits = []
+        recording_softmax(monkeypatch, lambda z: logits.append(z.astype(np.float64)))
+        with vbnn.SPARE_CORE:  # both lanes here, each pair's draws in a row
+            posterior_predict(net, 0, x, make_rng("head-only-predict"), 8)
+        mean_logits = (x.astype(np.float32).astype(np.float64) @ head.mu_w.astype(np.float64)
+                       + head.mu_b)
+        plus, minus = np.stack(logits[0::2]), np.stack(logits[1::2])
+        assert plus.shape == minus.shape == (4, 8, 3)
+        assert np.abs(plus - minus).min() > 0  # every draw moved every logit
+        np.testing.assert_allclose((plus + minus) / 2, np.broadcast_to(mean_logits, plus.shape),
+                                   rtol=0, atol=16 * np.finfo(np.float32).eps
+                                   * max(np.abs(plus).max(), np.abs(minus).max()))
 
     @pytest.mark.parametrize("fail_at", [1, 3])
     def test_an_error_in_an_odd_sample_is_raised_here_and_joins(self, monkeypatch, fail_at):
