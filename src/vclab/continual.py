@@ -5,7 +5,9 @@ One sequence run is fully determined by its master seed: training, head
 initialization, probing, and evaluation each draw from independent
 sub-streams derived by tag, so switching between fixed-beta and
 scheduled-beta modes never perturbs the training randomness. ``fit`` makes
-every draw on the calling thread, each step's noise just before its step.
+its draws in the serial order: each step's noise is drawn while the step
+before it runs, on a worker holding ``vbnn.SPARE_CORE``, or after it on the
+calling thread when the spare core is taken.
 Stage t's evaluation reads only its frozen posterior and its own streams, so
 it runs on a worker thread while stage t + 1 trains, holding
 ``vbnn.SPARE_CORE`` so that no third thread starts; its results are reported

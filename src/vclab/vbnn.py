@@ -35,15 +35,18 @@ finite-difference check differentiates.
 
 Memory follows the Monte Carlo samples and the batch: ``fit`` holds the
 parameters, Adam's two moments and one set of gradient buffers, which every
-step overwrites, plus one step. Each step draws (S, B, O) noise for the
-first layer and (S, I, O) noise for each later layer with
-:func:`sample_noise`, gathers its batch from the task view, so the task is
-never materialized whole, and releases its noise and cache before the next
-step starts. Later layers keep their (S, I, O) sampled weights, which their
-backward pass multiplies by; it recomputes each hidden layer's input as the
-ReLU of the cached pre-activation, one sample at a time, and sums the
-per-sample weight gradients in sample order, the same bits as the stacked
-computation in the same dtype. The first layer's sum over samples of
+step overwrites, plus one step, plus the next step's noise. Each step's
+(S, B, O) noise for the first layer and (S, I, O) noise for each later
+layer is drawn with :func:`sample_noise` into one of two full-batch noise
+sets, which ``fit`` allocates once and the steps take in turn, so the next
+step's noise fills the set this step does not read. A step gathers its
+batch from the task view, so the task is never materialized whole, and
+releases its cache before the next step starts. Later layers keep their
+(S, I, O) sampled weights, which their backward pass multiplies by; it
+recomputes each hidden layer's input as the ReLU of the cached
+pre-activation, one sample at a time, and sums the per-sample weight
+gradients in sample order, the same bits as the stacked computation in the
+same dtype. The first layer's sum over samples of
 d_z * eps_w is taken the same way, and the ReLU's mask multiplies d_z in
 place. The KL and its gradient, like Adam, walk each (2, n) buffer with
 :func:`numerics.chunks`, whose few chunk-wide scratch rows replace
@@ -75,6 +78,7 @@ contributes nothing to the KL and receives no updates.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -93,10 +97,10 @@ if TYPE_CHECKING:
 INIT_LOGVAR = -6.0
 # The dtype of every network init_network and load_snapshot make.
 DTYPE = np.dtype(np.float32)
-# Held by the one thread a run may add beside its own: posterior_predict's
-# second lane, continual's evaluation worker or heuristics' probe scorer,
-# whose predictions then run both lanes on that thread. Two cores have room
-# for two busy threads.
+# Held by the one thread a run may add beside its own: fit's noise drawer,
+# posterior_predict's second lane, continual's evaluation worker or
+# heuristics' probe scorer, whose predictions then run both lanes on that
+# thread. Two cores have room for two busy threads.
 SPARE_CORE = threading.Lock()
 
 
@@ -325,18 +329,38 @@ class ForwardCache:
         return self.pre[-1]
 
 
+def _empty_noise(net: VariationalNet, head_index: int, n_samples: int,
+                 batch_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Uninitialized buffers of :func:`sample_noise`'s shapes."""
+    return [(np.empty((n_samples, batch_size if li == 0 else layer.fan_in, layer.fan_out),
+                      net.dtype), np.empty((n_samples, layer.fan_out), net.dtype))
+            for li, layer in enumerate(net.active_layers(head_index))]
+
+
 def sample_noise(net: VariationalNet, head_index: int, n_samples: int,
-                 rng: np.random.Generator, batch_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Fresh standard-normal noise in the net's dtype for a batch of
-    ``batch_size`` rows: per layer of trunk + head, (eps_w, eps_b) with eps_b
-    of shape (S, O). The first layer's eps_w is (S, B, O), for its
-    pre-activations; each later layer's is (S, I, O), for its weights."""
+                 rng: np.random.Generator, batch_size: int,
+                 out: list[tuple[np.ndarray, np.ndarray]] | None = None,
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Standard-normal noise in the net's dtype for a batch of ``batch_size``
+    rows: per layer of trunk + head, (eps_w, eps_b) with eps_b of shape
+    (S, O). The first layer's eps_w is (S, B, O), for its pre-activations;
+    each later layer's is (S, I, O), for its weights. Each array is drawn
+    in that order with one ``rng.standard_normal`` call.
+
+    Without ``out`` the arrays are fresh. With ``out``, a noise set of these
+    shapes for a batch of at least ``batch_size`` rows, they are views of its
+    buffers, with the same bits: the first layer's eps_w is the C-contiguous
+    (S, B, O) prefix of its buffer.
+    """
     noise = []
-    for li, layer in enumerate(net.active_layers(head_index)):
-        rows = batch_size if li == 0 else layer.fan_in
-        eps_w = rng.standard_normal((n_samples, rows, layer.fan_out), dtype=net.dtype)
-        eps_b = rng.standard_normal((n_samples, layer.fan_out), dtype=net.dtype)
-        noise.append((eps_w, eps_b))
+    if out is None:
+        out = _empty_noise(net, head_index, n_samples, batch_size)
+    for li, (eps_w, eps_b) in enumerate(out):
+        if li == 0:
+            shape = (n_samples, batch_size, eps_w.shape[2])
+            eps_w = eps_w.reshape(-1)[:np.prod(shape)].reshape(shape)
+        noise.append((rng.standard_normal(dtype=net.dtype, out=eps_w),
+                      rng.standard_normal(dtype=net.dtype, out=eps_b)))
     return noise
 
 
@@ -569,12 +593,25 @@ def fit(net: VariationalNet, prior: VariationalNet, head_index: int, data: TaskV
     """Train trunk + head with Adam on the per-batch negative beta-ELBO.
 
     Data is reshuffled every epoch from ``rng``; the last partial batch is
-    kept; the KL is divided by the task size ``len(data)``. Each step draws
-    its noise from ``rng`` with :func:`sample_noise` and gathers its batch
-    from the view with ``data.take``, so the task is never materialized
-    whole; a step's noise and cache are released before the next step
+    kept; the KL is divided by the task size ``len(data)``. Each step gathers
+    its batch from the view with ``data.take``, so the task is never
+    materialized whole, and its cache is released before the next step
     starts. The first step's gradient buffers take every later step's
     gradients too.
+
+    Every draw comes from ``rng`` in the serial order: per epoch
+    ``rng.permutation(n_task)``, then per step its noise, drawn with
+    :func:`sample_noise` into two full-batch noise sets allocated here, so
+    step k + 1's noise fills the set step k does not read. The first step is
+    drawn here. A step that finds :data:`SPARE_CORE` free takes it and draws
+    the next step on a one-worker executor (``vclab-noise``), started under
+    this thread's ``np.geterr()``, while this step computes here; the worker
+    releases the core as its draw ends. A step that finds the core taken
+    draws the next step here, after it. Only one draw is ever in flight, and
+    it is joined before the next one starts, so the bits do not depend on
+    where the draws ran. A step's error wins over its pending draw's, whose
+    outcome is dropped, as a serial loop would never have made that draw;
+    the executor is joined before return or raise.
     Each step's loss must be finite (``NumericError`` otherwise). One code
     path serves fixed and scheduled beta.
     """
@@ -583,11 +620,38 @@ def fit(net: VariationalNet, prior: VariationalNet, head_index: int, data: TaskV
         raise ValueError("empty dataset")
     optimizer = NetAdam(net, head_index, lr)
     grads = None
-    for _ in range(epochs):
-        order = rng.permutation(n_task)
-        for start in range(0, n_task, batch_size):
-            idx = order[start:start + batch_size]
-            noise = sample_noise(net, head_index, mc_samples, rng, len(idx))
+    noise_sets = [_empty_noise(net, head_index, mc_samples, min(batch_size, n_task))
+                  for _ in range(2)]
+
+    def training_draws():
+        sets = itertools.cycle(noise_sets)
+        for _ in range(epochs):
+            order = rng.permutation(n_task)
+            for start in range(0, n_task, batch_size):
+                idx = order[start:start + batch_size]
+                yield idx, sample_noise(net, head_index, mc_samples, rng, len(idx),
+                                        out=next(sets))
+
+    draws = training_draws()
+
+    def draw_next():
+        try:
+            return next(draws, None)
+        finally:
+            SPARE_CORE.release()
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vclab-noise",
+                            initializer=partial(np.seterr, **np.geterr())) as drawer:
+        step = next(draws)
+        while step is not None:
+            ahead = None
+            if SPARE_CORE.acquire(blocking=False):
+                try:
+                    ahead = drawer.submit(draw_next)
+                except BaseException:
+                    SPARE_CORE.release()
+                    raise
+            idx, noise = step
             x, y = data.take(idx)
             _, cache = beta_elbo_loss(net, prior, head_index, x, y, beta=beta, n_task=n_task,
                                       noise=noise)
@@ -600,7 +664,8 @@ def fit(net: VariationalNet, prior: VariationalNet, head_index: int, data: TaskV
             # in on the next step. Made before the loop, they let split-fixed
             # (seed 4242, 2-core VM, transparent huge pages off) take 145k
             # minor faults a run instead of 56k.
-            del cache, noise
+            del cache
+            step = next(draws, None) if ahead is None else ahead.result()
 
 
 def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,

@@ -367,7 +367,8 @@ class TestOverlappedEvaluation:
 
         class RecordingExecutor(vbnn.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
-                lanes.append(threading.current_thread().name)
+                if kwargs.get("thread_name_prefix") == "vclab-predict":
+                    lanes.append(threading.current_thread().name)
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(continual, "posterior_predict", recording_predict)

@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
 import errno
 import math
 import os
 import struct
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -628,12 +631,14 @@ class TestFitMemory:
         finally:
             tracemalloc.stop()
 
-    def test_peak_is_the_model_state_plus_one_step(self):
+    def test_peak_is_the_model_state_plus_one_step_and_the_next_steps_noise(self):
         # Model state: Adam's two moments and one gradient set, three copies
         # of the parameters. One step: its noise, batch and cache, and the
-        # KL's (3, CHUNK) scratch in the net's dtype. A quarter of the
-        # parameters' bytes covers small arrays and Python objects;
-        # whole-array KL temporaries of this net's first layer exceed it.
+        # KL's (3, CHUNK) scratch in the net's dtype. The next step's noise:
+        # fit's second full-batch noise set, which it draws into while a
+        # step runs. A quarter of the parameters' bytes covers small arrays
+        # and Python objects; whole-array KL temporaries of this net's first
+        # layer exceed it.
         net = wide_net(61)
         prior = advance_prior(net)
         x = make_rng("fm").random((64, 784))
@@ -642,8 +647,9 @@ class TestFitMemory:
         noise = sample_noise(net, 0, 5, make_rng("fm-step"), 16)
         _, cache = beta_elbo_loss(net, prior, 0, x[:16], y[:16], beta=1.0, n_task=64,
                                   noise=noise)
-        step = sum(a.nbytes for a in (*(a for pair in noise for a in pair), cache.x, cache.std,
-                                      *cache.pre, *(a for pair in cache.weights for a in pair)))
+        noise_set = sum(a.nbytes for pair in noise for a in pair)
+        step = noise_set + sum(a.nbytes for a in (cache.x, cache.std, *cache.pre,
+                                                  *(a for pair in cache.weights for a in pair)))
         del noise, cache
         tracemalloc.start()
         try:
@@ -652,7 +658,8 @@ class TestFitMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * params + step + 3 * CHUNK * net.dtype.itemsize + params / 4
+        assert peak < (3 * params + step + noise_set + 3 * CHUNK * net.dtype.itemsize
+                       + params / 4)
 
     def test_one_step_alive_at_a_time(self):
         # A step's noise, cache or gradients still alive during the next
@@ -704,7 +711,51 @@ def serial_fit(net, prior, head_index, x, y, *, beta, epochs, batch_size, lr, mc
                                               n_task=n_task))
 
 
+@contextlib.contextmanager
+def spare_core(state):
+    """A block in which :data:`vbnn.SPARE_CORE` is ``"free"``, ``"taken"`` by
+    another thread for the whole block, or ``"contended"``: three threads,
+    more than the two cores, each take it for 0.1 ms about once a
+    millisecond, with the interpreter switching threads every 10 us, so
+    steps find it free or taken in no set order."""
+    assert not vbnn.SPARE_CORE.locked()
+    if state == "free":
+        yield
+        return
+    held, done = threading.Event(), threading.Event()
+
+    def hold():
+        with vbnn.SPARE_CORE:
+            held.set()
+            done.wait()
+
+    def contend():
+        held.set()
+        while not done.is_set():
+            with vbnn.SPARE_CORE:
+                time.sleep(1e-4)
+            time.sleep(1e-3)
+
+    holders = [threading.Thread(target=hold, daemon=True)] if state == "taken" else [
+        threading.Thread(target=contend, daemon=True) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    if state == "contended":
+        sys.setswitchinterval(1e-5)
+    try:
+        for holder in holders:
+            holder.start()
+        assert held.wait(timeout=10)
+        yield
+    finally:
+        done.set()
+        for holder in holders:
+            holder.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(holder.is_alive() for holder in holders)
+
+
 class TestFitSchedule:
+    @pytest.mark.parametrize("core", ["free", "taken", "contended"])
     @pytest.mark.parametrize("n, batch_size, epochs", [
         (48, 16, 1),    # whole batches
         (48, 16, 2),
@@ -712,7 +763,7 @@ class TestFitSchedule:
         (50, 50, 1),    # batch_size == len(data)
         (50, 128, 2),   # batch_size > len(data)
     ])
-    def test_same_draws_and_bits_as_the_serial_schedule(self, n, batch_size, epochs):
+    def test_same_draws_and_bits_as_the_serial_schedule(self, n, batch_size, epochs, core):
         x = make_rng("sched", n).random((n, 6))
         y = np.arange(n) % 3
         kwargs = dict(beta=0.7, epochs=epochs, batch_size=batch_size, lr=0.01, mc_samples=3)
@@ -720,7 +771,8 @@ class TestFitSchedule:
         net = random_net(70, input_dim=6, hidden=(5, 4), out=3)
         serial_rng, rng = make_rng("sched-fit"), make_rng("sched-fit")
         serial_fit(serial_net, advance_prior(serial_net), 0, x, y, rng=serial_rng, **kwargs)
-        fit(net, advance_prior(net), 0, whole_view(x, y), rng=rng, **kwargs)
+        with spare_core(core):
+            fit(net, advance_prior(net), 0, whole_view(x, y), rng=rng, **kwargs)
         assert rng.bit_generator.state == serial_rng.bit_generator.state
         for layer, serial_layer in zip(net.active_layers(0), serial_net.active_layers(0)):
             assert layer.flat.tobytes() == serial_layer.flat.tobytes()
@@ -729,9 +781,9 @@ class TestFitSchedule:
         calls = []
         real = vbnn.sample_noise
 
-        def recorded(net, head_index, n_samples, rng, batch_size):
+        def recorded(net, head_index, n_samples, rng, batch_size, out=None):
             calls.append((n_samples, batch_size))
-            return real(net, head_index, n_samples, rng, batch_size)
+            return real(net, head_index, n_samples, rng, batch_size, out=out)
 
         monkeypatch.setattr(vbnn, "sample_noise", recorded)
         x = make_rng("through").random((20, 4))
@@ -742,18 +794,21 @@ class TestFitSchedule:
 
 
 class ScriptedRng:
-    """``make_rng(tag)`` whose ``fail_at``-th standard_normal call raises."""
+    """``make_rng(tag)`` whose ``fail_at``-th standard_normal call raises;
+    ``raised`` says whether it has."""
 
     def __init__(self, tag, fail_at=None):
         self._rng = make_rng(tag)
         self._left = fail_at
         self.error = RuntimeError("draw failed")
+        self.raised = False
 
     def permutation(self, n):
         return self._rng.permutation(n)
 
     def standard_normal(self, *args, **kwargs):
         if self._left == 0:
+            self.raised = True
             raise self.error
         if self._left is not None:
             self._left -= 1
@@ -807,6 +862,88 @@ class TestFitFailures:
                          beta=1.0, epochs=2, batch_size=6, lr=0.01, mc_samples=2, rng=rng)
         assert error is rng.error
         assert threading.active_count() == threads
+
+
+def noise_drawer_alive():
+    """Whether fit's noise drawer, ``vclab-noise_0``, is running."""
+    return any(t.name.startswith("vclab-noise_") for t in threading.enumerate())
+
+
+class TestFitDrawAhead:
+    """Step k + 1's draws run on ``vclab-noise_0`` while step k computes,
+    when the spare core is free."""
+
+    @pytest.mark.parametrize("core", ["free", "taken"])
+    def test_later_draws_run_on_the_drawer_only_when_the_spare_core_is_free(
+            self, monkeypatch, core):
+        draws, alive = [], []
+        real_noise, real_backward = vbnn.sample_noise, vbnn.backward_gradients
+
+        def recorded_noise(*args, **kwargs):
+            draws.append((threading.current_thread().name, np.geterr()["over"]))
+            return real_noise(*args, **kwargs)
+
+        def recorded_backward(*args, **kwargs):
+            alive.append(noise_drawer_alive())
+            return real_backward(*args, **kwargs)
+
+        monkeypatch.setattr(vbnn, "sample_noise", recorded_noise)
+        monkeypatch.setattr(vbnn, "backward_gradients", recorded_backward)
+        x = make_rng("ahead").random((20, 4))
+        net = random_net(76)
+        with spare_core(core), np.errstate(over="raise"):
+            fit(net, advance_prior(net), 0, whole_view(x, np.arange(20) % 2), beta=1.0,
+                epochs=2, batch_size=8, lr=0.01, mc_samples=3, rng=make_rng("ahead-fit"))
+        main = threading.current_thread().name
+        drawer = "vclab-noise_0" if core == "free" else main
+        assert draws == [(main, "raise")] + [(drawer, "raise")] * 5
+        assert alive == [core == "free"] * 6
+        assert not noise_drawer_alive() and not vbnn.SPARE_CORE.locked()
+
+    @pytest.mark.parametrize("outcome", ["returns", "non-finite loss", "failing draw"])
+    def test_the_spare_core_is_free_after_fit(self, outcome):
+        x = make_rng("free-after").random((24, 4))
+        if outcome == "non-finite loss":
+            x[make_rng("free-after-fit").permutation(24)[10]] = np.nan  # in step 2
+        rng = ScriptedRng("free-after-fit", 9 if outcome == "failing draw" else None)
+        net = random_net(77)
+        error = error_of(fit, net, advance_prior(net), 0, whole_view(x, np.arange(24) % 2),
+                         beta=1.0, epochs=1, batch_size=8, lr=0.01, mc_samples=2, rng=rng)
+        assert type(error) is {"returns": type(None), "non-finite loss": NumericError,
+                               "failing draw": RuntimeError}[outcome]
+        assert not vbnn.SPARE_CORE.locked() and not noise_drawer_alive()
+
+    @pytest.mark.parametrize("core", ["free", "taken"])
+    def test_a_steps_error_wins_over_its_pending_draws(self, core):
+        # Two layers make four draws a step: the fifth call is step 2's
+        # first, which a drawer makes while step 1's NaN batch runs here.
+        n, batch_size = 12, 6
+        x = make_rng("both").random((n, 4))
+        x[make_rng("both-fit").permutation(n)[0]] = np.nan
+        net, rng = random_net(78), ScriptedRng("both-fit", 4)
+        threads = threading.active_count()
+        with spare_core(core):
+            error = error_of(fit, net, advance_prior(net), 0, whole_view(x, np.arange(n) % 2),
+                             beta=1.0, epochs=1, batch_size=batch_size, lr=0.01, mc_samples=2,
+                             rng=rng)
+        assert isinstance(error, NumericError) and "non-finite loss" in str(error)
+        assert rng.raised == (core == "free")
+        assert threading.active_count() == threads and not vbnn.SPARE_CORE.locked()
+
+    @pytest.mark.parametrize("batch_size", [8, 5, 1])
+    def test_drawing_into_a_noise_set_gives_the_bits_of_fresh_noise(self, batch_size):
+        net = random_net(79, input_dim=6, hidden=(5, 4), out=3)
+        out = sample_noise(net, 0, 3, make_rng("buffers"), 8)
+        fresh_rng, filled_rng = make_rng("into"), make_rng("into")
+        fresh = sample_noise(net, 0, 3, fresh_rng, batch_size)
+        filled = sample_noise(net, 0, 3, filled_rng, batch_size, out=out)
+        assert filled_rng.bit_generator.state == fresh_rng.bit_generator.state
+        for fresh_pair, filled_pair, buffers in zip(fresh, filled, out, strict=True):
+            for a, b, buf in zip(fresh_pair, filled_pair, buffers):
+                assert b.shape == a.shape and b.dtype == a.dtype and b.flags.c_contiguous
+                assert b.tobytes() == a.tobytes()
+                # A prefix of the buffer: it starts where the buffer starts.
+                assert b.__array_interface__["data"][0] == buf.__array_interface__["data"][0]
 
 
 class TestFloat32Overflow:
