@@ -4,14 +4,11 @@ multi-head bookkeeping, and full-sequence evaluation.
 One sequence run is fully determined by its master seed: training, head
 initialization, probing, and evaluation each draw from independent
 sub-streams derived by tag, so switching between fixed-beta and
-scheduled-beta modes never perturbs the training randomness. ``fit`` makes
-its draws in the serial order: each step's noise is drawn while the step
-before it runs, on a worker holding ``vbnn.SPARE_CORE``, or after it on the
-calling thread when the spare core is taken.
-Stage t's evaluation reads only its frozen posterior and its own streams, so
-it runs on a worker thread while stage t + 1 trains, holding
-``vbnn.SPARE_CORE`` so that no third thread starts; its results are reported
-in stage order, with the bits of a serial run.
+scheduled-beta modes never perturbs the training randomness. Stage t's
+evaluation reads only its frozen posterior and its own streams, so it is
+started with ``vbnn.spare_core_worker`` before stage t + 1 trains and joined
+after; its results are reported in stage order, with the bits of a serial
+run.
 Each stage runs with numpy's floating-point errors raised, so an overflow is
 a ``NumericError``, never a warning in a run that succeeds.
 Fixed beta = 1 is vanilla variational continual learning; the scheduled mode
@@ -20,8 +17,8 @@ runs the exact same training code path with a different beta value.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -29,8 +26,8 @@ import numpy as np
 
 from .heuristics import HeuristicConfig, HeuristicTrace, assess_task
 from .numerics import ConfigError, NumericError, check_writable, make_rng, require_positive
-from .vbnn import (VariationalNet, advance_prior, fit, init_network, on_spare_core,
-                   posterior_predict, save_snapshot, standard_prior)
+from .vbnn import (VariationalNet, advance_prior, fit, init_network, posterior_predict,
+                   save_snapshot, spare_core_worker, standard_prior)
 
 _BETA_MODES = ("fixed", "auto")
 
@@ -142,11 +139,13 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
     training; fixed mode uses the constant beta. After stage t the posterior
     becomes the prior, and is written to its :func:`snapshot_paths` path if
     ``snapshot_dir`` is given. Every seen task is then re-evaluated on that
-    frozen posterior, on a one-worker executor started after stage t + 1's
-    assessment and joined after its training and finite check, before stage
-    t + 1's posterior is frozen; the last stage, and a stage whose successor
-    fails in assessment, is evaluated on this thread. ``progress(t, trace,
-    accuracies)``, if given, is called on this thread in stage order, so
+    frozen posterior: started with :func:`vbnn.spare_core_worker`
+    (``vclab-eval``) after stage t + 1's assessment and joined after its
+    training and finite check, before stage t + 1's posterior is frozen. The
+    last stage, a stage whose successor fails in assessment and, with the
+    spare core taken, every stage is evaluated on this thread at its join.
+    ``progress(t, trace, accuracies)``, if given, is called on this thread
+    in stage order, so
     stage t's call comes after stage t + 1 has trained. Tasks and paths are
     checked before stage 1. A floating-point overflow, invalid value or
     division by zero in a stage raises ``NumericError`` naming the stage and
@@ -183,10 +182,10 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
         if progress is not None:
             progress(t, traces[t - 1], accuracies)
 
+    evaluation = None
     for t, task in enumerate(tasks, start=1):
-        phase, evaluation = "assessment", None
-        # Stage t - 1's evaluation runs on this worker while stage t trains.
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vclab-eval") as worker:
+        phase = "assessment"
+        with spare_core_worker("vclab-eval") as start:
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     if auto:
@@ -194,9 +193,8 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
                                             heuristic_cfg, master_seed)
                     else:
                         trace = HeuristicTrace(beta=cfg.beta)
-                    if t > 1:
-                        evaluation = worker.submit(on_spare_core, _evaluate_stage, prior,
-                                                   tasks, t - 1, cfg, master_seed)
+                    if evaluation:  # stage t - 1's, while stage t trains
+                        evaluation = start(evaluation)
                     phase = "training"
                     net.ensure_head(task.head_index, task.n_classes,
                                     make_rng(master_seed, "head", t))
@@ -208,12 +206,12 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
             finally:
                 # Stage t - 1 is reported before stage t's error, and its own
                 # error wins, as if it had been evaluated before stage t began.
-                if t > 1:
-                    report(t - 1, _evaluate_stage(prior, tasks, t - 1, cfg, master_seed)
-                           if evaluation is None else evaluation.result())
+                if evaluation:
+                    report(t - 1, evaluation())
         traces.append(trace)
         prior = advance_prior(net)
+        evaluation = partial(_evaluate_stage, prior, tasks, t, cfg, master_seed)
         if snapshots:
             save_snapshot(prior, snapshots[t - 1])
-    report(len(tasks), _evaluate_stage(prior, tasks, len(tasks), cfg, master_seed))
+    report(len(tasks), evaluation())
     return matrix, traces

@@ -22,26 +22,23 @@ and t - 1 the length of that history; beta_1 = 1. Easier or more familiar
 tasks push beta up (preserve knowledge), harder tasks pull it down (let the
 posterior move).
 
-The difficulty probe is pipelined: each repeat is scored on a one-worker
-executor, the probe scorer, which holds ``vbnn.SPARE_CORE``, while the next
-repeat trains on the calling thread. Each repeat draws only from its own
-stream, and prediction's bits do not depend on where its lanes run, so d
-has the bits of a serial loop.
+The difficulty probe is pipelined: each repeat's score is started with
+``vbnn.spare_core_worker`` and joined after the next repeat trains. Each
+repeat draws only from its own stream, and prediction's bits do not depend
+on where its lanes run, so d has the bits of a serial loop.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .numerics import ConfigError, make_rng, require_positive, seed_from
-from .vbnn import (SPARE_CORE, VariationalNet, fit, init_network, on_spare_core,
-                   posterior_predict, standard_prior)
+from .vbnn import (VariationalNet, fit, init_network, posterior_predict, spare_core_worker,
+                   standard_prior)
 
 if TYPE_CHECKING:  # continual imports this module
     from .continual import TrainConfig
@@ -140,24 +137,15 @@ def probe_difficulty(task, hidden_dims: Sequence[int], cfg: TrainConfig,
     scores it with ``cfg.eval_mc_samples`` draws on a disjoint subset of equal
     size, and draws from its own derived seed, so repeats are bit-reproducible.
 
-    Repeat r is scored on a one-worker executor (``vclab-probe``), started
-    under this thread's ``np.geterr()``, while repeat r + 1 trains here; each
-    score holds ``SPARE_CORE``, so its prediction runs both lanes on the
-    worker. Repeat r's score is joined before repeat r + 1's is submitted,
-    so at most one trained probe net and its eval batch wait. When another
-    thread holds ``SPARE_CORE`` as the call starts, each repeat is scored
-    here after its fit. Either way the bits are those of a serial loop, and
-    so is the order of errors: repeat r's scoring error is raised here before
-    repeat r + 1's training error. The worker is joined before return.
+    Repeat r's score is started with :func:`vbnn.spare_core_worker`
+    (``vclab-probe``) and joined after repeat r + 1's fit, before repeat
+    r + 1's score is started, so at most one trained probe net and its eval
+    batch wait; with the spare core taken, repeat r is scored here at that
+    join. The bits are those of a serial loop, and so is the order of
+    errors: repeat r's scoring error wins over repeat r + 1's training error.
     """
     accuracies, pending = [], None
-    # A thread that takes the spare core after this check only delays the
-    # scores, which wait for it in on_spare_core.
-    pipelined = not SPARE_CORE.locked()
-    # The executor starts its thread at the first submit, so an inline call
-    # starts none.
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vclab-probe",
-                            initializer=partial(np.seterr, **np.geterr())) as scorer:
+    with spare_core_worker("vclab-probe") as start:
         for repeat in range(heuristic_cfg.probe_repeats):
             try:
                 rng = make_rng(seed, "probe", repeat)
@@ -171,17 +159,11 @@ def probe_difficulty(task, hidden_dims: Sequence[int], cfg: TrainConfig,
             finally:
                 # Repeat r - 1 is joined first, and its error wins, as in a
                 # serial loop.
-                if pending is not None:
-                    accuracies.append(pending.result())
-                    pending = None
-            score = (net, *task.train.take(eval_idx), rng, cfg.eval_mc_samples)
-            if pipelined:
-                pending = scorer.submit(on_spare_core, _score_probe, *score)
-            else:
-                accuracies.append(_score_probe(*score))
-            del score  # the worker keeps the net and its eval batch until scored
-        if pending is not None:
-            accuracies.append(pending.result())
+                if pending:
+                    accuracies.append(pending())
+            pending = start(_score_probe, net, *task.train.take(eval_idx), rng,
+                            cfg.eval_mc_samples)
+        accuracies.append(pending())
     d = difficulty_from_accuracy(float(np.mean(accuracies)), task.chance_accuracy)
     return d, accuracies
 

@@ -57,10 +57,9 @@ runs each draw through a forward pass that keeps no backward cache. Draws
 come in antithetic pairs (Hammersley & Morton 1956): one noise set makes a
 draw at +eps and one at -eps, so S draws take ceil(S / 2) noise sets. Two
 lanes each draw from their own generator, seeded from the call's ``rng``,
-and take alternate pairs: this thread's, and a one-worker executor's,
-started under this thread's error state when :data:`SPARE_CORE` is free, or
-else run on this thread after the first. So prediction makes no (S, I, O)
-noise: its peak memory is the two (B, O) moments, the square of one
+and take alternate pairs: this thread's, and one started with
+:func:`spare_core_worker`. So prediction makes no (S, I, O) noise: its peak
+memory is the two (B, O) moments, the square of one
 :func:`numerics.row_blocks` block of the input, and per lane one noise set
 and one draw's later-layer weights and activations. The lane sums are added
 in a fixed order, so the bits do not depend on thread timing or on where
@@ -82,7 +81,7 @@ import itertools
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Sequence
@@ -97,18 +96,55 @@ if TYPE_CHECKING:
 INIT_LOGVAR = -6.0
 # The dtype of every network init_network and load_snapshot make.
 DTYPE = np.dtype(np.float32)
-# Held by the one thread a run may add beside its own: fit's noise drawer,
-# posterior_predict's second lane, continual's evaluation worker or
-# heuristics' probe scorer, whose predictions then run both lanes on that
-# thread. Two cores have room for two busy threads.
+# Held by the one thread a run may add beside its own, a
+# spare_core_worker's. Two cores have room for two busy threads.
 SPARE_CORE = threading.Lock()
 
 
-def on_spare_core(fn, *args):
-    """``fn(*args)`` while holding :data:`SPARE_CORE`, so no prediction lane
-    starts beside it."""
-    with SPARE_CORE:
-        return fn(*args)
+@contextmanager
+def spare_core_worker(name: str):
+    """A block that yields ``start(fn, *args)``, which returns a ``join()``
+    that returns ``fn(*args)`` or raises its error.
+
+    A ``start`` that takes :data:`SPARE_CORE` without waiting runs ``fn`` on
+    the block's one worker thread, ``<name>_0``, made at the first such
+    ``start`` under the calling thread's ``np.geterr()``, since
+    ``np.errstate`` holds per thread. The worker releases the core as soon
+    as ``fn`` ends; a ``start`` whose executor or submit fails releases it
+    too. A ``start`` that finds the core taken runs nothing: ``fn`` runs on
+    whichever thread calls ``join``. So a block opened in ``fn`` on a worker,
+    which holds the core, starts no thread. Leaving the block joins the
+    worker, and an outcome no ``join`` asked for is dropped. Callers start
+    only work whose bits do not depend on the thread that runs it, and join
+    it where a serial loop would have run it, so errors surface in that
+    order too.
+    """
+    executor = None
+
+    def run_then_release(fn, *args):
+        try:
+            return fn(*args)
+        finally:
+            SPARE_CORE.release()
+
+    def start(fn, *args):
+        nonlocal executor
+        if not SPARE_CORE.acquire(blocking=False):
+            return partial(fn, *args)
+        try:
+            if executor is None:
+                executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix=name,
+                                              initializer=partial(np.seterr, **np.geterr()))
+            return executor.submit(run_then_release, fn, *args).result
+        except BaseException:
+            SPARE_CORE.release()
+            raise
+
+    try:
+        yield start
+    finally:
+        if executor is not None:
+            executor.shutdown()
 
 
 class VariationalLayer:
@@ -603,15 +639,11 @@ def fit(net: VariationalNet, prior: VariationalNet, head_index: int, data: TaskV
     ``rng.permutation(n_task)``, then per step its noise, drawn with
     :func:`sample_noise` into two full-batch noise sets allocated here, so
     step k + 1's noise fills the set step k does not read. The first step is
-    drawn here. A step that finds :data:`SPARE_CORE` free takes it and draws
-    the next step on a one-worker executor (``vclab-noise``), started under
-    this thread's ``np.geterr()``, while this step computes here; the worker
-    releases the core as its draw ends. A step that finds the core taken
-    draws the next step here, after it. Only one draw is ever in flight, and
-    it is joined before the next one starts, so the bits do not depend on
-    where the draws ran. A step's error wins over its pending draw's, whose
-    outcome is dropped, as a serial loop would never have made that draw;
-    the executor is joined before return or raise.
+    drawn here; each step starts the next one's draws with
+    :func:`spare_core_worker` (``vclab-noise``) before it computes, and joins
+    them after. Only one draw is ever in flight, so the generator is consumed
+    in the serial order. A step's error wins over its pending draw's, whose
+    outcome is dropped, as a serial loop would never have made that draw.
     Each step's loss must be finite (``NumericError`` otherwise). One code
     path serves fixed and scheduled beta.
     """
@@ -633,24 +665,10 @@ def fit(net: VariationalNet, prior: VariationalNet, head_index: int, data: TaskV
                                         out=next(sets))
 
     draws = training_draws()
-
-    def draw_next():
-        try:
-            return next(draws, None)
-        finally:
-            SPARE_CORE.release()
-
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vclab-noise",
-                            initializer=partial(np.seterr, **np.geterr())) as drawer:
+    with spare_core_worker("vclab-noise") as start:
         step = next(draws)
         while step is not None:
-            ahead = None
-            if SPARE_CORE.acquire(blocking=False):
-                try:
-                    ahead = drawer.submit(draw_next)
-                except BaseException:
-                    SPARE_CORE.release()
-                    raise
+            ahead = start(next, draws, None)
             idx, noise = step
             x, y = data.take(idx)
             _, cache = beta_elbo_loss(net, prior, head_index, x, y, beta=beta, n_task=n_task,
@@ -665,7 +683,7 @@ def fit(net: VariationalNet, prior: VariationalNet, head_index: int, data: TaskV
             # (seed 4242, 2-core VM, transparent huge pages off) take 145k
             # minor faults a run instead of 56k.
             del cache
-            step = next(draws, None) if ahead is None else ahead.result()
+            step = ahead()
 
 
 def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
@@ -682,13 +700,9 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
     k + 2, ...: for each it draws first the (B, O) first-layer eps and the
     first bias's eps, then each later layer's eps_w and eps_b, all in the
     net's dtype; it sums its draws' softmax in float64, in draw order.
-    Lane 0 runs here, lane 1 on a one-worker executor that starts under this
-    thread's ``np.geterr()``, since ``np.errstate`` holds per thread, while
-    this call holds :data:`SPARE_CORE`. S <= 2 makes one pair and starts no
-    lane, and nor does a call that finds the spare core taken: it runs lane
-    1 here after lane 0, with the same generators and so the same bits. The
-    result is (lane 0 + lane 1) / S. ``result()`` raises the lane's errors
-    here, and the lane is joined before return.
+    Lane 1 is started with :func:`spare_core_worker` (``vclab-predict``),
+    lane 0 runs here, and lane 1 is joined after it; S <= 2 makes one pair
+    and starts no lane. The result is (lane 0 + lane 1) / S.
     """
     if n_eval_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -719,16 +733,12 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
                 total += softmax(act)
         return total
 
-    with ExitStack() as stack:
-        odd = None
-        if n_pairs > 1 and SPARE_CORE.acquire(blocking=False):
-            stack.callback(SPARE_CORE.release)
-            odd = stack.enter_context(ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="vclab-predict",
-                initializer=partial(np.seterr, **np.geterr()))).submit(lane, 1)
+    if n_pairs == 1:
+        return lane(0) / n_eval_samples
+    with spare_core_worker("vclab-predict") as start:
+        odd = start(lane, 1)
         total = lane(0)
-        if n_pairs > 1:
-            total += lane(1) if odd is None else odd.result()
+        total += odd()
     return total / n_eval_samples
 
 

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import spare_core
 from test_vbnn import with_one_huge_sigma
 import vclab.continual as continual
 import vclab.vbnn as vbnn
@@ -382,6 +383,24 @@ class TestOverlappedEvaluation:
         assert predicted == ["vclab-eval_0"] * 3 + [main] * 3
         assert lanes == [main] * 3
         assert set(threading.enumerate()) <= set(threads)
+
+    def test_a_taken_spare_core_evaluates_each_stage_here_with_the_same_bits(self,
+                                                                             monkeypatch):
+        predicted = []
+        predict = continual.posterior_predict
+
+        def recording_predict(net, head, x, rng, samples):
+            predicted.append(threading.current_thread().name)
+            return predict(net, head, x, rng, samples)
+
+        monkeypatch.setattr(continual, "posterior_predict", recording_predict)
+        cfg = dataclasses.replace(OVERLAP_CFG, beta_mode="fixed")
+        free, _ = run_sequence(three_tasks(), (16,), cfg, FAST_HEUR, master_seed=31)
+        predicted.clear()
+        with spare_core("taken"):
+            taken, _ = run_sequence(three_tasks(), (16,), cfg, FAST_HEUR, master_seed=31)
+        assert predicted == [threading.current_thread().name] * 6
+        assert taken.rows() == free.rows()
 
     def test_a_stage_2_evaluation_failure_exits_3_through_vclab_run(self, tmp_path, monkeypatch,
                                                                     capsys):

@@ -3,13 +3,13 @@ import itertools
 import math
 import threading
 import time
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spare_core
 import vclab.heuristics as heuristics
 import vclab.vbnn as vbnn
 from vclab.continual import TrainConfig, run_sequence
@@ -167,26 +167,6 @@ def serial_probe_difficulty(task, hidden_dims, cfg, heuristic_cfg, seed, record)
     return difficulty_from_accuracy(float(np.mean(accuracies)), task.chance_accuracy), accuracies
 
 
-@contextmanager
-def spare_core_held_by_another_thread():
-    held, release = threading.Event(), threading.Event()
-
-    def hold():
-        with vbnn.SPARE_CORE:
-            held.set()
-            release.wait(60)
-
-    holder = threading.Thread(target=hold)
-    holder.start()
-    assert held.wait(30)
-    try:
-        yield
-    finally:
-        release.set()
-        holder.join(30)
-        assert not holder.is_alive()
-
-
 def wrap_probe_calls(monkeypatch, before_fit=None, before_predict=None, after_predict=None):
     """Route ``heuristics.fit`` and ``heuristics.posterior_predict`` through
     the given hooks; each gets the call's index, counted from 0."""
@@ -238,7 +218,7 @@ class TestPipelinedProbes:
         assert not vbnn.SPARE_CORE.locked() and not probe_threads()
         assert seen == [("vclab-probe_0", p) for p in reference]
         seen.clear()
-        with spare_core_held_by_another_thread():
+        with spare_core("taken"):
             taken = probe_difficulty(task, (16,), FAST_TRAIN, self.CFG, seed)
         assert seen == [(threading.current_thread().name, p) for p in reference]
         assert free == taken == expected
@@ -285,16 +265,21 @@ class TestPipelinedProbes:
             run_sequence([pipeline_task()], (16,), cfg, self.CFG, master_seed=14)
         assert threads == ["vclab-probe_0"] and not probe_threads()
 
+    @pytest.mark.parametrize("core", ["free", "taken"])
     @pytest.mark.parametrize("score_fails", [False, True], ids=["fit-error", "score-error"])
     def test_a_fit_error_while_a_probe_is_scored_leaves_no_probe_thread(self, monkeypatch,
-                                                                        score_fails):
-        # Repeat 1's fit fails while repeat 0 is scored. A failing score came
-        # first in a serial loop, so its error wins.
+                                                                        score_fails, core):
+        # Repeat 1's fit fails while repeat 0 is scored on the worker, or,
+        # with the spare core taken, before repeat 0 is scored here at its
+        # join. A failing score came first in a serial loop, so its error wins.
         scoring = threading.Event()
 
         def before_fit(call):
             if call == 1:
-                assert scoring.wait(30)
+                if core == "free":
+                    assert scoring.wait(30)
+                else:
+                    assert not scoring.is_set()
                 raise RuntimeError("fit failed")
 
         def before_predict(call):
@@ -304,9 +289,10 @@ class TestPipelinedProbes:
                 raise RuntimeError("score failed")
 
         wrap_probe_calls(monkeypatch, before_fit, before_predict)
-        with pytest.raises(RuntimeError, match="score failed" if score_fails else "fit failed"):
+        with spare_core(core), pytest.raises(
+                RuntimeError, match="score failed" if score_fails else "fit failed"):
             probe_difficulty(pipeline_task(), (16,), FAST_TRAIN, self.CFG, seed_from(15))
-        assert not probe_threads() and not vbnn.SPARE_CORE.locked()
+        assert scoring.is_set() and not probe_threads() and not vbnn.SPARE_CORE.locked()
 
 
 def train_blob_net(task, hidden=(64,), epochs=5, seed="sim"):

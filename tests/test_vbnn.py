@@ -4,7 +4,6 @@ import errno
 import math
 import os
 import struct
-import sys
 import threading
 import time
 import tracemalloc
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spare_core
 from vclab import vbnn
 from vclab.data import TaskView
 from vclab.numerics import CHUNK, NumericError, adam_step, finite_diff_grad, make_rng
@@ -711,47 +711,93 @@ def serial_fit(net, prior, head_index, x, y, *, beta, epochs, batch_size, lr, mc
                                               n_task=n_task))
 
 
-@contextlib.contextmanager
-def spare_core(state):
-    """A block in which :data:`vbnn.SPARE_CORE` is ``"free"``, ``"taken"`` by
-    another thread for the whole block, or ``"contended"``: three threads,
-    more than the two cores, each take it for 0.1 ms about once a
-    millisecond, with the interpreter switching threads every 10 us, so
-    steps find it free or taken in no set order."""
-    assert not vbnn.SPARE_CORE.locked()
-    if state == "free":
-        yield
-        return
-    held, done = threading.Event(), threading.Event()
+def threads_named(prefix):
+    return [t for t in threading.enumerate() if t.name.startswith(prefix)]
 
-    def hold():
-        with vbnn.SPARE_CORE:
-            held.set()
-            done.wait()
 
-    def contend():
-        held.set()
-        while not done.is_set():
-            with vbnn.SPARE_CORE:
-                time.sleep(1e-4)
-            time.sleep(1e-3)
+class TestSpareCoreWorker:
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_a_free_core_runs_fn_on_the_worker_under_the_callers_error_state(self, fails):
+        seen = []
 
-    holders = [threading.Thread(target=hold, daemon=True)] if state == "taken" else [
-        threading.Thread(target=contend, daemon=True) for _ in range(3)]
-    interval = sys.getswitchinterval()
-    if state == "contended":
-        sys.setswitchinterval(1e-5)
-    try:
-        for holder in holders:
-            holder.start()
-        assert held.wait(timeout=10)
-        yield
-    finally:
-        done.set()
-        for holder in holders:
-            holder.join(timeout=10)
-        sys.setswitchinterval(interval)
-    assert not any(holder.is_alive() for holder in holders)
+        def fn(value):
+            seen.append((threading.current_thread().name, np.geterr(), vbnn.SPARE_CORE.locked()))
+            if fails:
+                raise RuntimeError("fn failed")
+            return value
+
+        with np.errstate(over="raise", divide="ignore"):
+            caller = np.geterr()
+            with vbnn.spare_core_worker("vclab-test") as start:
+                join = start(fn, 7)
+                with pytest.raises(RuntimeError, match="fn failed") if fails else (
+                        contextlib.nullcontext()):
+                    assert join() == 7
+                assert not vbnn.SPARE_CORE.locked()
+        assert caller != np.geterr()
+        assert seen == [("vclab-test_0", caller, True)]
+        assert not threads_named("vclab-test")
+
+    def test_a_taken_core_makes_no_executor_and_runs_fn_at_the_join(self, monkeypatch):
+        made, ran = [], []
+
+        def fn(value):
+            ran.append(threading.current_thread().name)
+            return value
+
+        monkeypatch.setattr(vbnn, "ThreadPoolExecutor", lambda *a, **kw: made.append(kw))
+        with spare_core("taken"), vbnn.spare_core_worker("vclab-test") as start:
+            join = start(fn, 7)
+            assert ran == []
+            assert join() == 7
+        assert ran == [threading.current_thread().name] and made == []
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_an_unjoined_start_is_joined_at_block_exit_and_its_outcome_dropped(self, fails):
+        go, ended = threading.Event(), []
+
+        def fn():
+            assert go.wait(30)
+            time.sleep(0.05)
+            ended.append(threading.current_thread().name)
+            if fails:
+                raise RuntimeError("dropped")
+
+        with vbnn.spare_core_worker("vclab-test") as start:
+            start(fn)
+            assert vbnn.SPARE_CORE.locked()
+            go.set()
+        assert ended == ["vclab-test_0"]
+        assert not vbnn.SPARE_CORE.locked() and not threads_named("vclab-test")
+
+    @pytest.mark.parametrize("failing", ["executor", "submit"])
+    def test_a_failing_executor_or_submit_releases_the_core(self, monkeypatch, failing):
+        error = RuntimeError(f"{failing} failed")
+
+        class FailingExecutor(vbnn.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                if failing == "executor":
+                    raise error
+                super().__init__(*args, **kwargs)
+
+            def submit(self, *args, **kwargs):
+                raise error
+
+        monkeypatch.setattr(vbnn, "ThreadPoolExecutor", FailingExecutor)
+        with pytest.raises(RuntimeError) as raised, vbnn.spare_core_worker("vclab-test") as start:
+            start(print)
+        assert raised.value is error and not vbnn.SPARE_CORE.locked()
+
+    def test_a_block_opened_on_the_worker_starts_no_thread(self):
+        def name_and_inner_workers():
+            return threading.current_thread().name, threads_named("vclab-inner")
+
+        def outer():
+            with vbnn.spare_core_worker("vclab-inner") as start:
+                return start(name_and_inner_workers)()
+
+        with vbnn.spare_core_worker("vclab-test") as start:
+            assert start(outer)() == ("vclab-test_0", [])
 
 
 class TestFitSchedule:
@@ -1295,7 +1341,7 @@ class TestPosteriorPredict:
         x = make_rng("head-only-x").random((8, 6))
         logits = []
         recording_softmax(monkeypatch, lambda z: logits.append(z.astype(np.float64)))
-        with vbnn.SPARE_CORE:  # both lanes here, each pair's draws in a row
+        with spare_core("taken"):  # both lanes here, each pair's draws in a row
             posterior_predict(net, 0, x, make_rng("head-only-predict"), 8)
         mean_logits = (x.astype(np.float32).astype(np.float64) @ head.mu_w.astype(np.float64)
                        + head.mu_b)
@@ -1333,11 +1379,30 @@ class TestPosteriorPredict:
         free = posterior_predict(net, 0, x, make_rng(14), 7)
         assert not vbnn.SPARE_CORE.locked() and len(seen) == 7
         seen.clear()
-        with vbnn.SPARE_CORE:
+        with spare_core("taken"):
             taken = posterior_predict(net, 0, x, make_rng(14), 7)
             assert vbnn.SPARE_CORE.locked()
         assert taken.tobytes() == free.tobytes()
         assert seen == [(threading.current_thread().name, False)] * 7
+
+    def test_lane_1_frees_the_spare_core_when_it_ends(self, monkeypatch):
+        # Seven draws: lane 0 makes draws 0, 1, 4 and 5 here, lane 1 draws 2,
+        # 3 and 6. Lane 0's last draw waits for the core to come free.
+        here, freed, caller = [], [], threading.current_thread()
+
+        def wait_for_a_free_core(z):
+            if threading.current_thread() is caller:
+                here.append(z)
+                deadline = time.monotonic() + 30
+                while len(here) == 4 and vbnn.SPARE_CORE.locked():
+                    assert time.monotonic() < deadline
+                    time.sleep(1e-3)
+                freed.append(not vbnn.SPARE_CORE.locked())
+
+        recording_softmax(monkeypatch, wait_for_a_free_core)
+        net = random_net(55, input_dim=6, hidden=(5,), out=3)
+        posterior_predict(net, 0, make_rng("free").random((4, 6)), make_rng(12), 7)
+        assert len(here) == 4 and freed[-1]
 
     def test_a_failing_lane_frees_the_spare_core(self, monkeypatch):
         def fail_on_the_lane(z):
