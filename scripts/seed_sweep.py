@@ -13,33 +13,30 @@ both sides has z = 0.
 A metric fails when |z| reaches the two-sided 95% bound, about 2 for one
 metric, corrected for the number M of metrics in the table (Bonferroni:
 the 1 - 0.025 / M normal quantile, 2.97 for the 17 metrics of 3 stages of
-``synthetic``), so that the same code fails the table about 5% of the time
-rather than at every few runs. At a flat 2, 11 of 28 disjoint 8-seed pairs
-of one toy-sized 64-seed run of the same code failed at least one of 12
-metrics; at 2.87, 2 of 28 did.
+``synthetic-auto``), so that the same code fails the table about 5% of the
+time rather than at every few runs. At a flat 2, 11 of 28 disjoint 8-seed
+pairs of one toy-sized 64-seed run of the same code failed at least one of
+12 metrics; at 2.87, 2 of 28 did.
 
-Workloads:
-
-- ``synthetic``: ``vclab run --experiment synthetic --model auto``, as
-  ``python -m vclab.cli`` with ``PYTHONPATH=<checkout>/src``. Trial seeds are
-  master seed + trial index, so seeds 0 .. N-1 of one side run as
-  ``--trials`` in two processes.
-- ``split-fixed`` and ``permuted-auto``: the benchmark's stand-ins for
-  ``split_custom`` and ``permuted``. One process per checkout imports that
-  checkout's ``perfbench/worker.py`` and, per seed, builds the workload at
-  its full benchmark size and runs it untraced.
+Workloads are the benchmark's three, by the names ``BENCHMARK.json`` gives
+them: ``synthetic-auto`` (``vclab run --experiment synthetic --model auto``)
+and the stand-ins ``split-fixed`` and ``permuted-auto`` for ``split_custom``
+and ``permuted``. Each side's seeds are split across ``JOBS`` processes,
+each pinned to one BLAS thread as the benchmark pins it. A process imports
+its checkout's ``perfbench/worker.py`` and, per seed, builds the workload at
+its full benchmark size with one trial and runs it untraced.
 
 Usage:
 
-    python scripts/seed_sweep.py BASE CHANGE [--seeds 8] [--workload synthetic]
+    python scripts/seed_sweep.py BASE CHANGE [--seeds 8] [--workload synthetic-auto]
 
-Prints a Markdown table and exits 0 if every metric passes, 1 if any fails.
+Prints a Markdown table and exits 0 if every metric passes, 1 if any fails,
+and 2 on a usage error or when the two sides' tables do not line up.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -49,24 +46,29 @@ import tempfile
 from pathlib import Path
 from statistics import NormalDist, fmean, stdev
 
-WORKLOADS = ("synthetic", "split-fixed", "permuted-auto")
+WORKLOADS = ("synthetic-auto", "split-fixed", "permuted-auto")
 MIN_SEEDS = 8
-JOBS = 2  # processes per side of a synthetic sweep
+JOBS = 2  # processes per side
+# As perfbench/run.py pins it: more threads oversubscribe the cores, and at
+# 784-wide layers the BLAS thread count changes how sgemm rounds.
+ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                "1")
 
-# Run in a fresh interpreter: argv is the checkout, the workload, the size
-# and the seeds; prints {seed: [{"accuracy", "beta", "d", "s"} per stage]}.
+# Run in a fresh interpreter: argv is the checkout, the workload, the size,
+# the size overrides as JSON and the seeds; prints
+# {seed: [{"accuracy", "beta", "d", "s"} per stage]}.
 STAND_IN = """
 import json, sys, tempfile
 from pathlib import Path
-checkout, workload, size, *seeds = sys.argv[1:]
+checkout, workload, size, overrides, *seeds = sys.argv[1:]
 sys.path.insert(0, str(Path(checkout, "perfbench")))
 import worker
 vclab = worker.import_vclab()
+size = {**worker.SIZES[size][workload], **json.loads(overrides), "trials": "1"}
 out = {}
 for seed in seeds:
     with tempfile.TemporaryDirectory() as tmp:
-        run, _, _ = worker.WORKLOADS[workload](vclab, int(seed), worker.SIZES[size][workload],
-                                               Path(tmp))
+        run, _, _ = worker.WORKLOADS[workload](vclab, int(seed), size, Path(tmp))
         out[seed] = run(lambda fn: fn)[1]
 print(json.dumps(out))
 """
@@ -87,55 +89,30 @@ def stage_metrics(accuracies: list[float], beta: float, d, s) -> dict[str, float
     return metrics
 
 
-def sweep(checkout, seeds: range, flags: list[str], workdir, workload: str = "synthetic",
+def sweep(checkout, seeds: range, overrides: dict, workdir, workload: str = "synthetic-auto",
           size: str = "full") -> Sweep:
-    """Per-stage metrics of ``workload`` at each of ``seeds`` (consecutive),
-    run from ``checkout``'s sources. ``flags`` go to ``vclab run`` (synthetic
-    only); ``size`` picks the stand-ins' size in ``perfbench/worker.py``."""
-    if workload == "synthetic":
-        return synthetic_sweep(checkout, seeds, flags, workdir)
-    proc = subprocess.run([sys.executable, "-c", STAND_IN, str(Path(checkout).resolve()),
-                           workload, size, *map(str, seeds)],
-                          cwd=workdir, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{workload} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
-    return {int(seed): {t: stage_metrics(r["accuracy"], r["beta"], r["d"], r["s"])
-                        for t, r in enumerate(records, start=1)}
-            for seed, records in json.loads(proc.stdout.splitlines()[-1]).items()}
-
-
-def synthetic_sweep(checkout, seeds: range, flags: list[str], workdir) -> Sweep:
-    """``sweep`` of ``vclab run --experiment synthetic --model auto``."""
-    size = math.ceil(len(seeds) / JOBS)
-    chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
-    env = {**os.environ, "PYTHONPATH": str(Path(checkout, "src").resolve())}
-    procs = []
-    for chunk in chunks:
-        out = Path(tempfile.mkdtemp(dir=workdir))
-        cmd = [sys.executable, "-m", "vclab.cli", "run", "--experiment", "synthetic",
-               "--model", "auto", "--seed", str(chunk.start), "--trials", str(len(chunk)),
-               *flags, "--out-dir", str(out)]
-        procs.append((out, subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
-                                            stderr=subprocess.PIPE, text=True)))
-    rows = []
-    for out, proc in procs:
-        _, err = proc.communicate()
-        if proc.returncode != 0:
-            raise RuntimeError(f"vclab run in {checkout} exited {proc.returncode}:\n{err}")
-        with open(out / "synthetic_autovcl.csv", newline="", encoding="utf-8") as fh:
-            rows.extend(csv.DictReader(fh))
-    stages: dict[tuple[int, int], dict] = {}
-    for r in rows:
-        stage = stages.setdefault((int(r["seed"]), int(r["stage"])), {
-            "accuracy": {}, "beta": float(r["beta"]), "d": float(r["d"]), "s": float(r["s"])})
-        stage["accuracy"][int(r["task_index"])] = float(r["accuracy"])
+    """Per-stage metrics of ``workload`` at each of ``seeds``, one trial per
+    seed, run from ``checkout``'s sources in ``JOBS`` processes. ``size``
+    picks the workload's size in ``perfbench/worker.py`` and ``overrides``
+    replaces entries of it."""
+    chunk = math.ceil(len(seeds) / JOBS)
+    env = {**os.environ, **ONE_BLAS_THREAD}
+    procs = [subprocess.Popen([sys.executable, "-c", STAND_IN, str(Path(checkout).resolve()),
+                               workload, size, json.dumps(overrides),
+                               *map(str, seeds[i:i + chunk])],
+                              cwd=workdir, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True)
+             for i in range(0, len(seeds), chunk)]
     result: Sweep = {}
-    for (seed, t), stage in sorted(stages.items()):
-        accuracies = [stage["accuracy"][i] for i in sorted(stage["accuracy"])]
-        result.setdefault(seed, {})[t] = stage_metrics(accuracies, stage["beta"], stage["d"],
-                                                       stage["s"])
-    if sorted(result) != list(seeds):
-        raise RuntimeError(f"expected seeds {list(seeds)}, the CSVs hold {sorted(result)}")
+    for proc in procs:
+        out, err = proc.communicate()
+        if proc.returncode != 0:
+            for other in procs:
+                other.kill()
+            raise RuntimeError(f"{workload} in {checkout} exited {proc.returncode}:\n{err}")
+        result.update({int(seed): {t: stage_metrics(r["accuracy"], r["beta"], r["d"], r["s"])
+                                   for t, r in enumerate(records, start=1)}
+                       for seed, records in json.loads(out.splitlines()[-1]).items()})
     return result
 
 
@@ -148,11 +125,27 @@ def critical_z(n_metrics: int) -> float:
     return NormalDist().inv_cdf(1.0 - 0.025 / n_metrics)
 
 
+def table_cells(per_stage: dict[int, dict[str, float]]) -> list[tuple[int, str]]:
+    return [(stage, metric) for stage in sorted(per_stage) for metric in per_stage[stage]]
+
+
 def compare(base: Sweep, change: Sweep) -> list[dict]:
     """One row per stage and metric: both means, their standard errors, the
-    difference in standard errors of the difference, and whether it passes."""
-    first = next(iter(base.values()))
-    cells = [(stage, metric) for stage in sorted(first) for metric in first[stage]]
+    difference in standard errors of the difference, and whether it passes.
+    Raises ValueError, naming the first cell that differs, unless every seed
+    of both sides has the first base seed's (stage, metric) cells."""
+    first_seed = next(iter(base))
+    cells = table_cells(base[first_seed])
+    for side, table in (("base", base), ("change", change)):
+        for seed, per_stage in table.items():
+            theirs = table_cells(per_stage)
+            missing = [cell for cell in cells if cell not in theirs]
+            extra = [cell for cell in theirs if cell not in cells]
+            if missing or extra:
+                (stage, metric), how = ((missing[0], "lacks") if missing
+                                        else (extra[0], "has"))
+                raise ValueError(f"{side} seed {seed} {how} stage {stage} {metric}, "
+                                 f"unlike base seed {first_seed}")
     bound = critical_z(len(cells))
     rows = []
     for stage, metric in cells:
@@ -180,15 +173,19 @@ def main(argv=None) -> int:
     parser.add_argument("change", help="checkout whose src/ holds the changed vclab")
     parser.add_argument("--seeds", type=int, default=MIN_SEEDS,
                         help=f"seeds per side (at least {MIN_SEEDS})")
-    parser.add_argument("--workload", choices=WORKLOADS, default="synthetic",
-                        help="what each seed runs (default: synthetic)")
+    parser.add_argument("--workload", choices=WORKLOADS, default="synthetic-auto",
+                        help="what each seed runs (default: synthetic-auto)")
     args = parser.parse_args(argv)
     if args.seeds < MIN_SEEDS:
         parser.error(f"need --seeds >= {MIN_SEEDS}")
     with tempfile.TemporaryDirectory() as workdir:
-        base, change = (sweep(checkout, range(args.seeds), [], workdir, args.workload)
+        base, change = (sweep(checkout, range(args.seeds), {}, workdir, args.workload)
                         for checkout in (args.base, args.change))
-    rows = compare(base, change)
+    try:
+        rows = compare(base, change)
+    except ValueError as exc:
+        print(f"seed_sweep: the tables do not line up: {exc}", file=sys.stderr)
+        return 2
     print(format_table(rows))
     failed = [f"stage {r['stage']} {r['metric']}" for r in rows if not r["ok"]]
     print(f"\n{len(rows) - len(failed)} of {len(rows)} metrics pass "
