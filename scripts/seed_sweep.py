@@ -51,6 +51,8 @@ MIN_SEEDS = 8
 JOBS = 2  # processes per side
 # As perfbench/run.py pins it: more threads oversubscribe the cores, and at
 # 784-wide layers the BLAS thread count changes how sgemm rounds.
+# run_sequence pins one OpenBLAS thread itself, but the BASE checkout of a
+# sweep can predate that pin, so the environment pins it too.
 ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
                                 "1")
 

@@ -10,7 +10,9 @@ started with ``vbnn.spare_core_worker`` before stage t + 1 trains and joined
 after; its results are reported in stage order, with the bits of a serial
 run.
 Each stage runs with numpy's floating-point errors raised, so an overflow is
-a ``NumericError``, never a warning in a run that succeeds.
+a ``NumericError``, never a warning in a run that succeeds, and a whole run
+with one BLAS thread (``numerics.one_blas_thread``), so its bits do not
+depend on the machine's thread count.
 Fixed beta = 1 is vanilla variational continual learning; the scheduled mode
 runs the exact same training code path with a different beta value.
 """
@@ -25,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .heuristics import HeuristicConfig, HeuristicTrace, assess_task
-from .numerics import ConfigError, NumericError, check_writable, make_rng, require_positive
+from .numerics import (ConfigError, NumericError, check_writable, make_rng, one_blas_thread,
+                       require_positive)
 from .vbnn import (VariationalNet, advance_prior, fit, init_network, posterior_predict,
                    save_snapshot, spare_core_worker, standard_prior)
 
@@ -125,6 +128,7 @@ def snapshot_paths(snapshot_dir, n_stages: int, results_csv=None) -> list[Path]:
     return paths
 
 
+@one_blas_thread()
 def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
                  heuristic_cfg: HeuristicConfig, master_seed: int,
                  snapshot_dir=None, progress=None,
@@ -151,7 +155,8 @@ def run_sequence(tasks: Sequence, hidden_dims: Sequence[int], cfg: TrainConfig,
     division by zero in a stage raises ``NumericError`` naming the stage and
     its phase: assessment, training or evaluation. Stage t is reported before
     any error of stage t + 1 is raised, and its own error wins; no thread
-    outlives the call.
+    outlives the call. The call runs with one BLAS thread (see
+    :func:`numerics.one_blas_thread`).
     """
     if not tasks:
         raise ValueError("need at least one task")

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import make_rng, row_blocks
+from .numerics import DTYPE, make_rng, row_blocks
 
 
 class DataFormatError(ValueError):
@@ -45,7 +45,7 @@ class Dataset:
     split: str
 
     def __post_init__(self):
-        object.__setattr__(self, "images", np.asarray(self.images, dtype=np.float32))
+        object.__setattr__(self, "images", np.asarray(self.images, dtype=DTYPE))
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -82,7 +82,7 @@ class TaskView:
             x.flags.writeable = False
         else:
             x = self.images[rows]
-        return np.ascontiguousarray(x, dtype=np.float32), self.labels[idx]
+        return np.ascontiguousarray(x, dtype=DTYPE), self.labels[idx]
 
     def subset(self, idx: np.ndarray) -> "TaskView":
         """The view of positions ``idx`` within this view; copies no pixels."""
@@ -180,7 +180,7 @@ def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
         images = _read_idx(_locate(data_dir, img_name, subdirs), _IDX_IMAGE_MAGIC)
         labels = _read_idx(_locate(data_dir, lab_name, subdirs), _IDX_LABEL_MAGIC)
         # Scaled in float32: for each byte value, the float32 cast of p / 255.0.
-        out.append(_dataset(images.astype(np.float32), labels[:, 0], split))
+        out.append(_dataset(images.astype(DTYPE), labels[:, 0], split))
     if out[0].images.shape[1] != out[1].images.shape[1]:
         raise DataFormatError(f"train images have {out[0].images.shape[1]} pixels, test images "
                               f"{out[1].images.shape[1]}")
@@ -356,7 +356,7 @@ def make_synthetic_blobs(separation: float, rotation: float, n: int,
         rng.shuffle(y)
         latent = (y[:, None] - 0.5) * separation * axis + rng.standard_normal((count, 2))
         signal = _BLOB_SIGNAL_GAIN * latent
-        images = np.empty((count, BLOB_DIM), dtype=np.float32)
+        images = np.empty((count, BLOB_DIM), dtype=DTYPE)
         for rows in row_blocks(count):
             x = signal[rows] @ basis                # 0.5 + signal @ basis, in place
             x += 0.5

@@ -121,10 +121,11 @@ def _subset_indices(n_available: int, size: int, rng: np.random.Generator,
     return [picked[i * size:(i + 1) * size] for i in range(count)]
 
 
-def _score_probe(net: VariationalNet, x: np.ndarray, y: np.ndarray,
+def _score_probe(net: VariationalNet, head_index: int, x: np.ndarray, y: np.ndarray,
                  rng: np.random.Generator, n_samples: int) -> float:
-    """Posterior-predictive argmax accuracy of a probe net's head 0."""
-    probs = posterior_predict(net, 0, x, rng, n_samples)
+    """Posterior-predictive argmax accuracy of ``net``'s head ``head_index``
+    on (x, y): a probe net's head 0, or a similarity candidate head."""
+    probs = posterior_predict(net, head_index, x, rng, n_samples)
     return float((probs.argmax(axis=1) == y).mean())
 
 
@@ -161,7 +162,7 @@ def probe_difficulty(task, hidden_dims: Sequence[int], cfg: TrainConfig,
                 # serial loop.
                 if pending:
                     accuracies.append(pending())
-            pending = start(_score_probe, net, *task.train.take(eval_idx), rng,
+            pending = start(_score_probe, net, 0, *task.train.take(eval_idx), rng,
                             cfg.eval_mc_samples)
         accuracies.append(pending())
     d = difficulty_from_accuracy(float(np.mean(accuracies)), task.chance_accuracy)
@@ -188,10 +189,8 @@ def measure_similarity(task, net: VariationalNet, cfg: TrainConfig,
     chance = task.chance_accuracy
     a_star = chance
     for head_index in candidate_heads:
-        probs = posterior_predict(net, head_index, x_eval,
-                                  make_rng(seed, "similarity-eval", head_index),
-                                  cfg.eval_mc_samples)
-        acc = float((probs.argmax(axis=1) == y_eval).mean())
+        acc = _score_probe(net, head_index, x_eval, y_eval,
+                           make_rng(seed, "similarity-eval", head_index), cfg.eval_mc_samples)
         if abs(acc - chance) > abs(a_star - chance):
             a_star = acc
     s = norm_unit(abs(a_star - chance), 1.0 - chance)

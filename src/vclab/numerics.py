@@ -11,11 +11,14 @@ tuple rather than by splitting one stream, which keeps unrelated consumers
 
 The error types the command line maps to exit codes (config 1, numeric 3),
 the atomic file write that snapshots and results CSVs share and its one
-writability check live here too, because every other module imports this one.
+writability check, the compute dtype and the one-BLAS-thread block live here
+too, because every other module imports this one.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import math
 import os
@@ -23,6 +26,10 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+
+# The dtype of every network ``vbnn.init_network`` and ``vbnn.load_snapshot``
+# make, and of task pixels.
+DTYPE = np.dtype(np.float32)
 
 
 class NumericError(ArithmeticError):
@@ -81,6 +88,52 @@ def atomic_write(path, mode: str, **open_kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """The loaded OpenBLAS's (get, set) thread-count functions, found through
+    ``/proc/self/maps`` once per process, or None where there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                                   ("openblas", "")):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    set_.restype, set_.argtypes = None, [ctypes.c_int]
+                    return get, set_
+    except OSError:
+        pass
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """A block in which the loaded OpenBLAS runs one thread; the count it had
+    is set back when the block ends, also by an error. Without an OpenBLAS
+    it changes nothing.
+
+    A run's threads each take one core (see ``vbnn.spare_core_worker``), so
+    more BLAS threads oversubscribe them; and at 784-wide layers OpenBLAS's
+    float32 sgemm rounds differently with 1 and 2 threads, so a run's bits
+    would depend on the machine.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def seed_from(*parts: int | str) -> int:

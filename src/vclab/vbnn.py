@@ -29,9 +29,9 @@ frozen noise in the test suite -- there is no autodiff anywhere.
 
 A network has one dtype, its buffers', float32 unless a test builds a
 float64 net, and everything runs in it: the parameters, gradients, Adam's
-moments, the prior, the noise and the Monte Carlo arithmetic. Snapshots
-store float64. A float64 net gives the exact float64 pass that the
-finite-difference check differentiates.
+moments, the prior, the noise and the Monte Carlo arithmetic. A snapshot
+stores a float32 net's buffers as they are. A float64 net gives the exact
+float64 pass that the finite-difference check differentiates.
 
 Memory follows the Monte Carlo samples and the batch: ``fit`` holds the
 parameters, Adam's two moments and one set of gradient buffers, which every
@@ -88,14 +88,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .numerics import NumericError, adam_step, atomic_write, chunks, row_blocks
+from .numerics import DTYPE, NumericError, adam_step, atomic_write, chunks, row_blocks
 
 if TYPE_CHECKING:
     from .data import TaskView
 
 INIT_LOGVAR = -6.0
-# The dtype of every network init_network and load_snapshot make.
-DTYPE = np.dtype(np.float32)
 # Held by the one thread a run may add beside its own, a
 # spare_core_worker's. Two cores have room for two busy threads.
 SPARE_CORE = threading.Lock()
@@ -170,16 +168,17 @@ class VariationalLayer:
         self.mu_w, self.logvar_w = (row[:n_w].reshape(fan_in, fan_out) for row in flat)
         self.mu_b, self.logvar_b = flat[:, n_w:]
 
-    def param_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.mu_w, self.logvar_w, self.mu_b, self.logvar_b
+    @classmethod
+    def read_only(cls, flat: np.ndarray, fan_in: int, fan_out: int) -> "VariationalLayer":
+        """A layer over ``flat``, which is made read-only."""
+        flat.flags.writeable = False
+        return cls(flat, fan_in, fan_out)
 
     def zeros_like(self) -> "VariationalLayer":
         return VariationalLayer(np.zeros_like(self.flat), self.fan_in, self.fan_out)
 
     def frozen_copy(self) -> "VariationalLayer":
-        flat = self.flat.copy()
-        flat.flags.writeable = False
-        return VariationalLayer(flat, self.fan_in, self.fan_out)
+        return VariationalLayer.read_only(self.flat.copy(), self.fan_in, self.fan_out)
 
 
 def _init_layer(fan_in: int, fan_out: int, rng: np.random.Generator,
@@ -254,9 +253,11 @@ def init_network(input_dim: int, hidden_dims: Sequence[int],
 
 
 def standard_prior(net: VariationalNet) -> VariationalNet:
-    """N(0, 1) prior on every trunk parameter (used before the first task)."""
-    return VariationalNet(net.input_dim, tuple(layer.zeros_like().frozen_copy()
-                                               for layer in net.trunk), {})
+    """N(0, 1) prior on every trunk parameter (used before the first task):
+    one read-only zero buffer per layer."""
+    return VariationalNet(net.input_dim, tuple(
+        VariationalLayer.read_only(np.zeros_like(layer.flat), layer.fan_in, layer.fan_out)
+        for layer in net.trunk), {})
 
 
 def advance_prior(net: VariationalNet) -> VariationalNet:
@@ -746,21 +747,24 @@ def posterior_predict(net: VariationalNet, head_index: int, x: np.ndarray,
 # Snapshot serialization
 #
 # Binary layout (little-endian), documented here and in the README:
-#   magic   8 bytes  b"VCLSNAP1"
+#   magic   8 bytes  b"VCLSNAP2"
 #   u32     number of trunk layers T
 #   u32     number of heads H
 #   T x (u32 fan_in, u32 fan_out)               trunk shapes in order
 #   H x (u32 head_index, u32 fan_in, u32 fan_out)  heads sorted by index
 #   then for each trunk layer, then each head (same order):
-#       mu_w, logvar_w, mu_b, logvar_b as raw float64 little-endian
-# A float32 net round-trips exactly; values written from a float64 net load
-# rounded to the nearest float32.
+#       its (2, (fan_in + 1) * fan_out) buffer as raw float32, row 0 the
+#       means and row 1 the log-variances, each the weights then the biases
 
-SNAPSHOT_MAGIC = b"VCLSNAP1"
+SNAPSHOT_MAGIC = b"VCLSNAP2"
 
 
 def save_snapshot(snapshot: VariationalNet, path) -> None:
-    """Write a network in the flat binary format described above, atomically."""
+    """Write a float32 network in the flat binary format described above,
+    atomically, each layer's buffer as it is; a net of another dtype is a
+    ValueError."""
+    if snapshot.dtype != DTYPE:
+        raise ValueError(f"a snapshot holds a {DTYPE} net, not a {snapshot.dtype} one")
     head_items = sorted(snapshot.heads.items())
     with atomic_write(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
@@ -770,26 +774,26 @@ def save_snapshot(snapshot: VariationalNet, path) -> None:
         for index, layer in head_items:
             fh.write(struct.pack("<III", index, layer.fan_in, layer.fan_out))
         for layer in [*snapshot.trunk, *(h for _, h in head_items)]:
-            for a in layer.param_arrays():
-                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(layer.flat, dtype="<f4"))
 
 
 def load_snapshot(path) -> VariationalNet:
     """Read a snapshot written by :func:`save_snapshot` as a read-only
-    ``DTYPE`` (float32) network that can predict; ``input_dim`` is the first
-    stored layer's ``fan_in`` (0 for a file with no layers). The stored
-    float64 values are rounded to the nearest float32, so a float32 net
-    loads back bit for bit.
+    ``DTYPE`` (float32) network that can predict, bit for bit: each layer's
+    buffer is a view of the file's bytes. ``input_dim`` is the first stored
+    layer's ``fan_in`` (0 for a file with no layers).
 
-    Raises ValueError on a truncated or corrupt file: every length is checked
-    against the header counts before anything is unpacked, the header's
-    layers must chain (each trunk layer takes the previous one's outputs,
-    each head the trunk's, and no width is 0), every parameter must be
-    finite, and none may lie beyond float32's range (the message names the
-    layer).
+    Raises ValueError on a ``VCLSNAP1`` (float64) file, naming that format,
+    and on a truncated or corrupt file: every length is checked against the
+    header counts before anything is unpacked, the header's layers must
+    chain (each trunk layer takes the previous one's outputs, each head the
+    trunk's, and no width is 0), and every parameter must be finite.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
+    if blob[:8] == b"VCLSNAP1":
+        raise ValueError(f"{path} is in VCLSNAP1, the float64 snapshot format, which is no "
+                         f"longer read; snapshots are {SNAPSHOT_MAGIC.decode()} now")
     if blob[:8] != SNAPSHOT_MAGIC:
         raise ValueError(f"bad snapshot magic {blob[:8]!r}")
     if len(blob) < 16:
@@ -814,26 +818,16 @@ def load_snapshot(path) -> VariationalNet:
             raise ValueError(f"snapshot {name} takes {fan_in} inputs, its input is {width} wide")
         if k < n_trunk:
             width = fan_out
-    expected = pos + sum(8 * (2 * fi * fo + 2 * fo) for fi, fo in shapes)
+    sizes = [2 * (fi + 1) * fo for fi, fo in shapes]
+    expected = pos + 4 * sum(sizes)
     if expected != len(blob):
         raise ValueError(f"snapshot should be {expected} bytes for the shapes in its header, "
                          f"file has {len(blob)}")
-    if not np.isfinite(np.frombuffer(blob, dtype="<f8", offset=pos)).all():
+    values = np.frombuffer(blob, dtype="<f4", offset=pos).astype(DTYPE, copy=False)
+    if not np.isfinite(values).all():
         raise ValueError("snapshot has a non-finite parameter")
-
-    layers = []
-    for name, (fan_in, fan_out) in zip(names, shapes):
-        stored = np.frombuffer(blob, dtype="<f8", count=2 * (fan_in + 1) * fan_out, offset=pos)
-        pos += stored.nbytes
-        if (largest := np.abs(stored).max()) > np.finfo(DTYPE).max:
-            raise ValueError(f"snapshot {name} has a parameter of magnitude {largest:g}, "
-                             f"beyond {DTYPE}'s range")
-        layer = VariationalLayer(np.empty((2, stored.size // 2), DTYPE), fan_in, fan_out)
-        start = 0
-        for a in layer.param_arrays():
-            a[...] = stored[start:start + a.size].reshape(a.shape)
-            start += a.size
-        layer.flat.flags.writeable = False
-        layers.append(layer)
+    parts = np.split(values, np.cumsum(sizes)[:-1])
+    layers = [VariationalLayer.read_only(part.reshape(2, -1), fan_in, fan_out)
+              for part, (fan_in, fan_out) in zip(parts, shapes)]
     heads = {index: layer for (index, _, _), layer in zip(head_shapes, layers[n_trunk:])}
     return VariationalNet(input_dim, tuple(layers[:n_trunk]), heads)

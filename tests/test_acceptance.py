@@ -41,7 +41,7 @@ def test_criterion_1_gradient_correctness():
     prior_net = float64_net(init_network(10, [8], make_rng("acc1-prior")))
     prior_net.ensure_head(0, 4, make_rng("acc1-prior-head"))
     for layer in [*prior_net.trunk, prior_net.heads[0]]:
-        for a in layer.param_arrays():
+        for a in (layer.mu_w, layer.logvar_w, layer.mu_b, layer.logvar_b):
             a += 0.3 * make_rng("acc1-jitter").standard_normal(a.shape)
     prior = advance_prior(prior_net)
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import re
 import subprocess
@@ -50,9 +51,10 @@ STAGE_2_OF_TRIAL_0 = ("synthetic,gvcl:1,0,1,2,0,t,0.600000,1.000000,,,\n"
 STAGE_2_OF_TRIAL_1 = STAGE_2_OF_TRIAL_0.replace(",0,1,", ",1,2,")
 
 
-def run_module(*args):
-    """``python -m vclab.cli ARGS`` in a fresh interpreter, output captured."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def run_module(*args, env=None):
+    """``python -m vclab.cli ARGS`` in a fresh interpreter, output captured,
+    with ``env`` added to the environment."""
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, "-m", "vclab.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
@@ -64,6 +66,25 @@ def row(model="autovcl", trial=0, stage=1, task_index=0, accuracy=0.9, beta=1.0,
                     accuracy=accuracy, beta=beta, d=None, s=None, delta_d=None)
     defaults.update(kw)
     return ResultRow(**defaults)
+
+
+def test_snapshot_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # At 784-wide layers OpenBLAS's float32 sgemm rounds differently with 1
+    # and 2 threads; run_sequence runs with one, whatever the environment
+    # asks for.
+    def snapshots(threads):
+        snapshot_dir = tmp_path / f"threads-{threads}"
+        proc = run_module("run", "--experiment", "synthetic", "--model", "gvcl:1", "--trials",
+                          "1", "--epochs", "1", "--seed", "5", "--out-dir", str(snapshot_dir),
+                          "--snapshot-dir", str(snapshot_dir),
+                          env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        return [(path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+                for path in sorted(snapshot_dir.rglob("*.snap"))]
+
+    two = snapshots("2")
+    assert [name for name, _ in two] == ["stage_01.snap", "stage_02.snap", "stage_03.snap"]
+    assert two == snapshots("1")
 
 
 class TestModelParsing:

@@ -8,6 +8,7 @@ import pytest
 from conftest import spare_core
 from test_vbnn import with_one_huge_sigma
 import vclab.continual as continual
+import vclab.numerics as numerics
 import vclab.vbnn as vbnn
 from vclab import cli
 from vclab.continual import AccuracyMatrix, TrainConfig, evaluate, run_sequence, train_on_task
@@ -90,11 +91,10 @@ class TestTrainOnTask:
         second = blob_task(8.0, rotation=2.0, tag="stable2", head_index=1)
         net = fresh_net(first)
         train_on_task(net, standard_prior(net), first, 1.0, FAST_TRAIN, make_rng("s1"))
-        head0 = [a.copy() for a in net.heads[0].param_arrays()]
+        head0 = net.heads[0].flat.copy()
         net.ensure_head(1, 2, make_rng("s2h"))
         train_on_task(net, advance_prior(net), second, 1.0, FAST_TRAIN, make_rng("s2"))
-        for before, after in zip(head0, net.heads[0].param_arrays()):
-            assert np.array_equal(before, after)
+        assert np.array_equal(head0, net.heads[0].flat)
 
 
 class TestEvaluate:
@@ -301,6 +301,44 @@ class TestRunSequence:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             run_sequence([], (16,), FAST_TRAIN, FAST_HEUR, master_seed=1)
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def blas_threads(self):
+        """The loaded OpenBLAS's thread count, set to 2 (where the machine
+        allows it) for the test and restored after."""
+        calls = numerics._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("no OpenBLAS is loaded")
+        get, set_ = calls
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_a_run_has_one_thread_and_restores_the_count(self, blas_threads):
+        before, seen = blas_threads(), []
+        cfg = TrainConfig(epochs=1, batch_size=128, train_mc_samples=2, eval_mc_samples=5)
+        run_sequence(two_tasks(), (16,), cfg, FAST_HEUR, master_seed=17,
+                     progress=lambda *stage: seen.append(blas_threads()))
+        assert (seen, blas_threads()) == ([1, 1], before)
+
+    def test_a_numeric_error_restores_the_count(self, blas_threads, monkeypatch):
+        before = blas_threads()
+        init = continual.init_network
+        monkeypatch.setattr(continual, "init_network",
+                            lambda *args: with_one_huge_sigma(init(*args)))
+        cfg = TrainConfig(epochs=1, batch_size=128, train_mc_samples=2, eval_mc_samples=5)
+        with pytest.raises(NumericError, match="^stage 1: overflow"):
+            run_sequence(two_tasks(), (16,), cfg, FAST_HEUR, master_seed=18)
+        assert blas_threads() == before
+
+    def test_without_openblas_a_run_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_openblas_thread_calls", lambda: None)
+        cfg = TrainConfig(epochs=1, batch_size=128, train_mc_samples=2, eval_mc_samples=5)
+        matrix, _ = run_sequence(two_tasks(), (16,), cfg, FAST_HEUR, master_seed=17)
+        assert len(matrix.rows()) == 2
 
 
 def three_tasks():

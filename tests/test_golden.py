@@ -5,12 +5,15 @@ writes stage snapshots, and a shared-head permuted ``auto`` run.
 
 Criterion 8 compares two runs of the same code; this compares against
 digests recorded once, so any change that moves a single bit of the results
-CSV or of the ``VCLSNAP1`` snapshot format shows up across commits. A change
-that alters the output on purpose (a new estimator, say) records a new
-digest here and says why in CHANGES.md.
+CSV or of a ``VCLSNAP2`` snapshot file (its layers' float32 buffers) shows up
+across commits. A change that alters the output on purpose (a new estimator,
+or a new snapshot format, say) records a new digest here and says why in
+CHANGES.md.
 
 Float results depend on the numpy build and the BLAS kernels, so the digest
 is only checked on the stack it was recorded with and skipped elsewhere.
+``run_sequence`` runs with one BLAS thread whatever ``OPENBLAS_NUM_THREADS``
+says, so the digests of the runs hold at any thread count.
 """
 
 import hashlib
@@ -29,11 +32,11 @@ GOLDEN_ARGS = ["run", "--experiment", "synthetic", "--model", "auto", "--trials"
                "--epochs", "1", "--probe-repeats", "2", "--probe-size", "256",
                "--seed", "8817"]
 GOLDEN_SHA256 = "e1ffbb14926f4448d6975b5088e37f3574ae88b8a8fc825d62af4ff7527154da"
-SNAPSHOT_SHA256 = "7f3df7883e750b733e6fe1d1d366ebb63ba2a02a696c3a190f68172a92876b4b"
+SNAPSHOT_SHA256 = "2bab34659e44a04b45cb48499c2ea2b65a6ca53f8237fdf27ca37fbf5955d313"
 # The toy runs: each digest covers the accuracy rows (and beta, d, s) of
 # every stage; the split run's second digest covers its last stage snapshot.
 SPLIT_ROWS_SHA256 = "c34c402f78f4969e67a9f5ed682ad5cf2d6bbb48eb9d536470e3521f0b7fea70"
-SPLIT_SNAPSHOT_SHA256 = "0896d6841174542ddc6b030ea195e5e89b1c0aa81ed4c990708b8da315686b3c"
+SPLIT_SNAPSHOT_SHA256 = "19138b827ee262213bd43e58467f800ff89b268f8e13de599cba46171ea63018"
 PERMUTED_ROWS_SHA256 = "87bc9d90102d8656bfdc7f5172ffd2b4e4155b2d7b860b646c8eb1c496a08435"
 RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
@@ -66,7 +69,7 @@ def test_snapshot_bytes_match_golden_digest(tmp_path):
     path = tmp_path / "stage.snap"
     save_snapshot(advance_prior(random_net(43, heads=(0, 2), jitter=0.2)), path)
     blob = path.read_bytes()
-    assert len(blob) == 544
+    assert len(blob) == 296
     assert hashlib.sha256(blob).hexdigest() == SNAPSHOT_SHA256
 
 

@@ -45,7 +45,7 @@ def random_net(seed, input_dim=4, hidden=(3,), out=2, heads=(0,), jitter=0.0,
         net = float64_net(net)
     if jitter:
         for layer in [*net.trunk, *net.heads.values()]:
-            for a in layer.param_arrays():
+            for a in (layer.mu_w, layer.logvar_w, layer.mu_b, layer.logvar_b):
                 a += jitter * rng.standard_normal(a.shape)
     return net
 
@@ -156,7 +156,8 @@ class TestInit:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_a_layer_takes_its_buffers_dtype(self, dtype):
         layer = vbnn.VariationalLayer(np.zeros((2, 8), dtype), 3, 2)
-        assert {a.dtype for a in layer.param_arrays()} == {np.dtype(dtype)}
+        views = (layer.mu_w, layer.logvar_w, layer.mu_b, layer.logvar_b)
+        assert {a.dtype for a in views} == {np.dtype(dtype)}
         assert layer.zeros_like().flat.dtype == layer.frozen_copy().flat.dtype == dtype
 
     @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.int32])
@@ -1034,14 +1035,12 @@ class TestAdvancePrior:
     def test_snapshot_survives_training(self):
         net = random_net(41, heads=(0,))
         snapshot = advance_prior(net)
-        frozen = [a.copy() for layer in [*snapshot.trunk, snapshot.heads[0]]
-                  for a in layer.param_arrays()]
+        frozen = [layer.flat.copy() for layer in [*snapshot.trunk, snapshot.heads[0]]]
         x = make_rng("ap").random((16, 4))
         y = (make_rng("apy").random(16) > 0.5).astype(int)
         fit(net, snapshot, 0, whole_view(x, y), beta=1.0, epochs=3, batch_size=8,
             lr=0.01, mc_samples=2, rng=make_rng("apf"))
-        current = [a for layer in [*snapshot.trunk, snapshot.heads[0]]
-                   for a in layer.param_arrays()]
+        current = [layer.flat for layer in [*snapshot.trunk, snapshot.heads[0]]]
         for before, after in zip(frozen, current):
             assert np.array_equal(before, after)
         assert kl_to_prior(net, snapshot, 0) > 0.0  # net actually moved
@@ -1059,8 +1058,7 @@ class TestAdvancePrior:
         loaded = load_snapshot(path)
         assert kl_to_prior(net, loaded, 0) == 0.0
         assert kl_to_prior(net, loaded, 2) == 0.0
-        for a, b in zip(snapshot.trunk[0].param_arrays(), loaded.trunk[0].param_arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(snapshot.trunk[0].flat, loaded.trunk[0].flat)
         assert sorted(loaded.heads) == [0, 2]
 
     def test_loaded_input_dim_is_the_first_layers_fan_in(self, tmp_path):
@@ -1077,7 +1075,7 @@ class TestAdvancePrior:
         assert (empty.input_dim, empty.trunk, empty.heads) == (0, (), {})
 
     def test_a_float32_net_round_trips_bit_for_bit(self, tmp_path):
-        # Its float32 values are stored as float64, exactly, and rounded back.
+        # Each layer's buffer is stored as it is, means first.
         snapshot = advance_prior(random_net(48, hidden=(5, 3), heads=(0, 1), jitter=0.7))
         path = tmp_path / "stage.snap"
         save_snapshot(snapshot, path)
@@ -1087,29 +1085,40 @@ class TestAdvancePrior:
                         [*loaded.trunk, *loaded.heads.values()]):
             assert a.flat.tobytes() == b.flat.tobytes()
         header = 16 + 8 * 2 + 12 * 2  # two trunk layers, two heads
-        assert path.read_bytes()[header:header + 8] == struct.pack(
-            "<d", snapshot.trunk[0].mu_w[0, 0])
+        assert path.read_bytes()[header:header + 4] == struct.pack(
+            "<f", snapshot.trunk[0].mu_w[0, 0])
 
-    def test_a_file_of_float64_values_loads_rounded_to_float32(self, tmp_path):
-        # Every snapshot written before nets were float32 holds float64 values.
-        snapshot = advance_prior(random_net(51, jitter=0.7, dtype=np.float64))
+    def test_a_loaded_layer_is_a_read_only_view_of_the_saved_bytes(self, tmp_path):
+        snapshot = advance_prior(random_net(51, heads=(0, 1), jitter=0.7))
         path = tmp_path / "stage.snap"
         save_snapshot(snapshot, path)
+        layers = [*snapshot.trunk, snapshot.heads[0], snapshot.heads[1]]
+        header = 16 + 8 + 12 * 2  # one trunk layer, two heads
+        assert path.read_bytes()[header:] == b"".join(
+            layer.flat.astype("<f4").tobytes() for layer in layers)
         loaded = load_snapshot(path)
-        for a, b in zip([*snapshot.trunk, snapshot.heads[0]], [*loaded.trunk, loaded.heads[0]]):
-            assert b.flat.dtype == np.float32
-            assert b.flat.tobytes() == a.flat.astype(np.float32).tobytes()
-            assert not np.array_equal(b.flat, a.flat)
+        for a, b in zip(layers, [*loaded.trunk, loaded.heads[0], loaded.heads[1]]):
+            assert b.flat.dtype == np.float32 and b.flat.tobytes() == a.flat.tobytes()
+            assert not b.flat.flags.writeable and not b.mu_b.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                b.logvar_w[0, 0] = 0.0
 
-    @pytest.mark.parametrize("offset, name", [(52, "trunk layer 0"), (-8, "head 0")])
-    def test_a_value_beyond_float32_is_an_error_naming_its_layer(self, tmp_path, offset, name):
-        path = tmp_path / "huge.snap"
-        save_snapshot(advance_prior(random_net(49, jitter=0.1)), path)  # 4-3-2, floats from 52
-        blob = bytearray(path.read_bytes())
-        struct.pack_into("<d", blob, offset % len(blob), -1e39)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match=f"^snapshot {name} has a parameter of magnitude "
-                                             "1e\\+39, beyond float32's range$"):
+    def test_a_float64_net_is_not_saved(self, tmp_path):
+        path = tmp_path / "stage.snap"
+        with pytest.raises(ValueError, match="holds a float32 net, not a float64 one"):
+            save_snapshot(advance_prior(random_net(52, dtype=np.float64)), path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_vclsnap1_file_is_refused_by_name(self, tmp_path):
+        # The float64 format: the same header, then each layer's mu_w,
+        # logvar_w, mu_b and logvar_b as float64.
+        layer = random_net(53, hidden=(), jitter=0.1).heads[0]  # one 4x2 head, no trunk
+        path = tmp_path / "old.snap"
+        path.write_bytes(b"VCLSNAP1" + struct.pack("<IIIII", 0, 1, 0, 4, 2) + b"".join(
+            a.astype("<f8").tobytes()
+            for a in (layer.mu_w, layer.logvar_w, layer.mu_b, layer.logvar_b)))
+        with pytest.raises(ValueError, match="^[^\\n]*VCLSNAP1, the float64 snapshot format, "
+                                             "which is no longer read[^\\n]*$"):
             load_snapshot(path)
 
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
@@ -1136,7 +1145,7 @@ class TestAdvancePrior:
         whole = tmp_path / "whole.snap"
         save_snapshot(advance_prior(random_net(44, jitter=0.1)), whole)  # 4-3-2
         blob = whole.read_bytes()
-        assert len(blob) == 404
+        assert len(blob) == 220
         cut = tmp_path / "cut.snap"
         for n in [*range(len(blob)), len(blob) + 1]:
             cut.write_bytes((blob + b"\x00")[:n])
@@ -1162,7 +1171,8 @@ class TestAdvancePrior:
     ], ids=["head-after-trunk", "trunk-after-trunk", "head-without-trunk", "head-0-outputs"])
     def test_load_rejects_layers_that_do_not_chain(self, tmp_path, trunk, heads, message):
         def layer(fan_in, fan_out):
-            return vbnn.VariationalLayer(np.zeros((2, (fan_in + 1) * fan_out)), fan_in, fan_out)
+            return vbnn.VariationalLayer(np.zeros((2, (fan_in + 1) * fan_out), np.float32),
+                                         fan_in, fan_out)
 
         path = tmp_path / "unchained.snap"
         save_snapshot(vbnn.VariationalNet(4, tuple(layer(*shape) for shape in trunk),
@@ -1170,13 +1180,13 @@ class TestAdvancePrior:
         with pytest.raises(ValueError, match=message):
             load_snapshot(path)
 
-    @pytest.mark.parametrize("offset, value", [(-8, math.nan), (-8, math.inf), (52, -math.inf)],
+    @pytest.mark.parametrize("offset, value", [(-4, math.nan), (-4, math.inf), (36, -math.inf)],
                              ids=["last-nan", "last-inf", "first-minus-inf"])
     def test_load_rejects_a_non_finite_parameter(self, tmp_path, offset, value):
         path = tmp_path / "nonfinite.snap"
-        save_snapshot(advance_prior(random_net(49, jitter=0.1)), path)  # 4-3-2, floats from 52
+        save_snapshot(advance_prior(random_net(49, jitter=0.1)), path)  # 4-3-2, floats from 36
         blob = bytearray(path.read_bytes())
-        struct.pack_into("<d", blob, offset % len(blob), value)
+        struct.pack_into("<f", blob, offset % len(blob), value)
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="non-finite"):
             load_snapshot(path)
