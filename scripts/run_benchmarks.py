@@ -3,8 +3,10 @@
 
 Reproduces the three benchmark tables: every experiment is run for the
 scheduled-beta model and the three fixed-beta baselines, five trials each.
-Expect a few CPU-hours for the full grid; start with --experiments synthetic
-for a quick dataset-free check.
+Each (experiment, model) pair runs its trials in parallel over the usable
+cores, as ``vclab run`` does; ``taskset -c 0`` runs them serially. Expect a
+few CPU-hours for the full grid; start with --experiments synthetic for a
+quick dataset-free check.
 
 Usage:
     python scripts/run_benchmarks.py --data-dir data --out-dir results \
@@ -61,7 +63,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--data-dir", default="data")
     parser.add_argument("--out-dir", default="results")
-    # Exit codes as for the vclab command: 1 config, 2 data, 3 numeric error.
+    # Exit codes as for the vclab command: 1 config, 2 data, 3 numeric error,
+    # 4 a trial's worker process ended without a result.
     return exit_code(run_grid, parser.parse_args())
 
 

@@ -3,8 +3,10 @@ CSV, SEM aggregation, and static SVG charts.
 
 Configuration is a flat set of ``key = value`` pairs with precedence
 CLI > config file > defaults. Trial seeds are master_seed + trial_index, so
-any published number is re-derivable from the config alone. Exit codes:
-0 ok, 1 config error, 2 data error, 3 numeric failure.
+any published number is re-derivable from the config alone. A run's trials
+run in forked worker processes, one per usable core, and give the bytes of
+a serial run. Exit codes: 0 ok, 1 config error, 2 data error, 3 numeric
+failure, 4 a trial's worker process ended without a result.
 """
 
 from __future__ import annotations
@@ -13,9 +15,16 @@ import argparse
 import csv
 import io
 import math
+import os
+import pickle
+import signal
 import sys
+import threading
+import traceback
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -264,15 +273,118 @@ def _write_text(path, text: str) -> Path:
     return Path(path)
 
 
+class WorkerLostError(RuntimeError):
+    """A trial's worker process ended without sending the trial's result."""
+
+
+def usable_cores() -> int:
+    """How many processes :func:`run_experiment` runs trials in at most: the
+    CPUs this process may run on, or 1 where it cannot fork safely (no
+    ``os.fork`` or ``os.sched_getaffinity``, or a second Python thread)."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_worker(trials: range, run_trial) -> tuple[int, BinaryIO]:
+    """Fork a process that runs ``trials`` in order and pickles each one's
+    ``(lines, rows, error)`` into a pipe; the child's pid and the pipe's read
+    end. The child stops after a trial that raises, turns SIGTERM into
+    ``SystemExit`` (so ``atomic_write`` removes its temporary file), prints
+    the traceback of an error it cannot send, and ends with ``os._exit``."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    status = 1
+    try:
+        signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as pipe:
+            for trial in trials:
+                lines, rows, error = [], [], None
+                try:
+                    rows = run_trial(trial, lines.append)
+                except Exception as exc:
+                    error = exc
+                pipe.write(pickle.dumps((lines, rows, error)))
+                pipe.flush()
+                if error is not None:
+                    break
+        status = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
+def _how_it_ended(pid: int) -> str:
+    """How the exited child ``pid`` ended, read without reaping it."""
+    info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+    if info.si_code == os.CLD_EXITED:
+        return f"its worker process exited with status {info.si_status}"
+    return (f"its worker process was killed by signal {info.si_status} "
+            f"({signal.strsignal(info.si_status)})")
+
+
+def run_trials(count: int, run_trial) -> list[ResultRow]:
+    """The rows of trials 0 to ``count`` - 1, in trial order.
+    ``run_trial(trial, show)`` runs one trial, passes each progress line to
+    ``show`` and returns the trial's rows.
+
+    Trials are dealt round-robin over P = min(``count``,
+    :func:`usable_cores`) processes: this one runs trials 0, P, 2P, ... and
+    forked worker j runs j, j + P, .... This process prints each worker
+    trial's lines, and raises its error, when that trial's turn comes, so
+    the rows, stdout and the error are a serial run's. A worker that ends
+    without a result is a :class:`WorkerLostError`. Any exception here
+    SIGTERMs every worker; every worker is reaped before this returns."""
+    processes = min(count, usable_cores())
+    workers: list[tuple[int, BinaryIO]] = []
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for j in range(1, processes):
+            workers.append(_fork_worker(range(j, count, processes), run_trial))
+        rows: list[ResultRow] = []
+        for trial in range(count):
+            if trial % processes == 0:
+                rows += run_trial(trial, partial(print, flush=True))
+                continue
+            pid, pipe = workers[trial % processes - 1]
+            try:
+                lines, trial_rows, error = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise WorkerLostError(f"trial {trial} ended without a result: "
+                                      f"{_how_it_ended(pid)}") from None
+            for line in lines:
+                print(line, flush=True)
+            if error is not None:
+                raise error
+            rows += trial_rows
+        return rows
+    except BaseException:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGTERM)
+        raise
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Run all trials of one (experiment, model) pair and write the CSV.
     The CSV path and each trial's stage-1 snapshot path are checked before
     any data is loaded, and every trial's stage paths through
     :func:`snapshot_paths` once trial 0's tasks exist, before any training.
-    Each stage's rows are taken from ``run_sequence``'s progress callback,
-    which then prints the stage's progress line. In ``auto`` mode that line
-    also shows the trace: d, s, delta_d, a* (``-`` with no head of the
-    task's arity) and the probe accuracies."""
+    The trials then run through :func:`run_trials`, in parallel over the
+    usable cores. Each stage's rows are taken from ``run_sequence``'s
+    progress callback, which also makes the stage's progress line. In
+    ``auto`` mode that line also shows the trace: d, s, delta_d, a* (``-``
+    with no head of the task's arity) and the probe accuracies."""
     label = cfg.model_label()
     out = Path(cfg.out_dir) / f"{cfg.experiment}_{label.replace(':', '-')}.csv"
     trial_dirs = [Path(cfg.snapshot_dir) / f"trial{trial}" if cfg.snapshot_dir else None
@@ -281,15 +393,20 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     for trial_dir in filter(None, trial_dirs):
         snapshot_paths(trial_dir, 1, out)
     corpus = load_corpus(cfg.experiment, cfg.data_dir)
-    rows: list[ResultRow] = []
-    for trial in range(cfg.trials):
-        seed = cfg.master_seed + trial
-        tasks, hidden_dims = build_tasks(cfg.experiment, corpus, seed)
-        if trial == 0:  # every trial has as many stages as trial 0
-            for trial_dir in filter(None, trial_dirs):
-                snapshot_paths(trial_dir, len(tasks), out)
+    first = [build_tasks(cfg.experiment, corpus, cfg.master_seed)]
+    for trial_dir in filter(None, trial_dirs):  # every trial has as many stages as trial 0
+        snapshot_paths(trial_dir, len(first[0][0]), out)
 
-        def report(t, trace, accuracies, trial=trial):
+    def run_trial(trial, show) -> list[ResultRow]:
+        seed = cfg.master_seed + trial
+        if trial == 0:
+            tasks, hidden_dims = first.pop()
+        else:
+            first.clear()  # a worker's copy of trial 0's tasks: one trial's pixels at a time
+            tasks, hidden_dims = build_tasks(cfg.experiment, corpus, seed)
+        rows: list[ResultRow] = []
+
+        def report(t, trace, accuracies):
             rows.extend(ResultRow(cfg.experiment, label, trial, seed, t, i, tasks[i].name,
                                   accuracy, trace.beta, trace.d, trace.s, trace.delta_d)
                         for i, accuracy in enumerate(accuracies))
@@ -300,12 +417,13 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                 probes = ",".join(f"{a:.4f}" for a in trace.raw_accuracies)
                 line += (f" d={_fmt(trace.d)} s={_fmt(trace.s)} delta_d={_fmt(trace.delta_d)}"
                          f" a*={a_star} probe_acc={probes}")
-            print(line, flush=True)
+            show(line)
 
         run_sequence(tasks, hidden_dims, cfg, cfg, seed, snapshot_dir=trial_dirs[trial],
                      progress=report)
-        del tasks  # so two trials' pixels are never alive at once
-    return write_results_csv(rows, out)
+        return rows
+
+    return write_results_csv(run_trials(cfg.trials, run_trial), out)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +590,8 @@ def _build_parser() -> _Parser:
 
 def exit_code(action, *args) -> int:
     """Run ``action(*args)`` and return its exit code: 0 if it returns, else
-    1, 2 or 3 for a config, data or numeric error, reported in one line."""
+    1, 2, 3 or 4 for a config, data or numeric error or a lost trial worker,
+    reported in one line."""
     try:
         action(*args)
         return 0
@@ -485,6 +604,9 @@ def exit_code(action, *args) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except WorkerLostError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return 4
 
 
 def _command(argv) -> None:

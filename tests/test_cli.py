@@ -1,10 +1,13 @@
 import csv
 import hashlib
+import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import weakref
 import xml.etree.ElementTree as ET
@@ -27,6 +30,7 @@ from vclab.cli import (CSV_HEADER, AggregateRow, ConfigError, ExperimentConfig, 
                        read_results_csv, write_results_csv)
 from vclab.data import DataFormatError, load_cifar10_gray28, load_mnist
 from vclab.heuristics import BETA_MAX, BETA_MIN
+from vclab.numerics import NumericError
 from vclab.vbnn import advance_prior, load_snapshot, save_snapshot
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -58,6 +62,26 @@ def run_module(*args, env=None):
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, "-m", "vclab.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def use_cpus(monkeypatch, n):
+    """Let ``vclab run`` see ``n`` usable CPUs, so that it runs its trials in
+    up to ``n`` processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """The pids of the processes forked from this one from now on."""
+    real_fork, children = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return children
 
 
 def row(model="autovcl", trial=0, stage=1, task_index=0, accuracy=0.9, beta=1.0, **kw):
@@ -717,13 +741,22 @@ class TestMainEntry:
             assert len(fields_shown["probe_acc"].split(",")) == 2  # --probe-repeats 2
         assert [f["a*"] == "-" for f in shown] == [True, False, False]
 
-    def test_a_trial_releases_its_tasks_before_the_next_builds_its_own(self, tmp_path,
-                                                                        monkeypatch):
+    @pytest.mark.parametrize("cpus, alive_per_process", [
+        (1, [[[], [False] * 6, [False] * 6]]),
+        # The worker is forked once trial 0's tasks are built, and drops its
+        # copy of them before it builds trial 1's.
+        (2, [[[], [False] * 6], [[False] * 6]]),
+    ])
+    def test_a_trial_releases_its_tasks_before_the_next_builds_its_own(
+            self, tmp_path, monkeypatch, cpus, alive_per_process):
         monkeypatch.setattr(cli, "SYNTHETIC_N_TRAIN", 128)
-        real_build, previous, alive = cli.build_tasks, [], []
+        use_cpus(monkeypatch, cpus)
+        real_build, previous, log = cli.build_tasks, [], tmp_path / "alive.jsonl"
 
         def build_tasks(*args):
-            alive.append([ref() is not None for ref in previous])
+            with open(log, "a", encoding="utf-8") as fh:  # a worker's list is its own copy
+                fh.write(json.dumps([os.getpid(), [ref() is not None for ref in previous]])
+                         + "\n")
             tasks, hidden_dims = real_build(*args)
             previous[:] = [weakref.ref(view.images) for task in tasks
                            for view in (task.train, task.test)]
@@ -732,7 +765,11 @@ class TestMainEntry:
         monkeypatch.setattr(cli, "build_tasks", build_tasks)
         assert main(["run", "--experiment", "synthetic", "--model", "gvcl:1", "--trials", "3",
                      "--epochs", "1", "--out-dir", str(tmp_path)]) == 0
-        assert alive == [[], [False] * 6, [False] * 6]
+        by_process = {}
+        for pid, alive in map(json.loads, log.read_text(encoding="utf-8").splitlines()):
+            by_process.setdefault(pid, []).append(alive)
+        assert by_process.pop(os.getpid()) == alive_per_process[0]
+        assert list(by_process.values()) == alive_per_process[1:]
 
     def test_fixed_model_has_empty_heuristic_fields(self, tmp_path):
         code = main(["run", "--experiment", "synthetic", "--model", "gvcl:0.5",
@@ -799,6 +836,127 @@ class TestMainEntry:
         elapsed = time.monotonic() - start
         assert code == 0
         assert elapsed < 60.0
+
+
+class TestTrialWorkers:
+    """``vclab run`` deals its trials over forked worker processes, one per
+    usable CPU, and must give a serial run's files, lines and errors."""
+
+    SEED = 41
+
+    def run(self, monkeypatch, where, *flags, trials=3):
+        """``vclab run`` of synthetic/auto from ``where``, with relative
+        output paths so that its stdout names the same CSV path wherever it
+        runs."""
+        where.mkdir()
+        monkeypatch.chdir(where)
+        return main(["run", "--experiment", "synthetic", "--model", "auto", "--trials",
+                     str(trials), "--seed", str(self.SEED), *FAST_ARGS, "--out-dir", "out",
+                     "--snapshot-dir", "snap", *flags])
+
+    def test_every_core_count_gives_a_serial_runs_bytes_and_lines(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        monkeypatch.setattr(cli, "SYNTHETIC_N_TRAIN", 512)  # 2 * --probe-size
+        outcomes = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            children = count_forks(monkeypatch)
+            assert self.run(monkeypatch, tmp_path / f"cpus{cpus}") == 0
+            assert len(children) == cpus - 1
+            files = {path.relative_to(tmp_path / f"cpus{cpus}"): path.read_bytes()
+                     for path in sorted((tmp_path / f"cpus{cpus}").rglob("*"))
+                     if path.is_file()}
+            outcomes.append((files, capsys.readouterr()))
+        serial_files, serial_output = outcomes[0]
+        assert sorted(map(str, serial_files)) == [
+            "out/synthetic_autovcl.csv",
+            *(f"snap/trial{k}/stage_0{t}.snap" for k in range(3) for t in (1, 2, 3))]
+        lines = serial_output.out.splitlines()
+        assert [line.split("] ")[1][:15] for line in lines[:-1]] == [
+            f"trial {k} stage {t}" for k in range(3) for t in (1, 2, 3)]
+        assert serial_output.err == ""
+        for files, output in outcomes[1:]:
+            assert files == serial_files
+            assert output == serial_output
+
+    def test_a_workers_numeric_error_is_raised_in_trial_order(self, tmp_path, monkeypatch,
+                                                              capsys):
+        monkeypatch.setattr(cli, "SYNTHETIC_N_TRAIN", 512)
+        real = cli.run_sequence
+
+        def run_sequence(tasks, hidden_dims, train_cfg, heuristic_cfg, seed, **kw):
+            if seed == self.SEED + 1:
+                raise NumericError("stage 1: injected into trial 1")
+            return real(tasks, hidden_dims, train_cfg, heuristic_cfg, seed, **kw)
+
+        monkeypatch.setattr(cli, "run_sequence", run_sequence)
+        outputs = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            assert self.run(monkeypatch, tmp_path / f"cpus{cpus}") == 3
+            assert not (tmp_path / f"cpus{cpus}" / "out").exists()
+            outputs.append(capsys.readouterr())
+        serial, parallel = outputs
+        assert [line.split("] ")[1][:15] for line in serial.out.splitlines()] == [
+            f"trial 0 stage {t}" for t in (1, 2, 3)]
+        assert serial.err == "numeric failure: stage 1: injected into trial 1\n"
+        assert parallel == serial
+
+    def test_an_error_in_the_calling_process_stops_every_worker(self, tmp_path, monkeypatch):
+        real, raised_at = cli.run_sequence, []
+        snap = tmp_path / "run" / "snap"
+
+        def run_sequence(tasks, hidden_dims, train_cfg, heuristic_cfg, seed, **kw):
+            if seed == self.SEED:  # trial 0, in this process: wait for trial 1 to be running
+                deadline = time.monotonic() + 60
+                while not (snap / "trial1" / "stage_01.snap").exists():
+                    assert time.monotonic() < deadline, "trial 1 wrote no snapshot"
+                    time.sleep(0.01)
+                raised_at.append(time.monotonic())
+                raise NumericError("stage 1: injected into trial 0")
+            return real(tasks, hidden_dims, train_cfg, heuristic_cfg, seed, **kw)
+
+        monkeypatch.setattr(cli, "run_sequence", run_sequence)
+        use_cpus(monkeypatch, 2)
+        # Ten epochs a stage, so trial 1 is still training when it is stopped.
+        assert self.run(monkeypatch, tmp_path / "run", "--epochs", "10", trials=2) == 3
+        assert time.monotonic() - raised_at[0] < 10
+        assert not (snap / "trial1" / "stage_03.snap").exists()
+        assert not list(snap.rglob("*.tmp"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_killed_worker_exits_4_naming_its_trial(self, tmp_path, monkeypatch, capsys):
+        real, parent = cli.run_sequence, os.getpid()
+
+        def run_sequence(tasks, hidden_dims, train_cfg, heuristic_cfg, seed, **kw):
+            if seed == self.SEED + 1 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(tasks, hidden_dims, train_cfg, heuristic_cfg, seed, **kw)
+
+        monkeypatch.setattr(cli, "run_sequence", run_sequence)
+        monkeypatch.setattr(cli, "SYNTHETIC_N_TRAIN", 512)
+        use_cpus(monkeypatch, 2)
+        assert self.run(monkeypatch, tmp_path / "run") == 4
+        err = capsys.readouterr().err
+        assert err == ("worker failure: trial 1 ended without a result: its worker process "
+                       f"was killed by signal {signal.SIGKILL.value} "
+                       f"({signal.strsignal(signal.SIGKILL)})\n")
+        assert not (tmp_path / "run" / "out").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_second_thread_keeps_the_trials_in_this_process(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        assert cli.usable_cores() == 3
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert cli.usable_cores() == 1
+        finally:
+            release.set()
+            other.join()
 
 
 # ---------------------------------------------------------------------------
